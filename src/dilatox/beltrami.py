@@ -24,8 +24,7 @@ from .errors import (
     DegenerateDenominator,
     NonPositiveImag,
 )
-from .functionals import TruncatedValue
-from .mapping import MappingModel, PolarPoint, RadialProfile, fd_model, model_from_profile
+from .mapping import MappingModel, PolarPoint, RadialProfile, model_from_profile
 from .quadrature import QuadratureConfig, circle_nodes, integrate_from_origin
 from .verifier import BoundReport, LimitProxy, RadiusLadder, _finish, growth_constant, tolerance
 
@@ -104,7 +103,7 @@ class RadialSolution:
         with open(path, "w", newline="") as fh:
             fh.write("r,R\n")
             for r, v in zip(self.grid, self.values):
-                fh.write(f"{r!r},{v!r}\n")
+                fh.write(f"{float(r)!r},{float(v)!r}\n")
 
 
 def _rk4(rhs, r0: float, R0: float, grid: np.ndarray) -> np.ndarray:
@@ -227,11 +226,10 @@ def condition_sigma0(coef: SigmaCoefficient, ladder: RadiusLadder,
         # circle integral of the radially symmetric integrand, times t
         return 2.0 * math.pi / ims ** (1.0 / (coef.m + 1.0))
 
-    vals = []
-    for r in ladder.radii():
-        disc = integrate_from_origin(g, cfg.r_floor, r, cfg)
-        vals.append((disc / (math.pi * r * r)) ** (coef.m + 1.0))
-    return LimitProxy.from_tail("liminf", np.array(vals)[-ladder.tail:])
+    radii = ladder.radii()
+    disc = integrate_from_origin(g, cfg.r_floor, radii, cfg)
+    vals = (disc / (math.pi * radii * radii)) ** (coef.m + 1.0)
+    return LimitProxy.from_tail("liminf", vals[-ladder.tail:])
 
 
 @dataclass

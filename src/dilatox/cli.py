@@ -28,9 +28,7 @@ from .functionals import (
     DilatationOrder,
     boundary_length,
     circular_dilatation_mean,
-    dilatation_radial_fn,
     disc_mean,
-    radial_integral_inner,
 )
 from .mapping import map_from_json, min_max_modulus
 from .quadrature import QuadratureConfig
@@ -42,7 +40,6 @@ from .verifier import (
     check_lemma4,
     check_length_area,
     margins_to_csv,
-    reports_to_json,
     theorem1_bound,
     theorem3_bound,
     theorem5_bound,
@@ -115,12 +112,13 @@ def cmd_eval(args) -> int:
     ladder = _ladder(args)
     ladder.validate_against(cfg)
     p = DilatationOrder(args.p)
+    radii = ladder.radii()
+    columns = zip(radii, circular_dilatation_mean(entry.model, radii, p, cfg).tolist(),
+                  [tv.value for tv in disc_mean(entry.model, radii, p, cfg)],
+                  area_fn(entry.model, radii, cfg).tolist(),
+                  boundary_length(entry.model, radii, cfg).tolist())
     rows = []
-    for r in ladder.radii():
-        d = circular_dilatation_mean(entry.model, r, p, cfg)
-        dm = disc_mean(entry.model, r, p, cfg).value
-        s = area_fn(entry.model, r, cfg)
-        ell = boundary_length(entry.model, r, cfg)
+    for r, d, dm, s, ell in columns:
         lo, hi = min_max_modulus(entry.model, r)
         rows.append((r, d, dm, s, ell, lo, hi, ell * ell - 4.0 * math.pi * s))
     out = Path(args.out) / "functionals.csv"

@@ -9,7 +9,7 @@ safe to share across concurrent evaluators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -99,13 +99,9 @@ def default_steps(r: float) -> tuple[float, float]:
     return 1e-5 * max(r, 1e-3), 1e-5
 
 
-def jacobian_grid(model: MappingModel, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Jacobian (1/r) Im(conj(f_r) f_theta) on a broadcastable grid.
-
-    Raises DegenerateJacobian when any value drops below -1e-12; values in
-    [-1e-12, 0] are clamped to 0.
-    """
-    r = np.asarray(r, dtype=float)
+def _jacobian_and_ft(model: MappingModel, r: np.ndarray,
+                     theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(J_f, f_theta) on a broadcastable grid, evaluating each partial once."""
     fr = np.asarray(model.partial_r(r, theta))
     ft = np.asarray(model.partial_theta(r, theta))
     if not (np.isfinite(fr).all() and np.isfinite(ft).all()):
@@ -114,7 +110,16 @@ def jacobian_grid(model: MappingModel, r: np.ndarray, theta: np.ndarray) -> np.n
     if np.any(jac < -JAC_TOL):
         raise DegenerateJacobian(
             f"Jacobian of {model.label!r} reaches {float(np.min(jac)):.3e} < -{JAC_TOL}")
-    return np.maximum(jac, 0.0)
+    return np.maximum(jac, 0.0), ft
+
+
+def jacobian_grid(model: MappingModel, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Jacobian (1/r) Im(conj(f_r) f_theta) on a broadcastable grid.
+
+    Raises DegenerateJacobian when any value drops below -1e-12; values in
+    [-1e-12, 0] are clamped to 0.
+    """
+    return _jacobian_and_ft(model, np.asarray(r, dtype=float), theta)[0]
 
 
 def jacobian(model: MappingModel, z: PolarPoint) -> float:

@@ -1,5 +1,6 @@
-"""Quadrature primitives: periodic trapezoid on circles, log-spaced Simpson on
-radial segments, and a power-law tail estimate for the truncated origin.
+"""Quadrature primitives: periodic trapezoid on circles, log-spaced Romberg on
+radial segments (one pass for a whole ladder of upper limits), and a power-law
+tail estimate for the truncated origin.
 
 Conventions for extended values: +inf in an integrand makes the integral +inf;
 NaN raises. Integrands are vectorized callables over radius arrays.
@@ -62,52 +63,95 @@ def circle_mean(values: np.ndarray) -> float:
     return float(np.mean(values))
 
 
-def integrate_radial(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                     cfg: QuadratureConfig) -> float:
+def romberg_nodes(cfg: QuadratureConfig) -> int:
+    """Nodes of the base radial grid: Romberg needs 2^k + 1, the first such count
+    above n_r."""
+    return 2 ** math.ceil(math.log2(cfg.n_r)) + 1
+
+
+def _romberg_segments(fn: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
+                      hi: np.ndarray, levels: np.ndarray, grid_kind: str) -> np.ndarray:
+    """Romberg integrals of fn(t) dt over the segments [lo_i, hi_i], segment i on
+    2^levels_i + 1 nodes, from a single call of fn on all nodes.
+
+    A segment holding +inf integrates to +inf; NaN anywhere raises.
+    """
+    if grid_kind == "log":
+        u_lo, u_hi = np.log(lo), np.log(hi)
+    else:
+        u_lo, u_hi = lo, hi
+    # the exact step; a difference of neighbouring nodes near u = -14 would
+    # lose about three digits
+    dx = (u_hi - u_lo) / 2.0 ** levels
+    groups = [np.flatnonzero(levels == k) for k in np.unique(levels)]
+    grids = [np.linspace(u_lo[g], u_hi[g], 2 ** int(levels[g[0]]) + 1, axis=-1)
+             for g in groups]
+    ts = [np.exp(u) if grid_kind == "log" else u for u in grids]
+    y_all = np.asarray(fn(np.concatenate([t.ravel() for t in ts])), dtype=float)
+    if np.isnan(y_all).any():
+        raise ValueError("NaN in radial quadrature values")
+    out = np.empty(len(lo))
+    start = 0
+    for g, t in zip(groups, ts):
+        y = y_all[start:start + t.size].reshape(t.shape)
+        start += t.size
+        if grid_kind == "log":
+            y = y * t
+        inf_rows = np.isinf(y).any(axis=1)
+        out[g] = romb(np.where(np.isinf(y), 0.0, y), dx=dx[g], axis=-1)
+        out[g[inf_rows]] = math.inf
+    return out
+
+
+# A rung segment has at least 2^3 intervals, so its Romberg extrapolation keeps
+# a high order even where the rungs are closer together than one base step.
+MIN_SEGMENT_LEVEL = 3
+
+
+def integrate_radial(fn: Callable[[np.ndarray], np.ndarray], a, b,
+                     cfg: QuadratureConfig) -> float | np.ndarray:
     """Romberg integration of fn(t) dt over [a, b] on the configured radial grid.
 
     The log-spaced grid integrates fn(e^u) e^u du on a uniform u-grid, which
     resolves power-law integrands near 0; Romberg extrapolation of the
     trapezoid sums is effectively exact for integrands smooth in u.
+
+    One limit may be a 1-d array (a ladder of radii), the other a scalar (the
+    anchor); the result is then the array of integrals over [a_i, b] or
+    [a, b_i], from one pass. The base segment joins the anchor to the nearest
+    radius on the configured 2^k + 1 node grid. Every further radius adds one
+    Romberg segment from its neighbour nearer the anchor, with the fewest
+    2^j + 1 nodes (MIN_SEGMENT_LEVEL <= j <= k) whose step is no larger than the
+    base step. Cumulative sums of the segments give each radius's integral, and
+    fn is called once on all nodes. +inf in a segment makes the integral of every radius beyond it
+    +inf; NaN raises.
     """
-    if not b > a:
-        raise EmptyRange(f"empty radial range [{a}, {b}]")
-    n = 2 ** math.ceil(math.log2(cfg.n_r)) + 1  # Romberg needs 2^k + 1 nodes
-    if cfg.grid_kind == "log":
-        u = np.linspace(math.log(a), math.log(b), n)
-        t = np.exp(u)
-        y = np.asarray(fn(t), dtype=float) * t
-        dx = u[1] - u[0]
+    if np.ndim(a) and np.ndim(b):
+        raise ConfigError("at most one limit of a radial integral may be an array")
+    if np.ndim(a):
+        anchor, radii = float(b), np.asarray(a, dtype=float)
     else:
-        t = np.linspace(a, b, n)
-        y = np.asarray(fn(t), dtype=float)
-        dx = t[1] - t[0]
-    if np.isnan(y).any():
-        raise ValueError("NaN in radial quadrature values")
-    if np.isinf(y).any():
-        return math.inf
-    return float(romb(y, dx=dx))
-
-
-def power_tail(fn: Callable[[np.ndarray], np.ndarray], eps: float) -> float:
-    """Estimate of integral_0^eps fn(t) dt from a local power-law fit.
-
-    Fits fn(t) ~ c t^beta through the samples at eps and 2*eps; exact for pure
-    power integrands, which covers every catalog map near the origin. Returns
-    +inf when the fitted exponent is non-integrable.
-    """
-    g = np.asarray(fn(np.array([eps, 2.0 * eps])), dtype=float)
-    g1, g2 = float(g[0]), float(g[1])
-    if np.isnan(g1) or np.isnan(g2):
-        raise ValueError("NaN in tail fit samples")
-    if math.isinf(g1) or math.isinf(g2):
-        return math.inf
-    if g1 <= 0.0 or g2 <= 0.0:
-        return 0.0
-    beta = math.log2(g2 / g1)
-    if beta <= -1.0:
-        return math.inf
-    return g1 * eps / (beta + 1.0)
+        anchor, radii = float(a), np.atleast_1d(np.asarray(b, dtype=float))
+    if radii.ndim != 1 or radii.size == 0:
+        raise ConfigError(f"radii must be a non-empty 1-d array, got shape {radii.shape}")
+    order = np.argsort(np.abs(radii - anchor), kind="stable")
+    ends = np.concatenate([[anchor], radii[order]])
+    steps = np.diff(ends)
+    if not np.all(steps < 0.0 if np.ndim(a) else steps > 0.0):
+        raise EmptyRange(f"empty radial range [{a}, {b}]")
+    lo, hi = np.minimum(ends[:-1], ends[1:]), np.maximum(ends[:-1], ends[1:])
+    if cfg.grid_kind == "log" and not lo[0] > 0.0:
+        raise ConfigError(f"a log-spaced radial grid needs positive radii, got {lo[0]}")
+    width = np.log(hi / lo) if cfg.grid_kind == "log" else hi - lo
+    base_level = int(math.log2(romberg_nodes(cfg) - 1))
+    levels = np.full(len(lo), base_level)
+    ratio = width[1:] / (width[0] / 2.0 ** base_level)
+    # j <= k: a short base segment (an outer ladder with r_max near 1) would
+    # otherwise ask for millions of nodes per rung segment
+    levels[1:] = np.clip(np.ceil(np.log2(ratio)), MIN_SEGMENT_LEVEL, base_level)
+    out = np.empty(len(radii))
+    out[order] = np.cumsum(_romberg_segments(fn, lo, hi, levels, cfg.grid_kind))
+    return out if np.ndim(a) or np.ndim(b) else float(out[0])
 
 
 def log_power_tail(fn: Callable[[np.ndarray], np.ndarray], eps: float) -> float:
@@ -136,10 +180,11 @@ def log_power_tail(fn: Callable[[np.ndarray], np.ndarray], eps: float) -> float:
     lo = math.log(eps) - 60.0 / (beta + 1.0)
     u = np.linspace(lo, math.log(eps), 4097)
     y = np.exp(lnc + (beta + 1.0) * u + gamma * np.log1p(-u))
-    return float(romb(y, dx=u[1] - u[0]))
+    return float(romb(y, dx=(math.log(eps) - lo) / (len(u) - 1)))
 
 
 def integrate_from_origin(fn: Callable[[np.ndarray], np.ndarray], eps: float,
-                          b: float, cfg: QuadratureConfig) -> float:
-    """integral_0^b fn(t) dt: quadrature on [eps, b] plus the fitted tail below eps."""
+                          b: float | np.ndarray, cfg: QuadratureConfig) -> float | np.ndarray:
+    """integral_0^b fn(t) dt for a radius b or a 1-d array of them: the radial
+    quadrature on [eps, b] plus the fitted tail below eps, which every radius shares."""
     return integrate_radial(fn, eps, b, cfg) + log_power_tail(fn, eps)

@@ -11,8 +11,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Union
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .functionals import (
     disc_mean,
     radial_integral_inner,
     radial_integral_outer,
-    _circle_integral_fn,
     _disc_integral,
     _order,
 )
@@ -164,12 +163,12 @@ def check_lemma1(model: MappingModel, p, ladder: RadiusLadder,
     """
     p = _order(p)
     ladder.validate_against(cfg)
+    rungs = ladder.radii()
     radii, margins, tols, notes = [], [], [], set()
-    for r in ladder.radii():
-        sp = area_rate(model, r, cfg)
-        s = area(model, r, cfg)
-        ell = boundary_length(model, r, cfg)
-        d = circular_dilatation_mean(model, r, p, cfg)
+    for r, sp, s, ell, d in zip(rungs, area_rate(model, rungs, cfg).tolist(),
+                                area(model, rungs, cfg).tolist(),
+                                boundary_length(model, rungs, cfg).tolist(),
+                                circular_dilatation_mean(model, rungs, p, cfg).tolist()):
         inv_d = 0.0 if math.isinf(d) else (math.inf if d == 0.0 else 1.0 / d)
         if math.isinf(inv_d):
             notes.add("zero-dilatation")
@@ -193,14 +192,15 @@ def check_length_area(model: MappingModel, p, r1: float, r2: float,
 
     def integrand(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        ell = np.array([boundary_length(model, float(tv), cfg) for tv in t])
+        ell = boundary_length(model, t, cfg)
         d = np.asarray(dp_fn(t), dtype=float)
         with np.errstate(divide="ignore"):
             out = ell ** p / ((2.0 * math.pi * t) ** (p - 1.0) * d)
         return np.where(np.isinf(d), 0.0, out)
 
     integral = integrate_radial(integrand, r1, r2, cfg)
-    growth = area(model, r2, cfg) - area(model, r1, cfg)
+    s1, s2 = area(model, np.array([r1, r2]), cfg).tolist()
+    growth = s2 - s1
     margin = growth - integral
     return _finish("length_area", p, [r2], [margin], [tolerance(growth, integral)])
 
@@ -214,10 +214,10 @@ def check_lemma2(model: MappingModel, p, ladder: RadiusLadder,
         raise ConfigError(f"lemma2 needs p > 2, got {p}")
     ladder.validate_against(cfg)
     dp_fn = dilatation_radial_fn(model, p, cfg)
+    rungs = ladder.radii()
     radii, margins, tols = [], [], []
-    for r in ladder.radii():
-        s = area(model, r, cfg)
-        integral = radial_integral_outer(dp_fn, r, p, cfg)
+    for r, s, integral in zip(rungs, area(model, rungs, cfg).tolist(),
+                              radial_integral_outer(dp_fn, rungs, p, cfg).tolist()):
         bound = math.pi * (p - 2.0) ** (-2.0 / (p - 2.0)) * integral ** (-2.0 / (p - 2.0))
         radii.append(r)
         margins.append(bound - s)
@@ -235,7 +235,7 @@ def check_lemma3(q_fn: Callable[[np.ndarray, np.ndarray], np.ndarray], p,
 
     def inv_integrand(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        q = np.array([circular_mean(q_fn, float(tv), p, cfg) for tv in t])
+        q = circular_mean(q_fn, t, p, cfg)
         with np.errstate(divide="ignore"):
             out = t ** (1.0 - p) / q
         return np.where(np.isinf(q), 0.0, out)
@@ -246,7 +246,7 @@ def check_lemma3(q_fn: Callable[[np.ndarray, np.ndarray], np.ndarray], p,
     def sample(t, th):
         return np.asarray(q_fn(t, th), dtype=float) ** (1.0 / (p - 1.0))
 
-    disc = _disc_integral(sample, 2.0 * eps, cfg, invariant=False)
+    disc = float(_disc_integral(sample, 2.0 * eps, cfg, invariant=False)[0])
     avg = disc / (4.0 * math.pi * eps ** 2)
     rhs = 2.0 ** (p - 1.0) * eps ** (p - 2.0) * avg ** (p - 1.0)
     return _finish("lemma3", p, [eps], [rhs - lhs], [tolerance(rhs, lhs)])
@@ -261,10 +261,10 @@ def check_lemma4(model: MappingModel, p, ladder: RadiusLadder,
         raise ConfigError(f"lemma4 needs 1 < p < 2, got {p}")
     ladder.validate_against(cfg)
     dp_fn = dilatation_radial_fn(model, p, cfg)
+    rungs = ladder.radii()
     radii, margins, tols, notes = [], [], [], set()
-    for r in ladder.radii():
-        s = area(model, r, cfg)
-        inner = radial_integral_inner(dp_fn, r, p, cfg)
+    for r, s, inner in zip(rungs, area(model, rungs, cfg).tolist(),
+                           radial_integral_inner(dp_fn, rungs, p, cfg)):
         notes.update(inner.flags)
         bound = math.pi * (2.0 - p) ** (2.0 / (2.0 - p)) * inner.value ** (2.0 / (2.0 - p))
         radii.append(r)
@@ -313,13 +313,9 @@ def theorem1_bound(model: MappingModel, p, ladder: RadiusLadder,
     if not p > 2.0:
         raise ConfigError(f"theorem1 needs p > 2, got {p}")
     ladder.validate_against(cfg)
-    notes = set()
-    means = []
-    for r in ladder.radii():
-        tv = disc_mean(model, r, p, cfg)
-        notes.update(tv.flags)
-        means.append(tv.value)
-    means = np.array(means)
+    tvs = disc_mean(model, ladder.radii(), p, cfg)
+    notes = {flag for tv in tvs for flag in tv.flags}
+    means = np.array([tv.value for tv in tvs])
     k = LimitProxy.from_tail("liminf", means[-ladder.tail:])
     lo, _ = modulus_ratio_series(model, ladder)
     attained_proxy = LimitProxy.from_tail("liminf", lo[-ladder.tail:])
@@ -363,8 +359,8 @@ def theorem3_bound(model: MappingModel, p, ladder: RadiusLadder,
         raise ConfigError(f"theorem3 needs p > 2, got {p}")
     ladder.validate_against(cfg)
     dp_fn = dilatation_radial_fn(model, p, cfg)
-    vals = np.array([r ** (p - 2.0) * radial_integral_outer(dp_fn, r, p, cfg)
-                     for r in ladder.radii()])
+    rungs = ladder.radii()
+    vals = rungs ** (p - 2.0) * radial_integral_outer(dp_fn, rungs, p, cfg)
     k0 = LimitProxy.from_tail("limsup", vals[-ladder.tail:])
     lo, _ = modulus_ratio_series(model, ladder)
     attained_proxy = LimitProxy.from_tail("liminf", lo[-ladder.tail:])
@@ -391,9 +387,9 @@ def theorem5_bound(model: MappingModel, p, ladder: RadiusLadder,
     ladder.validate_against(cfg)
     dp_fn = dilatation_radial_fn(model, p, cfg)
     notes = set()
+    rungs = ladder.radii()
     vals, rel_deltas = [], []
-    for r in ladder.radii():
-        inner = radial_integral_inner(dp_fn, r, p, cfg)
+    for r, inner in zip(rungs, radial_integral_inner(dp_fn, rungs, p, cfg)):
         notes.update(inner.flags)
         vals.append(r ** (p - 2.0) * inner.value)
         rel_deltas.append(inner.refinement_delta / inner.value
@@ -436,14 +432,15 @@ def theorem6_bracket(model: MappingModel, p, ladder: RadiusLadder,
     dp_fn = dilatation_radial_fn(model, p, cfg)
     dpc_fn = dilatation_radial_fn(model, pc, cfg)
     notes = set()
+    rungs = ladder.radii()
     inner_vals, outer_vals, rel_deltas = [], [], []
-    for r in ladder.radii():
-        inner = radial_integral_inner(dp_fn, r, p, cfg)
+    for r, inner, outer in zip(rungs, radial_integral_inner(dp_fn, rungs, p, cfg),
+                               radial_integral_outer(dpc_fn, rungs, pc, cfg).tolist()):
         notes.update(inner.flags)
         inner_vals.append(r ** (p - 2.0) * inner.value)
         rel_deltas.append(inner.refinement_delta / inner.value
                           if inner.value > 0 else 0.0)
-        outer_vals.append(r ** (pc - 2.0) * radial_integral_outer(dpc_fn, r, pc, cfg))
+        outer_vals.append(r ** (pc - 2.0) * outer)
     k1 = LimitProxy.from_tail("limsup", np.array(inner_vals)[-ladder.tail:])
     k2 = LimitProxy.from_tail("limsup", np.array(outer_vals)[-ladder.tail:])
     lower = ((2.0 - p) * k1.value) ** (1.0 / (2.0 - p))
@@ -497,18 +494,19 @@ def theorem7_area_derivative(model: MappingModel, p, s, ladder: RadiusLadder,
     dp_fn = dilatation_radial_fn(model, p, cfg)
     ds_fn = dilatation_radial_fn(model, s, cfg)
     notes = set()
+    rungs = ladder.radii()
     lower_vals, upper_vals, ratio_vals, lower_slacks = [], [], [], []
-    for r in ladder.radii():
-        inner = radial_integral_inner(dp_fn, r, p, cfg)
+    for r, inner, outer, s_r in zip(rungs, radial_integral_inner(dp_fn, rungs, p, cfg),
+                                    radial_integral_outer(ds_fn, rungs, s, cfg).tolist(),
+                                    area(model, rungs, cfg).tolist()):
         notes.update(inner.flags)
         lower_vals.append((2.0 - p) ** (2.0 / (2.0 - p))
                           * (r ** (p - 2.0) * inner.value) ** (2.0 / (2.0 - p)))
         lower_slacks.append(_trunc_slack(lower_vals[-1], 2.0 / (2.0 - p), inner))
-        outer = radial_integral_outer(ds_fn, r, s, cfg)
         v = r ** (s - 2.0) * outer
         upper_vals.append((s - 2.0) ** (2.0 / (2.0 - s)) * v ** (2.0 / (2.0 - s))
                           if v > 0 else math.inf)
-        ratio_vals.append(area(model, r, cfg) / (math.pi * r * r))
+        ratio_vals.append(s_r / (math.pi * r * r))
 
     def mid_proxy(vals):
         tail = np.asarray(vals, dtype=float)[-ladder.tail:]

@@ -141,6 +141,9 @@ class TestSolver:
         lines = path.read_text().splitlines()
         assert lines[0] == "r,R"
         assert len(lines) == 1 + len(sol.grid)
+        rows = np.loadtxt(path, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(rows[:, 0], sol.grid)
+        np.testing.assert_array_equal(rows[:, 1], sol.values)
 
 
 class TestDilatationAndCondition:

@@ -1,0 +1,198 @@
+"""The ladder quadrature and the vectorized circle reductions: exactness of the
+Romberg step, agreement of whole-ladder integrals with one-rung calls, the
+(t, theta) reduction against a per-node reference, and bounded model calls."""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from conftest import catalog_suite, perturbed_conformal, suite_ids
+from dilatox.errors import ConfigError, EmptyRange
+from dilatox.functionals import (
+    area,
+    dilatation_grid,
+    dilatation_radial_fn,
+    disc_mean,
+    radial_integral_inner,
+    radial_integral_outer,
+)
+from dilatox.quadrature import (
+    QuadratureConfig,
+    circle_nodes,
+    integrate_radial,
+    romberg_nodes,
+)
+from dilatox.verifier import (
+    RadiusLadder,
+    check_lemma1,
+    check_lemma3,
+    check_lemma4,
+    check_length_area,
+    theorem1_bound,
+    theorem5_bound,
+)
+
+LADDER_MAPS = catalog_suite() + [perturbed_conformal()]
+LADDER_IDS = suite_ids() + ["perturbed_conformal"]
+
+
+def _model(entry):
+    return getattr(entry, "model", entry)
+
+
+class TestRombergStep:
+    @pytest.mark.parametrize("a", [1e-8, 1e-6, 1e-4])
+    @pytest.mark.parametrize("b", [0.5, 0.3, 0.1, 0.01])
+    def test_sqrt_integral_exact(self, a, b, cfg):
+        # the log-grid step is (ln b - ln a)/(n - 1), not a difference of nodes
+        # near u = -14, which would cost about three digits
+        exact = 2.0 / 3.0 * (b ** 1.5 - a ** 1.5)
+        assert integrate_radial(np.sqrt, a, b, cfg) == pytest.approx(exact, rel=1e-14)
+
+
+class TestRadialLadder:
+    """integrate_radial with an array of limits: one pass for a whole ladder."""
+
+    def test_both_directions_match_closed_form(self, cfg):
+        radii = RadiusLadder().radii()
+        up = integrate_radial(np.sqrt, 1e-6, radii, cfg)
+        down = integrate_radial(np.sqrt, radii, 1.0, cfg)
+        np.testing.assert_allclose(up, 2.0 / 3.0 * (radii ** 1.5 - 1e-9), rtol=1e-14)
+        np.testing.assert_allclose(down, 2.0 / 3.0 * (1.0 - radii ** 1.5), rtol=1e-14)
+
+    def test_order_of_radii_is_kept(self, cfg):
+        radii = np.array([0.2, 0.05, 0.4, 0.1])
+        got = integrate_radial(np.sqrt, 1e-6, radii, cfg)
+        np.testing.assert_array_equal(
+            got[np.argsort(radii)], integrate_radial(np.sqrt, 1e-6, np.sort(radii), cfg))
+
+    def test_infinity_reaches_only_the_radii_beyond_it(self, cfg):
+        def fn(t):
+            return np.where((t > 0.15) & (t < 0.2), math.inf, 1.0)
+
+        got = integrate_radial(fn, 1e-3, np.array([0.1, 0.3, 0.5]), cfg)
+        assert got[0] == pytest.approx(0.1 - 1e-3, rel=1e-13)
+        assert math.isinf(got[1]) and math.isinf(got[2])
+
+    def test_nan_raises(self, cfg):
+        with pytest.raises(ValueError):
+            integrate_radial(lambda t: np.full_like(t, math.nan), 1e-3, [0.1, 0.2], cfg)
+
+    def test_empty_ranges_rejected(self, cfg):
+        with pytest.raises(EmptyRange):
+            integrate_radial(np.sqrt, 0.2, [0.1, 0.3], cfg)
+        with pytest.raises(EmptyRange):
+            integrate_radial(np.sqrt, 0.1, [0.3, 0.3], cfg)
+        with pytest.raises(EmptyRange):
+            integrate_radial(np.sqrt, [0.1, 0.3], 0.2, cfg)
+        with pytest.raises(ConfigError):
+            integrate_radial(np.sqrt, [0.1], [0.3], cfg)
+
+    def test_no_rung_segment_is_finer_than_the_base_grid(self, cfg):
+        # r_max near 1 makes the outer base segment [r_max, 1] tiny; a rung
+        # segment still gets no more nodes than the base segment
+        radii = RadiusLadder(r_max=0.9999).radii()
+        nodes = []
+
+        def fn(t):
+            nodes.append(np.size(t))
+            return np.sqrt(t)
+
+        got = integrate_radial(fn, radii, 1.0, cfg)
+        assert nodes == [len(radii) * romberg_nodes(cfg)]
+        # 1 - r^1.5 by expm1: near r = 1 the plain difference loses digits
+        exact = -2.0 / 3.0 * np.expm1(1.5 * np.log(radii))
+        np.testing.assert_allclose(got, exact, rtol=1e-14)
+
+
+def _close(ladder_values, single_values):
+    np.testing.assert_allclose(np.asarray(ladder_values, dtype=float),
+                               np.asarray(single_values, dtype=float), rtol=1e-12, atol=0.0)
+
+
+class TestLadderMatchesOneRung:
+    """A whole-ladder call equals a fresh one-rung call at every rung."""
+
+    @pytest.mark.parametrize("entry", LADDER_MAPS, ids=LADDER_IDS)
+    def test_area(self, entry, cfg, ladder):
+        model = _model(entry)
+        radii = ladder.radii()
+        _close(area(model, radii, cfg), [area(model, r, cfg) for r in radii])
+
+    @pytest.mark.parametrize("entry", LADDER_MAPS, ids=LADDER_IDS)
+    def test_disc_mean(self, entry, cfg, ladder):
+        model = _model(entry)
+        radii = ladder.radii()
+        whole = disc_mean(model, radii, 3.0, cfg)
+        single = [disc_mean(model, r, 3.0, cfg) for r in radii]
+        _close([tv.value for tv in whole], [tv.value for tv in single])
+        assert [tv.flags for tv in whole] == [tv.flags for tv in single]
+
+    @pytest.mark.parametrize("entry", LADDER_MAPS, ids=LADDER_IDS)
+    def test_inner(self, entry, cfg, ladder):
+        dp_fn = dilatation_radial_fn(_model(entry), 1.5, cfg)
+        radii = ladder.radii()
+        whole = radial_integral_inner(dp_fn, radii, 1.5, cfg)
+        single = [radial_integral_inner(dp_fn, r, 1.5, cfg) for r in radii]
+        _close([tv.value for tv in whole], [tv.value for tv in single])
+        assert [tv.flags for tv in whole] == [tv.flags for tv in single]
+
+    @pytest.mark.parametrize("entry", LADDER_MAPS, ids=LADDER_IDS)
+    def test_outer(self, entry, cfg, ladder):
+        model = _model(entry)
+        if model.theta_invariant:
+            d_p = dilatation_radial_fn(model, 3.0, cfg)
+        else:
+            # d_p of a theta-dependent map rejects |z| = 1; this polynomial map
+            # is smooth there, so its circle mean is formed here directly
+            th = circle_nodes(cfg.n_theta)[None, :]
+
+            def d_p(t):
+                q = dilatation_grid(model, np.asarray(t)[:, None], th, 3.0)
+                return np.mean(np.sqrt(q), axis=1) ** 2
+        radii = ladder.radii()
+        _close(radial_integral_outer(d_p, radii, 3.0, cfg),
+               [radial_integral_outer(d_p, r, 3.0, cfg) for r in radii])
+
+
+def _per_node_circular_mean(model, r, p, n_theta):
+    """The per-node reference: one circle of n_theta samples at a time."""
+    th = circle_nodes(n_theta)
+    q = dilatation_grid(model, np.full_like(th, r), th, p)
+    return float(np.mean(q ** (1.0 / (p - 1.0)))) ** (p - 1.0)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+def test_vectorized_dp_matches_per_node_loop(p):
+    # n_r = 16 makes row blocks of 17 radii, so the 40 radii span three blocks
+    cfg = QuadratureConfig(n_r=16)
+    model = perturbed_conformal()
+    t = np.geomspace(1e-4, 0.95, 40)
+    reference = np.array([_per_node_circular_mean(model, float(tv), p, cfg.n_theta)
+                          for tv in t])
+    np.testing.assert_allclose(dilatation_radial_fn(model, p, cfg)(t), reference,
+                               rtol=1e-14, atol=0.0)
+
+
+def test_model_calls_stay_within_one_base_grid(cfg, ladder):
+    sizes = []
+
+    def counted(fn):
+        def wrapper(r, theta):
+            sizes.append(math.prod(np.broadcast_shapes(np.shape(r), np.shape(theta))))
+            return fn(r, theta)
+        return wrapper
+
+    base = perturbed_conformal()
+    model = dataclasses.replace(base, value=counted(base.value),
+                                partial_r=counted(base.partial_r),
+                                partial_theta=counted(base.partial_theta))
+    check_lemma1(model, 1.5, ladder, cfg)
+    check_length_area(model, 1.5, 0.1, 0.8, cfg)
+    check_lemma4(model, 1.5, ladder, cfg)
+    theorem5_bound(model, 1.5, ladder, cfg)
+    theorem1_bound(model, 3.0, ladder, cfg)
+    check_lemma3(lambda rr, th: dilatation_grid(model, rr, th, 3.0), 3.0, 0.1, cfg)
+    assert max(sizes) <= romberg_nodes(cfg) * cfg.n_theta

@@ -17,7 +17,7 @@ from dilatox.functionals import (
     circular_mean,
 )
 from dilatox.mapping import PolarPoint, jacobian
-from dilatox.quadrature import QuadratureConfig, circle_mean, power_tail
+from dilatox.quadrature import QuadratureConfig, circle_mean, log_power_tail
 from dilatox.verifier import LimitProxy, growth_constant, tolerance
 
 CFG = QuadratureConfig(n_theta=64, n_r=64)
@@ -87,8 +87,8 @@ def test_growth_constant_positive_finite(p):
 @given(beta=st.floats(min_value=-0.9, max_value=4.0),
        c=st.floats(min_value=0.1, max_value=10.0),
        eps=st.floats(min_value=1e-8, max_value=1e-2))
-def test_power_tail_exact_on_pure_powers(beta, c, eps):
-    got = power_tail(lambda t: c * np.asarray(t) ** beta, eps)
+def test_log_power_tail_exact_on_pure_powers(beta, c, eps):
+    got = log_power_tail(lambda t: c * np.asarray(t) ** beta, eps)
     exact = c * eps ** (beta + 1.0) / (beta + 1.0)
     assert got == pytest.approx(exact, rel=1e-9)
 
