@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .errors import (
     BlowUp,
@@ -74,6 +73,7 @@ def sigma_from_json(doc: dict) -> SigmaCoefficient:
         r = samples[:, 0]
         if np.any(np.diff(r) <= 0):
             raise ConfigError("custom_radial radii must be strictly increasing")
+        from scipy.interpolate import PchipInterpolator  # on first use: ~0.5 s of import
         re_i = PchipInterpolator(r, samples[:, 1])
         im_i = PchipInterpolator(r, samples[:, 2])
 
@@ -169,6 +169,7 @@ def solve_radial(coef: SigmaCoefficient, r0: float, R0: float,
     if np.any(np.diff(values) <= 0.0):
         notes.append("non-monotone-profile")
 
+    from scipy.interpolate import CubicSpline  # on first use: ~0.5 s of import
     spline = CubicSpline(grid, values)
 
     def R_of(r):

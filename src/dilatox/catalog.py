@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError
 from .mapping import MappingModel, RadialProfile, model_from_profile
@@ -108,6 +107,7 @@ class _LogSingularProfile:
         v = np.linspace(0.0, -math.log(r_floor), n)
         # integrand of I in v: (p-2) e^{(p-2)v} (1+v)^{1-p}
         w = (p - 2.0) * np.exp((p - 2.0) * v) * (1.0 + v) ** (1.0 - p)
+        from scipy.interpolate import CubicSpline  # on first use: ~0.5 s of import
         self._anti = CubicSpline(v, w).antiderivative()
 
     def I(self, r):

@@ -8,8 +8,8 @@ Subcommands:
 
 Exit codes: 0 all checks hold, 1 an inequality is violated, 2 configuration
 error, 3 numerical failure. Identical configurations produce byte-identical
-reports. The environment variable DILATOX_SEED is reserved for future
-stochastic features and is currently unused.
+reports. Reports are strict RFC 8259 JSON: a non-finite number is written as
+the string "Infinity", "-Infinity" or "NaN", which float() reads back.
 """
 
 from __future__ import annotations
@@ -28,8 +28,10 @@ from .functionals import (
     DilatationOrder,
     boundary_length,
     circular_dilatation_mean,
+    dilatation_grid,
     disc_mean,
 )
+from .functionals import area as area_fn
 from .mapping import map_from_json, min_max_modulus
 from .quadrature import QuadratureConfig
 from .verifier import (
@@ -46,7 +48,6 @@ from .verifier import (
     theorem6_bracket,
     theorem7_area_derivative,
 )
-from .functionals import area as area_fn
 
 CHECKS_BELOW_2 = ("lemma1", "length_area", "lemma4", "theorem5", "theorem6")
 CHECKS_ABOVE_2 = ("lemma1", "length_area", "lemma2", "lemma3", "theorem1", "theorem3")
@@ -106,6 +107,25 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text)
 
 
+def _strict(obj):
+    """obj with every non-finite float replaced by its name as a string."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "NaN" if math.isnan(obj) else ("Infinity" if obj > 0 else "-Infinity")
+    if isinstance(obj, dict):
+        return {key: _strict(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(val) for val in obj]
+    return obj
+
+
+def _json_text(doc) -> str:
+    return json.dumps(_strict(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    _write(path, _json_text(doc))
+
+
 def cmd_eval(args) -> int:
     entry = _build_map(args)
     cfg = _quad_config(args)
@@ -160,7 +180,6 @@ def cmd_verify(args) -> int:
             reports.append(check_lemma2(entry.model, p, ladder, cfg))
         elif name == "lemma3":
             def q_fn(rr, th, _model=entry.model):
-                from .functionals import dilatation_grid
                 return dilatation_grid(_model, np.asarray(rr, dtype=float), th, p)
             reports.append(check_lemma3(q_fn, p, min(0.25, ladder.r_max / 2.0), cfg))
         elif name == "lemma4":
@@ -180,7 +199,7 @@ def cmd_verify(args) -> int:
         "matrix": [rep.to_dict() for rep in reports],
     }
     out = Path(args.out) / "verify.json"
-    _write(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_json(out, doc)
     margins_to_csv(reports, Path(args.out) / "margins.csv")
     ok = all(rep.holds for rep in reports)
     for rep in reports:
@@ -230,8 +249,8 @@ def cmd_asym(args) -> int:
     else:
         raise ConfigError("asym needs p != 2 (no theorem applies at p = 2)")
     out = Path(args.out) / "asym.json"
-    _write(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(doc["bounds"], indent=2, sort_keys=True))
+    _write_json(out, doc)
+    print(_json_text(doc["bounds"]), end="")
     print(f"wrote {out}")
     return 0 if holds else 1
 
@@ -265,7 +284,7 @@ def cmd_beltrami(args) -> int:
         doc["bound"] = nb.bound
         doc["attained"] = nb.attained
         doc["holds"] = nb.report.holds
-    _write(out_dir / "beltrami.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_json(out_dir / "beltrami.json", doc)
     print(f"residual_max={solution.residual_max:.3e}")
     print(f"wrote {out_dir / 'solution.csv'} and {out_dir / 'beltrami.json'}")
     return 0 if doc.get("holds", True) else 1

@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     ConfigError,
@@ -215,6 +214,7 @@ def map_from_json(doc: dict) -> MappingModel:
             raise ConfigError("radial_profile radii must be strictly increasing")
         if np.any(np.diff(R) <= 0):
             raise ConfigError("radial_profile values must be strictly increasing")
+        from scipy.interpolate import PchipInterpolator  # on first use: ~0.5 s of import
         interp = PchipInterpolator(r, R)
         profile = RadialProfile(R=interp, R_prime=interp.derivative())
         return model_from_profile(profile, label="radial_profile")

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import romb
 
 from .errors import ConfigError, EmptyRange
 
@@ -61,6 +60,40 @@ def circle_mean(values: np.ndarray) -> float:
     if np.isnan(values).any():
         raise ValueError("NaN in circle quadrature values")
     return float(np.mean(values))
+
+
+def romb(y, dx=1.0, axis: int = -1):
+    """Romberg integral of 2^k + 1 equally spaced samples along `axis`.
+
+    The Richardson table of scipy.integrate.romb, with the same operations in
+    the same order, so the result is bit-identical to it. A dot product with
+    precomputed Romberg weights would sum in another order and differ in the
+    last bits. `dx` is a scalar or an array that broadcasts against `y` with
+    `axis` removed (one step per row of a ladder block).
+    """
+    y = np.asarray(y)
+    n_interv = y.shape[axis] - 1
+    k = n_interv.bit_length() - 1
+    if n_interv < 1 or n_interv != 1 << k:
+        raise ValueError("Number of samples must be one plus a non-negative power of 2.")
+    lead = (slice(None),) * (axis % y.ndim)
+
+    def along(s):
+        return lead + (s,)
+
+    h = n_interv * np.asarray(dx, dtype=np.float64)
+    row = [(y[along(0)] + y[along(-1)]) / 2.0 * h]
+    start = step = n_interv
+    for i in range(1, k + 1):
+        start >>= 1
+        midpoints = y[along(slice(start, n_interv, step))]
+        step >>= 1
+        prev_row, row = row, [0.5 * (row[0] + h * np.sum(midpoints, axis=axis))]
+        for j in range(1, i + 1):
+            prev = row[j - 1]
+            row.append(prev + (prev - prev_row[j - 1]) / ((1 << (2 * j)) - 1))
+        h = h / 2.0
+    return row[k]
 
 
 def romberg_nodes(cfg: QuadratureConfig) -> int:

@@ -1,12 +1,17 @@
 """Command-line integration: exit-code contract, report files, determinism,
-and custom-map/coefficient ingestion."""
+strict JSON, custom-map/coefficient ingestion, and which runs import scipy."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dilatox
 from dilatox.cli import main
 
 
@@ -102,6 +107,19 @@ class TestVerify:
         assert (out1 / "verify.json").read_bytes() == (out2 / "verify.json").read_bytes()
         assert (out1 / "margins.csv").read_bytes() == (out2 / "margins.csv").read_bytes()
 
+    def test_non_finite_margin_is_strict_json(self, tmp_path):
+        # theorem1 on the log-singular map is vacuous: its margin is +inf
+        assert run(["verify", "--map", "log_singular", "--param", "p=3", "--p", "3",
+                    "--out", str(tmp_path)]) == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        doc = json.loads((tmp_path / "verify.json").read_text(), parse_constant=reject)
+        margins = {row["check_id"]: float(row["margin_min"]) for row in doc["matrix"]}
+        assert margins["theorem1"] == math.inf
+        assert all(math.isfinite(m) for name, m in margins.items() if name != "theorem1")
+
 
 class TestAsym:
     def test_high_order_bounds(self, tmp_path):
@@ -147,3 +165,53 @@ class TestBeltrami:
 
     def test_missing_coefficient_is_config_error(self, tmp_path):
         assert run(["beltrami", "--out", str(tmp_path)]) == 2
+
+
+# Runs a list of CLI invocations in a fresh interpreter and reports, after the
+# import and after each run, whether any scipy module is loaded.
+_SCIPY_PROBE = """
+import json, sys
+def scipy_loaded():
+    return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+import dilatox.cli
+seen = [scipy_loaded()]
+codes = []
+for argv in json.loads(sys.argv[1]):
+    codes.append(dilatox.cli.main(argv))
+    seen.append(scipy_loaded())
+print(json.dumps({"codes": codes, "scipy": seen}))
+"""
+
+
+def _probe_scipy(runs: list[list[str]]) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(Path(dilatox.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(runs)],
+                          capture_output=True, text=True, env=env, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestScipyOnFirstUse:
+    def test_catalog_map_runs_never_import_scipy(self, tmp_path):
+        out = str(tmp_path)
+        runs = [["verify", "--map", "linear", "--param", "k=0.5", "--p", "3", "--out", out],
+                ["asym", "--map", "linear", "--param", "k=0.25", "--p", "4", "--out", out],
+                ["eval", "--map", "linear", "--param", "k=0.5", "--p", "4", "--out", out]]
+        result = _probe_scipy(runs)
+        assert result["codes"] == [0, 0, 0]
+        assert result["scipy"] == [False, False, False, False]
+
+    @pytest.mark.parametrize("kind", ["log_singular", "radial_profile", "beltrami"])
+    def test_spline_backed_runs_load_scipy(self, kind, tmp_path):
+        if kind == "log_singular":
+            argv = ["eval", "--map", "log_singular", "--param", "p=3", "--p", "3"]
+        elif kind == "radial_profile":
+            doc = {"type": "radial_profile",
+                   "samples": [[float(t), float(0.7 * t)] for t in np.linspace(0.01, 0.99, 30)]}
+            path = tmp_path / "map.json"
+            path.write_text(json.dumps(doc))
+            argv = ["eval", "--map-json", str(path), "--p", "4"]
+        else:
+            argv = ["beltrami", "--param", "kappa=2", "--param", "m=1"]
+        result = _probe_scipy([argv + ["--out", str(tmp_path)]])
+        assert result["codes"] == [0]
+        assert result["scipy"] == [False, True]
