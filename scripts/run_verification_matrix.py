@@ -18,26 +18,11 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from dilatox.catalog import beltrami_exact, identity, linear, log_singular, radial_stretch
-from dilatox.functionals import dilatation_grid
 from dilatox.quadrature import QuadratureConfig
-from dilatox.verifier import (
-    RadiusLadder,
-    check_lemma1,
-    check_lemma2,
-    check_lemma3,
-    check_lemma4,
-    check_length_area,
-    reports_to_json,
-    theorem1_bound,
-    theorem3_bound,
-    theorem5_bound,
-    theorem6_bracket,
-)
+from dilatox.verifier import RadiusLadder, reports_to_json, run_checks
 
 ORDERS = (1.2, 1.5, 1.8, 2.0, 2.5, 3.0, 4.0)
 
@@ -47,30 +32,11 @@ def catalog():
             beltrami_exact(m=1.0, kappa=0.8)]
 
 
-def checks_for(model, p, ladder, cfg):
-    reports = [check_lemma1(model, p, ladder, cfg),
-               check_length_area(model, p, 0.1, 0.8, cfg)]
-    if p > 2.0:
-        reports.append(check_lemma2(model, p, ladder, cfg))
-
-        def q_fn(rr, th, _m=model, _p=p):
-            return dilatation_grid(_m, np.asarray(rr, dtype=float), th, _p)
-
-        reports.append(check_lemma3(q_fn, p, 0.1, cfg))
-        reports.append(theorem1_bound(model, p, ladder, cfg).report)
-        reports.append(theorem3_bound(model, p, ladder, cfg).report)
-    elif p < 2.0:
-        reports.append(check_lemma4(model, p, ladder, cfg))
-        reports.append(theorem5_bound(model, p, ladder, cfg).report)
-        reports.append(theorem6_bracket(model, p, ladder, cfg).report)
-    return reports
-
-
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", type=Path, default=None,
                     help="directory for per-map JSON reports")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     cfg = QuadratureConfig()
     ladder = RadiusLadder()
@@ -78,7 +44,7 @@ def main() -> int:
     for entry in catalog():
         collected = []
         for p in ORDERS:
-            for rep in checks_for(entry.model, p, ladder, cfg):
+            for rep in run_checks(entry.model, p, ladder, cfg):
                 verdict = "HOLDS" if rep.holds else "VIOLATED"
                 worst = min(rep.margins) if rep.margins else float("nan")
                 notes = f"  [{','.join(rep.notes)}]" if rep.notes else ""

@@ -20,38 +20,24 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, beltrami, catalog
 from .errors import ConfigError, ToolkitError
-from .functionals import (
-    DilatationOrder,
-    boundary_length,
-    circular_dilatation_mean,
-    dilatation_grid,
-    disc_mean,
-)
+from .functionals import DilatationOrder, boundary_length, circular_dilatation_mean, disc_mean
 from .functionals import area as area_fn
 from .mapping import map_from_json, min_max_modulus
 from .quadrature import QuadratureConfig
 from .verifier import (
+    CHECKS,
     RadiusLadder,
-    check_lemma1,
-    check_lemma2,
-    check_lemma3,
-    check_lemma4,
-    check_length_area,
+    json_text,
     margins_to_csv,
+    run_checks,
     theorem1_bound,
     theorem3_bound,
     theorem5_bound,
     theorem6_bracket,
     theorem7_area_derivative,
 )
-
-CHECKS_BELOW_2 = ("lemma1", "length_area", "lemma4", "theorem5", "theorem6")
-CHECKS_ABOVE_2 = ("lemma1", "length_area", "lemma2", "lemma3", "theorem1", "theorem3")
-CHECKS_AT_2 = ("lemma1", "length_area")
 
 
 def _parse_params(pairs: list[str]) -> dict:
@@ -107,23 +93,8 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text)
 
 
-def _strict(obj):
-    """obj with every non-finite float replaced by its name as a string."""
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return "NaN" if math.isnan(obj) else ("Infinity" if obj > 0 else "-Infinity")
-    if isinstance(obj, dict):
-        return {key: _strict(val) for key, val in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_strict(val) for val in obj]
-    return obj
-
-
-def _json_text(doc) -> str:
-    return json.dumps(_strict(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
 def _write_json(path: Path, doc: dict) -> None:
-    _write(path, _json_text(doc))
+    _write(path, json_text(doc))
 
 
 def cmd_eval(args) -> int:
@@ -136,26 +107,16 @@ def cmd_eval(args) -> int:
     columns = zip(radii, circular_dilatation_mean(entry.model, radii, p, cfg).tolist(),
                   [tv.value for tv in disc_mean(entry.model, radii, p, cfg)],
                   area_fn(entry.model, radii, cfg).tolist(),
-                  boundary_length(entry.model, radii, cfg).tolist())
-    rows = []
-    for r, d, dm, s, ell in columns:
-        lo, hi = min_max_modulus(entry.model, r)
-        rows.append((r, d, dm, s, ell, lo, hi, ell * ell - 4.0 * math.pi * s))
+                  boundary_length(entry.model, radii, cfg).tolist(),
+                  *(m.tolist() for m in min_max_modulus(entry.model, radii)))
     out = Path(args.out) / "functionals.csv"
     lines = ["r,d_p,disc_mean,S,L,l_f,L_f,iso_defect"]
-    for row in rows:
+    for r, d, dm, s, ell, lo, hi in columns:
+        row = (r, d, dm, s, ell, lo, hi, ell * ell - 4.0 * math.pi * s)
         lines.append(",".join(repr(float(v)) for v in row))
     _write(out, "\n".join(lines) + "\n")
     print(f"wrote {out}")
     return 0
-
-
-def _applicable_checks(p: float) -> tuple[str, ...]:
-    if p > 2.0:
-        return CHECKS_ABOVE_2
-    if p < 2.0:
-        return CHECKS_BELOW_2
-    return CHECKS_AT_2
 
 
 def cmd_verify(args) -> int:
@@ -163,37 +124,7 @@ def cmd_verify(args) -> int:
     cfg = _quad_config(args)
     ladder = _ladder(args)
     ladder.validate_against(cfg)
-    p = args.p
-    requested = tuple(args.check) if args.check else _applicable_checks(p)
-    applicable = set(_applicable_checks(p))
-    reports = []
-    for name in requested:
-        if name not in applicable:
-            raise ConfigError(f"check {name!r} is not applicable at p={p}")
-        if name == "lemma1":
-            reports.append(check_lemma1(entry.model, p, ladder, cfg))
-        elif name == "length_area":
-            radii = ladder.radii()
-            reports.append(check_length_area(entry.model, p, float(radii[-1]),
-                                             float(radii[0]), cfg))
-        elif name == "lemma2":
-            reports.append(check_lemma2(entry.model, p, ladder, cfg))
-        elif name == "lemma3":
-            def q_fn(rr, th, _model=entry.model):
-                return dilatation_grid(_model, np.asarray(rr, dtype=float), th, p)
-            reports.append(check_lemma3(q_fn, p, min(0.25, ladder.r_max / 2.0), cfg))
-        elif name == "lemma4":
-            reports.append(check_lemma4(entry.model, p, ladder, cfg))
-        elif name == "theorem1":
-            reports.append(theorem1_bound(entry.model, p, ladder, cfg).report)
-        elif name == "theorem3":
-            reports.append(theorem3_bound(entry.model, p, ladder, cfg).report)
-        elif name == "theorem5":
-            reports.append(theorem5_bound(entry.model, p, ladder, cfg).report)
-        elif name == "theorem6":
-            reports.append(theorem6_bracket(entry.model, p, ladder, cfg).report)
-        else:
-            raise ConfigError(f"unknown check {name!r}")
+    reports = run_checks(entry.model, args.p, ladder, cfg, args.check)
     doc = {
         "config": _resolved_config(args),
         "matrix": [rep.to_dict() for rep in reports],
@@ -250,7 +181,7 @@ def cmd_asym(args) -> int:
         raise ConfigError("asym needs p != 2 (no theorem applies at p = 2)")
     out = Path(args.out) / "asym.json"
     _write_json(out, doc)
-    print(_json_text(doc["bounds"]), end="")
+    print(json_text(doc["bounds"]), end="")
     print(f"wrote {out}")
     return 0 if holds else 1
 
@@ -260,10 +191,10 @@ def cmd_beltrami(args) -> int:
         coef = beltrami.sigma_from_json(json.loads(Path(args.coef).read_text()))
     else:
         params = _parse_params(args.param)
-        if "kappa" not in params or "m" not in params:
-            raise ConfigError("beltrami needs --coef <json> or --param kappa=... m=...")
-        coef = beltrami.power_sigma(float(params["kappa"].real if isinstance(params["kappa"], complex) else params["kappa"]),
-                                    float(params["m"]))
+        kappa, m = params.get("kappa"), params.get("m")
+        if not (isinstance(kappa, float) and isinstance(m, float)):
+            raise ConfigError("beltrami needs --coef <json> or real --param kappa=... m=...")
+        coef = beltrami.power_sigma(kappa, m)
     cfg = _quad_config(args)
     ladder = _ladder(args)
     ladder.validate_against(cfg)
@@ -302,8 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="map/coefficient parameter key=value (repeatable)")
         sp.add_argument("--map-json", help="JSON file with a custom map document")
         sp.add_argument("--p", type=float, default=4.0, help="dilatation order")
-        sp.add_argument("--s", type=float, default=None,
-                        help="second order for the area-derivative theorem")
         sp.add_argument("--rmax", type=float, default=0.5)
         sp.add_argument("--rho", type=float, default=0.8)
         sp.add_argument("--count", type=int, default=20)
@@ -312,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--nr", type=int, default=1024)
         sp.add_argument("--rmin", type=float, default=1e-4)
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
     sp = sub.add_parser("eval", help="tabulate functionals over the ladder")
     common(sp)
@@ -321,11 +249,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run inequality checks")
     common(sp)
     sp.add_argument("--check", action="append", default=[],
+                    choices=[check.name for check in CHECKS],
                     help="restrict to specific checks (repeatable)")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("asym", help="limit proxies and theorem bounds")
     common(sp)
+    sp.add_argument("--s", type=float, default=None,
+                    help="second order for the area-derivative theorem")
     sp.set_defaults(func=cmd_asym)
 
     sp = sub.add_parser("beltrami", help="solve the radial Beltrami equation")

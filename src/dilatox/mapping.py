@@ -163,18 +163,23 @@ def fd_model(value: ComplexFn, label: str, theta_invariant: bool = False) -> Map
                         theta_invariant=theta_invariant)
 
 
-def min_max_modulus(model: MappingModel, r: float, n_theta: int = 2048) -> tuple[float, float]:
+def min_max_modulus(model: MappingModel, r, n_theta: int = 2048) -> tuple:
     """(min, max) of |f| over n_theta equispaced samples of the circle |z| = r.
 
-    Dense equispaced sampling without local refinement; exact for rotationally
-    symmetric maps, resolution-limited otherwise.
+    r is one radius, giving two floats, or an array of rungs, giving two arrays
+    from one model call on the (rung, theta) grid. Dense equispaced sampling
+    without local refinement; exact for rotationally symmetric maps,
+    resolution-limited otherwise.
     """
-    if not 0.0 < r < 1.0:
+    radii = np.atleast_1d(np.asarray(r, dtype=float))
+    if not np.all((radii > 0.0) & (radii < 1.0)):
         raise ConfigError(f"radius must lie in (0,1), got {r}")
     if n_theta < 8:
         raise ConfigError(f"n_theta must be >= 8, got {n_theta}")
-    mod = np.abs(np.asarray(model.value(np.full(n_theta, r), circle_nodes(n_theta))))
-    return float(np.min(mod)), float(np.max(mod))
+    rr, th = np.meshgrid(radii, circle_nodes(n_theta), indexing="ij")
+    mod = np.abs(np.asarray(model.value(rr, th)))
+    lo, hi = mod.min(axis=1), mod.max(axis=1)
+    return (lo, hi) if np.ndim(r) else (float(lo[0]), float(hi[0]))
 
 
 def validate_model(model: MappingModel, radii: np.ndarray | None = None,

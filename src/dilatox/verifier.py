@@ -3,7 +3,8 @@ theorems, with liminf/limsup proxies over a geometric radius ladder.
 
 Every check evaluates both sides of its inequality on the ladder rungs and
 reports signed margins; "holds" means margin >= -tolerance everywhere, with
-tolerance = 1e-9 absolute plus 1e-6 relative to the larger side.
+tolerance = 1e-9 absolute plus 1e-6 relative to the larger side. CHECKS lists
+the checks with the orders p each applies to, and run_checks runs them.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .functionals import (
     boundary_length,
     circular_dilatation_mean,
     circular_mean,
+    dilatation_grid,
     dilatation_radial_fn,
     disc_mean,
     radial_integral_inner,
@@ -275,17 +277,6 @@ def check_lemma4(model: MappingModel, p, ladder: RadiusLadder,
 
 # ----------------------------- proxies and theorem checks -----------------------------
 
-def modulus_ratio_series(model: MappingModel, ladder: RadiusLadder,
-                         n_theta: int = 2048) -> tuple[np.ndarray, np.ndarray]:
-    """(min, max) of |f(z)|/|z| over each ladder rung's circle."""
-    lo, hi = [], []
-    for r in ladder.radii():
-        l, L = min_max_modulus(model, r, n_theta)
-        lo.append(l / r)
-        hi.append(L / r)
-    return np.array(lo), np.array(hi)
-
-
 def _divergent(values: np.ndarray) -> bool:
     """Heuristic for a disc-mean sequence growing without bound along r -> 0:
     monotone increase along the ladder with at least a doubling overall."""
@@ -313,11 +304,12 @@ def theorem1_bound(model: MappingModel, p, ladder: RadiusLadder,
     if not p > 2.0:
         raise ConfigError(f"theorem1 needs p > 2, got {p}")
     ladder.validate_against(cfg)
-    tvs = disc_mean(model, ladder.radii(), p, cfg)
+    rungs = ladder.radii()
+    tvs = disc_mean(model, rungs, p, cfg)
     notes = {flag for tv in tvs for flag in tv.flags}
     means = np.array([tv.value for tv in tvs])
     k = LimitProxy.from_tail("liminf", means[-ladder.tail:])
-    lo, _ = modulus_ratio_series(model, ladder)
+    lo = min_max_modulus(model, rungs)[0] / rungs
     attained_proxy = LimitProxy.from_tail("liminf", lo[-ladder.tail:])
     attained = attained_proxy.value
     divergent = _divergent(means)
@@ -362,7 +354,7 @@ def theorem3_bound(model: MappingModel, p, ladder: RadiusLadder,
     rungs = ladder.radii()
     vals = rungs ** (p - 2.0) * radial_integral_outer(dp_fn, rungs, p, cfg)
     k0 = LimitProxy.from_tail("limsup", vals[-ladder.tail:])
-    lo, _ = modulus_ratio_series(model, ladder)
+    lo = min_max_modulus(model, rungs)[0] / rungs
     attained_proxy = LimitProxy.from_tail("liminf", lo[-ladder.tail:])
     attained = attained_proxy.value
     bound = ((p - 2.0) * k0.value) ** (1.0 / (2.0 - p)) if k0.value > 0 else math.inf
@@ -396,7 +388,7 @@ def theorem5_bound(model: MappingModel, p, ladder: RadiusLadder,
                           if inner.value > 0 else 0.0)
     vals = np.array(vals)
     k0 = LimitProxy.from_tail("limsup", vals[-ladder.tail:])
-    _, hi = modulus_ratio_series(model, ladder)
+    hi = min_max_modulus(model, rungs)[1] / rungs
     attained_proxy = LimitProxy.from_tail("limsup", hi[-ladder.tail:])
     attained = attained_proxy.value
     bound = ((2.0 - p) * k0.value) ** (1.0 / (2.0 - p))
@@ -446,7 +438,7 @@ def theorem6_bracket(model: MappingModel, p, ladder: RadiusLadder,
     lower = ((2.0 - p) * k1.value) ** (1.0 / (2.0 - p))
     upper = ((pc - 2.0) * k2.value) ** (1.0 / (2.0 - pc)) if k2.value > 0 else math.inf
 
-    lo, hi = modulus_ratio_series(model, ladder)
+    lo, hi = (m / rungs for m in min_max_modulus(model, rungs))
     tail = np.concatenate([lo[-ladder.tail:], hi[-ladder.tail:]])
     a_proxy = LimitProxy(kind="limit", value=float((tail.min() + tail.max()) / 2.0),
                          tail_spread=float(tail.max() - tail.min()))
@@ -528,11 +520,79 @@ def theorem7_area_derivative(model: MappingModel, p, s, ladder: RadiusLadder,
                                 area_ratio=ratio_p, report=report)
 
 
+# ----------------------------- check registry -----------------------------
+
+@dataclass(frozen=True)
+class Check:
+    """A registry entry: the check's name, the orders p it applies to and its
+    runner (model, p, ladder, cfg) -> BoundReport."""
+
+    name: str
+    applies: Callable[[float], bool]
+    run: Callable[[MappingModel, float, RadiusLadder, QuadratureConfig], BoundReport]
+
+
+def _length_area(model, p, ladder, cfg):
+    """The length-area principle from the deepest rung to r_max."""
+    return check_length_area(model, p, float(ladder.radii()[-1]), ladder.r_max, cfg)
+
+
+def _lemma3(model, p, ladder, cfg):
+    """The annulus estimate for q_p of the model at eps = min(1/4, r_max/2)."""
+    def q_fn(rr, th):
+        return dilatation_grid(model, np.asarray(rr, dtype=float), th, p)
+    return check_lemma3(q_fn, p, min(0.25, ladder.r_max / 2.0), cfg)
+
+
+# Every check in report order. Runners name their check at call time, so a
+# function replaced on this module (a wrapper, say) is the one that runs.
+CHECKS = (
+    Check("lemma1", lambda p: True, lambda *a: check_lemma1(*a)),
+    Check("length_area", lambda p: True, _length_area),
+    Check("lemma2", lambda p: p > 2.0, lambda *a: check_lemma2(*a)),
+    Check("lemma3", lambda p: p > 2.0, _lemma3),
+    Check("lemma4", lambda p: p < 2.0, lambda *a: check_lemma4(*a)),
+    Check("theorem1", lambda p: p > 2.0, lambda *a: theorem1_bound(*a).report),
+    Check("theorem3", lambda p: p > 2.0, lambda *a: theorem3_bound(*a).report),
+    Check("theorem5", lambda p: p < 2.0, lambda *a: theorem5_bound(*a).report),
+    Check("theorem6", lambda p: p < 2.0, lambda *a: theorem6_bracket(*a).report),
+)
+
+
+def run_checks(model: MappingModel, p: float, ladder: RadiusLadder, cfg: QuadratureConfig,
+               names=()) -> list[BoundReport]:
+    """Reports of the named checks in the given order, or of every check that
+    applies at p; a named check that does not apply is a ConfigError."""
+    by_name = {check.name: check for check in CHECKS}
+    chosen = [by_name[name] for name in names] or [c for c in CHECKS if c.applies(p)]
+    for check in chosen:
+        if not check.applies(p):
+            raise ConfigError(f"check {check.name!r} is not applicable at p={p}")
+    return [check.run(model, p, ladder, cfg) for check in chosen]
+
+
 # ----------------------------- report serialization -----------------------------
 
+def _strict(obj):
+    """obj with every non-finite float replaced by its name as a string."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "NaN" if math.isnan(obj) else ("Infinity" if obj > 0 else "-Infinity")
+    if isinstance(obj, dict):
+        return {key: _strict(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(val) for val in obj]
+    return obj
+
+
+def json_text(doc) -> str:
+    """doc as deterministic, strict RFC 8259 JSON: a non-finite number is
+    written as the string "Infinity", "-Infinity" or "NaN"."""
+    return json.dumps(_strict(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def reports_to_json(reports: list[BoundReport]) -> str:
-    """Verification matrix as deterministic JSON."""
-    return json.dumps([rep.to_dict() for rep in reports], indent=2, sort_keys=True)
+    """Verification matrix as deterministic, strict JSON."""
+    return json_text([rep.to_dict() for rep in reports])
 
 
 def margins_to_csv(reports: list[BoundReport], path) -> None:

@@ -1,6 +1,8 @@
 """Command-line integration: exit-code contract, report files, determinism,
-strict JSON, custom-map/coefficient ingestion, and which runs import scipy."""
+strict JSON, custom-map/coefficient ingestion, which runs import scipy, and
+the verification matrix script."""
 
+import importlib.util
 import json
 import math
 import os
@@ -19,6 +21,18 @@ def run(args):
     return main(args)
 
 
+# The checks `verify` runs by default in each order regime, in report order.
+REGIMES = {
+    1.5: ("lemma1", "length_area", "lemma4", "theorem5", "theorem6"),
+    2.0: ("lemma1", "length_area"),
+    3.0: ("lemma1", "length_area", "lemma2", "lemma3", "theorem1", "theorem3"),
+}
+
+
+def regime(p: float) -> tuple[str, ...]:
+    return REGIMES[1.5] if p < 2.0 else REGIMES[3.0] if p > 2.0 else REGIMES[2.0]
+
+
 class TestExitCodes:
     def test_verify_all_hold(self, tmp_path):
         code = run(["verify", "--map", "linear", "--param", "k=0.5", "--p", "4",
@@ -29,6 +43,19 @@ class TestExitCodes:
         code = run(["verify", "--map", "linear", "--param", "k=0.5", "--p", "2",
                     "--check", "theorem1", "--out", str(tmp_path)])
         assert code == 2
+
+    def test_unknown_check_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--map", "linear", "--param", "k=0.5", "--p", "3",
+                 "--check", "bogus", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    def test_check_outside_its_regime_is_config_error(self, tmp_path):
+        code = run(["verify", "--map", "linear", "--param", "k=0.5", "--p", "1.5",
+                    "--check", "lemma2", "--out", str(tmp_path)])
+        assert code == 2
+        assert not (tmp_path / "verify.json").exists()
 
     def test_unknown_map_is_config_error(self, tmp_path):
         assert run(["eval", "--map", "mystery", "--out", str(tmp_path)]) == 2
@@ -98,6 +125,14 @@ class TestVerify:
         ids = [row["check_id"] for row in doc["matrix"]]
         assert ids == ["lemma1", "length_area", "lemma4", "theorem5", "theorem6"]
 
+    @pytest.mark.parametrize("p", sorted(REGIMES))
+    def test_default_checks_follow_the_regime_table(self, p, tmp_path):
+        assert run(["verify", "--map", "linear", "--param", "k=0.5", "--p", str(p),
+                    "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "verify.json").read_text())
+        assert tuple(row["check_id"] for row in doc["matrix"]) == REGIMES[p]
+        assert "format" not in doc["config"] and "s" not in doc["config"]
+
     def test_deterministic_reports(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         args = ["verify", "--map", "radial_stretch", "--param", "alpha=1.5",
@@ -166,6 +201,16 @@ class TestBeltrami:
     def test_missing_coefficient_is_config_error(self, tmp_path):
         assert run(["beltrami", "--out", str(tmp_path)]) == 2
 
+    def test_complex_kappa_is_config_error(self, tmp_path):
+        assert run(["beltrami", "--param", "kappa=2+1j", "--param", "m=1",
+                    "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "beltrami.json").exists()
+
+    def test_complex_m_is_config_error(self, tmp_path):
+        assert run(["beltrami", "--param", "kappa=2", "--param", "m=1+1j",
+                    "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "beltrami.json").exists()
+
 
 # Runs a list of CLI invocations in a fresh interpreter and reports, after the
 # import and after each run, whether any scipy module is loaded.
@@ -215,3 +260,26 @@ class TestScipyOnFirstUse:
         result = _probe_scipy([argv + ["--out", str(tmp_path)]])
         assert result["codes"] == [0]
         assert result["scipy"] == [False, True]
+
+
+MATRIX_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_verification_matrix.py"
+MATRIX_MAPS = ("identity", "linear(k=0.5)", "radial_stretch(alpha=1.5)", "log_singular(p=3)",
+               "beltrami_exact(m=1,kappa=0.8)")
+MATRIX_ORDERS = (1.2, 1.5, 1.8, 2.0, 2.5, 3.0, 4.0)
+
+
+class TestMatrixScript:
+    def test_every_check_holds_in_registry_order(self, capsys):
+        spec = importlib.util.spec_from_file_location("run_verification_matrix",
+                                                      MATRIX_SCRIPT)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert script.main([]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line.split() for line in lines if " p=" in line]
+        expected = [(name, f"p={p:g}", check) for name in MATRIX_MAPS
+                    for p in MATRIX_ORDERS for check in regime(p)]
+        assert len(rows) == len(expected) == 175
+        assert [tuple(row[:3]) for row in rows] == expected
+        assert all(row[3] == "HOLDS" for row in rows)
+        assert lines[-1] == "all checks hold"

@@ -146,6 +146,19 @@ class TestModulusExtremes:
             assert hi >= prev_hi - 1e-15
             prev_lo, prev_hi = lo, hi
 
+    @pytest.mark.parametrize("model", [e.model for e in catalog_suite()]
+                             + [perturbed_conformal()], ids=suite_ids() + ["perturbed"])
+    def test_rung_array_matches_each_radius(self, model):
+        rungs = np.array([0.5, 0.3, 0.07, 0.004])
+        lo, hi = min_max_modulus(model, rungs)
+        assert lo.shape == hi.shape == rungs.shape
+        for r, l, h in zip(rungs, lo, hi):
+            assert min_max_modulus(model, float(r)) == (l, h)
+
+    def test_radius_outside_disc_rejected(self):
+        with pytest.raises(ConfigError):
+            min_max_modulus(perturbed_conformal(), np.array([0.5, 1.0]))
+
 
 class TestValidationAndIngestion:
     def test_catalog_models_validate(self):

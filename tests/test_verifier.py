@@ -12,6 +12,7 @@ from dilatox.catalog import linear, log_singular, radial_stretch
 from dilatox.errors import ConfigError
 from dilatox.functionals import dilatation_grid
 from dilatox.quadrature import QuadratureConfig
+from dilatox import verifier
 from dilatox.verifier import (
     LimitProxy,
     RadiusLadder,
@@ -23,6 +24,7 @@ from dilatox.verifier import (
     growth_constant,
     margins_to_csv,
     reports_to_json,
+    run_checks,
     theorem1_bound,
     theorem3_bound,
     theorem5_bound,
@@ -231,6 +233,17 @@ class TestSerialization:
         assert doc[0]["check_id"] == "lemma2"
         assert doc[0]["holds"] is True
 
+    def test_reports_json_is_strict(self, ladder, cfg):
+        # theorem1 on the log-singular map is vacuous: its margin is +inf
+        rep = theorem1_bound(log_singular(3.0).model, 3.0, ladder, cfg).report
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        doc = json.loads(reports_to_json([rep]), parse_constant=reject)
+        assert doc[0]["margin_min"] == "Infinity"
+        assert float(doc[0]["margin_min"]) == math.inf
+
     def test_margins_csv_roundtrip(self, tmp_path, ladder, cfg):
         rep = check_lemma2(linear(0.5).model, 3.0, ladder, cfg)
         path = tmp_path / "margins.csv"
@@ -240,3 +253,42 @@ class TestSerialization:
         assert len(lines) == 1 + len(rep.radii)
         r_back = float(lines[1].split(",")[2])
         assert r_back == rep.radii[0]
+
+
+class TestRegistry:
+    def test_named_checks_run_in_the_given_order(self, ladder, cfg):
+        reports = run_checks(linear(0.5).model, 3.0, ladder, cfg, ["theorem3", "lemma1"])
+        assert [rep.check_id for rep in reports] == ["theorem3", "lemma1"]
+
+    def test_inapplicable_check_rejected_before_any_runs(self, ladder, cfg, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(verifier, "check_lemma1", fail)
+        with pytest.raises(ConfigError):
+            run_checks(linear(0.5).model, 1.5, ladder, cfg, ["lemma1", "lemma2"])
+
+    def test_runners_look_checks_up_at_call_time(self, ladder, cfg, monkeypatch):
+        # a wrapper installed on the module (a tracer, say) must see every call
+        seen = []
+        for name in ("check_length_area", "check_lemma3", "theorem1_bound"):
+            original = getattr(verifier, name)
+
+            def spy(*args, _name=name, _original=original):
+                seen.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(verifier, name, spy)
+        run_checks(linear(0.5).model, 3.0, ladder, cfg,
+                   ["length_area", "lemma3", "theorem1"])
+        assert seen == ["check_length_area", "check_lemma3", "theorem1_bound"]
+
+    def test_ladder_derived_interval_and_eps(self, ladder, cfg, monkeypatch):
+        calls = {}
+        monkeypatch.setattr(verifier, "check_length_area",
+                            lambda model, p, r1, r2, cfg: calls.setdefault("la", (r1, r2)))
+        monkeypatch.setattr(verifier, "check_lemma3",
+                            lambda q_fn, p, eps, cfg: calls.setdefault("l3", eps))
+        run_checks(linear(0.5).model, 3.0, ladder, cfg, ["length_area", "lemma3"])
+        assert calls["la"] == (float(ladder.radii()[-1]), ladder.r_max)
+        assert calls["l3"] == min(0.25, ladder.r_max / 2.0)
