@@ -23,7 +23,14 @@ from .errors import (
     DegenerateDenominator,
     NonPositiveImag,
 )
-from .mapping import MappingModel, PolarPoint, RadialProfile, model_from_profile
+from .mapping import (
+    CubicHermite,
+    MappingModel,
+    PolarPoint,
+    RadialProfile,
+    model_from_profile,
+    pchip,
+)
 from .quadrature import QuadratureConfig, circle_nodes, integrate_from_origin
 from .verifier import BoundReport, LimitProxy, RadiusLadder, _finish, growth_constant, tolerance
 
@@ -73,9 +80,8 @@ def sigma_from_json(doc: dict) -> SigmaCoefficient:
         r = samples[:, 0]
         if np.any(np.diff(r) <= 0):
             raise ConfigError("custom_radial radii must be strictly increasing")
-        from scipy.interpolate import PchipInterpolator  # on first use: ~0.5 s of import
-        re_i = PchipInterpolator(r, samples[:, 1])
-        im_i = PchipInterpolator(r, samples[:, 2])
+        re_i = pchip(r, samples[:, 1])
+        im_i = pchip(r, samples[:, 2])
 
         def sigma(rr):
             rr = np.asarray(rr, dtype=float)
@@ -169,16 +175,16 @@ def solve_radial(coef: SigmaCoefficient, r0: float, R0: float,
     if np.any(np.diff(values) <= 0.0):
         notes.append("non-monotone-profile")
 
-    from scipy.interpolate import CubicSpline  # on first use: ~0.5 s of import
-    spline = CubicSpline(grid, values)
+    def ode_slope(r, R):
+        return np.real(1j * np.asarray(coef.sigma(r))) * R ** (coef.m + 1.0)
 
-    def R_of(r):
-        return spline(np.asarray(r, dtype=float))
+    # Hermite with the ODE's slopes at the RK4 nodes: O(h^4), like RK4.
+    R_of = CubicHermite(grid, values, ode_slope(grid, values))
 
     def R_prime(r):
-        # exact ODE relation rather than the spline derivative
+        # exact ODE relation rather than the interpolant's derivative
         r = np.asarray(r, dtype=float)
-        return np.real(1j * np.asarray(coef.sigma(r))) * R_of(r) ** (coef.m + 1.0)
+        return ode_slope(r, R_of(r))
 
     profile = RadialProfile(R=R_of, R_prime=R_prime)
     model = model_from_profile(profile, label=f"solve({coef.label})")

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .mapping import MappingModel, RadialProfile, model_from_profile
+from .mapping import CubicHermite, MappingModel, RadialProfile, model_from_profile
 
 
 @dataclass(frozen=True)
@@ -93,9 +93,11 @@ class _LogSingularProfile:
     """Radial profile R = I(r)^{-1/(p-2)} of the log-singular automorphism.
 
     I(r) = 1 + (p-2) * integral_r^1 dt / (t^{p-1} ln^{p-1}(e/t)) has no
-    elementary antiderivative; it is tabulated once on a dense logarithmic grid
-    and evaluated through a cubic-spline antiderivative (relative error well
-    below 1e-10 on [r_floor, 1]).
+    elementary antiderivative. In v = -ln t its integrand w is tabulated once
+    on a dense uniform grid; the antiderivative's node values come from the
+    endpoint-corrected trapezoid rule and it is evaluated as the cubic Hermite
+    interpolant with slopes w (relative error well below 1e-10 on
+    [r_floor, 1]).
     """
 
     def __init__(self, p: float, r_floor: float = 1e-10, n: int = 6001):
@@ -105,10 +107,12 @@ class _LogSingularProfile:
         # O(1): the antiderivative then equals I - 1 directly, avoiding the
         # catastrophic cancellation of differencing two huge running sums.
         v = np.linspace(0.0, -math.log(r_floor), n)
-        # integrand of I in v: (p-2) e^{(p-2)v} (1+v)^{1-p}
+        h = v[1] - v[0]
+        # integrand of I in v, (p-2) e^{(p-2)v} (1+v)^{1-p}, and its derivative
         w = (p - 2.0) * np.exp((p - 2.0) * v) * (1.0 + v) ** (1.0 - p)
-        from scipy.interpolate import CubicSpline  # on first use: ~0.5 s of import
-        self._anti = CubicSpline(v, w).antiderivative()
+        dw = w * ((p - 2.0) + (1.0 - p) / (1.0 + v))
+        steps = 0.5 * h * (w[:-1] + w[1:]) + h * h / 12.0 * (dw[:-1] - dw[1:])
+        self._anti = CubicHermite(v, np.concatenate([[0.0], np.cumsum(steps)]), w)
 
     def I(self, r):
         r = np.asarray(r, dtype=float)
@@ -121,8 +125,9 @@ class _LogSingularProfile:
 
     def R_prime(self, r):
         r = np.asarray(r, dtype=float)
+        I = self.I(r)
         lg = 1.0 - np.log(r)  # ln(e/r)
-        return self.R(r) * r ** (1.0 - self.p) * lg ** (1.0 - self.p) / self.I(r)
+        return I ** (-1.0 / (self.p - 2.0)) * r ** (1.0 - self.p) * lg ** (1.0 - self.p) / I
 
 
 def log_singular(p: float) -> CatalogEntry:

@@ -77,6 +77,69 @@ class RadialProfile:
     R_prime: Callable[[np.ndarray], np.ndarray]
 
 
+class CubicHermite:
+    """Piecewise cubic Hermite interpolant through (x_i, y_i) with slopes d_i.
+
+    The per-interval coefficients, in the form of
+    scipy.interpolate.CubicHermiteSpline, are built once; a call is a
+    searchsorted, a gather and Horner's rule. Beyond the end nodes the end
+    cubics extrapolate, as in scipy.
+    """
+
+    def __init__(self, x, y, slopes):
+        x, y, d = (np.asarray(a, dtype=float) for a in (x, y, slopes))
+        h = np.diff(x)
+        secant = np.diff(y) / h
+        t = (d[:-1] + d[1:] - 2.0 * secant) / h
+        self._x = x
+        self._breaks = x[1:-1]  # searchsorted on these gives the end-clamped interval
+        self._c = (t / h, (secant - d[:-1]) / h - t, d[:-1], y[:-1])
+
+    def __call__(self, x, nu: int = 0):
+        """Values (nu = 0) or first derivatives (nu = 1) at x."""
+        x = np.asarray(x, dtype=float)
+        i = np.searchsorted(self._breaks, x, side="right")
+        s = x - self._x.take(i)
+        c3, c2, c1, c0 = (c.take(i) for c in self._c)
+        if nu == 0:
+            return ((c3 * s + c2) * s + c1) * s + c0
+        if nu == 1:
+            return (3.0 * c3 * s + 2.0 * c2) * s + c1
+        raise ValueError(f"derivative order must be 0 or 1, got {nu}")
+
+
+def _pchip_end_slope(h0, h1, m0, m1) -> float:
+    """One-sided three-point slope at an end node, limited to keep the shape."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def pchip(x, y) -> CubicHermite:
+    """Monotone piecewise cubic through n >= 3 points (x_i, y_i), x strictly
+    increasing.
+
+    Fritsch-Carlson slopes with the interior (weighted harmonic mean, zero at
+    a local extremum or flat run) and end rules of
+    scipy.interpolate.PchipInterpolator.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
+    same = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0.0) & (m[:-1] != 0.0)
+    d = np.zeros_like(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d[1:-1] = np.where(same, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)), 0.0)
+    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    return CubicHermite(x, y, d)
+
+
 def model_from_profile(profile: RadialProfile, label: str) -> MappingModel:
     """Rotationally symmetric model f = R(r) e^{i theta}."""
 
@@ -219,9 +282,8 @@ def map_from_json(doc: dict) -> MappingModel:
             raise ConfigError("radial_profile radii must be strictly increasing")
         if np.any(np.diff(R) <= 0):
             raise ConfigError("radial_profile values must be strictly increasing")
-        from scipy.interpolate import PchipInterpolator  # on first use: ~0.5 s of import
-        interp = PchipInterpolator(r, R)
-        profile = RadialProfile(R=interp, R_prime=interp.derivative())
+        interp = pchip(r, R)
+        profile = RadialProfile(R=interp, R_prime=lambda t: interp(t, nu=1))
         return model_from_profile(profile, label="radial_profile")
     if kind == "catalog":
         from . import catalog  # local import: catalog depends on this module

@@ -561,9 +561,11 @@ CHECKS = (
 
 def run_checks(model: MappingModel, p: float, ladder: RadiusLadder, cfg: QuadratureConfig,
                names=()) -> list[BoundReport]:
-    """Reports of the named checks in the given order, or of every check that
-    applies at p; a named check that does not apply is a ConfigError."""
+    """Reports of the named checks in the order first named, each once, or of
+    every check that applies at p; a named check that does not apply is a
+    ConfigError."""
     by_name = {check.name: check for check in CHECKS}
+    names = dict.fromkeys(names)
     chosen = [by_name[name] for name in names] or [c for c in CHECKS if c.applies(p)]
     for check in chosen:
         if not check.applies(p):

@@ -1,6 +1,6 @@
 """Command-line integration: exit-code contract, report files, determinism,
-strict JSON, custom-map/coefficient ingestion, which runs import scipy, and
-the verification matrix script."""
+strict JSON, custom-map/coefficient ingestion, runs that never import scipy,
+and the verification matrix script."""
 
 import importlib.util
 import json
@@ -155,6 +155,18 @@ class TestVerify:
         assert margins["theorem1"] == math.inf
         assert all(math.isfinite(m) for name, m in margins.items() if name != "theorem1")
 
+    def test_repeated_check_runs_once(self, tmp_path):
+        base = ["verify", "--map", "linear", "--param", "k=0.5", "--p", "3"]
+        once, twice = tmp_path / "once", tmp_path / "twice"
+        assert run(base + ["--check", "lemma1", "--out", str(once)]) == 0
+        assert run(base + ["--check", "lemma1", "--check", "length_area",
+                           "--check", "lemma1", "--out", str(twice)]) == 0
+        doc = json.loads((twice / "verify.json").read_text())
+        assert [row["check_id"] for row in doc["matrix"]] == ["lemma1", "length_area"]
+        rows = (twice / "margins.csv").read_text().splitlines()
+        lemma1_rows = [row for row in rows if row.startswith("lemma1,")]
+        assert lemma1_rows == (once / "margins.csv").read_text().splitlines()[1:]
+
 
 class TestAsym:
     def test_high_order_bounds(self, tmp_path):
@@ -213,9 +225,17 @@ class TestBeltrami:
 
 
 # Runs a list of CLI invocations in a fresh interpreter and reports, after the
-# import and after each run, whether any scipy module is loaded.
+# import and after each run, whether any scipy module is loaded. With
+# BLOCK_SCIPY set, a meta path finder first makes every scipy import fail.
 _SCIPY_PROBE = """
-import json, sys
+import json, os, sys
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"scipy is blocked: {name}")
+        return None
+if os.environ.get("BLOCK_SCIPY"):
+    sys.meta_path.insert(0, BlockScipy())
 def scipy_loaded():
     return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
 import dilatox.cli
@@ -228,11 +248,32 @@ print(json.dumps({"codes": codes, "scipy": seen}))
 """
 
 
-def _probe_scipy(runs: list[list[str]]) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(Path(dilatox.__file__).resolve().parents[1]))
+def _probe_scipy(runs: list[list[str]], block: bool = False) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(Path(dilatox.__file__).resolve().parents[1]),
+               BLOCK_SCIPY="1" if block else "")
     proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(runs)],
                           capture_output=True, text=True, env=env, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _spline_backed_runs(kind: str, tmp_path) -> list[list[str]]:
+    """CLI runs on one kind of map or coefficient built from an interpolant."""
+    if kind == "log_singular":
+        source = ["--map", "log_singular", "--param", "p=3", "--p", "3"]
+        return [[cmd] + source for cmd in ("verify", "eval")]
+    if kind == "radial_profile":
+        doc = {"type": "radial_profile",
+               "samples": [[float(t), float(0.7 * t)] for t in np.linspace(0.01, 0.99, 30)]}
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(doc))
+        return [[cmd, "--map-json", str(path), "--p", "4"] for cmd in ("verify", "eval")]
+    if kind == "beltrami":
+        return [["beltrami", "--param", "kappa=2", "--param", "m=1"]]
+    doc = {"family": "custom_radial", "m": 1.0,
+           "samples": [[float(t), 0.0, float(-0.5 / t ** 2)] for t in np.linspace(0.02, 0.98, 25)]}
+    path = tmp_path / "coef.json"
+    path.write_text(json.dumps(doc))
+    return [["beltrami", "--coef", str(path)]]
 
 
 class TestScipyOnFirstUse:
@@ -245,21 +286,21 @@ class TestScipyOnFirstUse:
         assert result["codes"] == [0, 0, 0]
         assert result["scipy"] == [False, False, False, False]
 
-    @pytest.mark.parametrize("kind", ["log_singular", "radial_profile", "beltrami"])
-    def test_spline_backed_runs_load_scipy(self, kind, tmp_path):
-        if kind == "log_singular":
-            argv = ["eval", "--map", "log_singular", "--param", "p=3", "--p", "3"]
-        elif kind == "radial_profile":
-            doc = {"type": "radial_profile",
-                   "samples": [[float(t), float(0.7 * t)] for t in np.linspace(0.01, 0.99, 30)]}
-            path = tmp_path / "map.json"
-            path.write_text(json.dumps(doc))
-            argv = ["eval", "--map-json", str(path), "--p", "4"]
-        else:
-            argv = ["beltrami", "--param", "kappa=2", "--param", "m=1"]
-        result = _probe_scipy([argv + ["--out", str(tmp_path)]])
-        assert result["codes"] == [0]
-        assert result["scipy"] == [False, True]
+    @pytest.mark.parametrize("kind", ["log_singular", "radial_profile", "beltrami",
+                                      "custom_radial"])
+    def test_spline_backed_runs_without_scipy(self, kind, tmp_path):
+        runs = [argv + ["--out", str(tmp_path / str(i))]
+                for i, argv in enumerate(_spline_backed_runs(kind, tmp_path))]
+        result = _probe_scipy(runs, block=True)
+        assert result["codes"] == [0] * len(runs)
+        assert result["scipy"] == [False] * (len(runs) + 1)
+
+    def test_blocked_probe_fails_on_a_scipy_import(self):
+        probe = _SCIPY_PROBE.replace("import dilatox.cli", "import scipy.interpolate")
+        proc = subprocess.run([sys.executable, "-c", probe, "[]"], capture_output=True,
+                              text=True, env=dict(os.environ, BLOCK_SCIPY="1"))
+        assert proc.returncode != 0
+        assert "scipy is blocked: scipy" in proc.stderr
 
 
 MATRIX_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_verification_matrix.py"

@@ -1,13 +1,17 @@
 """Mapping core: polar points, Jacobians, finite differences, modulus extremes,
-and ingestion of custom maps."""
+ingestion of custom maps, and the in-tree interpolants against
+scipy.interpolate."""
 
 import json
 import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from conftest import catalog_suite, perturbed_conformal, suite_ids
+from dilatox.beltrami import power_sigma, solve_radial
+from dilatox.catalog import _LogSingularProfile
 from dilatox.errors import (
     ConfigError,
     DegenerateJacobian,
@@ -15,6 +19,7 @@ from dilatox.errors import (
     StepTooLarge,
 )
 from dilatox.mapping import (
+    CubicHermite,
     MappingModel,
     PolarPoint,
     RadialProfile,
@@ -26,6 +31,7 @@ from dilatox.mapping import (
     map_from_json,
     min_max_modulus,
     model_from_profile,
+    pchip,
     validate_model,
 )
 
@@ -202,3 +208,73 @@ class TestValidationAndIngestion:
         assert model.theta_invariant
         v = complex(np.asarray(model.value(np.array([0.5]), np.array([0.0])))[0])
         assert v == pytest.approx(0.25)
+
+
+def _pchip_data(kind: str, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.uniform(0.05, 1.0, 24)) - 3.0
+    if kind == "monotone":
+        y = np.cumsum(rng.uniform(0.0, 2.0, x.size))
+    elif kind == "flat_runs":
+        y = np.round(2.0 * rng.standard_normal(x.size))
+        y[4:9] = y[4]
+        y[-4:] = y[-4]
+    else:  # local extrema and sign changes of the secants
+        y = np.sin(2.0 * x) + 0.3 * rng.standard_normal(x.size)
+    return x, y
+
+
+class TestInterpolants:
+    @pytest.mark.parametrize("kind", ["monotone", "flat_runs", "extrema"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_pchip_matches_scipy(self, kind, seed):
+        x, y = _pchip_data(kind, seed)
+        ours, ref = pchip(x, y), PchipInterpolator(x, y)
+        span = x[-1] - x[0]
+        t = np.concatenate([np.linspace(x[0] - 0.3 * span, x[-1] + 0.3 * span, 2001), x])
+        for nu in (0, 1):
+            expect = ref(t, nu)
+            scale = max(1.0, float(np.max(np.abs(expect))))
+            assert np.max(np.abs(ours(t, nu) - expect)) <= 1e-12 * scale, nu
+
+    def test_hermite_reproduces_a_cubic(self):
+        def cubic(t):
+            return ((0.7 * t - 1.3) * t + 0.2) * t - 2.5
+
+        def slope(t):
+            return (2.1 * t - 2.6) * t + 0.2
+
+        x = np.cumsum(np.random.default_rng(3).uniform(0.3, 0.7, 11)) - 2.5
+        herm = CubicHermite(x, cubic(x), slope(x))
+        t = np.linspace(x[0] - 0.5, x[-1] + 0.5, 701)  # beyond both ends too
+        assert np.max(np.abs(herm(t) - cubic(t))) <= 1e-12
+        assert np.max(np.abs(herm(t, nu=1) - slope(t))) <= 1e-12
+        assert herm(0.5) == pytest.approx(cubic(0.5), abs=1e-13)
+
+    def test_hermite_rejects_higher_derivatives(self):
+        with pytest.raises(ValueError):
+            CubicHermite([0.0, 1.0], [0.0, 1.0], [1.0, 1.0])(0.5, nu=2)
+
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
+    def test_log_singular_profile_matches_spline_antiderivative(self, p):
+        prof = _LogSingularProfile(p)
+        v = np.linspace(0.0, -math.log(prof.r_floor), 6001)
+        w = (p - 2.0) * np.exp((p - 2.0) * v) * (1.0 + v) ** (1.0 - p)
+        r = np.geomspace(1e-10, 1.0, 10 ** 5)
+        ref = 1.0 + CubicSpline(v, w).antiderivative()(-np.log(r))
+        assert np.max(np.abs(prof.I(r) / ref - 1.0)) <= 1e-10
+
+    def test_radial_solution_exact_off_the_nodes(self):
+        # kappa = 2, m = 1 has the exact solution R = 2r
+        sol = solve_radial(power_sigma(2.0, 1.0), 0.5, 1.0)
+        mid = 0.5 * (sol.grid[:-1] + sol.grid[1:])
+        t = np.concatenate([mid, np.random.default_rng(0).uniform(0.05, 0.95, 1000)])
+        assert np.max(np.abs(sol.profile.R(t) - 2.0 * t)) <= 1e-12
+
+    def test_radial_solution_interpolates_to_rk4_accuracy(self):
+        # anchored off the line R = 2r, the kappa = 2, m = 1 solution is
+        # R = 4r / (2 + r); between the nodes the interpolant stays as close as
+        # the RK4 nodes (2e-11), where second-order slopes would give 1e-7
+        sol = solve_radial(power_sigma(2.0, 1.0), 0.5, 0.8)
+        mid = 0.5 * (sol.grid[:-1] + sol.grid[1:])
+        assert np.max(np.abs(sol.profile.R(mid) - 4.0 * mid / (2.0 + mid))) <= 1e-10
