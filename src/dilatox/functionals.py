@@ -18,7 +18,14 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import ConfigError, EmptyRange
-from .mapping import MappingModel, PolarPoint, _jacobian_and_ft, jacobian_grid
+from .mapping import (
+    MappingModel,
+    PolarPoint,
+    _jacobian_and_ft,
+    circle_angles,
+    evaluation_grid,
+    jacobian_grid,
+)
 from .quadrature import (
     QuadratureConfig,
     circle_nodes,
@@ -124,16 +131,20 @@ class TruncatedValue:
 def dilatation_grid(model: MappingModel, r: np.ndarray, theta: np.ndarray,
                     p: Union[float, DilatationOrder]) -> np.ndarray:
     """D_p = |f_theta|^p / (r^p J_f) on a broadcastable grid; +inf where J_f = 0
-    while f_theta does not vanish."""
+    while f_theta does not vanish.
+
+    The model is evaluated on mapping.evaluation_grid's points, so a
+    theta-invariant model costs one angle, and the result may be a read-only
+    broadcast view of the full grid."""
     p = _order(p)
-    r = np.asarray(r, dtype=float)
+    r, theta, shape = evaluation_grid(model, r, theta)
     jac, ft = _jacobian_and_ft(model, r, theta)
     num = np.abs(ft) ** p
     with np.errstate(divide="ignore", invalid="ignore"):
         out = num / (r ** p * jac)
     out = np.where((jac == 0.0) & (num > 0.0), math.inf, out)
     out = np.where((jac == 0.0) & (num == 0.0), 0.0, out)
-    return out
+    return np.broadcast_to(out, shape)
 
 
 def angular_dilatation(model: MappingModel, z: PolarPoint,
@@ -145,14 +156,10 @@ def angular_dilatation(model: MappingModel, z: PolarPoint,
 # ----------------------------- circle reductions -----------------------------
 #
 # Every quantity defined on the circles |z| = t is one reduction over a
-# (t, theta) grid. A rotation-invariant map is sampled at a single angle, so
-# invariance is a grid size rather than a separate code path. Functions of a
-# radius r accept a float (and return one) or a 1-d array of radii.
-
-def _angles(invariant: bool, cfg: QuadratureConfig) -> np.ndarray:
-    """Circle nodes of a reduction: one node when the sampled quantity does not
-    depend on the angle."""
-    return np.zeros(1) if invariant else circle_nodes(cfg.n_theta)
+# (t, theta) grid. mapping.circle_angles samples a rotation-invariant map at a
+# single angle, so invariance is a grid size rather than a separate code path.
+# Functions of a radius r accept a float (and return one) or a 1-d array of
+# radii.
 
 
 def _check_radii(r) -> None:
@@ -216,7 +223,7 @@ def dilatation_radial_fn(model: MappingModel, p: Union[float, DilatationOrder],
                          cfg: QuadratureConfig) -> RadialFn:
     """Vectorized r -> d_p(r), used as the integrand source of radial integrals."""
     p = _order(p)
-    theta = _angles(model.theta_invariant, cfg)
+    theta = circle_angles(model, cfg.n_theta)
     reduce = partial(_power_mean, p=p)
 
     def sample(t, th):
@@ -241,7 +248,7 @@ def area_rate(model: MappingModel, r: Radii, cfg: QuadratureConfig) -> Radii:
     """S'(r) = r * integral_0^{2pi} J_f(r e^{i theta}) d theta."""
     _check_radii(r)
     fn = _circle_integral_fn(lambda t, th: jacobian_grid(model, t, th),
-                             _angles(model.theta_invariant, cfg), cfg)
+                             circle_angles(model, cfg.n_theta), cfg)
     return _like_radius(r, fn(r))
 
 
@@ -249,7 +256,7 @@ def boundary_length(model: MappingModel, r: Radii, cfg: QuadratureConfig) -> Rad
     """L(r): length of the image curve of the circle |z| = r."""
     _check_radii(r)
     ft = _circle_reduce(lambda t, th: np.abs(np.asarray(model.partial_theta(t, th))), r,
-                        _angles(model.theta_invariant, cfg), _row_mean, cfg)
+                        circle_angles(model, cfg.n_theta), _row_mean, cfg)
     return _like_radius(r, 2.0 * math.pi * ft)
 
 
@@ -268,16 +275,16 @@ def _circle_integral_fn(sample: Callable[[np.ndarray, np.ndarray], np.ndarray],
     return fn
 
 
-def _disc_integral(sample, r, cfg: QuadratureConfig, invariant: bool,
+def _disc_integral(sample, r, theta: np.ndarray, cfg: QuadratureConfig,
                    r_floor: float | None = None) -> np.ndarray:
     """Lebesgue integral over B_r for each radius of r, truncated at r_floor with
-    power-law tail fit."""
+    power-law tail fit; theta holds the circle nodes at which sample is taken."""
     r_floor = cfg.r_floor if r_floor is None else r_floor
     radii = np.atleast_1d(np.asarray(r, dtype=float))
     if not np.all(r_floor < radii):
         raise EmptyRange(
             f"disc radius {float(radii.min())} does not exceed truncation radius {r_floor}")
-    fn = _circle_integral_fn(sample, _angles(invariant, cfg), cfg)
+    fn = _circle_integral_fn(sample, theta, cfg)
     return integrate_from_origin(fn, r_floor, radii, cfg)
 
 
@@ -306,7 +313,8 @@ def disc_mean(model: MappingModel, r: Radii, p: Union[float, DilatationOrder],
         return dilatation_grid(model, t, th, p) ** (1.0 / (p - 1.0))
 
     def once(r_floor):
-        raw = _disc_integral(sample, radii, cfg, model.theta_invariant, r_floor=r_floor)
+        raw = _disc_integral(sample, radii, circle_angles(model, cfg.n_theta), cfg,
+                             r_floor=r_floor)
         return (raw / (math.pi * radii * radii)) ** (p - 1.0)
 
     values = [_refined(c, f, "truncation-sensitive")
@@ -316,8 +324,8 @@ def disc_mean(model: MappingModel, r: Radii, p: Union[float, DilatationOrder],
 
 def area(model: MappingModel, r: Radii, cfg: QuadratureConfig) -> Radii:
     """S(r): area of the image of B_r, by nested quadrature of the Jacobian."""
-    return _like_radius(r, _disc_integral(lambda t, th: jacobian_grid(model, t, th), r, cfg,
-                                          model.theta_invariant))
+    return _like_radius(r, _disc_integral(lambda t, th: jacobian_grid(model, t, th), r,
+                                          circle_angles(model, cfg.n_theta), cfg))
 
 
 # ----------------------------- radial integrals -----------------------------

@@ -55,7 +55,10 @@ class MappingModel:
     """A polar-evaluable map with partial derivatives.
 
     theta_invariant marks maps whose |f|, |f_theta| and Jacobian do not depend
-    on the angle; circle quadratures then collapse to a single sample.
+    on the angle. Such a map is evaluated at one angle of every circle:
+    circle_angles gives the circle reductions and min_max_modulus a single
+    node, and jacobian_grid and dilatation_grid evaluate the first angle of
+    their grid only. validate_model rejects a flag the map does not honour.
     """
 
     label: str
@@ -175,13 +178,34 @@ def _jacobian_and_ft(model: MappingModel, r: np.ndarray,
     return np.maximum(jac, 0.0), ft
 
 
+def circle_angles(model: MappingModel, n_theta: int) -> np.ndarray:
+    """The angles at which a circle of model is sampled: all n_theta equispaced
+    nodes, or the first node alone for a theta-invariant model."""
+    return circle_nodes(1 if model.theta_invariant else n_theta)
+
+
+def evaluation_grid(model: MappingModel, r, theta) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """(r, theta, shape): the points at which model is evaluated to know its
+    circle quantities on the broadcast grid of r and theta, and that grid's
+    shape. A theta-invariant model keeps the first angle only."""
+    r = np.asarray(r, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    shape = np.broadcast_shapes(r.shape, theta.shape)
+    if model.theta_invariant and theta.size:
+        theta = np.asarray(theta.flat[0])
+    return r, theta, shape
+
+
 def jacobian_grid(model: MappingModel, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Jacobian (1/r) Im(conj(f_r) f_theta) on a broadcastable grid.
 
-    Raises DegenerateJacobian when any value drops below -1e-12; values in
-    [-1e-12, 0] are clamped to 0.
+    The model is evaluated on evaluation_grid's points, so a theta-invariant
+    model costs one angle, and the result may be a read-only broadcast view of
+    the full grid. Raises DegenerateJacobian when any computed value drops
+    below -1e-12; values in [-1e-12, 0] are clamped to 0.
     """
-    return _jacobian_and_ft(model, np.asarray(r, dtype=float), theta)[0]
+    r, theta, shape = evaluation_grid(model, r, theta)
+    return np.broadcast_to(_jacobian_and_ft(model, r, theta)[0], shape)
 
 
 def jacobian(model: MappingModel, z: PolarPoint) -> float:
@@ -227,7 +251,9 @@ def fd_model(value: ComplexFn, label: str, theta_invariant: bool = False) -> Map
 
 
 def min_max_modulus(model: MappingModel, r, n_theta: int = 2048) -> tuple:
-    """(min, max) of |f| over n_theta equispaced samples of the circle |z| = r.
+    """(min, max) of |f| over the circle |z| = r, sampled at circle_angles:
+    n_theta equispaced angles, or one angle for a theta-invariant model, whose
+    n_theta then goes unused (it is still validated).
 
     r is one radius, giving two floats, or an array of rungs, giving two arrays
     from one model call on the (rung, theta) grid. Dense equispaced sampling
@@ -239,7 +265,7 @@ def min_max_modulus(model: MappingModel, r, n_theta: int = 2048) -> tuple:
         raise ConfigError(f"radius must lie in (0,1), got {r}")
     if n_theta < 8:
         raise ConfigError(f"n_theta must be >= 8, got {n_theta}")
-    rr, th = np.meshgrid(radii, circle_nodes(n_theta), indexing="ij")
+    rr, th = np.meshgrid(radii, circle_angles(model, n_theta), indexing="ij")
     mod = np.abs(np.asarray(model.value(rr, th)))
     lo, hi = mod.min(axis=1), mod.max(axis=1)
     return (lo, hi) if np.ndim(r) else (float(lo[0]), float(hi[0]))
@@ -247,22 +273,30 @@ def min_max_modulus(model: MappingModel, r, n_theta: int = 2048) -> tuple:
 
 def validate_model(model: MappingModel, radii: np.ndarray | None = None,
                    n_theta: int = 256, jump_factor: float = 20.0) -> None:
-    """Cheap sanity checks for ingested maps: neighbor-jump continuity on circle
-    samples and strict Jacobian positivity on the sampled grid."""
+    """Cheap sanity checks for ingested maps, on every one of n_theta angles of
+    each sampled circle: neighbor-jump continuity, strict Jacobian positivity,
+    and for a map flagged theta_invariant, |f| and J constant around the circle
+    to 1e-9 relative."""
     if radii is None:
         radii = np.geomspace(1e-3, 0.95, 16)
     th = circle_nodes(n_theta)
     for r in radii:
-        v = np.asarray(model.value(np.full(n_theta, r), th))
+        rr = np.full(n_theta, r)
+        v = np.asarray(model.value(rr, th))
         jumps = np.abs(np.diff(np.concatenate([v, v[:1]])))
         scale = max(float(np.max(np.abs(v))), 1e-30)
         if float(np.max(jumps)) > jump_factor * scale * (TWO_PI / n_theta):
             raise ConfigError(
                 f"{model.label!r} looks discontinuous on circle r={r:.4g}")
-        jac = jacobian_grid(model, np.full(n_theta, r), th)
+        jac = _jacobian_and_ft(model, rr, th)[0]
         if np.any(jac <= 0.0):
             raise DegenerateJacobian(
                 f"{model.label!r} has non-positive Jacobian on circle r={r:.4g}")
+        if model.theta_invariant:
+            for name, q in (("|f|", np.abs(v)), ("J", jac)):
+                if np.ptp(q) > 1e-9 * np.max(q):
+                    raise ConfigError(f"{model.label!r} is flagged theta_invariant, but "
+                                      f"{name} varies around circle r={r:.4g}")
 
 
 def map_from_json(doc: dict) -> MappingModel:

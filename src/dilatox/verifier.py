@@ -35,7 +35,7 @@ from .functionals import (
     _order,
 )
 from .mapping import MappingModel, min_max_modulus
-from .quadrature import QuadratureConfig, integrate_radial
+from .quadrature import QuadratureConfig, circle_nodes, integrate_radial
 
 # flat tail_spread threshold operationalizing "|f(z)|/|z| has a single limit point"
 SINGLE_LIMIT_SPREAD = 1e-3
@@ -230,10 +230,12 @@ def check_lemma2(model: MappingModel, p, ladder: RadiusLadder,
 def check_lemma3(q_fn: Callable[[np.ndarray, np.ndarray], np.ndarray], p,
                  eps: float, cfg: QuadratureConfig) -> BoundReport:
     """Annulus estimate: the harmonic-type mean of q_p over [eps, 2 eps] is
-    bounded by the disc average of Q^{1/(p-1)} over B_{2 eps}."""
+    bounded by the disc average of Q^{1/(p-1)} over B_{2 eps}, for
+    0 < eps < 1/2 (the circles of q_p must lie inside the disc)."""
     p = _order(p)
-    if not 0.0 < eps <= 0.5:
-        raise ConfigError(f"eps must lie in (0, 1/2], got {eps}")
+    if not 0.0 < eps < 0.5:
+        raise ConfigError(f"eps must lie in (0, 1/2), so that B_(2 eps) lies inside "
+                          f"the disc, got {eps}")
 
     def inv_integrand(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -248,7 +250,7 @@ def check_lemma3(q_fn: Callable[[np.ndarray, np.ndarray], np.ndarray], p,
     def sample(t, th):
         return np.asarray(q_fn(t, th), dtype=float) ** (1.0 / (p - 1.0))
 
-    disc = float(_disc_integral(sample, 2.0 * eps, cfg, invariant=False)[0])
+    disc = float(_disc_integral(sample, 2.0 * eps, circle_nodes(cfg.n_theta), cfg)[0])
     avg = disc / (4.0 * math.pi * eps ** 2)
     rhs = 2.0 ** (p - 1.0) * eps ** (p - 2.0) * avg ** (p - 1.0)
     return _finish("lemma3", p, [eps], [rhs - lhs], [tolerance(rhs, lhs)])

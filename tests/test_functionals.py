@@ -3,6 +3,8 @@ boundary length, and the singular radial integrals, checked against frozen
 high-precision oracles and closed forms."""
 
 import math
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,13 +21,15 @@ from dilatox.functionals import (
     boundary_length,
     circular_dilatation_mean,
     circular_mean,
+    dilatation_grid,
     dilatation_radial_fn,
     dilatation_series,
     disc_mean,
     radial_integral_inner,
     radial_integral_outer,
 )
-from dilatox.mapping import PolarPoint
+from dilatox.mapping import PolarPoint, jacobian_grid, min_max_modulus
+from dilatox.quadrature import circle_nodes
 
 # Frozen oracles, computed once with 30-digit adaptive quadrature (mpmath) and
 # pinned here; the suite must reproduce them through its own machinery.
@@ -82,13 +86,23 @@ class TestCircularMeans:
         got = circular_dilatation_mean(perturbed_conformal(), 0.5, 3.0, cfg)
         assert got == pytest.approx(ORACLE_D3_PERTURBED, rel=1e-12)
 
-    def test_invariant_fast_path_consistent(self, cfg):
-        from dataclasses import replace
-        entry = radial_stretch(1.5)
-        slow = replace(entry.model, theta_invariant=False)
-        fast = circular_dilatation_mean(entry.model, 0.3, 2.5, cfg)
+    @pytest.mark.parametrize("entry", catalog_suite(), ids=suite_ids())
+    def test_invariant_fast_path_consistent(self, entry, cfg):
+        # a theta-invariant model is evaluated at one angle; flagging it as
+        # theta-dependent samples every angle and must give the same numbers
+        fast = entry.model
+        slow = replace(fast, theta_invariant=False)
         assert circular_dilatation_mean(slow, 0.3, 2.5, cfg) == pytest.approx(
-            fast, rel=1e-12)
+            circular_dilatation_mean(fast, 0.3, 2.5, cfg), rel=1e-12)
+        col = np.geomspace(1e-3, 0.9, 40)[:, None]
+        th = circle_nodes(512)[None, :]
+        for grid in (jacobian_grid, partial(dilatation_grid, p=3.0)):
+            got = grid(fast, col, th)
+            assert got.shape == (40, 512)
+            np.testing.assert_allclose(got, grid(slow, col, th), rtol=1e-13, atol=0.0)
+        rungs = np.geomspace(1e-3, 0.5, 20)
+        for got, want in zip(min_max_modulus(fast, rungs), min_max_modulus(slow, rungs)):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
     def test_bounded_by_supremum(self, cfg):
         q_fn = lambda r, th: 1.0 + 0.5 * np.cos(th)
@@ -127,7 +141,6 @@ class TestDiscMeans:
         edges = np.linspace(0.0, 0.5, n_r + 1)
         mids = 0.5 * (edges[:-1] + edges[1:])
         th = (np.arange(n_t) + 0.5) * (2.0 * math.pi / n_t)
-        from dilatox.functionals import dilatation_grid
         vals = dilatation_grid(model, mids[:, None], th[None, :], 3.0) ** 0.5
         integral = float(np.sum(vals * mids[:, None]) * np.diff(edges)[0]
                          * (2.0 * math.pi / n_t))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import catalog_suite, perturbed_conformal, suite_ids
+from dilatox.catalog import linear
 from dilatox.errors import ConfigError, EmptyRange
 from dilatox.functionals import (
     area,
@@ -18,6 +19,7 @@ from dilatox.functionals import (
     radial_integral_inner,
     radial_integral_outer,
 )
+from dilatox.mapping import min_max_modulus
 from dilatox.quadrature import (
     QuadratureConfig,
     circle_nodes,
@@ -30,6 +32,7 @@ from dilatox.verifier import (
     check_lemma3,
     check_lemma4,
     check_length_area,
+    run_checks,
     theorem1_bound,
     theorem5_bound,
 )
@@ -176,19 +179,22 @@ def test_vectorized_dp_matches_per_node_loop(p):
                                rtol=1e-14, atol=0.0)
 
 
-def test_model_calls_stay_within_one_base_grid(cfg, ladder):
-    sizes = []
-
+def _counted_model(base, sizes):
+    """base with every model callable appending its point count to sizes."""
     def counted(fn):
         def wrapper(r, theta):
             sizes.append(math.prod(np.broadcast_shapes(np.shape(r), np.shape(theta))))
             return fn(r, theta)
         return wrapper
 
-    base = perturbed_conformal()
-    model = dataclasses.replace(base, value=counted(base.value),
-                                partial_r=counted(base.partial_r),
-                                partial_theta=counted(base.partial_theta))
+    return dataclasses.replace(base, value=counted(base.value),
+                               partial_r=counted(base.partial_r),
+                               partial_theta=counted(base.partial_theta))
+
+
+def test_model_calls_stay_within_one_base_grid(cfg, ladder):
+    sizes = []
+    model = _counted_model(perturbed_conformal(), sizes)
     check_lemma1(model, 1.5, ladder, cfg)
     check_length_area(model, 1.5, 0.1, 0.8, cfg)
     check_lemma4(model, 1.5, ladder, cfg)
@@ -196,3 +202,16 @@ def test_model_calls_stay_within_one_base_grid(cfg, ladder):
     theorem1_bound(model, 3.0, ladder, cfg)
     check_lemma3(lambda rr, th: dilatation_grid(model, rr, th, 3.0), 3.0, 0.1, cfg)
     assert max(sizes) <= romberg_nodes(cfg) * cfg.n_theta
+
+
+def test_invariant_model_calls_cost_one_angle(cfg, ladder):
+    # lemma 3 samples q_p = D_p on full circles, and min_max_modulus on n_theta
+    # angles; a theta-invariant model is still evaluated at one angle per radius
+    sizes = []
+    model = _counted_model(linear(0.5).model, sizes)
+    run_checks(model, 3.0, ladder, cfg, names=["lemma3"])
+    assert sizes and max(sizes) <= romberg_nodes(cfg)
+    sizes.clear()
+    rungs = ladder.radii()
+    min_max_modulus(model, rungs)
+    assert sizes == [len(rungs)]

@@ -171,6 +171,21 @@ class TestValidationAndIngestion:
         for entry in catalog_suite():
             validate_model(entry.model)
 
+    def test_false_invariance_flag_rejected(self):
+        # z + 0.1 z^2 is theta-dependent; flagged invariant, every circle
+        # reduction would sample it at one angle
+        f = perturbed_conformal()
+        model = fd_model(f.value, label="perturbed", theta_invariant=True)
+        with pytest.raises(ConfigError, match="flagged theta_invariant"):
+            validate_model(model)
+        validate_model(fd_model(f.value, label="perturbed"))
+
+    def test_radial_profile_validates(self):
+        r = np.linspace(0.001, 0.999, 40)
+        doc = {"type": "radial_profile",
+               "samples": [[float(t), float(t * (2.0 - t))] for t in r]}
+        validate_model(map_from_json(doc))
+
     def test_discontinuous_map_rejected(self):
         def value(r, theta):
             theta = np.asarray(theta)

@@ -108,6 +108,14 @@ class TestLemmaChecks:
                     check_lemma4(ident.model, 1.5, ladder, cfg)):
             assert max(abs(m) for m in rep.margins) <= 1e-6
 
+    @pytest.mark.parametrize("eps", [0.5, 0.6, 0.0])
+    def test_lemma3_rejects_annulus_reaching_the_boundary(self, eps, cfg):
+        # at eps = 1/2 the annulus [eps, 2 eps] reaches |z| = 1
+        with pytest.raises(ConfigError, match=r"eps must lie in \(0, 1/2\)"):
+            check_lemma3(lambda rr, th: np.ones(np.broadcast_shapes(np.shape(rr),
+                                                                    np.shape(th))),
+                         3.0, eps, cfg)
+
     def test_lemma2_rejects_low_order(self, ladder, cfg):
         with pytest.raises(ConfigError):
             check_lemma2(linear(0.5).model, 1.5, ladder, cfg)
