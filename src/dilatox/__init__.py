@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .errors import ToolkitError, ConfigError
 from .mapping import MappingModel, PolarPoint, RadialProfile
 from .quadrature import QuadratureConfig
-from .functionals import DilatationOrder, RadialSeries
+from .functionals import DilatationOrder
 from .verifier import BoundReport, LimitProxy, RadiusLadder
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "RadialProfile",
     "QuadratureConfig",
     "DilatationOrder",
-    "RadialSeries",
     "BoundReport",
     "LimitProxy",
     "RadiusLadder",

@@ -28,8 +28,11 @@ from .mapping import (
     MappingModel,
     PolarPoint,
     RadialProfile,
+    json_object,
+    json_real,
     model_from_profile,
     pchip,
+    sample_table,
 )
 from .quadrature import QuadratureConfig, circle_nodes, integrate_from_origin
 from .verifier import BoundReport, LimitProxy, RadiusLadder, _finish, growth_constant, tolerance
@@ -67,27 +70,25 @@ def power_sigma(kappa: float, m: float) -> SigmaCoefficient:
                             label=f"power(kappa={kappa:g},m={m:g})")
 
 
-def sigma_from_json(doc: dict) -> SigmaCoefficient:
+def sigma_from_json(doc) -> SigmaCoefficient:
     """Ingest a coefficient description: {"family": "power", "kappa": ..., "m": ...} or
-    {"family": "custom_radial", "m": ..., "samples": [[r, re, im], ...]}."""
-    family = doc.get("family")
+    {"family": "custom_radial", "m": ..., "samples": [[r, re, im], ...]}. A document
+    of any other shape is a ConfigError."""
+    family = json_object(doc, "a coefficient document").get("family")
     if family == "power":
-        return power_sigma(float(doc["kappa"]), float(doc["m"]))
+        what = "a power coefficient"
+        return power_sigma(json_real(doc, "kappa", what), json_real(doc, "m", what))
     if family == "custom_radial":
-        samples = np.asarray(doc["samples"], dtype=float)
-        if samples.ndim != 2 or samples.shape[1] != 3 or samples.shape[0] < 3:
-            raise ConfigError("custom_radial needs >= 3 [r, re, im] sample triples")
-        r = samples[:, 0]
-        if np.any(np.diff(r) <= 0):
-            raise ConfigError("custom_radial radii must be strictly increasing")
-        re_i = pchip(r, samples[:, 1])
-        im_i = pchip(r, samples[:, 2])
+        r, real, imag = sample_table(doc, "custom_radial", ("r", "re", "im")).T
+        m = json_real(doc, "m", "custom_radial")
+        re_i = pchip(r, real)
+        im_i = pchip(r, imag)
 
         def sigma(rr):
             rr = np.asarray(rr, dtype=float)
             return re_i(rr) + 1j * im_i(rr)
 
-        return SigmaCoefficient(sigma=sigma, m=float(doc["m"]), label="custom_radial")
+        return SigmaCoefficient(sigma=sigma, m=m, label="custom_radial")
     raise ConfigError(f"unknown coefficient family {family!r}")
 
 

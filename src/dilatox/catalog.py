@@ -34,12 +34,11 @@ class CatalogEntry:
     ratio: Callable[[np.ndarray], np.ndarray]
 
 
-def linear(k: complex) -> CatalogEntry:
-    """f(z) = k z with 0 < |k| <= 1."""
+def _slope_map(k: complex, label: str) -> CatalogEntry:
+    """f(z) = k z with its closed forms; linear, identity and beltrami_exact
+    are this map under their own labels and parameter checks."""
     k = complex(k)
     ak = abs(k)
-    if not 0.0 < ak <= 1.0:
-        raise ConfigError(f"linear map needs 0 < |k| <= 1, got |k|={ak}")
 
     def value(r, theta):
         return k * np.asarray(r) * np.exp(1j * np.asarray(theta))
@@ -50,8 +49,7 @@ def linear(k: complex) -> CatalogEntry:
     def partial_theta(r, theta):
         return 1j * k * np.asarray(r) * np.exp(1j * np.asarray(theta))
 
-    k_str = f"{k.real:g}" if k.imag == 0.0 else f"{k.real:g}{k.imag:+g}j"
-    model = MappingModel(label=f"linear(k={k_str})", value=value, partial_r=partial_r,
+    model = MappingModel(label=label, value=value, partial_r=partial_r,
                          partial_theta=partial_theta, theta_invariant=True)
     return CatalogEntry(
         model=model,
@@ -62,12 +60,18 @@ def linear(k: complex) -> CatalogEntry:
     )
 
 
+def linear(k: complex) -> CatalogEntry:
+    """f(z) = k z with 0 < |k| <= 1."""
+    k = complex(k)
+    if not 0.0 < abs(k) <= 1.0:
+        raise ConfigError(f"linear map needs 0 < |k| <= 1, got |k|={abs(k)}")
+    k_str = f"{k.real:g}" if k.imag == 0.0 else f"{k.real:g}{k.imag:+g}j"
+    return _slope_map(k, f"linear(k={k_str})")
+
+
 def identity() -> CatalogEntry:
     """The identity map, the conformal equality case of every bound."""
-    entry = linear(1.0)
-    return CatalogEntry(model=entry.model.with_label("identity"),
-                        dilatation=entry.dilatation, area=entry.area,
-                        length=entry.length, ratio=entry.ratio)
+    return _slope_map(1.0, "identity")
 
 
 def radial_stretch(alpha: float) -> CatalogEntry:
@@ -161,27 +165,7 @@ def beltrami_exact(m: float, kappa: float) -> CatalogEntry:
     kappa = float(kappa)
     if not (m > 0.0 and kappa > 0.0):
         raise ConfigError(f"beltrami_exact needs m > 0 and kappa > 0, got m={m}, kappa={kappa}")
-    c = kappa ** (1.0 / m)
-
-    def value(r, theta):
-        return c * np.asarray(r) * np.exp(1j * np.asarray(theta))
-
-    def partial_r(r, theta):
-        return c * np.exp(1j * np.asarray(theta)) * np.ones_like(np.asarray(r, dtype=float))
-
-    def partial_theta(r, theta):
-        return 1j * c * np.asarray(r) * np.exp(1j * np.asarray(theta))
-
-    model = MappingModel(label=f"beltrami_exact(m={m:g},kappa={kappa:g})",
-                         value=value, partial_r=partial_r,
-                         partial_theta=partial_theta, theta_invariant=True)
-    return CatalogEntry(
-        model=model,
-        dilatation=lambda r, p: np.full_like(np.asarray(r, dtype=float), c ** (p - 2.0)),
-        area=lambda r: math.pi * (c * r) ** 2,
-        length=lambda r: 2.0 * math.pi * c * r,
-        ratio=lambda r: np.full_like(np.asarray(r, dtype=float), c),
-    )
+    return _slope_map(kappa ** (1.0 / m), f"beltrami_exact(m={m:g},kappa={kappa:g})")
 
 
 _FAMILIES = {
@@ -199,5 +183,5 @@ def from_name(name: str, **params) -> CatalogEntry:
         raise ConfigError(f"unknown catalog map {name!r}; known: {sorted(_FAMILIES)}")
     try:
         return _FAMILIES[name](**params)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters for catalog map {name!r}: {exc}") from exc

@@ -54,10 +54,17 @@ def _parse_params(pairs: list[str]) -> dict:
     return params
 
 
+def _read_json(path: str):
+    """The JSON document in the file at path; unreadable or malformed is a ConfigError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read JSON document {path!r}: {exc}") from exc
+
+
 def _build_map(args) -> catalog.CatalogEntry | None:
     if getattr(args, "map_json", None):
-        doc = json.loads(Path(args.map_json).read_text())
-        model = map_from_json(doc)
+        model = map_from_json(_read_json(args.map_json))
         return catalog.CatalogEntry(model=model, dilatation=None, area=None,
                                     length=None, ratio=None)
     if not getattr(args, "map", None):
@@ -69,8 +76,10 @@ def _quad_config(args) -> QuadratureConfig:
     return QuadratureConfig(n_theta=args.ntheta, n_r=args.nr, r_min=args.rmin)
 
 
-def _ladder(args) -> RadiusLadder:
-    return RadiusLadder(r_max=args.rmax, rho=args.rho, count=args.count, tail=args.tail)
+def _ladder(args, cfg: QuadratureConfig) -> RadiusLadder:
+    ladder = RadiusLadder(r_max=args.rmax, rho=args.rho, count=args.count, tail=args.tail)
+    ladder.validate_against(cfg)
+    return ladder
 
 
 def _proxy_dict(proxy) -> dict:
@@ -100,8 +109,7 @@ def _write_json(path: Path, doc: dict) -> None:
 def cmd_eval(args) -> int:
     entry = _build_map(args)
     cfg = _quad_config(args)
-    ladder = _ladder(args)
-    ladder.validate_against(cfg)
+    ladder = _ladder(args, cfg)
     p = DilatationOrder(args.p)
     radii = ladder.radii()
     columns = zip(radii, circular_dilatation_mean(entry.model, radii, p, cfg).tolist(),
@@ -122,8 +130,7 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     entry = _build_map(args)
     cfg = _quad_config(args)
-    ladder = _ladder(args)
-    ladder.validate_against(cfg)
+    ladder = _ladder(args, cfg)
     reports = run_checks(entry.model, args.p, ladder, cfg, args.check)
     doc = {
         "config": _resolved_config(args),
@@ -143,8 +150,7 @@ def cmd_verify(args) -> int:
 def cmd_asym(args) -> int:
     entry = _build_map(args)
     cfg = _quad_config(args)
-    ladder = _ladder(args)
-    ladder.validate_against(cfg)
+    ladder = _ladder(args, cfg)
     p = args.p
     doc: dict = {"config": _resolved_config(args), "bounds": {}, "proxies": {},
                  "tail_spreads": {}}
@@ -188,7 +194,7 @@ def cmd_asym(args) -> int:
 
 def cmd_beltrami(args) -> int:
     if args.coef:
-        coef = beltrami.sigma_from_json(json.loads(Path(args.coef).read_text()))
+        coef = beltrami.sigma_from_json(_read_json(args.coef))
     else:
         params = _parse_params(args.param)
         kappa, m = params.get("kappa"), params.get("m")
@@ -196,8 +202,7 @@ def cmd_beltrami(args) -> int:
             raise ConfigError("beltrami needs --coef <json> or real --param kappa=... m=...")
         coef = beltrami.power_sigma(kappa, m)
     cfg = _quad_config(args)
-    ladder = _ladder(args)
-    ladder.validate_against(cfg)
+    ladder = _ladder(args, cfg)
     solution = beltrami.solve_radial(coef, args.r0, args.R0,
                                      (args.span_lo, args.span_hi), args.step)
     out_dir = Path(args.out)

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, EmptyRange
 from .mapping import (
     MappingModel,
-    PolarPoint,
+    _check_radii,
     _jacobian_and_ft,
     circle_angles,
     evaluation_grid,
@@ -62,59 +62,6 @@ def _order(p: Union[float, DilatationOrder]) -> float:
 
 
 @dataclass
-class RadialSeries:
-    """A sampled functional over a strictly increasing radius grid.
-
-    Values are extended nonnegative reals; +inf is permitted and propagated.
-    """
-
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.grid.ndim != 1 or self.grid.shape != self.values.shape:
-            raise ConfigError("grid and values must be 1-d arrays of equal length")
-        if np.any(np.diff(self.grid) <= 0):
-            raise ConfigError("radius grid must be strictly increasing")
-        if np.any(self.grid <= 0) or np.any(self.grid >= 1):
-            raise ConfigError("radii must lie in (0,1)")
-        if np.any(np.isnan(self.values)) or np.any(self.values < 0):
-            raise ConfigError("series values must be nonnegative (inf allowed)")
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("r,value\n")
-            for r, v in zip(self.grid, self.values):
-                fh.write(f"{float(r)!r},{float(v)!r}\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "RadialSeries":
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        return cls(grid=rows[:, 0], values=rows[:, 1])
-
-    def interpolant(self) -> RadialFn:
-        """Piecewise-linear interpolant in log-radius; +inf regions propagate."""
-        logs = np.log(self.grid)
-        finite = np.isfinite(self.values)
-
-        def fn(t):
-            t = np.asarray(t, dtype=float)
-            out = np.interp(np.log(t), logs[finite], self.values[finite])
-            if not finite.all():
-                # a query between two samples straddling an inf sample is inf
-                idx = np.searchsorted(self.grid, t)
-                lo = np.clip(idx - 1, 0, len(self.grid) - 1)
-                hi = np.clip(idx, 0, len(self.grid) - 1)
-                bad = ~finite[lo] | ~finite[hi]
-                out = np.where(bad, math.inf, out)
-            return out
-
-        return fn
-
-
-@dataclass
 class TruncatedValue:
     """A truncated integral or mean plus its refinement-based error estimate."""
 
@@ -147,12 +94,6 @@ def dilatation_grid(model: MappingModel, r: np.ndarray, theta: np.ndarray,
     return np.broadcast_to(out, shape)
 
 
-def angular_dilatation(model: MappingModel, z: PolarPoint,
-                       p: Union[float, DilatationOrder]) -> float:
-    """The p-angular dilatation of the map at z, relative to the origin."""
-    return float(dilatation_grid(model, np.array([z.r]), np.array([z.theta]), p)[0])
-
-
 # ----------------------------- circle reductions -----------------------------
 #
 # Every quantity defined on the circles |z| = t is one reduction over a
@@ -160,13 +101,6 @@ def angular_dilatation(model: MappingModel, z: PolarPoint,
 # single angle, so invariance is a grid size rather than a separate code path.
 # Functions of a radius r accept a float (and return one) or a 1-d array of
 # radii.
-
-
-def _check_radii(r) -> None:
-    r = np.asarray(r, dtype=float)
-    bad = r[~((r > 0.0) & (r < 1.0))]
-    if bad.size:
-        raise ConfigError(f"radius must lie in (0,1), got {float(bad.flat[0])}")
 
 
 def _circle_reduce(sample: Callable[[np.ndarray, np.ndarray], np.ndarray], r,
@@ -235,13 +169,6 @@ def dilatation_radial_fn(model: MappingModel, p: Union[float, DilatationOrder],
         return _circle_reduce(sample, t, theta, reduce, cfg)
 
     return fn
-
-
-def dilatation_series(model: MappingModel, p: Union[float, DilatationOrder],
-                      radii: np.ndarray, cfg: QuadratureConfig) -> RadialSeries:
-    """Sample d_p on an increasing radius grid."""
-    radii = np.sort(np.asarray(radii, dtype=float))
-    return RadialSeries(grid=radii, values=dilatation_radial_fn(model, p, cfg)(radii))
 
 
 def area_rate(model: MappingModel, r: Radii, cfg: QuadratureConfig) -> Radii:
@@ -330,18 +257,10 @@ def area(model: MappingModel, r: Radii, cfg: QuadratureConfig) -> Radii:
 
 # ----------------------------- radial integrals -----------------------------
 
-def _as_radial_fn(d_p: Union[RadialFn, RadialSeries]) -> RadialFn:
-    if isinstance(d_p, RadialSeries):
-        return d_p.interpolant()
-    return d_p
-
-
-def _radial_integrand(d_p: Union[RadialFn, RadialSeries], p: float) -> RadialFn:
-    dp_fn = _as_radial_fn(d_p)
-
+def _radial_integrand(d_p: RadialFn, p: float) -> RadialFn:
     def fn(t):
         t = np.asarray(t, dtype=float)
-        d = np.asarray(dp_fn(t), dtype=float)
+        d = np.asarray(d_p(t), dtype=float)
         with np.errstate(divide="ignore"):
             out = t ** (1.0 - p) / d
         return np.where(np.isinf(d), 0.0, out)  # d_p = +inf contributes nothing
@@ -349,7 +268,7 @@ def _radial_integrand(d_p: Union[RadialFn, RadialSeries], p: float) -> RadialFn:
     return fn
 
 
-def radial_integral_outer(d_p: Union[RadialFn, RadialSeries], r: Radii,
+def radial_integral_outer(d_p: RadialFn, r: Radii,
                           p: Union[float, DilatationOrder], cfg: QuadratureConfig) -> Radii:
     """integral_r^1 dt / (t^{p-1} d_p(t))."""
     p = _order(p)
@@ -361,7 +280,7 @@ def radial_integral_outer(d_p: Union[RadialFn, RadialSeries], r: Radii,
     return _like_radius(r, integrate_radial(_radial_integrand(d_p, p), radii, 1.0, cfg))
 
 
-def radial_integral_inner(d_p: Union[RadialFn, RadialSeries], r: Radii,
+def radial_integral_inner(d_p: RadialFn, r: Radii,
                           p: Union[float, DilatationOrder], cfg: QuadratureConfig
                           ) -> Union[TruncatedValue, list[TruncatedValue]]:
     """integral_0^r dt / (t^{p-1} d_p(t)) for 1 < p < 2; a TruncatedValue, or a

@@ -9,7 +9,7 @@ safe to share across concurrent evaluators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -67,9 +67,6 @@ class MappingModel:
     partial_theta: ComplexFn
     derivative_kind: str = "analytic"
     theta_invariant: bool = False
-
-    def with_label(self, label: str) -> "MappingModel":
-        return replace(self, label=label)
 
 
 @dataclass(frozen=True)
@@ -159,11 +156,6 @@ def model_from_profile(profile: RadialProfile, label: str) -> MappingModel:
                         partial_theta=partial_theta, theta_invariant=True)
 
 
-def default_steps(r: float) -> tuple[float, float]:
-    """Default central-difference steps, balancing truncation against roundoff."""
-    return 1e-5 * max(r, 1e-3), 1e-5
-
-
 def _jacobian_and_ft(model: MappingModel, r: np.ndarray,
                      theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(J_f, f_theta) on a broadcastable grid, evaluating each partial once."""
@@ -176,6 +168,14 @@ def _jacobian_and_ft(model: MappingModel, r: np.ndarray,
         raise DegenerateJacobian(
             f"Jacobian of {model.label!r} reaches {float(np.min(jac)):.3e} < -{JAC_TOL}")
     return np.maximum(jac, 0.0), ft
+
+
+def _check_radii(r) -> None:
+    """Raise ConfigError naming the first radius of r outside (0, 1)."""
+    r = np.asarray(r, dtype=float)
+    bad = r[~((r > 0.0) & (r < 1.0))]
+    if bad.size:
+        raise ConfigError(f"radius must lie in (0,1), got {float(bad.flat[0])}")
 
 
 def circle_angles(model: MappingModel, n_theta: int) -> np.ndarray:
@@ -208,30 +208,9 @@ def jacobian_grid(model: MappingModel, r: np.ndarray, theta: np.ndarray) -> np.n
     return np.broadcast_to(_jacobian_and_ft(model, r, theta)[0], shape)
 
 
-def jacobian(model: MappingModel, z: PolarPoint) -> float:
-    """Pointwise Jacobian at z."""
-    return float(jacobian_grid(model, np.array([z.r]), np.array([z.theta]))[0])
-
-
-def finite_difference_partials(value: ComplexFn, z: PolarPoint,
-                               h_r: float | None = None,
-                               h_theta: float | None = None) -> tuple[complex, complex]:
-    """Central-difference estimates of (f_r, f_theta) at z; O(h^2) for C^3 maps."""
-    hr_default, ht_default = default_steps(z.r)
-    h_r = hr_default if h_r is None else h_r
-    h_theta = ht_default if h_theta is None else h_theta
-    if z.r - h_r <= 0.0 or z.r + h_r >= 1.0:
-        raise StepTooLarge(f"radial stencil [{z.r - h_r}, {z.r + h_r}] leaves the disc")
-    r = np.array([z.r + h_r, z.r - h_r, z.r, z.r])
-    th = np.array([z.theta, z.theta, z.theta + h_theta, z.theta - h_theta])
-    v = np.asarray(value(r, th))
-    f_r = (v[0] - v[1]) / (2.0 * h_r)
-    f_t = (v[2] - v[3]) / (2.0 * h_theta)
-    return complex(f_r), complex(f_t)
-
-
 def fd_model(value: ComplexFn, label: str, theta_invariant: bool = False) -> MappingModel:
-    """Wrap a value-only map with vectorized central-difference partials."""
+    """Wrap a value-only map with vectorized central-difference partials, of
+    steps h_r = 1e-5 max(r, 1e-3) and h_theta = 1e-5 (truncation vs roundoff)."""
 
     def partial_r(r, theta):
         r = np.asarray(r, dtype=float)
@@ -261,8 +240,7 @@ def min_max_modulus(model: MappingModel, r, n_theta: int = 2048) -> tuple:
     resolution-limited otherwise.
     """
     radii = np.atleast_1d(np.asarray(r, dtype=float))
-    if not np.all((radii > 0.0) & (radii < 1.0)):
-        raise ConfigError(f"radius must lie in (0,1), got {r}")
+    _check_radii(radii)
     if n_theta < 8:
         raise ConfigError(f"n_theta must be >= 8, got {n_theta}")
     rr, th = np.meshgrid(radii, circle_angles(model, n_theta), indexing="ij")
@@ -299,27 +277,59 @@ def validate_model(model: MappingModel, radii: np.ndarray | None = None,
                                       f"{name} varies around circle r={r:.4g}")
 
 
-def map_from_json(doc: dict) -> MappingModel:
+def json_object(doc, what: str, *keys: str) -> dict:
+    """doc, checked to be a JSON object that holds every one of keys; anything
+    else is a ConfigError naming what the document should be."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise ConfigError(f"{what} lacks the key(s) {', '.join(map(repr, missing))}")
+    return doc
+
+
+def json_real(doc, key: str, what: str) -> float:
+    """doc[key], checked to be present and a JSON number, as a float."""
+    value = json_object(doc, what, key)[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} needs a number for {key!r}, got {value!r}")
+    return float(value)
+
+
+def sample_table(doc, what: str, columns: tuple[str, ...]) -> np.ndarray:
+    """doc["samples"], checked to be >= 3 numeric rows of the named columns,
+    the first one strictly increasing radii, as a float array."""
+    samples = json_object(doc, what, "samples")["samples"]
+    try:
+        table = np.asarray(samples, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} samples must be rows of numbers: {exc}") from exc
+    if table.ndim != 2 or table.shape[1] != len(columns) or table.shape[0] < 3:
+        raise ConfigError(f"{what} needs >= 3 sample rows [{', '.join(columns)}]")
+    if not np.all(np.diff(table[:, 0]) > 0):  # also rejects a NaN radius
+        raise ConfigError(f"{what} radii must be strictly increasing")
+    return table
+
+
+def map_from_json(doc) -> MappingModel:
     """Ingest a custom map from its JSON document.
 
     Supported forms:
       {"type": "radial_profile", "samples": [[r, R], ...]}  (monotone r and R)
       {"type": "catalog", "name": ..., "params": {...}}
+    A document of any other shape is a ConfigError.
     """
-    kind = doc.get("type")
+    kind = json_object(doc, "a map document").get("type")
     if kind == "radial_profile":
-        samples = np.asarray(doc["samples"], dtype=float)
-        if samples.ndim != 2 or samples.shape[1] != 2 or samples.shape[0] < 3:
-            raise ConfigError("radial_profile needs >= 3 [r, R] sample pairs")
-        r, R = samples[:, 0], samples[:, 1]
-        if np.any(np.diff(r) <= 0):
-            raise ConfigError("radial_profile radii must be strictly increasing")
-        if np.any(np.diff(R) <= 0):
+        r, R = sample_table(doc, "radial_profile", ("r", "R")).T
+        if not np.all(np.diff(R) > 0):
             raise ConfigError("radial_profile values must be strictly increasing")
         interp = pchip(r, R)
         profile = RadialProfile(R=interp, R_prime=lambda t: interp(t, nu=1))
         return model_from_profile(profile, label="radial_profile")
     if kind == "catalog":
         from . import catalog  # local import: catalog depends on this module
-        return catalog.from_name(doc["name"], **doc.get("params", {})).model
+        name = json_object(doc, "a catalog document", "name")["name"]
+        params = json_object(doc.get("params", {}), "catalog params")
+        return catalog.from_name(str(name), **params).model
     raise ConfigError(f"unknown map document type {kind!r}")

@@ -26,7 +26,6 @@ class QuadratureConfig:
 
     n_theta: int = 512
     n_r: int = 1024
-    grid_kind: str = "log"
     eps_trunc: float = 1e-6
     r_min: float = 1e-4
     # truncation radius of disc integrals; far below r_min because slowly
@@ -38,8 +37,6 @@ class QuadratureConfig:
             raise ConfigError(f"n_theta must be even and >= 16, got {self.n_theta}")
         if self.n_r < 16:
             raise ConfigError(f"n_r must be >= 16, got {self.n_r}")
-        if self.grid_kind not in ("log", "uniform"):
-            raise ConfigError(f"grid_kind must be 'log' or 'uniform', got {self.grid_kind!r}")
         if not self.eps_trunc > 0:
             raise ConfigError(f"eps_trunc must be positive, got {self.eps_trunc}")
         if not 0 < self.r_min < 1:
@@ -52,14 +49,6 @@ class QuadratureConfig:
 def circle_nodes(n_theta: int) -> np.ndarray:
     """Equispaced angles on [0, 2pi), the nodes of the periodic trapezoid rule."""
     return np.arange(n_theta) * (2.0 * math.pi / n_theta)
-
-
-def circle_mean(values: np.ndarray) -> float:
-    """(1/2pi) * integral over the circle, by the periodic trapezoid rule."""
-    values = np.asarray(values, dtype=float)
-    if np.isnan(values).any():
-        raise ValueError("NaN in circle quadrature values")
-    return float(np.mean(values))
 
 
 def romb(y, dx=1.0, axis: int = -1):
@@ -103,23 +92,21 @@ def romberg_nodes(cfg: QuadratureConfig) -> int:
 
 
 def _romberg_segments(fn: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
-                      hi: np.ndarray, levels: np.ndarray, grid_kind: str) -> np.ndarray:
-    """Romberg integrals of fn(t) dt over the segments [lo_i, hi_i], segment i on
-    2^levels_i + 1 nodes, from a single call of fn on all nodes.
+                      hi: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Romberg integrals of fn(t) dt = fn(e^u) e^u du over the segments
+    [lo_i, hi_i], segment i on 2^levels_i + 1 nodes equispaced in u = ln t,
+    from a single call of fn on all nodes.
 
     A segment holding +inf integrates to +inf; NaN anywhere raises.
     """
-    if grid_kind == "log":
-        u_lo, u_hi = np.log(lo), np.log(hi)
-    else:
-        u_lo, u_hi = lo, hi
+    u_lo, u_hi = np.log(lo), np.log(hi)
     # the exact step; a difference of neighbouring nodes near u = -14 would
     # lose about three digits
     dx = (u_hi - u_lo) / 2.0 ** levels
     groups = [np.flatnonzero(levels == k) for k in np.unique(levels)]
     grids = [np.linspace(u_lo[g], u_hi[g], 2 ** int(levels[g[0]]) + 1, axis=-1)
              for g in groups]
-    ts = [np.exp(u) if grid_kind == "log" else u for u in grids]
+    ts = [np.exp(u) for u in grids]
     y_all = np.asarray(fn(np.concatenate([t.ravel() for t in ts])), dtype=float)
     if np.isnan(y_all).any():
         raise ValueError("NaN in radial quadrature values")
@@ -128,8 +115,7 @@ def _romberg_segments(fn: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
     for g, t in zip(groups, ts):
         y = y_all[start:start + t.size].reshape(t.shape)
         start += t.size
-        if grid_kind == "log":
-            y = y * t
+        y = y * t
         inf_rows = np.isinf(y).any(axis=1)
         out[g] = romb(np.where(np.isinf(y), 0.0, y), dx=dx[g], axis=-1)
         out[g[inf_rows]] = math.inf
@@ -143,7 +129,7 @@ MIN_SEGMENT_LEVEL = 3
 
 def integrate_radial(fn: Callable[[np.ndarray], np.ndarray], a, b,
                      cfg: QuadratureConfig) -> float | np.ndarray:
-    """Romberg integration of fn(t) dt over [a, b] on the configured radial grid.
+    """Romberg integration of fn(t) dt over [a, b] on a log-spaced radial grid.
 
     The log-spaced grid integrates fn(e^u) e^u du on a uniform u-grid, which
     resolves power-law integrands near 0; Romberg extrapolation of the
@@ -173,9 +159,9 @@ def integrate_radial(fn: Callable[[np.ndarray], np.ndarray], a, b,
     if not np.all(steps < 0.0 if np.ndim(a) else steps > 0.0):
         raise EmptyRange(f"empty radial range [{a}, {b}]")
     lo, hi = np.minimum(ends[:-1], ends[1:]), np.maximum(ends[:-1], ends[1:])
-    if cfg.grid_kind == "log" and not lo[0] > 0.0:
+    if not lo[0] > 0.0:
         raise ConfigError(f"a log-spaced radial grid needs positive radii, got {lo[0]}")
-    width = np.log(hi / lo) if cfg.grid_kind == "log" else hi - lo
+    width = np.log(hi / lo)
     base_level = int(math.log2(romberg_nodes(cfg) - 1))
     levels = np.full(len(lo), base_level)
     ratio = width[1:] / (width[0] / 2.0 ** base_level)
@@ -183,7 +169,7 @@ def integrate_radial(fn: Callable[[np.ndarray], np.ndarray], a, b,
     # otherwise ask for millions of nodes per rung segment
     levels[1:] = np.clip(np.ceil(np.log2(ratio)), MIN_SEGMENT_LEVEL, base_level)
     out = np.empty(len(radii))
-    out[order] = np.cumsum(_romberg_segments(fn, lo, hi, levels, cfg.grid_kind))
+    out[order] = np.cumsum(_romberg_segments(fn, lo, hi, levels))
     return out if np.ndim(a) or np.ndim(b) else float(out[0])
 
 

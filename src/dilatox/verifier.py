@@ -33,6 +33,7 @@ from .functionals import (
     radial_integral_outer,
     _disc_integral,
     _order,
+    _radial_integrand,
 )
 from .mapping import MappingModel, min_max_modulus
 from .quadrature import QuadratureConfig, circle_nodes, integrate_radial
@@ -236,15 +237,9 @@ def check_lemma3(q_fn: Callable[[np.ndarray, np.ndarray], np.ndarray], p,
     if not 0.0 < eps < 0.5:
         raise ConfigError(f"eps must lie in (0, 1/2), so that B_(2 eps) lies inside "
                           f"the disc, got {eps}")
-
-    def inv_integrand(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        q = circular_mean(q_fn, t, p, cfg)
-        with np.errstate(divide="ignore"):
-            out = t ** (1.0 - p) / q
-        return np.where(np.isinf(q), 0.0, out)
-
-    denom = integrate_radial(inv_integrand, eps, 2.0 * eps, cfg)
+    # integral over [eps, 2 eps] of dt / (t^{p-1} q_p(t))
+    inv_q = _radial_integrand(lambda t: circular_mean(q_fn, t, p, cfg), p)
+    denom = integrate_radial(inv_q, eps, 2.0 * eps, cfg)
     lhs = 1.0 / denom if denom > 0.0 else math.inf
 
     def sample(t, th):

@@ -38,7 +38,6 @@ from dilatox.catalog import (
 )
 from dilatox.cli import main as cli_main
 from dilatox.functionals import (
-    angular_dilatation,
     area,
     boundary_length,
     dilatation_radial_fn,
@@ -84,9 +83,10 @@ def test_criterion_01_closed_form_dilatations(cfg):
             z = PolarPoint(float(rng.uniform(0.05, 0.95)),
                            float(rng.uniform(0.0, 2.0 * math.pi)))
             expected = closed(z.r, p)
-            assert angular_dilatation(entry.model, z, p) == pytest.approx(
+            assert float(dilatation_grid(entry.model, z.r, z.theta, p)) == pytest.approx(
                 expected, rel=1e-10)
-            assert angular_dilatation(fd, z, p) == pytest.approx(expected, rel=1e-6)
+            assert float(dilatation_grid(fd, z.r, z.theta, p)) == pytest.approx(
+                expected, rel=1e-6)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     _report("criterion-01",

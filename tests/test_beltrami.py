@@ -26,7 +26,7 @@ from dilatox.errors import (
     ConfigError,
     NonPositiveImag,
 )
-from dilatox.functionals import angular_dilatation
+from dilatox.functionals import dilatation_grid
 from dilatox.mapping import PolarPoint
 from dilatox.verifier import RadiusLadder
 from dilatox.quadrature import QuadratureConfig
@@ -160,7 +160,7 @@ class TestDilatationAndCondition:
         model = sol.model()
         for r in (0.1, 0.4, 0.8):
             z = PolarPoint(r, 1.0)
-            assert angular_dilatation(model, z, 3.0) == pytest.approx(
+            assert float(dilatation_grid(model, z.r, z.theta, 3.0)) == pytest.approx(
                 dilatation_from_sigma(coef, z), rel=1e-8)
 
     def test_condition_sigma0_power_family(self, ladder, cfg):

@@ -74,6 +74,33 @@ class TestExitCodes:
         path.write_text(json.dumps(doc))
         assert run(["eval", "--map-json", str(path), "--out", str(tmp_path)]) in (2, 3)
 
+    # (flag, file text or None for a missing file): documents that cannot be ingested
+    MALFORMED = {
+        "catalog-without-name": ("--map-json", '{"type": "catalog"}'),
+        "profile-without-samples": ("--map-json", '{"type": "radial_profile"}'),
+        "not-an-object": ("--map-json", "[1, 2]"),
+        "missing-file": ("--map-json", None),
+        "not-json": ("--map-json", "not json"),
+        "non-numeric-param": ("--map-json",
+                              '{"type": "catalog", "name": "linear", "params": {"k": "x"}}'),
+        "power-without-m": ("--coef", '{"family": "power", "kappa": 2}'),
+        "nan-radius": ("--map-json", '{"type": "radial_profile", '
+                                     '"samples": [[0.1, 0.1], [NaN, 0.2], [0.3, 0.3]]}'),
+    }
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_document_is_config_error(self, case, tmp_path, capsys):
+        flag, text = self.MALFORMED[case]
+        path = tmp_path / "doc.json"
+        if text is not None:
+            path.write_text(text)
+        if flag == "--coef":
+            argv = ["beltrami", "--coef", str(path)]
+        else:
+            argv = ["verify", "--map-json", str(path), "--p", "3", "--check", "lemma1"]
+        assert run(argv + ["--out", str(tmp_path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_beltrami_wrong_sign_is_exit_3(self, tmp_path):
         doc = {"family": "custom_radial", "m": 1.0,
                "samples": [[0.05, 0.0, 1.0], [0.5, 0.0, 1.0], [0.95, 0.0, 1.0]]}

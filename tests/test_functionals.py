@@ -14,8 +14,6 @@ from dilatox.catalog import linear, log_singular, radial_stretch
 from dilatox.errors import ConfigError, EmptyRange
 from dilatox.functionals import (
     DilatationOrder,
-    RadialSeries,
-    angular_dilatation,
     area,
     area_rate,
     boundary_length,
@@ -23,7 +21,6 @@ from dilatox.functionals import (
     circular_mean,
     dilatation_grid,
     dilatation_radial_fn,
-    dilatation_series,
     disc_mean,
     radial_integral_inner,
     radial_integral_outer,
@@ -60,13 +57,14 @@ class TestPointwiseDilatation:
         for _ in range(20):
             z = PolarPoint(float(rng.uniform(0.05, 0.95)),
                            float(rng.uniform(0.0, 2.0 * math.pi)))
-            assert angular_dilatation(entry.model, z, p) == pytest.approx(
+            assert float(dilatation_grid(entry.model, z.r, z.theta, p)) == pytest.approx(
                 0.5 ** (p - 2.0), rel=1e-10)
 
     def test_log_singular_hand_value(self):
         # D_3 at r = 1/e is ln^2(e^2) = 4
         entry = log_singular(3.0)
-        got = angular_dilatation(entry.model, PolarPoint(1.0 / math.e, 0.0), 3.0)
+        z = PolarPoint(1.0 / math.e, 0.0)
+        got = float(dilatation_grid(entry.model, z.r, z.theta, 3.0))
         assert got == pytest.approx(4.0, rel=1e-9)
 
     def test_perturbed_map_closed_form(self):
@@ -74,7 +72,8 @@ class TestPointwiseDilatation:
         f = perturbed_conformal()
         z = PolarPoint(0.6, 1.1)
         expected = abs(1.0 + 0.2 * z.z) ** 2.0
-        assert angular_dilatation(f, z, 4.0) == pytest.approx(expected, rel=1e-12)
+        assert float(dilatation_grid(f, z.r, z.theta, 4.0)) == pytest.approx(
+            expected, rel=1e-12)
 
 
 class TestCircularMeans:
@@ -206,43 +205,14 @@ class TestRadialIntegrals:
             radial_integral_outer(fn, 1.0, 4.0, cfg)
 
     def test_infinite_dilatation_contributes_nothing(self, cfg):
-        series = RadialSeries(grid=np.array([0.1, 0.2, 0.3, 0.4]),
-                              values=np.array([1.0, math.inf, math.inf, 1.0]))
-        got = radial_integral_outer(series, 0.1, 4.0, cfg)
+        def d_p(t):
+            return np.where((t > 0.1) & (t < 0.4), math.inf, 1.0)
+
+        got = radial_integral_outer(d_p, 0.1, 4.0, cfg)
         assert math.isfinite(got)
 
     def test_zero_dilatation_diverges(self, cfg):
-        series = RadialSeries(grid=np.array([0.1, 0.2, 0.3, 0.4]),
-                              values=np.array([1.0, 0.0, 0.0, 1.0]))
-        assert radial_integral_outer(series, 0.1, 4.0, cfg) == math.inf
+        def d_p(t):
+            return np.where((t > 0.1) & (t < 0.4), 0.0, 1.0)
 
-
-class TestRadialSeries:
-    def test_csv_roundtrip(self, tmp_path, cfg):
-        series = dilatation_series(log_singular(3.0).model, 3.0,
-                                   np.geomspace(0.01, 0.9, 12), cfg)
-        path = tmp_path / "series.csv"
-        series.to_csv(path)
-        back = RadialSeries.from_csv(path)
-        np.testing.assert_array_equal(series.grid, back.grid)
-        np.testing.assert_array_equal(series.values, back.values)
-
-    def test_infinity_serialized_lowercase(self, tmp_path):
-        series = RadialSeries(grid=np.array([0.1, 0.2]),
-                              values=np.array([1.0, math.inf]))
-        path = tmp_path / "inf.csv"
-        series.to_csv(path)
-        assert "inf" in path.read_text()
-        assert math.isinf(RadialSeries.from_csv(path).values[1])
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            RadialSeries(grid=np.array([0.2, 0.1]), values=np.array([1.0, 1.0]))
-        with pytest.raises(ConfigError):
-            RadialSeries(grid=np.array([0.1, 0.2]), values=np.array([1.0, -1.0]))
-
-    def test_interpolant_propagates_infinity(self):
-        series = RadialSeries(grid=np.array([0.1, 0.2, 0.3]),
-                              values=np.array([1.0, math.inf, 2.0]))
-        fn = series.interpolant()
-        assert math.isinf(float(np.asarray(fn(np.array([0.15])))[0]))
+        assert radial_integral_outer(d_p, 0.1, 4.0, cfg) == math.inf

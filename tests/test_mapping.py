@@ -11,7 +11,7 @@ from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from conftest import catalog_suite, perturbed_conformal, suite_ids
 from dilatox.beltrami import power_sigma, solve_radial
-from dilatox.catalog import _LogSingularProfile
+from dilatox.catalog import _LogSingularProfile, beltrami_exact, linear
 from dilatox.errors import (
     ConfigError,
     DegenerateJacobian,
@@ -23,10 +23,7 @@ from dilatox.mapping import (
     MappingModel,
     PolarPoint,
     RadialProfile,
-    default_steps,
     fd_model,
-    finite_difference_partials,
-    jacobian,
     jacobian_grid,
     map_from_json,
     min_max_modulus,
@@ -34,6 +31,8 @@ from dilatox.mapping import (
     pchip,
     validate_model,
 )
+from dilatox.quadrature import circle_nodes
+from dilatox.verifier import RadiusLadder
 
 
 class TestPolarPoint:
@@ -55,7 +54,8 @@ class TestJacobian:
     def test_linear_map_value(self):
         # |k|^2 for f = k z; the k = 0.5 hand value is 0.25
         entry = next(e for e in catalog_suite() if e.model.label.startswith("linear"))
-        assert jacobian(entry.model, PolarPoint(0.3, 1.0)) == pytest.approx(0.25)
+        z = PolarPoint(0.3, 1.0)
+        assert float(jacobian_grid(entry.model, z.r, z.theta)) == pytest.approx(0.25)
 
     @pytest.mark.parametrize("entry", catalog_suite(), ids=suite_ids())
     def test_positive_on_catalog(self, entry):
@@ -72,7 +72,7 @@ class TestJacobian:
                              * np.ones_like(np.asarray(r, dtype=float)),
                              partial_theta=lambda r, t: -1j * conj_value(r, t))
         with pytest.raises(DegenerateJacobian):
-            jacobian(model, PolarPoint(0.5, 0.3))
+            jacobian_grid(model, 0.5, 0.3)
 
     def test_nonfinite_partials_rejected(self):
         model = MappingModel(label="bad", value=lambda r, t: np.asarray(r) + 0j,
@@ -80,7 +80,7 @@ class TestJacobian:
                                  np.asarray(r, dtype=float), np.nan) + 0j,
                              partial_theta=lambda r, t: np.asarray(r) * 1j)
         with pytest.raises(NonFiniteDerivative):
-            jacobian(model, PolarPoint(0.5, 0.0))
+            jacobian_grid(model, 0.5, 0.0)
 
     def test_rotation_invariance(self):
         # g(z) = e^{i beta} f(e^{i gamma} z) has the same Jacobian at rotated points
@@ -99,41 +99,80 @@ class TestJacobian:
         for _ in range(25):
             r = float(rng.uniform(0.05, 0.95))
             th = float(rng.uniform(0.0, 2.0 * math.pi))
-            jg = jacobian(g, PolarPoint(r, th))
-            jf = jacobian(f, PolarPoint(r, (th + gamma) % (2.0 * math.pi)))
+            jg = float(jacobian_grid(g, r, th))
+            jf = float(jacobian_grid(f, r, (th + gamma) % (2.0 * math.pi)))
             assert jg == pytest.approx(jf, abs=1e-10)
 
 
 class TestFiniteDifferences:
     def test_default_steps(self):
-        assert default_steps(0.5) == (0.5e-5, 1e-5)
-        assert default_steps(1e-5) == (1e-8, 1e-5)  # floored at 1e-3 * 1e-5
+        # fd_model's steps: h_r = 1e-5 max(r, 1e-3), h_theta = 1e-5
+        calls = []
+
+        def value(r, theta):
+            calls.append((np.asarray(r, dtype=float).copy(), np.asarray(theta).copy()))
+            return np.asarray(r) * np.exp(1j * np.asarray(theta))
+
+        g = fd_model(value, label="recorded")
+        r, th = np.array([0.5, 1e-5]), np.array([0.0, 0.0])
+        g.partial_r(r, th)
+        (r_plus, _), (r_minus, _) = calls
+        np.testing.assert_allclose(r_plus - r, [0.5e-5, 1e-8], rtol=1e-6)
+        np.testing.assert_allclose(r - r_minus, [0.5e-5, 1e-8], rtol=1e-6)
+        calls.clear()
+        g.partial_theta(r, th)
+        (_, t_plus), (_, t_minus) = calls
+        np.testing.assert_array_equal(t_plus, th + 1e-5)
+        np.testing.assert_array_equal(t_minus, th - 1e-5)
 
     @pytest.mark.parametrize("entry", catalog_suite(), ids=suite_ids())
     def test_matches_closed_form_on_catalog(self, entry):
         rng = np.random.default_rng(11)
-        for _ in range(100):
+        r, th = np.empty(100), np.empty(100)
+        for i in range(100):
             z = PolarPoint(float(rng.uniform(0.05, 0.95)),
                            float(rng.uniform(0.0, 2.0 * math.pi)))
-            fr_fd, ft_fd = finite_difference_partials(entry.model.value, z)
-            fr = complex(np.asarray(entry.model.partial_r(
-                np.array([z.r]), np.array([z.theta])))[0])
-            ft = complex(np.asarray(entry.model.partial_theta(
-                np.array([z.r]), np.array([z.theta])))[0])
-            assert abs(fr_fd - fr) <= 1e-6 * max(abs(fr), 1.0)
-            assert abs(ft_fd - ft) <= 1e-6 * max(abs(ft), 1.0)
+            r[i], th[i] = z.r, z.theta
+        fd = fd_model(entry.model.value, label="fd")
+        for fd_partial, partial in ((fd.partial_r, entry.model.partial_r),
+                                    (fd.partial_theta, entry.model.partial_theta)):
+            exact = np.asarray(partial(r, th))
+            err = np.abs(np.asarray(fd_partial(r, th)) - exact)
+            assert np.all(err <= 1e-6 * np.maximum(np.abs(exact), 1.0))
 
     def test_stencil_leaving_disc_rejected(self):
+        g = fd_model(lambda r, t: r * np.exp(1j * t), label="fd")
         with pytest.raises(StepTooLarge):
-            finite_difference_partials(lambda r, t: r * np.exp(1j * t),
-                                       PolarPoint(0.5, 0.0), h_r=0.6)
+            g.partial_r(np.array([0.5, 1.0 - 1e-6]), np.array([0.0, 0.0]))
 
     def test_fd_model_wraps_value_only_map(self):
         f = perturbed_conformal()
         g = fd_model(f.value, label="fd")
         assert g.derivative_kind == "finite-difference"
         z = PolarPoint(0.4, 1.2)
-        assert jacobian(g, z) == pytest.approx(jacobian(f, z), rel=1e-6)
+        assert float(jacobian_grid(g, z.r, z.theta)) == pytest.approx(
+            float(jacobian_grid(f, z.r, z.theta)), rel=1e-6)
+
+
+class TestSlopeMaps:
+    def test_beltrami_exact_is_linear_bit_for_bit(self):
+        # kappa^{1/m} = 0.8 at m = 1: the same map f = 0.8 z as linear(0.8)
+        rungs, th = RadiusLadder().radii()[:, None], circle_nodes(64)[None, :]
+        got, ref = beltrami_exact(m=1.0, kappa=0.8).model, linear(0.8).model
+        for name in ("value", "partial_r", "partial_theta"):
+            a = np.asarray(getattr(got, name)(rungs, th))
+            b = np.asarray(getattr(ref, name)(rungs, th))
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes(), name
+        assert got.label == "beltrami_exact(m=1,kappa=0.8)"
+        assert got.theta_invariant
+
+    def test_beltrami_exact_slope_may_exceed_one(self):
+        entry = beltrami_exact(m=1.0, kappa=2.0)
+        assert float(jacobian_grid(entry.model, 0.3, 1.0)) == pytest.approx(4.0)
+        assert entry.ratio(np.array([0.3]))[0] == 2.0
+        with pytest.raises(ConfigError):
+            linear(2.0)
 
 
 class TestModulusExtremes:
@@ -162,7 +201,8 @@ class TestModulusExtremes:
             assert min_max_modulus(model, float(r)) == (l, h)
 
     def test_radius_outside_disc_rejected(self):
-        with pytest.raises(ConfigError):
+        # the message names the bad radius, not the whole array
+        with pytest.raises(ConfigError, match=r"got 1\.0$"):
             min_max_modulus(perturbed_conformal(), np.array([0.5, 1.0]))
 
 
@@ -201,7 +241,7 @@ class TestValidationAndIngestion:
                "samples": [[float(t), float(0.8 * t)] for t in r]}
         model = map_from_json(doc)
         assert model.theta_invariant
-        assert jacobian(model, PolarPoint(0.5, 0.0)) == pytest.approx(0.64, rel=1e-9)
+        assert float(jacobian_grid(model, 0.5, 0.0)) == pytest.approx(0.64, rel=1e-9)
 
     def test_non_monotone_profile_rejected(self):
         doc = {"type": "radial_profile", "samples": [[0.1, 0.2], [0.2, 0.15], [0.3, 0.3]]}
@@ -210,7 +250,7 @@ class TestValidationAndIngestion:
 
     def test_catalog_document(self):
         model = map_from_json({"type": "catalog", "name": "linear", "params": {"k": 0.5}})
-        assert jacobian(model, PolarPoint(0.5, 0.0)) == pytest.approx(0.25)
+        assert float(jacobian_grid(model, 0.5, 0.0)) == pytest.approx(0.25)
 
     def test_unknown_document_rejected(self):
         with pytest.raises(ConfigError):

@@ -10,14 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dilatox.catalog import linear, radial_stretch
-from dilatox.functionals import (
-    DilatationOrder,
-    RadialSeries,
-    angular_dilatation,
-    circular_mean,
-)
-from dilatox.mapping import PolarPoint, jacobian
-from dilatox.quadrature import QuadratureConfig, circle_mean, log_power_tail
+from dilatox.functionals import DilatationOrder, circular_mean, dilatation_grid
+from dilatox.mapping import PolarPoint, jacobian_grid
+from dilatox.quadrature import QuadratureConfig, log_power_tail
 from dilatox.verifier import LimitProxy, growth_constant, tolerance
 
 CFG = QuadratureConfig(n_theta=64, n_r=64)
@@ -40,13 +35,15 @@ def test_polar_angle_always_normalized(r, theta):
 
 @given(k=slopes, r=radii, theta=angles)
 def test_linear_jacobian_scaling(k, r, theta):
-    assert jacobian(linear(k).model, PolarPoint(r, theta)) == pytest.approx(
+    z = PolarPoint(r, theta)
+    assert float(jacobian_grid(linear(k).model, z.r, z.theta)) == pytest.approx(
         k * k, rel=1e-12)
 
 
 @given(k=slopes, p=orders, r=radii)
 def test_linear_dilatation_power_law(k, p, r):
-    got = angular_dilatation(linear(k).model, PolarPoint(r, 0.0), p)
+    z = PolarPoint(r, 0.0)
+    got = float(dilatation_grid(linear(k).model, z.r, z.theta, p))
     assert got == pytest.approx(k ** (p - 2.0), rel=1e-10)
 
 
@@ -101,18 +98,14 @@ def test_radial_stretch_area_scaling(alpha, r):
     assert entry.length(r) == pytest.approx(2.0 * math.pi * r ** (alpha + 1.0))
 
 
-@given(vals=st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=2, max_size=8,
-                     unique=True))
-def test_series_grid_validation(vals):
-    n = len(vals)
-    grid = np.linspace(0.1, 0.9, n)
-    series = RadialSeries(grid=grid, values=np.asarray(sorted(vals)))
-    assert series.values.shape == (n,)
-
-
 def test_circle_mean_rejects_nan():
-    with pytest.raises(ValueError):
-        circle_mean(np.array([1.0, math.nan]))
+    def q_fn(rr, th):
+        q = np.ones(np.broadcast_shapes(np.shape(rr), np.shape(th)))
+        q[..., 3] = math.nan  # one node of every circle
+        return q
+
+    with pytest.raises(ValueError, match="non-NaN"):
+        circular_mean(q_fn, 0.5, 3.0, CFG)
 
 
 @given(p=st.floats(min_value=1.01, max_value=50.0))
