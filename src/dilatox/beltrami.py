@@ -35,7 +35,7 @@ from .mapping import (
     sample_table,
 )
 from .quadrature import QuadratureConfig, circle_nodes, integrate_from_origin
-from .verifier import BoundReport, LimitProxy, RadiusLadder, _finish, growth_constant, tolerance
+from .verifier import BoundReport, LimitProxy, RadiusLadder, _finish, growth_constant
 
 DRIFT_TOL = 1e-12
 BLOWUP_CAP = 1e6
@@ -315,7 +315,5 @@ def theorem_nb_bound(coef: SigmaCoefficient, solution: RadialSolution,
         tail = solution.grid[:3]
     ratios = np.asarray(solution.profile.R(tail), dtype=float) / tail
     attained = LimitProxy.from_tail("liminf", ratios).value
-    margin = bound - attained
-    report = _finish("theorem_nb", coef.m + 2.0, [float(tail[-1])], [margin],
-                     [tolerance(bound, attained)], solution.notes)
+    report = _finish("theorem_nb", coef.m + 2.0, tail[-1], bound, attained, notes=solution.notes)
     return NbBoundResult(sigma0=sigma0, bound=bound, attained=attained, report=report)

@@ -28,6 +28,8 @@ from .mapping import map_from_json, min_max_modulus
 from .quadrature import QuadratureConfig
 from .verifier import (
     CHECKS,
+    HIGH_P,
+    LOW_P,
     RadiusLadder,
     json_text,
     margins_to_csv,
@@ -80,10 +82,6 @@ def _ladder(args, cfg: QuadratureConfig) -> RadiusLadder:
     ladder = RadiusLadder(r_max=args.rmax, rho=args.rho, count=args.count, tail=args.tail)
     ladder.validate_against(cfg)
     return ladder
-
-
-def _proxy_dict(proxy) -> dict:
-    return {"kind": proxy.kind, "value": proxy.value, "tail_spread": proxy.tail_spread}
 
 
 def _resolved_config(args) -> dict:
@@ -155,22 +153,22 @@ def cmd_asym(args) -> int:
     doc: dict = {"config": _resolved_config(args), "bounds": {}, "proxies": {},
                  "tail_spreads": {}}
     holds = True
-    if p > 2.0:
+    if HIGH_P.applies(p):
         t1 = theorem1_bound(entry.model, p, ladder, cfg)
         t3 = theorem3_bound(entry.model, p, ladder, cfg)
-        doc["proxies"]["k"] = _proxy_dict(t1.k)
-        doc["proxies"]["k_0"] = _proxy_dict(t3.k0)
+        doc["proxies"]["k"] = t1.k.to_dict()
+        doc["proxies"]["k_0"] = t3.k0.to_dict()
         doc["bounds"]["theorem1"] = t1.bound
         doc["bounds"]["theorem3"] = t3.bound
         doc["attained"] = {"liminf_ratio": t1.attained}
         holds = t1.report.holds and t3.report.holds
-    elif p < 2.0:
+    elif LOW_P.applies(p):
         t5 = theorem5_bound(entry.model, p, ladder, cfg)
         t6 = theorem6_bracket(entry.model, p, ladder, cfg)
-        doc["proxies"]["k_0"] = _proxy_dict(t5.k0)
-        doc["proxies"]["k_1"] = _proxy_dict(t6.k1)
-        doc["proxies"]["k_2"] = _proxy_dict(t6.k2)
-        doc["proxies"]["A_proxy"] = _proxy_dict(t6.a_proxy)
+        doc["proxies"]["k_0"] = t5.k0.to_dict()
+        doc["proxies"]["k_1"] = t6.k1.to_dict()
+        doc["proxies"]["k_2"] = t6.k2.to_dict()
+        doc["proxies"]["A_proxy"] = t6.a_proxy.to_dict()
         doc["bounds"]["theorem5"] = t5.bound
         doc["bounds"]["bracket"] = [t6.lower, t6.upper]
         doc["tail_spreads"]["ratio"] = t6.a_proxy.tail_spread
@@ -178,13 +176,13 @@ def cmd_asym(args) -> int:
         if args.s is not None:
             t7 = theorem7_area_derivative(entry.model, p, args.s, ladder, cfg)
             doc["proxies"]["area_derivative"] = {
-                "limit_lower": _proxy_dict(t7.limit_lower),
-                "limit_upper": _proxy_dict(t7.limit_upper),
-                "area_ratio": _proxy_dict(t7.area_ratio),
+                "limit_lower": t7.limit_lower.to_dict(),
+                "limit_upper": t7.limit_upper.to_dict(),
+                "area_ratio": t7.area_ratio.to_dict(),
             }
             holds = holds and t7.report.holds
     else:
-        raise ConfigError("asym needs p != 2 (no theorem applies at p = 2)")
+        raise ConfigError(f"asym needs {HIGH_P.name} or {LOW_P.name}, got p={p}")
     out = Path(args.out) / "asym.json"
     _write_json(out, doc)
     print(json_text(doc["bounds"]), end="")
@@ -216,7 +214,7 @@ def cmd_beltrami(args) -> int:
     }
     if coef.m > 0.0:
         nb = beltrami.theorem_nb_bound(coef, solution, ladder, cfg)
-        doc["sigma0"] = _proxy_dict(nb.sigma0)
+        doc["sigma0"] = nb.sigma0.to_dict()
         doc["bound"] = nb.bound
         doc["attained"] = nb.attained
         doc["holds"] = nb.report.holds

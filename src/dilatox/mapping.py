@@ -297,8 +297,8 @@ def json_real(doc, key: str, what: str) -> float:
 
 
 def sample_table(doc, what: str, columns: tuple[str, ...]) -> np.ndarray:
-    """doc["samples"], checked to be >= 3 numeric rows of the named columns,
-    the first one strictly increasing radii, as a float array."""
+    """doc["samples"], checked to be >= 3 rows of finite numbers in the named
+    columns, the first one strictly increasing radii, as a float array."""
     samples = json_object(doc, what, "samples")["samples"]
     try:
         table = np.asarray(samples, dtype=float)
@@ -306,7 +306,9 @@ def sample_table(doc, what: str, columns: tuple[str, ...]) -> np.ndarray:
         raise ConfigError(f"{what} samples must be rows of numbers: {exc}") from exc
     if table.ndim != 2 or table.shape[1] != len(columns) or table.shape[0] < 3:
         raise ConfigError(f"{what} needs >= 3 sample rows [{', '.join(columns)}]")
-    if not np.all(np.diff(table[:, 0]) > 0):  # also rejects a NaN radius
+    if not np.isfinite(table).all():
+        raise ConfigError(f"{what} samples must be finite numbers")
+    if not np.all(np.diff(table[:, 0]) > 0):
         raise ConfigError(f"{what} radii must be strictly increasing")
     return table
 

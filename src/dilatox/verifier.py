@@ -1,10 +1,23 @@
 """Numerical verification of the length-area lemmas and the asymptotic-ratio
-theorems, with liminf/limsup proxies over a geometric radius ladder.
+theorems, with limit proxies over a geometric radius ladder.
 
-Every check evaluates both sides of its inequality on the ladder rungs and
-reports signed margins; "holds" means margin >= -tolerance everywhere, with
-tolerance = 1e-9 absolute plus 1e-6 relative to the larger side. CHECKS lists
-the checks with the orders p each applies to, and run_checks runs them.
+Every check evaluates both sides of its inequality greater >= lesser on the
+ladder rungs, or at the deepest rung for a theorem, and _finish reports the
+signed margins greater - lesser. "holds" means margin >= -tolerance on every
+row, where the tolerance is the sum of three parts:
+  * the base term 1e-9 + 1e-6 * max(|greater|, |lesser|);
+  * truncation slack TRUNC_SAFETY * |expo| * |bound| * rel_delta, for a bound
+    C * I^expo built on a truncated inner integral I whose relative
+    refinement delta is rel_delta;
+  * the tail spread of the limit proxies that the row compares.
+A statement whose limit cannot be certified is "vacuous": it holds with
+margin +inf.
+
+Each statement applies in one of three regimes of the order p: ANY_P (the
+length-area lemmas), HIGH_P (p > 2) and LOW_P (1 < p < 2). A LimitProxy stands
+in for a limit as r -> 0: the tail min ("liminf"), the tail max ("limsup") or
+the tail midpoint ("limit"). CHECKS lists the checks with their regimes, and
+run_checks runs them.
 """
 
 from __future__ import annotations
@@ -12,7 +25,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -20,7 +33,6 @@ import numpy as np
 from .errors import ConfigError
 from .functionals import (
     DilatationOrder,
-    TruncatedValue,
     area,
     area_rate,
     boundary_length,
@@ -47,21 +59,36 @@ SINGLE_LIMIT_SPREAD = 1e-3
 TRUNC_SAFETY = 8.0
 
 
-def _trunc_slack(bound: float, expo: float, tv: TruncatedValue) -> float:
-    """Extra tolerance for a bound = C * value^expo built on a truncated
-    integral, propagated from the integral's refinement delta."""
-    if not (math.isfinite(bound) and math.isfinite(tv.value) and tv.value > 0.0
-            and math.isfinite(tv.refinement_delta)):
-        return 0.0
-    return abs(bound) * abs(expo) * TRUNC_SAFETY * tv.refinement_delta / tv.value
+@dataclass(frozen=True)
+class Regime:
+    """The orders lo < p < hi that a statement of the paper applies to."""
+
+    name: str
+    lo: float
+    hi: float
+
+    def applies(self, p: float) -> bool:
+        return self.lo < p < self.hi
 
 
-def tolerance(lhs: float, rhs: float) -> float:
-    """Inequality slack: 1e-9 absolute plus 1e-6 relative to the larger side."""
-    scale = max(abs(lhs), abs(rhs))
-    if not math.isfinite(scale):
-        scale = 0.0
-    return 1e-9 + 1e-6 * scale
+ANY_P = Regime("p > 1", 1.0, math.inf)
+HIGH_P = Regime("p > 2", 2.0, math.inf)
+LOW_P = Regime("1 < p < 2", 1.0, 2.0)
+
+
+def _trunc_slack(bound, expo: float, rel_delta):
+    """Extra tolerance for a bound = C * I^expo built on a truncated integral
+    I, propagated from I's relative refinement delta; 0 where not finite."""
+    with np.errstate(invalid="ignore"):
+        slack = np.abs(bound) * abs(expo) * TRUNC_SAFETY * rel_delta
+    return np.where(np.isfinite(slack), slack, 0.0)
+
+
+def tolerance(lhs, rhs):
+    """Inequality slack, element-wise: 1e-9 absolute plus 1e-6 relative to
+    the larger side, or 1e-9 alone where that side is not finite."""
+    scale = np.maximum(np.abs(lhs), np.abs(rhs))
+    return 1e-9 + 1e-6 * np.where(np.isfinite(scale), scale, 0.0)
 
 
 def growth_constant(p: float) -> float:
@@ -107,7 +134,8 @@ class RadiusLadder:
 
 @dataclass
 class LimitProxy:
-    """Tail min (liminf) or max (limsup) over ladder rungs, with the tail spread."""
+    """A limit as r -> 0 read off the ladder tail: its min ("liminf"), max
+    ("limsup") or midpoint ("limit"), with the tail spread max - min."""
 
     kind: str
     value: float
@@ -117,9 +145,12 @@ class LimitProxy:
     def from_tail(cls, kind: str, tail_values) -> "LimitProxy":
         vals = np.asarray(tail_values, dtype=float)
         lo, hi = float(np.min(vals)), float(np.max(vals))
-        value = lo if kind == "liminf" else hi
+        value = {"liminf": lo, "limsup": hi, "limit": (lo + hi) / 2.0}[kind]
         spread = hi - lo if math.isfinite(hi) and math.isfinite(lo) else math.inf
         return cls(kind=kind, value=value, tail_spread=spread)
+
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 @dataclass
@@ -145,14 +176,52 @@ class BoundReport:
         }
 
 
-def _finish(check_id: str, p: float, radii, margins, tols, notes=()) -> BoundReport:
-    margins = [float(m) for m in margins]
-    holds = all(m >= -t for m, t in zip(margins, tols))
-    finite = [m for m in margins if math.isfinite(m)]
-    margin = min(finite) if finite else math.inf
-    return BoundReport(check_id=check_id, p=p, holds=holds, margin=margin,
-                       radii=tuple(float(r) for r in radii),
-                       margins=tuple(margins), notes=tuple(notes))
+def _finish(check_id: str, p: float, radii, greater, lesser, slack=0.0,
+            notes=()) -> BoundReport:
+    """The report of greater >= lesser, one row per element of the broadcast
+    arrays: margin greater - lesser, held within tolerance(greater, lesser)
+    plus slack. A "vacuous" note makes every margin +inf."""
+    radii, greater, lesser, slack = (a.ravel() for a in np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (radii, greater, lesser, slack))))
+    margins = greater - lesser
+    if "vacuous" in notes:
+        margins = np.full(margins.shape, math.inf)
+    holds = bool(np.all(margins >= -(tolerance(greater, lesser) + slack)))
+    finite = margins[np.isfinite(margins)]
+    return BoundReport(check_id=check_id, p=p, holds=holds,
+                       margin=float(finite.min()) if finite.size else math.inf,
+                       radii=tuple(radii.tolist()), margins=tuple(margins.tolist()),
+                       notes=tuple(sorted(notes)))
+
+
+def _rungs(name: str, regime: Regime, p, ladder: RadiusLadder,
+           cfg: QuadratureConfig) -> tuple[float, np.ndarray]:
+    """The order p as a float and the ladder rungs, once p is checked to lie
+    in the regime and the ladder to fit the quadrature, before any integral."""
+    p = _order(p)
+    if not regime.applies(p):
+        raise ConfigError(f"{name} needs {regime.name}, got p={p}")
+    ladder.validate_against(cfg)
+    return p, ladder.radii()
+
+
+def _inner(model: MappingModel, p: float, rungs: np.ndarray, cfg: QuadratureConfig):
+    """The inner radial integral at every rung as (values, relative refinement
+    deltas, the set of flags)."""
+    tvs = radial_integral_inner(dilatation_radial_fn(model, p, cfg), rungs, p, cfg)
+    values = np.array([tv.value for tv in tvs])
+    deltas = np.array([tv.refinement_delta for tv in tvs])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel_deltas = np.where(values > 0.0, deltas / values, 0.0)
+    return values, rel_deltas, {flag for tv in tvs for flag in tv.flags}
+
+
+def _ratio_proxy(kind: str, model: MappingModel, rungs: np.ndarray, tail: int) -> LimitProxy:
+    """The proxy of |f(z)|/|z| over the last tail rungs: liminf of min|f|/r,
+    limsup of max|f|/r, or the limit of both together."""
+    lo, hi = (m[-tail:] / rungs[-tail:] for m in min_max_modulus(model, rungs))
+    return LimitProxy.from_tail(kind, {"liminf": lo, "limsup": hi,
+                                       "limit": np.concatenate([lo, hi])}[kind])
 
 
 # ----------------------------- lemma checks -----------------------------
@@ -162,26 +231,18 @@ def check_lemma1(model: MappingModel, p, ladder: RadiusLadder,
     """Differential inequality for the area functional, plus its length form.
 
     At each rung: S'(r) >= 2 pi^{(2-p)/2} r^{1-p} d_p^{-1}(r) S^{p/2}(r) and
-    S'(r) >= L^p(r) / ((2 pi r)^{p-1} d_p(r)).
+    S'(r) >= L^p(r) / ((2 pi r)^{p-1} d_p(r)); the area row comes first.
     """
-    p = _order(p)
-    ladder.validate_against(cfg)
-    rungs = ladder.radii()
-    radii, margins, tols, notes = [], [], [], set()
-    for r, sp, s, ell, d in zip(rungs, area_rate(model, rungs, cfg).tolist(),
-                                area(model, rungs, cfg).tolist(),
-                                boundary_length(model, rungs, cfg).tolist(),
-                                circular_dilatation_mean(model, rungs, p, cfg).tolist()):
-        inv_d = 0.0 if math.isinf(d) else (math.inf if d == 0.0 else 1.0 / d)
-        if math.isinf(inv_d):
-            notes.add("zero-dilatation")
+    p, r = _rungs("lemma1", ANY_P, p, ladder, cfg)
+    sp, s = area_rate(model, r, cfg), area(model, r, cfg)
+    ell, d = boundary_length(model, r, cfg), circular_dilatation_mean(model, r, p, cfg)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_d = 1.0 / d  # 0 where d_p = +inf, +inf where d_p = 0
         rhs_area = 2.0 * math.pi ** ((2.0 - p) / 2.0) * r ** (1.0 - p) * inv_d * s ** (p / 2.0)
         rhs_len = ell ** p * inv_d / (2.0 * math.pi * r) ** (p - 1.0)
-        for rhs in (rhs_area, rhs_len):
-            radii.append(r)
-            margins.append(sp - rhs)
-            tols.append(tolerance(sp, rhs))
-    return _finish("lemma1", p, radii, margins, tols, sorted(notes))
+    notes = ("zero-dilatation",) if np.isinf(inv_d).any() else ()
+    return _finish("lemma1", p, r[:, None], sp[:, None], np.stack([rhs_area, rhs_len], axis=1),
+                   notes=notes)
 
 
 def check_length_area(model: MappingModel, p, r1: float, r2: float,
@@ -203,29 +264,17 @@ def check_length_area(model: MappingModel, p, r1: float, r2: float,
 
     integral = integrate_radial(integrand, r1, r2, cfg)
     s1, s2 = area(model, np.array([r1, r2]), cfg).tolist()
-    growth = s2 - s1
-    margin = growth - integral
-    return _finish("length_area", p, [r2], [margin], [tolerance(growth, integral)])
+    return _finish("length_area", p, r2, s2 - s1, integral)
 
 
 def check_lemma2(model: MappingModel, p, ladder: RadiusLadder,
                  cfg: QuadratureConfig) -> BoundReport:
     """Area upper bound for p > 2:
     S(r) <= pi (p-2)^{-2/(p-2)} (integral_r^1 dt/(t^{p-1} d_p(t)))^{-2/(p-2)}."""
-    p = _order(p)
-    if not p > 2.0:
-        raise ConfigError(f"lemma2 needs p > 2, got {p}")
-    ladder.validate_against(cfg)
-    dp_fn = dilatation_radial_fn(model, p, cfg)
-    rungs = ladder.radii()
-    radii, margins, tols = [], [], []
-    for r, s, integral in zip(rungs, area(model, rungs, cfg).tolist(),
-                              radial_integral_outer(dp_fn, rungs, p, cfg).tolist()):
-        bound = math.pi * (p - 2.0) ** (-2.0 / (p - 2.0)) * integral ** (-2.0 / (p - 2.0))
-        radii.append(r)
-        margins.append(bound - s)
-        tols.append(tolerance(bound, s))
-    return _finish("lemma2", p, radii, margins, tols)
+    p, r = _rungs("lemma2", HIGH_P, p, ladder, cfg)
+    integral = radial_integral_outer(dilatation_radial_fn(model, p, cfg), r, p, cfg)
+    bound = math.pi * (p - 2.0) ** (-2.0 / (p - 2.0)) * integral ** (-2.0 / (p - 2.0))
+    return _finish("lemma2", p, r, bound, area(model, r, cfg))
 
 
 def check_lemma3(q_fn: Callable[[np.ndarray, np.ndarray], np.ndarray], p,
@@ -248,31 +297,22 @@ def check_lemma3(q_fn: Callable[[np.ndarray, np.ndarray], np.ndarray], p,
     disc = float(_disc_integral(sample, 2.0 * eps, circle_nodes(cfg.n_theta), cfg)[0])
     avg = disc / (4.0 * math.pi * eps ** 2)
     rhs = 2.0 ** (p - 1.0) * eps ** (p - 2.0) * avg ** (p - 1.0)
-    return _finish("lemma3", p, [eps], [rhs - lhs], [tolerance(rhs, lhs)])
+    return _finish("lemma3", p, eps, rhs, lhs)
 
 
 def check_lemma4(model: MappingModel, p, ladder: RadiusLadder,
                  cfg: QuadratureConfig) -> BoundReport:
     """Area lower bound for 1 < p < 2:
     S(r) >= pi (2-p)^{2/(2-p)} (integral_0^r dt/(t^{p-1} d_p(t)))^{2/(2-p)}."""
-    p = _order(p)
-    if not 1.0 < p < 2.0:
-        raise ConfigError(f"lemma4 needs 1 < p < 2, got {p}")
-    ladder.validate_against(cfg)
-    dp_fn = dilatation_radial_fn(model, p, cfg)
-    rungs = ladder.radii()
-    radii, margins, tols, notes = [], [], [], set()
-    for r, s, inner in zip(rungs, area(model, rungs, cfg).tolist(),
-                           radial_integral_inner(dp_fn, rungs, p, cfg)):
-        notes.update(inner.flags)
-        bound = math.pi * (2.0 - p) ** (2.0 / (2.0 - p)) * inner.value ** (2.0 / (2.0 - p))
-        radii.append(r)
-        margins.append(s - bound)
-        tols.append(tolerance(s, bound) + _trunc_slack(bound, 2.0 / (2.0 - p), inner))
-    return _finish("lemma4", p, radii, margins, tols, sorted(notes))
+    p, r = _rungs("lemma4", LOW_P, p, ladder, cfg)
+    inner, rel_deltas, notes = _inner(model, p, r, cfg)
+    expo = 2.0 / (2.0 - p)
+    bound = math.pi * (2.0 - p) ** expo * inner ** expo
+    return _finish("lemma4", p, r, area(model, r, cfg), bound,
+                   _trunc_slack(bound, expo, rel_deltas), notes)
 
 
-# ----------------------------- proxies and theorem checks -----------------------------
+# ----------------------------- theorem checks -----------------------------
 
 def _divergent(values: np.ndarray) -> bool:
     """Heuristic for a disc-mean sequence growing without bound along r -> 0:
@@ -297,38 +337,26 @@ def theorem1_bound(model: MappingModel, p, ladder: RadiusLadder,
 
     A divergent disc mean voids the hypothesis; the verdict is then vacuous.
     """
-    p = _order(p)
-    if not p > 2.0:
-        raise ConfigError(f"theorem1 needs p > 2, got {p}")
-    ladder.validate_against(cfg)
-    rungs = ladder.radii()
-    tvs = disc_mean(model, rungs, p, cfg)
+    p, r = _rungs("theorem1", HIGH_P, p, ladder, cfg)
+    tvs = disc_mean(model, r, p, cfg)
     notes = {flag for tv in tvs for flag in tv.flags}
     means = np.array([tv.value for tv in tvs])
     k = LimitProxy.from_tail("liminf", means[-ladder.tail:])
-    lo = min_max_modulus(model, rungs)[0] / rungs
-    attained_proxy = LimitProxy.from_tail("liminf", lo[-ladder.tail:])
-    attained = attained_proxy.value
-    divergent = _divergent(means)
-    if divergent:
-        notes.add("divergent-mean")
-        notes.add("vacuous")
-        bound = math.inf
-        report = _finish("theorem1", p, ladder.tail_radii(), [math.inf], [0.0], sorted(notes))
+    attained = _ratio_proxy("liminf", model, r, ladder.tail)
+    if _divergent(means):
+        notes.update(("divergent-mean", "vacuous"))
+        bound, slack = math.inf, 0.0
     else:
         bound = growth_constant(p) * k.value ** (1.0 / (p - 2.0))
-        margin = bound - attained
         # The inequality relates limits; when the proxies are still moving
         # (both sides decaying toward 0, say), their tail spreads measure the
         # unconverged part and widen the tolerance accordingly.
         bound_hi = growth_constant(p) * (k.value + k.tail_spread) ** (1.0 / (p - 2.0))
-        slack = attained_proxy.tail_spread + (bound_hi - bound)
-        tol = tolerance(bound, attained) + slack
-        if margin < 0.0 <= margin + slack:
+        slack = attained.tail_spread + (bound_hi - bound)
+        if bound - attained.value < 0.0 <= bound - attained.value + slack:
             notes.add("proxy-slack")
-        report = _finish("theorem1", p, [float(ladder.tail_radii()[-1])], [margin],
-                         [tol], sorted(notes))
-    return Theorem1Result(k=k, bound=bound, attained=attained, report=report)
+    report = _finish("theorem1", p, r[-1], bound, attained.value, slack, notes)
+    return Theorem1Result(k=k, bound=bound, attained=attained.value, report=report)
 
 
 @dataclass
@@ -343,60 +371,31 @@ def theorem3_bound(model: MappingModel, p, ladder: RadiusLadder,
                    cfg: QuadratureConfig) -> TailBoundResult:
     """liminf |f(z)|/|z| <= (p-2)^{1/(2-p)} k0^{1/(2-p)} with
     k0 = limsup r^{p-2} integral_r^1 dt/(t^{p-1} d_p(t)), p > 2."""
-    p = _order(p)
-    if not p > 2.0:
-        raise ConfigError(f"theorem3 needs p > 2, got {p}")
-    ladder.validate_against(cfg)
-    dp_fn = dilatation_radial_fn(model, p, cfg)
-    rungs = ladder.radii()
-    vals = rungs ** (p - 2.0) * radial_integral_outer(dp_fn, rungs, p, cfg)
+    p, r = _rungs("theorem3", HIGH_P, p, ladder, cfg)
+    vals = r ** (p - 2.0) * radial_integral_outer(dilatation_radial_fn(model, p, cfg), r, p, cfg)
     k0 = LimitProxy.from_tail("limsup", vals[-ladder.tail:])
-    lo = min_max_modulus(model, rungs)[0] / rungs
-    attained_proxy = LimitProxy.from_tail("liminf", lo[-ladder.tail:])
-    attained = attained_proxy.value
+    attained = _ratio_proxy("liminf", model, r, ladder.tail)
     bound = ((p - 2.0) * k0.value) ** (1.0 / (2.0 - p)) if k0.value > 0 else math.inf
-    margin = bound - attained
     k0_lo = k0.value - k0.tail_spread
-    bound_hi = (((p - 2.0) * k0_lo) ** (1.0 / (2.0 - p))
-                if k0_lo > 0 else math.inf)
-    slack = attained_proxy.tail_spread + (bound_hi - bound
-                                          if math.isfinite(bound_hi) else 0.0)
-    report = _finish("theorem3", p, [float(ladder.tail_radii()[-1])], [margin],
-                     [tolerance(bound, attained) + slack])
-    return TailBoundResult(k0=k0, bound=bound, attained=attained, report=report)
+    bound_hi = ((p - 2.0) * k0_lo) ** (1.0 / (2.0 - p)) if k0_lo > 0 else math.inf
+    slack = attained.tail_spread + (bound_hi - bound if math.isfinite(bound_hi) else 0.0)
+    report = _finish("theorem3", p, r[-1], bound, attained.value, slack)
+    return TailBoundResult(k0=k0, bound=bound, attained=attained.value, report=report)
 
 
 def theorem5_bound(model: MappingModel, p, ladder: RadiusLadder,
                    cfg: QuadratureConfig) -> TailBoundResult:
     """limsup |f(z)|/|z| >= (2-p)^{1/(2-p)} k0^{1/(2-p)} with
     k0 = limsup r^{p-2} integral_0^r dt/(t^{p-1} d_p(t)), 1 < p < 2."""
-    p = _order(p)
-    if not 1.0 < p < 2.0:
-        raise ConfigError(f"theorem5 needs 1 < p < 2, got {p}")
-    ladder.validate_against(cfg)
-    dp_fn = dilatation_radial_fn(model, p, cfg)
-    notes = set()
-    rungs = ladder.radii()
-    vals, rel_deltas = [], []
-    for r, inner in zip(rungs, radial_integral_inner(dp_fn, rungs, p, cfg)):
-        notes.update(inner.flags)
-        vals.append(r ** (p - 2.0) * inner.value)
-        rel_deltas.append(inner.refinement_delta / inner.value
-                          if inner.value > 0 else 0.0)
-    vals = np.array(vals)
-    k0 = LimitProxy.from_tail("limsup", vals[-ladder.tail:])
-    hi = min_max_modulus(model, rungs)[1] / rungs
-    attained_proxy = LimitProxy.from_tail("limsup", hi[-ladder.tail:])
-    attained = attained_proxy.value
+    p, r = _rungs("theorem5", LOW_P, p, ladder, cfg)
+    inner, rel_deltas, notes = _inner(model, p, r, cfg)
+    k0 = LimitProxy.from_tail("limsup", (r ** (p - 2.0) * inner)[-ladder.tail:])
+    attained = _ratio_proxy("limsup", model, r, ladder.tail)
     bound = ((2.0 - p) * k0.value) ** (1.0 / (2.0 - p))
-    margin = attained - bound
-    slack = (_trunc_slack(bound, 1.0 / (2.0 - p),
-                          TruncatedValue(value=1.0,
-                                         refinement_delta=max(rel_deltas[-ladder.tail:])))
-             + attained_proxy.tail_spread)
-    report = _finish("theorem5", p, [float(ladder.tail_radii()[-1])], [margin],
-                     [tolerance(attained, bound) + slack], sorted(notes))
-    return TailBoundResult(k0=k0, bound=bound, attained=attained, report=report)
+    slack = (_trunc_slack(bound, 1.0 / (2.0 - p), rel_deltas[-ladder.tail:].max())
+             + attained.tail_spread)
+    report = _finish("theorem5", p, r[-1], attained.value, bound, slack, notes)
+    return TailBoundResult(k0=k0, bound=bound, attained=attained.value, report=report)
 
 
 @dataclass
@@ -412,53 +411,28 @@ class BracketResult:
 def theorem6_bracket(model: MappingModel, p, ladder: RadiusLadder,
                      cfg: QuadratureConfig) -> BracketResult:
     """Two-sided bracket of A = lim |f(z)|/|z| for 1 < p < 2, via the inner
-    integral at p and the outer integral at the conjugate order p'."""
-    p = _order(p)
-    if not 1.0 < p < 2.0:
-        raise ConfigError(f"theorem6 needs 1 < p < 2, got {p}")
-    ladder.validate_against(cfg)
+    integral at p and the outer integral at the conjugate order p', and the
+    Remark's relation between the two tail constants."""
+    p, r = _rungs("theorem6", LOW_P, p, ladder, cfg)
     pc = DilatationOrder(p).conjugate
-    dp_fn = dilatation_radial_fn(model, p, cfg)
-    dpc_fn = dilatation_radial_fn(model, pc, cfg)
-    notes = set()
-    rungs = ladder.radii()
-    inner_vals, outer_vals, rel_deltas = [], [], []
-    for r, inner, outer in zip(rungs, radial_integral_inner(dp_fn, rungs, p, cfg),
-                               radial_integral_outer(dpc_fn, rungs, pc, cfg).tolist()):
-        notes.update(inner.flags)
-        inner_vals.append(r ** (p - 2.0) * inner.value)
-        rel_deltas.append(inner.refinement_delta / inner.value
-                          if inner.value > 0 else 0.0)
-        outer_vals.append(r ** (pc - 2.0) * outer)
-    k1 = LimitProxy.from_tail("limsup", np.array(inner_vals)[-ladder.tail:])
-    k2 = LimitProxy.from_tail("limsup", np.array(outer_vals)[-ladder.tail:])
+    inner, rel_deltas, notes = _inner(model, p, r, cfg)
+    outer = radial_integral_outer(dilatation_radial_fn(model, pc, cfg), r, pc, cfg)
+    k1 = LimitProxy.from_tail("limsup", (r ** (p - 2.0) * inner)[-ladder.tail:])
+    k2 = LimitProxy.from_tail("limsup", (r ** (pc - 2.0) * outer)[-ladder.tail:])
     lower = ((2.0 - p) * k1.value) ** (1.0 / (2.0 - p))
     upper = ((pc - 2.0) * k2.value) ** (1.0 / (2.0 - pc)) if k2.value > 0 else math.inf
-
-    lo, hi = (m / rungs for m in min_max_modulus(model, rungs))
-    tail = np.concatenate([lo[-ladder.tail:], hi[-ladder.tail:]])
-    a_proxy = LimitProxy(kind="limit", value=float((tail.min() + tail.max()) / 2.0),
-                         tail_spread=float(tail.max() - tail.min()))
-    # the Remark's relation between the two constants
+    a_proxy = _ratio_proxy("limit", model, r, ladder.tail)
     remark_rhs = ((p - 1.0) ** (p - 1.0) / ((2.0 - p) ** p * k2.value ** (p - 1.0))
                   if k2.value > 0 else math.inf)
-    rel_delta = max(rel_deltas[-ladder.tail:])
-    k1_tv = TruncatedValue(value=1.0, refinement_delta=rel_delta)
     if a_proxy.tail_spread > SINGLE_LIMIT_SPREAD:
         # the bracket presumes a single limit of |f(z)|/|z|; when the proxy
         # cannot certify one at this ladder depth the statement is vacuous
         notes.update(("no-single-limit", "vacuous"))
-        margins = [math.inf] * 3
-        tols = [0.0] * 3
-    else:
-        margins = [a_proxy.value - lower, upper - a_proxy.value,
-                   remark_rhs - k1.value]
-        tols = [tolerance(a_proxy.value, lower) + a_proxy.tail_spread
-                + _trunc_slack(lower, 1.0 / (2.0 - p), k1_tv),
-                tolerance(upper, a_proxy.value) + a_proxy.tail_spread,
-                tolerance(remark_rhs, k1.value) + _trunc_slack(k1.value, 1.0, k1_tv)]
-    radii = [float(ladder.tail_radii()[-1])] * 3
-    report = _finish("theorem6", p, radii, margins, tols, sorted(notes))
+    a, spread, rel = a_proxy.value, a_proxy.tail_spread, rel_deltas[-ladder.tail:].max()
+    slack = [spread + _trunc_slack(lower, 1.0 / (2.0 - p), rel), spread,
+             _trunc_slack(k1.value, 1.0, rel)]
+    report = _finish("theorem6", p, r[-1], [a, upper, remark_rhs], [lower, a, k1.value],
+                     slack, notes)
     return BracketResult(k1=k1, k2=k2, lower=lower, upper=upper, a_proxy=a_proxy,
                          report=report)
 
@@ -474,58 +448,43 @@ class AreaDerivativeResult:
 def theorem7_area_derivative(model: MappingModel, p, s, ladder: RadiusLadder,
                              cfg: QuadratureConfig) -> AreaDerivativeResult:
     """Existence of the area derivative at 0: the lower-bound limit at order p,
-    the upper-bound limit at order s, and S(r)/(pi r^2) must all agree."""
-    p = _order(p)
+    the upper-bound limit at order s, and S(r)/(pi r^2) must all agree, each
+    pair to within the sum of the three tail spreads."""
+    p, r = _rungs("theorem7", LOW_P, p, ladder, cfg)
     s = _order(s)
-    if not (1.0 < p < 2.0 < s):
-        raise ConfigError(f"theorem7 needs 1 < p < 2 < s, got p={p}, s={s}")
-    ladder.validate_against(cfg)
-    dp_fn = dilatation_radial_fn(model, p, cfg)
-    ds_fn = dilatation_radial_fn(model, s, cfg)
-    notes = set()
-    rungs = ladder.radii()
-    lower_vals, upper_vals, ratio_vals, lower_slacks = [], [], [], []
-    for r, inner, outer, s_r in zip(rungs, radial_integral_inner(dp_fn, rungs, p, cfg),
-                                    radial_integral_outer(ds_fn, rungs, s, cfg).tolist(),
-                                    area(model, rungs, cfg).tolist()):
-        notes.update(inner.flags)
-        lower_vals.append((2.0 - p) ** (2.0 / (2.0 - p))
-                          * (r ** (p - 2.0) * inner.value) ** (2.0 / (2.0 - p)))
-        lower_slacks.append(_trunc_slack(lower_vals[-1], 2.0 / (2.0 - p), inner))
-        v = r ** (s - 2.0) * outer
-        upper_vals.append((s - 2.0) ** (2.0 / (2.0 - s)) * v ** (2.0 / (2.0 - s))
-                          if v > 0 else math.inf)
-        ratio_vals.append(s_r / (math.pi * r * r))
-
-    def mid_proxy(vals):
-        tail = np.asarray(vals, dtype=float)[-ladder.tail:]
-        return LimitProxy(kind="limit", value=float((tail.min() + tail.max()) / 2.0),
-                          tail_spread=float(tail.max() - tail.min()))
-
-    lower_p, upper_p, ratio_p = map(mid_proxy, (lower_vals, upper_vals, ratio_vals))
-    spread = lower_p.tail_spread + upper_p.tail_spread + ratio_p.tail_spread
+    if not HIGH_P.applies(s):
+        raise ConfigError(f"theorem7 needs s in {HIGH_P.name}, got s={s}")
+    inner, rel_deltas, notes = _inner(model, p, r, cfg)
+    expo, expo_s = 2.0 / (2.0 - p), 2.0 / (2.0 - s)
+    lower = (2.0 - p) ** expo * (r ** (p - 2.0) * inner) ** expo
+    v = r ** (s - 2.0) * radial_integral_outer(dilatation_radial_fn(model, s, cfg), r, s, cfg)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        upper = np.where(v > 0, (s - 2.0) ** expo_s * v ** expo_s, math.inf)
+    ratio = area(model, r, cfg) / (math.pi * r * r)
+    proxies = [LimitProxy.from_tail("limit", vals[-ladder.tail:])
+               for vals in (lower, upper, ratio)]
+    spread = sum(proxy.tail_spread for proxy in proxies)
     if spread > 3.0 * SINGLE_LIMIT_SPREAD:
         notes.add("no-single-limit")
-    pairs = [(lower_p.value, upper_p.value), (lower_p.value, ratio_p.value),
-             (upper_p.value, ratio_p.value)]
-    margins = [-(abs(a - b) - spread) for a, b in pairs]
-    slack = max(lower_slacks[-ladder.tail:])
-    tols = [tolerance(a, b) + slack for a, b in pairs]
-    report = _finish("theorem7", p, [float(ladder.tail_radii()[-1])] * 3, margins, tols,
-                     sorted(notes))
-    return AreaDerivativeResult(limit_lower=lower_p, limit_upper=upper_p,
-                                area_ratio=ratio_p, report=report)
+    # |a - b| <= spread, as min(a, b) + spread >= max(a, b), for the pairs
+    # (lower, upper), (lower, ratio) and (upper, ratio)
+    lo_v, up_v, ratio_v = (proxy.value for proxy in proxies)
+    a, b = np.array([lo_v, lo_v, up_v]), np.array([up_v, ratio_v, ratio_v])
+    slack = _trunc_slack(lower, expo, rel_deltas)[-ladder.tail:].max()
+    report = _finish("theorem7", p, r[-1], np.minimum(a, b) + spread, np.maximum(a, b),
+                     slack, notes)
+    return AreaDerivativeResult(*proxies, report=report)
 
 
 # ----------------------------- check registry -----------------------------
 
 @dataclass(frozen=True)
 class Check:
-    """A registry entry: the check's name, the orders p it applies to and its
-    runner (model, p, ladder, cfg) -> BoundReport."""
+    """A registry entry: the check's name, the regime of orders p it applies
+    to and its runner (model, p, ladder, cfg) -> BoundReport."""
 
     name: str
-    applies: Callable[[float], bool]
+    regime: Regime
     run: Callable[[MappingModel, float, RadiusLadder, QuadratureConfig], BoundReport]
 
 
@@ -544,15 +503,15 @@ def _lemma3(model, p, ladder, cfg):
 # Every check in report order. Runners name their check at call time, so a
 # function replaced on this module (a wrapper, say) is the one that runs.
 CHECKS = (
-    Check("lemma1", lambda p: True, lambda *a: check_lemma1(*a)),
-    Check("length_area", lambda p: True, _length_area),
-    Check("lemma2", lambda p: p > 2.0, lambda *a: check_lemma2(*a)),
-    Check("lemma3", lambda p: p > 2.0, _lemma3),
-    Check("lemma4", lambda p: p < 2.0, lambda *a: check_lemma4(*a)),
-    Check("theorem1", lambda p: p > 2.0, lambda *a: theorem1_bound(*a).report),
-    Check("theorem3", lambda p: p > 2.0, lambda *a: theorem3_bound(*a).report),
-    Check("theorem5", lambda p: p < 2.0, lambda *a: theorem5_bound(*a).report),
-    Check("theorem6", lambda p: p < 2.0, lambda *a: theorem6_bracket(*a).report),
+    Check("lemma1", ANY_P, lambda *a: check_lemma1(*a)),
+    Check("length_area", ANY_P, _length_area),
+    Check("lemma2", HIGH_P, lambda *a: check_lemma2(*a)),
+    Check("lemma3", HIGH_P, _lemma3),
+    Check("lemma4", LOW_P, lambda *a: check_lemma4(*a)),
+    Check("theorem1", HIGH_P, lambda *a: theorem1_bound(*a).report),
+    Check("theorem3", HIGH_P, lambda *a: theorem3_bound(*a).report),
+    Check("theorem5", LOW_P, lambda *a: theorem5_bound(*a).report),
+    Check("theorem6", LOW_P, lambda *a: theorem6_bracket(*a).report),
 )
 
 
@@ -561,12 +520,13 @@ def run_checks(model: MappingModel, p: float, ladder: RadiusLadder, cfg: Quadrat
     """Reports of the named checks in the order first named, each once, or of
     every check that applies at p; a named check that does not apply is a
     ConfigError."""
+    p = _order(p)
     by_name = {check.name: check for check in CHECKS}
     names = dict.fromkeys(names)
-    chosen = [by_name[name] for name in names] or [c for c in CHECKS if c.applies(p)]
+    chosen = [by_name[name] for name in names] or [c for c in CHECKS if c.regime.applies(p)]
     for check in chosen:
-        if not check.applies(p):
-            raise ConfigError(f"check {check.name!r} is not applicable at p={p}")
+        if not check.regime.applies(p):
+            raise ConfigError(f"check {check.name!r} needs {check.regime.name}, got p={p}")
     return [check.run(model, p, ladder, cfg) for check in chosen]
 
 

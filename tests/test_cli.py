@@ -86,6 +86,13 @@ class TestExitCodes:
         "power-without-m": ("--coef", '{"family": "power", "kappa": 2}'),
         "nan-radius": ("--map-json", '{"type": "radial_profile", '
                                      '"samples": [[0.1, 0.1], [NaN, 0.2], [0.3, 0.3]]}'),
+        "infinite-profile-value": ("--map-json", '{"type": "radial_profile", "samples": '
+                                                 '[[0.1, 0.1], [0.5, 0.5], [0.9, Infinity]]}'),
+        "nan-coefficient-sample": ("--coef", '{"family": "custom_radial", "m": 1, "samples": '
+                                             '[[0.05, 0, -1], [0.5, 0, NaN], [0.95, 0, -1]]}'),
+        "overflowing-coefficient-sample": ("--coef", '{"family": "custom_radial", "m": 1, '
+                                                     '"samples": [[0.05, 0, -1], '
+                                                     '[0.5, 0, 1e999], [0.95, 0, -1]]}'),
     }
 
     @pytest.mark.parametrize("case", MALFORMED)

@@ -3,6 +3,7 @@ asymptotic-ratio theorems with their sharpness cases."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,14 @@ import pytest
 from conftest import catalog_suite, suite_ids
 from dilatox.catalog import linear, log_singular, radial_stretch
 from dilatox.errors import ConfigError
-from dilatox.functionals import dilatation_grid
+from dilatox.functionals import (
+    area,
+    area_rate,
+    boundary_length,
+    circular_dilatation_mean,
+    dilatation_grid,
+)
+from dilatox.mapping import MappingModel
 from dilatox.quadrature import QuadratureConfig
 from dilatox import verifier
 from dilatox.verifier import (
@@ -39,6 +47,8 @@ class TestInfrastructure:
         assert tolerance(0.0, 0.0) == pytest.approx(1e-9)
         assert tolerance(2.0, 1.0) == pytest.approx(1e-9 + 2e-6)
         assert tolerance(math.inf, 1.0) == pytest.approx(1e-9)
+        np.testing.assert_allclose(tolerance(np.array([0.0, 2.0, math.inf]), [0.0, -1.0, 1.0]),
+                                   [1e-9, 1e-9 + 2e-6, 1e-9])
 
     def test_growth_constant_hand_values(self):
         # c_4 = 2^{3/2} / 2^{1/2} = 2 and c_3 = 2^2 / 1 = 4
@@ -66,6 +76,10 @@ class TestInfrastructure:
         assert LimitProxy.from_tail("liminf", vals).value == 1.0
         assert LimitProxy.from_tail("limsup", vals).value == 3.0
         assert LimitProxy.from_tail("limsup", vals).tail_spread == pytest.approx(2.0)
+        limit = LimitProxy.from_tail("limit", vals)
+        assert (limit.value, limit.tail_spread) == (2.0, 2.0)
+        assert LimitProxy.from_tail("limit", [1.0, math.inf, 2.0]).tail_spread == math.inf
+        assert limit.to_dict() == {"kind": "limit", "value": 2.0, "tail_spread": 2.0}
 
 
 def _applicable(p: float) -> bool:
@@ -101,6 +115,20 @@ class TestLemmaChecks:
     def test_lemma4_holds_on_catalog(self, entry, ladder, cfg):
         rep = check_lemma4(entry.model, 1.5, ladder, cfg)
         assert rep.holds, rep.margins
+
+    def test_lemma1_rows_match_the_per_rung_reference(self, ladder, cfg):
+        # a per-rung scalar reference: at each rung the area row, then the length row
+        model, p, rungs = radial_stretch(1.5).model, 3.0, ladder.radii()
+        want = []
+        for r, sp, s, ell, d in zip(rungs.tolist(), area_rate(model, rungs, cfg).tolist(),
+                                    area(model, rungs, cfg).tolist(),
+                                    boundary_length(model, rungs, cfg).tolist(),
+                                    circular_dilatation_mean(model, rungs, p, cfg).tolist()):
+            want += [sp - 2.0 * math.pi ** ((2.0 - p) / 2.0) * r ** (1.0 - p) / d * s ** (p / 2.0),
+                     sp - ell ** p / d / (2.0 * math.pi * r) ** (p - 1.0)]
+        rep = check_lemma1(model, p, ladder, cfg)
+        assert rep.radii == tuple(np.repeat(rungs, 2).tolist())
+        np.testing.assert_allclose(rep.margins, want, rtol=1e-12, atol=1e-12)
 
     def test_conformal_saturation(self, ladder, cfg):
         ident = next(e for e in catalog_suite() if e.model.label == "identity")
@@ -263,7 +291,33 @@ class TestSerialization:
         assert r_back == rep.radii[0]
 
 
+def _raising_model():
+    def fail(*args):
+        raise AssertionError("the model was evaluated")
+
+    return MappingModel(label="raising", value=fail, partial_r=fail, partial_theta=fail)
+
+
+# (registry entry, order outside its regime) for every entry whose runner is a
+# ladder check, which guards its own regime
+OUTSIDE_REGIME = [(check, p) for check in verifier.CHECKS
+                  if check.name not in ("length_area", "lemma3")
+                  for p in (1.2, 2.0, 3.0) if not check.regime.applies(p)]
+
+
 class TestRegistry:
+    @pytest.mark.parametrize("check, p", OUTSIDE_REGIME,
+                             ids=[f"{check.name}-p{p}" for check, p in OUTSIDE_REGIME])
+    def test_direct_call_outside_its_regime_is_rejected_first(self, check, p, ladder, cfg):
+        with pytest.raises(ConfigError, match=re.escape(check.regime.name)):
+            check.run(_raising_model(), p, ladder, cfg)
+
+    @pytest.mark.parametrize("entry", catalog_suite(), ids=suite_ids())
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_every_report_has_one_radius_per_margin(self, entry, p, ladder, cfg):
+        for rep in run_checks(entry.model, p, ladder, cfg):
+            assert len(rep.radii) == len(rep.margins), rep.check_id
+
     def test_named_checks_run_in_the_given_order(self, ladder, cfg):
         reports = run_checks(linear(0.5).model, 3.0, ladder, cfg, ["theorem3", "lemma1"])
         assert [rep.check_id for rep in reports] == ["theorem3", "lemma1"]
