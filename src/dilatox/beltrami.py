@@ -34,7 +34,7 @@ from .mapping import (
     pchip,
     sample_table,
 )
-from .quadrature import QuadratureConfig, circle_nodes, integrate_from_origin
+from .quadrature import R_FLOOR, QuadratureConfig, circle_nodes, integrate_from_origin
 from .verifier import BoundReport, LimitProxy, RadiusLadder, _finish, growth_constant
 
 DRIFT_TOL = 1e-12
@@ -235,7 +235,7 @@ def condition_sigma0(coef: SigmaCoefficient, ladder: RadiusLadder,
         return 2.0 * math.pi / ims ** (1.0 / (coef.m + 1.0))
 
     radii = ladder.radii()
-    disc = integrate_from_origin(g, cfg.r_floor, radii, cfg)
+    disc = integrate_from_origin(g, R_FLOOR, radii, cfg)
     vals = (disc / (math.pi * radii * radii)) ** (coef.m + 1.0)
     return LimitProxy.from_tail("liminf", vals[-ladder.tail:])
 

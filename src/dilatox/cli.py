@@ -111,7 +111,7 @@ def cmd_eval(args) -> int:
     p = DilatationOrder(args.p)
     radii = ladder.radii()
     columns = zip(radii, circular_dilatation_mean(entry.model, radii, p, cfg).tolist(),
-                  [tv.value for tv in disc_mean(entry.model, radii, p, cfg)],
+                  disc_mean(entry.model, radii, p, cfg).value.tolist(),
                   area_fn(entry.model, radii, cfg).tolist(),
                   boundary_length(entry.model, radii, cfg).tolist(),
                   *(m.tolist() for m in min_max_modulus(entry.model, radii)))
@@ -150,6 +150,8 @@ def cmd_asym(args) -> int:
     cfg = _quad_config(args)
     ladder = _ladder(args, cfg)
     p = args.p
+    if args.s is not None and not (LOW_P.applies(p) and HIGH_P.applies(args.s)):
+        raise ConfigError(f"--s: theorem7 needs {LOW_P.name} and s > 2, got p={p}, s={args.s}")
     doc: dict = {"config": _resolved_config(args), "bounds": {}, "proxies": {},
                  "tail_spreads": {}}
     holds = True

@@ -27,10 +27,13 @@ from .mapping import (
     jacobian_grid,
 )
 from .quadrature import (
+    EPS_TRUNC,
+    R_FLOOR,
     QuadratureConfig,
     circle_nodes,
     integrate_from_origin,
     integrate_radial,
+    log_power_tail,
     romberg_nodes,
 )
 
@@ -41,13 +44,13 @@ Radii = Union[float, np.ndarray]
 
 @dataclass(frozen=True)
 class DilatationOrder:
-    """The order p > 1 of the angular dilatation, with its conjugate exponent."""
+    """The finite order p > 1 of the angular dilatation, with its conjugate exponent."""
 
     p: float
 
     def __post_init__(self):
-        if not self.p > 1.0:
-            raise ConfigError(f"dilatation order must satisfy p > 1, got {self.p}")
+        if not 1.0 < self.p < math.inf:
+            raise ConfigError(f"dilatation order must be finite with p > 1, got {self.p}")
 
     @property
     def conjugate(self) -> float:
@@ -63,14 +66,14 @@ def _order(p: Union[float, DilatationOrder]) -> float:
 
 @dataclass
 class TruncatedValue:
-    """A truncated integral or mean plus its refinement-based error estimate."""
+    """An integral or mean from the origin, truncated at eps/2 and closed by a
+    tail fit, with refinement_delta = |value - the same truncated at eps|, the
+    truncation error estimate. value and refinement_delta are floats for one
+    radius and arrays (one entry per rung) for a ladder; flags covers them all."""
 
-    value: float
-    refinement_delta: float
+    value: Radii
+    refinement_delta: Radii
     flags: tuple[str, ...] = ()
-
-    def __float__(self) -> float:
-        return self.value
 
 
 # ----------------------------- pointwise dilatation -----------------------------
@@ -202,36 +205,40 @@ def _circle_integral_fn(sample: Callable[[np.ndarray, np.ndarray], np.ndarray],
     return fn
 
 
-def _disc_integral(sample, r, theta: np.ndarray, cfg: QuadratureConfig,
-                   r_floor: float | None = None) -> np.ndarray:
-    """Lebesgue integral over B_r for each radius of r, truncated at r_floor with
-    power-law tail fit; theta holds the circle nodes at which sample is taken."""
-    r_floor = cfg.r_floor if r_floor is None else r_floor
-    radii = np.atleast_1d(np.asarray(r, dtype=float))
-    if not np.all(r_floor < radii):
-        raise EmptyRange(
-            f"disc radius {float(radii.min())} does not exceed truncation radius {r_floor}")
-    fn = _circle_integral_fn(sample, theta, cfg)
-    return integrate_from_origin(fn, r_floor, radii, cfg)
+def _disc_integral(sample, r, theta: np.ndarray, cfg: QuadratureConfig) -> np.ndarray:
+    """Lebesgue integral over B_r for each radius of r, truncated at R_FLOOR with
+    power-law tail fit; theta holds the circle nodes at which sample is taken. A
+    radius not above R_FLOOR is an EmptyRange."""
+    return integrate_from_origin(_circle_integral_fn(sample, theta, cfg), R_FLOOR,
+                                 np.atleast_1d(np.asarray(r, dtype=float)), cfg)
 
 
-def _refined(coarse: float, fine: float, flag: str) -> TruncatedValue:
-    """The fine value with its distance to the coarse one; a change beyond
-    quadrature tolerance is flagged, not thrown."""
-    delta = abs(fine - coarse) if math.isfinite(fine) and math.isfinite(coarse) else math.inf
-    flags: tuple[str, ...] = ()
-    if not math.isfinite(fine) or delta > 1e-9 + 1e-6 * abs(fine):
-        flags = (flag,)
-    return TruncatedValue(value=fine, refinement_delta=delta, flags=flags)
+def _refined(fn: RadialFn, eps: float, r: Radii, transform: Callable[[np.ndarray], np.ndarray],
+             flag: str, cfg: QuadratureConfig) -> TruncatedValue:
+    """transform of integral_0^r fn at every radius of r truncated at eps/2, and
+    its distance to the same truncated at eps. Halving eps changes only the part
+    below eps, so one ladder pass from eps serves both: the fine value adds the
+    quadrature on [eps/2, eps] and the tail fit at eps/2, the coarse one the tail
+    fit at eps. A change beyond quadrature tolerance is flagged, not thrown; a
+    radius not above eps is an EmptyRange."""
+    body = integrate_radial(fn, eps, np.atleast_1d(np.asarray(r, dtype=float)), cfg)
+    coarse = transform(body + log_power_tail(fn, eps))
+    fine = transform(body + (integrate_radial(fn, eps / 2.0, eps, cfg)
+                             + log_power_tail(fn, eps / 2.0)))
+    with np.errstate(invalid="ignore"):  # inf - inf is masked below
+        delta = np.where(np.isfinite(fine) & np.isfinite(coarse), np.abs(fine - coarse),
+                         math.inf)
+    unstable = ~np.isfinite(fine) | (delta > 1e-9 + 1e-6 * np.abs(fine))
+    return TruncatedValue(_like_radius(r, fine), _like_radius(r, delta),
+                          (flag,) if unstable.any() else ())
 
 
 def disc_mean(model: MappingModel, r: Radii, p: Union[float, DilatationOrder],
-              cfg: QuadratureConfig) -> Union[TruncatedValue, list[TruncatedValue]]:
-    """((1/pi r^2) * integral_{B_r} D_p^{1/(p-1)} dxdy)^{p-1}; a TruncatedValue,
-    or a list of them for an array of radii.
-
-    Truncation sensitivity is probed by recomputing with r_floor/2 on its own
-    base grid.
+              cfg: QuadratureConfig) -> TruncatedValue:
+    """((1/pi r^2) * integral_{B_r} D_p^{1/(p-1)} dxdy)^{p-1} at one radius or a
+    ladder of them, truncated at R_FLOOR/2; its refinement delta is the change
+    from truncating at R_FLOOR, and a change beyond quadrature tolerance sets
+    the "truncation-sensitive" flag.
     """
     p = _order(p)
     radii = np.atleast_1d(np.asarray(r, dtype=float))
@@ -239,14 +246,9 @@ def disc_mean(model: MappingModel, r: Radii, p: Union[float, DilatationOrder],
     def sample(t, th):
         return dilatation_grid(model, t, th, p) ** (1.0 / (p - 1.0))
 
-    def once(r_floor):
-        raw = _disc_integral(sample, radii, circle_angles(model, cfg.n_theta), cfg,
-                             r_floor=r_floor)
-        return (raw / (math.pi * radii * radii)) ** (p - 1.0)
-
-    values = [_refined(c, f, "truncation-sensitive")
-              for c, f in zip(once(cfg.r_floor).tolist(), once(cfg.r_floor / 2.0).tolist())]
-    return values if np.ndim(r) else values[0]
+    fn = _circle_integral_fn(sample, circle_angles(model, cfg.n_theta), cfg)
+    return _refined(fn, R_FLOOR, r, lambda raw: (raw / (math.pi * radii * radii)) ** (p - 1.0),
+                    "truncation-sensitive", cfg)
 
 
 def area(model: MappingModel, r: Radii, cfg: QuadratureConfig) -> Radii:
@@ -282,24 +284,14 @@ def radial_integral_outer(d_p: RadialFn, r: Radii,
 
 def radial_integral_inner(d_p: RadialFn, r: Radii,
                           p: Union[float, DilatationOrder], cfg: QuadratureConfig
-                          ) -> Union[TruncatedValue, list[TruncatedValue]]:
-    """integral_0^r dt / (t^{p-1} d_p(t)) for 1 < p < 2; a TruncatedValue, or a
-    list of them for an array of radii.
-
-    Truncates at eps_trunc with a local power-law tail estimate; the Richardson
-    check recomputes at eps_trunc/2, on its own base grid, and reports the
-    difference as the truncation error estimate. A non-stabilizing refinement
-    is flagged.
+                          ) -> TruncatedValue:
+    """integral_0^r dt / (t^{p-1} d_p(t)) for 1 < p < 2, at one radius or a
+    ladder of them, truncated at EPS_TRUNC/2 with a power-log tail fit; its
+    refinement delta is the change from truncating at EPS_TRUNC, and a change
+    beyond quadrature tolerance sets the "nonconvergent" flag.
     """
     p = _order(p)
     if not p < 2.0:
         raise ConfigError(f"inner radial integral needs 1 < p < 2, got p={p}")
-    radii = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(radii <= cfg.eps_trunc):
-        raise EmptyRange(
-            f"upper limit {float(radii.min())} does not exceed eps_trunc {cfg.eps_trunc}")
-    fn = _radial_integrand(d_p, p)
-    coarse = integrate_from_origin(fn, cfg.eps_trunc, radii, cfg)
-    fine = integrate_from_origin(fn, cfg.eps_trunc / 2.0, radii, cfg)
-    values = [_refined(c, f, "nonconvergent") for c, f in zip(coarse.tolist(), fine.tolist())]
-    return values if np.ndim(r) else values[0]
+    return _refined(_radial_integrand(d_p, p), EPS_TRUNC, r, lambda raw: raw,
+                    "nonconvergent", cfg)

@@ -19,31 +19,31 @@ from .errors import ConfigError, EmptyRange
 # Jacobian sign tolerance: values below -JAC_TOL violate the regularity contract.
 JAC_TOL = 1e-12
 
+# Truncation radius of the inner radial integral, and the smallest r_min a
+# radius ladder may reach.
+EPS_TRUNC = 1e-6
+# Truncation radius of disc integrals; far below r_min because slowly
+# converging Jacobian tails (log-singular family) need the remainder < 1e-10.
+R_FLOOR = 1e-8
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Grid sizes and truncation radii used by every integral functional."""
+    """Grid sizes used by every integral functional, and r_min, the deepest
+    radius a ladder may reach. r_min lies in [EPS_TRUNC, 1), so every rung sits
+    above both truncation radii before any integral starts."""
 
     n_theta: int = 512
     n_r: int = 1024
-    eps_trunc: float = 1e-6
     r_min: float = 1e-4
-    # truncation radius of disc integrals; far below r_min because slowly
-    # converging Jacobian tails (log-singular family) need the remainder < 1e-10
-    r_floor: float = 1e-8
 
     def __post_init__(self):
         if self.n_theta < 16 or self.n_theta % 2 != 0:
             raise ConfigError(f"n_theta must be even and >= 16, got {self.n_theta}")
         if self.n_r < 16:
             raise ConfigError(f"n_r must be >= 16, got {self.n_r}")
-        if not self.eps_trunc > 0:
-            raise ConfigError(f"eps_trunc must be positive, got {self.eps_trunc}")
-        if not 0 < self.r_min < 1:
-            raise ConfigError(f"r_min must lie in (0,1), got {self.r_min}")
-        if not 0 < self.r_floor <= self.r_min:
-            raise ConfigError(
-                f"r_floor must lie in (0, r_min], got {self.r_floor}")
+        if not EPS_TRUNC <= self.r_min < 1:
+            raise ConfigError(f"r_min must lie in [{EPS_TRUNC:g}, 1), got {self.r_min}")
 
 
 def circle_nodes(n_theta: int) -> np.ndarray:

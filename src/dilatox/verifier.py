@@ -208,12 +208,10 @@ def _rungs(name: str, regime: Regime, p, ladder: RadiusLadder,
 def _inner(model: MappingModel, p: float, rungs: np.ndarray, cfg: QuadratureConfig):
     """The inner radial integral at every rung as (values, relative refinement
     deltas, the set of flags)."""
-    tvs = radial_integral_inner(dilatation_radial_fn(model, p, cfg), rungs, p, cfg)
-    values = np.array([tv.value for tv in tvs])
-    deltas = np.array([tv.refinement_delta for tv in tvs])
+    tv = radial_integral_inner(dilatation_radial_fn(model, p, cfg), rungs, p, cfg)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rel_deltas = np.where(values > 0.0, deltas / values, 0.0)
-    return values, rel_deltas, {flag for tv in tvs for flag in tv.flags}
+        rel_deltas = np.where(tv.value > 0.0, tv.refinement_delta / tv.value, 0.0)
+    return tv.value, rel_deltas, set(tv.flags)
 
 
 def _ratio_proxy(kind: str, model: MappingModel, rungs: np.ndarray, tail: int) -> LimitProxy:
@@ -338,9 +336,8 @@ def theorem1_bound(model: MappingModel, p, ladder: RadiusLadder,
     A divergent disc mean voids the hypothesis; the verdict is then vacuous.
     """
     p, r = _rungs("theorem1", HIGH_P, p, ladder, cfg)
-    tvs = disc_mean(model, r, p, cfg)
-    notes = {flag for tv in tvs for flag in tv.flags}
-    means = np.array([tv.value for tv in tvs])
+    mean = disc_mean(model, r, p, cfg)
+    notes, means = set(mean.flags), mean.value
     k = LimitProxy.from_tail("liminf", means[-ladder.tail:])
     attained = _ratio_proxy("liminf", model, r, ladder.tail)
     if _divergent(means):

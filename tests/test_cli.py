@@ -57,6 +57,24 @@ class TestExitCodes:
         assert code == 2
         assert not (tmp_path / "verify.json").exists()
 
+    @pytest.mark.parametrize("p", ["inf", "nan"])
+    def test_non_finite_order_is_config_error(self, p, tmp_path):
+        # no regime contains p = inf, so it once ran no check and exited 0
+        code = run(["verify", "--map", "linear", "--param", "k=0.5", "--p", p,
+                    "--out", str(tmp_path)])
+        assert code == 2
+        assert not (tmp_path / "verify.json").exists()
+
+    @pytest.mark.parametrize("rmin", ["1e-8", "1e-9"])
+    def test_ladder_below_eps_trunc_is_config_error(self, rmin, tmp_path, capsys):
+        # a deepest rung of 8.6e-8 lies below the inner integral's truncation
+        # radius; the run stops before any integral, naming r_min
+        code = run(["verify", "--map", "linear", "--param", "k=0.5", "--p", "1.5",
+                    "--rmin", rmin, "--rho", "0.4", "--count", "18", "--out", str(tmp_path)])
+        assert code == 2
+        assert "r_min must lie in [1e-06, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "verify.json").exists()
+
     def test_unknown_map_is_config_error(self, tmp_path):
         assert run(["eval", "--map", "mystery", "--out", str(tmp_path)]) == 2
 
@@ -218,6 +236,14 @@ class TestAsym:
         assert lo <= 0.5 + 1e-9 and 0.5 <= hi + 1e-9
         assert doc["proxies"]["area_derivative"]["area_ratio"]["value"] == pytest.approx(
             0.25, abs=1e-6)
+
+    @pytest.mark.parametrize("p, s", [("4", "3"), ("1.5", "1.5")])
+    def test_second_order_outside_theorem7_is_config_error(self, p, s, tmp_path):
+        # theorem 7 needs 1 < p < 2 < s; --s at p = 4 was once dropped
+        # silently, and both pairs are now rejected before any integral
+        assert run(["asym", "--map", "linear", "--param", "k=0.5", "--p", p, "--s", s,
+                    "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "asym.json").exists()
 
     def test_p_equal_two_rejected(self, tmp_path):
         assert run(["asym", "--map", "linear", "--param", "k=0.5", "--p", "2",

@@ -26,7 +26,7 @@ from dilatox.functionals import (
     radial_integral_outer,
 )
 from dilatox.mapping import PolarPoint, jacobian_grid, min_max_modulus
-from dilatox.quadrature import circle_nodes
+from dilatox.quadrature import EPS_TRUNC, R_FLOOR, circle_nodes
 
 # Frozen oracles, computed once with 30-digit adaptive quadrature (mpmath) and
 # pinned here; the suite must reproduce them through its own machinery.
@@ -43,7 +43,7 @@ class TestDilatationOrder:
         assert DilatationOrder(1.5).conjugate == pytest.approx(3.0)
         assert DilatationOrder(4.0).conjugate == pytest.approx(4.0 / 3.0)
 
-    @pytest.mark.parametrize("p", [1.0, 0.5, -2.0])
+    @pytest.mark.parametrize("p", [1.0, 0.5, -2.0, math.inf, math.nan])
     def test_range_enforced(self, p):
         with pytest.raises(ConfigError):
             DilatationOrder(p)
@@ -203,6 +203,13 @@ class TestRadialIntegrals:
         fn = dilatation_radial_fn(linear(0.5).model, 4.0, cfg)
         with pytest.raises(EmptyRange):
             radial_integral_outer(fn, 1.0, 4.0, cfg)
+
+    def test_radius_at_the_truncation_radius_rejected(self, cfg):
+        model = linear(0.5).model
+        with pytest.raises(EmptyRange):
+            radial_integral_inner(dilatation_radial_fn(model, 1.5, cfg), EPS_TRUNC, 1.5, cfg)
+        with pytest.raises(EmptyRange):
+            disc_mean(model, np.array([0.1, R_FLOOR / 2.0]), 3.0, cfg)
 
     def test_infinite_dilatation_contributes_nothing(self, cfg):
         def d_p(t):

@@ -1,6 +1,7 @@
 """The ladder quadrature and the vectorized circle reductions: exactness of the
 Romberg step, agreement of whole-ladder integrals with one-rung calls, the
-(t, theta) reduction against a per-node reference, and bounded model calls."""
+one-pass truncation refinement against two full ladder passes, the (t, theta)
+reduction against a per-node reference, and bounded model calls."""
 
 import dataclasses
 import math
@@ -21,8 +22,11 @@ from dilatox.functionals import (
 )
 from dilatox.mapping import min_max_modulus
 from dilatox.quadrature import (
+    EPS_TRUNC,
+    R_FLOOR,
     QuadratureConfig,
     circle_nodes,
+    integrate_from_origin,
     integrate_radial,
     romberg_nodes,
 )
@@ -115,6 +119,14 @@ def _close(ladder_values, single_values):
                                np.asarray(single_values, dtype=float), rtol=1e-12, atol=0.0)
 
 
+def _same_truncated(whole, single):
+    """A ladder's TruncatedValue carries one value per rung, equal to the
+    one-rung values, and the union of the one-rung flags."""
+    assert np.shape(whole.value) == np.shape(whole.refinement_delta) == (len(single),)
+    _close(whole.value, [tv.value for tv in single])
+    assert set(whole.flags) == {flag for tv in single for flag in tv.flags}
+
+
 class TestLadderMatchesOneRung:
     """A whole-ladder call equals a fresh one-rung call at every rung."""
 
@@ -128,19 +140,15 @@ class TestLadderMatchesOneRung:
     def test_disc_mean(self, entry, cfg, ladder):
         model = _model(entry)
         radii = ladder.radii()
-        whole = disc_mean(model, radii, 3.0, cfg)
-        single = [disc_mean(model, r, 3.0, cfg) for r in radii]
-        _close([tv.value for tv in whole], [tv.value for tv in single])
-        assert [tv.flags for tv in whole] == [tv.flags for tv in single]
+        _same_truncated(disc_mean(model, radii, 3.0, cfg),
+                        [disc_mean(model, r, 3.0, cfg) for r in radii])
 
     @pytest.mark.parametrize("entry", LADDER_MAPS, ids=LADDER_IDS)
     def test_inner(self, entry, cfg, ladder):
         dp_fn = dilatation_radial_fn(_model(entry), 1.5, cfg)
         radii = ladder.radii()
-        whole = radial_integral_inner(dp_fn, radii, 1.5, cfg)
-        single = [radial_integral_inner(dp_fn, r, 1.5, cfg) for r in radii]
-        _close([tv.value for tv in whole], [tv.value for tv in single])
-        assert [tv.flags for tv in whole] == [tv.flags for tv in single]
+        _same_truncated(radial_integral_inner(dp_fn, radii, 1.5, cfg),
+                        [radial_integral_inner(dp_fn, r, 1.5, cfg) for r in radii])
 
     @pytest.mark.parametrize("entry", LADDER_MAPS, ids=LADDER_IDS)
     def test_outer(self, entry, cfg, ladder):
@@ -158,6 +166,83 @@ class TestLadderMatchesOneRung:
         radii = ladder.radii()
         _close(radial_integral_outer(d_p, radii, 3.0, cfg),
                [radial_integral_outer(d_p, r, 3.0, cfg) for r in radii])
+
+
+def _two_ladder_reference(fn, eps, radii, transform, cfg):
+    """The refinement as two full ladder passes, truncated at eps and at eps/2:
+    (the fine values, their distances to the coarse ones, whether any rung
+    moved beyond quadrature tolerance)."""
+    coarse = transform(integrate_from_origin(fn, eps, radii, cfg))
+    fine = transform(integrate_from_origin(fn, eps / 2.0, radii, cfg))
+    with np.errstate(invalid="ignore"):
+        delta = np.where(np.isfinite(fine) & np.isfinite(coarse), np.abs(fine - coarse),
+                         math.inf)
+    return fine, delta, bool(np.any(~np.isfinite(fine) | (delta > 1e-9 + 1e-6 * np.abs(fine))))
+
+
+def _agrees_with_reference(got, reference):
+    fine, delta, flagged = reference
+    np.testing.assert_allclose(got.value, fine, rtol=1e-12, atol=0.0)
+    assert bool(got.flags) == flagged
+    # a disc mean of log_singular at p = 4 reaches ~1e3, where round-off in
+    # the reference's delta alone is ~1e-12
+    above_round_off = delta > 1e-12 * np.maximum(1.0, np.abs(fine))
+    np.testing.assert_allclose(got.refinement_delta[above_round_off], delta[above_round_off],
+                               rtol=1e-6, atol=0.0)
+
+
+class TestOnePassRefinement:
+    """The [eps/2, eps] correction gives the values, deltas and flags of two
+    whole ladder passes from fewer integrand nodes."""
+
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
+    @pytest.mark.parametrize("entry", LADDER_MAPS, ids=LADDER_IDS)
+    def test_disc_mean(self, entry, p, cfg, ladder):
+        model, radii = _model(entry), ladder.radii()
+        theta = circle_nodes(cfg.n_theta)
+
+        def fn(t):
+            q = dilatation_grid(model, t[:, None], theta[None, :], p) ** (1.0 / (p - 1.0))
+            return t * 2.0 * math.pi * np.mean(q, axis=1)
+
+        reference = _two_ladder_reference(
+            fn, R_FLOOR, radii, lambda raw: (raw / (math.pi * radii * radii)) ** (p - 1.0), cfg)
+        _agrees_with_reference(disc_mean(model, radii, p, cfg), reference)
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 1.8])
+    @pytest.mark.parametrize("entry", LADDER_MAPS, ids=LADDER_IDS)
+    def test_inner(self, entry, p, cfg, ladder):
+        d_p, radii = dilatation_radial_fn(_model(entry), p, cfg), ladder.radii()
+
+        def fn(t):
+            return t ** (1.0 - p) / d_p(t)
+
+        reference = _two_ladder_reference(fn, EPS_TRUNC, radii, lambda raw: raw, cfg)
+        _agrees_with_reference(radial_integral_inner(d_p, radii, p, cfg), reference)
+
+    def test_flags_cover_every_rung(self, cfg, ladder):
+        # the power-log tail fit of t^{-1/2} + 1 is inexact by about 5.6e-7,
+        # above the tolerance of the deep rungs only; the ladder's one flag
+        # covers them while its first rung alone is not flagged
+        def d_p(t):
+            return 1.0 / (1.0 + np.sqrt(t))
+
+        single = [radial_integral_inner(d_p, r, 1.5, cfg) for r in ladder.radii()]
+        assert not single[0].flags and single[-1].flags
+        _same_truncated(radial_integral_inner(d_p, ladder.radii(), 1.5, cfg), single)
+
+    def test_inner_node_count(self, cfg, ladder):
+        # one ladder pass (1,649 radii), one [eps/2, eps] segment (1,025) and
+        # two tail fits (3 each); two whole passes took 3,310
+        d_p = dilatation_radial_fn(linear(0.5).model, 1.5, cfg)
+        nodes = []
+
+        def recording(t):
+            nodes.append(np.size(t))
+            return d_p(t)
+
+        radial_integral_inner(recording, ladder.radii(), 1.5, cfg)
+        assert sum(nodes) <= 2683
 
 
 def _per_node_circular_mean(model, r, p, n_theta):

@@ -1,11 +1,15 @@
 """The in-tree Romberg table against scipy.integrate.romb: the same Richardson
-table in the same order of operations, so every result is bit-identical."""
+table in the same order of operations, so every result is bit-identical; and
+the range of QuadratureConfig.r_min."""
+
+import math
 
 import numpy as np
 import pytest
 from scipy.integrate import romb as scipy_romb
 
-from dilatox.quadrature import romb
+from dilatox.errors import ConfigError
+from dilatox.quadrature import EPS_TRUNC, QuadratureConfig, romb
 
 
 @pytest.mark.parametrize("k", range(13))
@@ -43,3 +47,11 @@ def test_romb_rejects_counts_off_the_power_grid(k):
 def test_romb_rejects_single_sample():
     with pytest.raises(ValueError):
         romb(np.ones(1))
+
+
+def test_r_min_lies_between_eps_trunc_and_one():
+    # every rung of a valid ladder then lies above both truncation radii
+    assert QuadratureConfig(r_min=EPS_TRUNC).r_min == EPS_TRUNC
+    for r_min in (EPS_TRUNC / 2.0, 1e-9, 0.0, 1.0, math.nan):
+        with pytest.raises(ConfigError, match="r_min"):
+            QuadratureConfig(r_min=r_min)
