@@ -1,11 +1,12 @@
 """Radially symmetric nonlinear Beltrami equation f_r = sigma |f_theta|^m f_theta.
 
 The rotationally symmetric ansatz f = R(r) e^{i theta} reduces the PDE to the
-scalar ODE R' = Re(i sigma(r)) R^{m+1}, integrated with the classical
-fourth-order Runge-Kutta scheme from an interior anchor (the coefficient is
-typically singular at the origin). Residuals, the associated angular
-dilatation, the Cartesian coefficient forms, and the asymptotic-ratio bound
-for solutions are provided alongside.
+scalar ODE R' = Re(i sigma(r)) R^{m+1}. It is solved for the ratio u = R/r
+in s = ln r with the classical fourth-order Runge-Kutta scheme, from an
+interior anchor down to the radius ladder (the coefficient is typically
+singular at the origin). Residuals, the angular dilatation D_{m+2} read off the
+coefficient, and the asymptotic-ratio bound for solutions are provided
+alongside.
 """
 
 from __future__ import annotations
@@ -16,17 +17,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    BlowUp,
-    ComplexDrift,
-    ConfigError,
-    DegenerateDenominator,
-    NonPositiveImag,
-)
+from .errors import BlowUp, ComplexDrift, ConfigError, NonPositiveImag
 from .mapping import (
     CubicHermite,
     MappingModel,
-    PolarPoint,
     RadialProfile,
     json_object,
     json_real,
@@ -113,29 +107,45 @@ class RadialSolution:
                 fh.write(f"{float(r)!r},{float(v)!r}\n")
 
 
-def _rk4(rhs, r0: float, R0: float, grid: np.ndarray) -> np.ndarray:
-    """Classical RK4 along an ordered grid starting at (r0 = grid[0], R0)."""
-    out = np.empty_like(grid)
-    out[0] = R0
-    R = R0
-    for i in range(len(grid) - 1):
-        r, h = grid[i], grid[i + 1] - grid[i]
-        k1 = rhs(r, R)
-        k2 = rhs(r + 0.5 * h, R + 0.5 * h * k1)
-        k3 = rhs(r + 0.5 * h, R + 0.5 * h * k2)
-        k4 = rhs(r + h, R + h * k3)
-        R = R + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not math.isfinite(R) or abs(R) > BLOWUP_CAP:
-            raise BlowUp(f"radial solution exceeds {BLOWUP_CAP:g} near r={grid[i + 1]:.4g}")
-        out[i + 1] = R
-    return out
+def _ratio_slope(u, d, m: float):
+    """du/ds of the ratio u = R/r in s = ln r, given D = D_{m+2}(r)."""
+    return u * (u ** m / d - 1.0)
+
+
+def _solve_leg(coef: SigmaCoefficient, r0: float, u0: float, end: float,
+               step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Classical RK4 for u from (r0, u0) to end, uniform in ln r with at most
+    the given step; returns the radii and ratios at the nodes."""
+    n = max(math.ceil(abs(math.log(end / r0)) / step), 1)
+    r = np.exp(np.linspace(math.log(r0), math.log(end), 2 * n + 1))
+    r[0], r[-1] = r0, end  # the anchor and the span end are nodes exactly
+    d = dilatation_from_sigma(coef, r)  # at the nodes and the midpoints
+    h = math.log(end / r0) / n
+    u = np.empty(n + 1)
+    u[0] = u0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            d0, dm, d1 = d[2 * i:2 * i + 3]
+            k1 = _ratio_slope(u[i], d0, coef.m)
+            k2 = _ratio_slope(u[i] + 0.5 * h * k1, dm, coef.m)
+            k3 = _ratio_slope(u[i] + 0.5 * h * k2, dm, coef.m)
+            k4 = _ratio_slope(u[i] + h * k3, d1, coef.m)
+            u[i + 1] = u[i] + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not abs(u[i + 1]) * r[2 * i + 2] <= BLOWUP_CAP:
+                raise BlowUp(f"radial solution exceeds {BLOWUP_CAP:g} near "
+                             f"r={r[2 * i + 2]:.4g}")
+    return r[::2], u
 
 
 def solve_radial(coef: SigmaCoefficient, r0: float, R0: float,
                  r_span: tuple[float, float] = (0.05, 0.95),
-                 step: float = 1e-3) -> RadialSolution:
-    """Integrate R' = Re(i sigma(r)) R^{m+1} forward and backward from (r0, R0).
+                 step: float = 1e-2) -> RadialSolution:
+    """Integrate the ratio u = R/r in s = ln r down to r_span[0] and up to
+    r_span[1] from the anchor (r0, R0); step is a step in ln r.
 
+    With D = dilatation_from_sigma, R' = Re(i sigma) R^{m+1} reads
+    du/ds = u (u^m / D - 1), so a coefficient with constant D (the power
+    family) has the fixed point u = D^{1/m}, which RK4 keeps exactly.
     Requires i sigma(r) real and positive on the span so that R stays real and
     increasing. A profile that leaves the unit disc is noted, not rejected.
     """
@@ -144,31 +154,19 @@ def solve_radial(coef: SigmaCoefficient, r0: float, R0: float,
         raise ConfigError(f"need 0 < {a} < r0={r0} < {b} < 1")
     if not R0 > 0.0:
         raise ConfigError(f"anchor value must be positive, got R0={R0}")
-    if not 0.0 < step < (b - a):
-        raise ConfigError(f"bad step {step} for span ({a}, {b})")
+    if not 0.0 < step < math.log(b / a):
+        raise ConfigError(f"bad step {step} in ln r for span ({a}, {b})")
 
-    probe = np.linspace(a, b, 257)
-    growth = 1j * np.asarray(coef.sigma(probe))
-    if np.max(np.abs(growth.imag)) > DRIFT_TOL:
-        raise ComplexDrift(
-            f"|Im(i sigma)| reaches {np.max(np.abs(growth.imag)):.3e} on span")
-    if np.any(growth.real <= 0.0):
-        raise NonPositiveImag("Im(conj(sigma)) must be positive on the span")
+    probe = np.geomspace(a, b, 257)
+    drift = np.max(np.abs(np.real(np.asarray(coef.sigma(probe)))))
+    if drift > DRIFT_TOL:
+        raise ComplexDrift(f"|Im(i sigma)| reaches {drift:.3e} on span")
 
-    def rhs(r, R):
-        return float(np.real(1j * coef.sigma(r))) * R ** (coef.m + 1.0)
-
-    n_fwd = max(int(math.ceil((b - r0) / step)), 1)
-    fwd_grid = np.concatenate([np.arange(n_fwd) * step + r0, [b]])
-    fwd_grid = fwd_grid[fwd_grid <= b + 1e-15]
-    n_bwd = max(int(math.ceil((r0 - a) / step)), 1)
-    bwd_grid = np.concatenate([r0 - np.arange(n_bwd) * step, [a]])
-    bwd_grid = bwd_grid[bwd_grid >= a - 1e-15]
-
-    fwd = _rk4(rhs, r0, R0, fwd_grid)
-    bwd = _rk4(rhs, r0, R0, bwd_grid)
-    grid = np.concatenate([bwd_grid[::-1], fwd_grid[1:]])
-    values = np.concatenate([bwd[::-1], fwd[1:]])
+    down = _solve_leg(coef, r0, R0 / r0, a, step)
+    up = _solve_leg(coef, r0, R0 / r0, b, step)
+    grid = np.concatenate([down[0][::-1], up[0][1:]])
+    ratio = np.concatenate([down[1][::-1], up[1][1:]])
+    values = ratio * grid
 
     notes = []
     if float(values.max()) > 1.0:
@@ -177,7 +175,9 @@ def solve_radial(coef: SigmaCoefficient, r0: float, R0: float,
         notes.append("non-monotone-profile")
 
     def ode_slope(r, R):
-        return np.real(1j * np.asarray(coef.sigma(r))) * R ** (coef.m + 1.0)
+        # dR/dr = u + du/ds with u = R/r
+        u = R / r
+        return u + _ratio_slope(u, dilatation_from_sigma(coef, r), coef.m)
 
     # Hermite with the ODE's slopes at the RK4 nodes: O(h^4), like RK4.
     R_of = CubicHermite(grid, values, ode_slope(grid, values))
@@ -211,13 +211,15 @@ def residual_check(model: MappingModel, coef: SigmaCoefficient,
     return float(np.max(np.abs(rho)))
 
 
-def dilatation_from_sigma(coef: SigmaCoefficient, z: PolarPoint) -> float:
-    """D_{m+2} of any solution, directly from the coefficient:
+def dilatation_from_sigma(coef: SigmaCoefficient, r) -> np.ndarray:
+    """D_{m+2} of any solution at the radii r, directly from the coefficient:
     1 / (r^{m+1} Im(conj(sigma(r)))). Independent of the particular solution."""
-    ims = float(coef.imag_conj(np.array([z.r]))[0])
-    if ims <= 0.0:
-        raise NonPositiveImag(f"Im(conj(sigma)) = {ims:.3e} <= 0 at r={z.r:.4g}")
-    return 1.0 / (z.r ** (coef.m + 1.0) * ims)
+    r = np.asarray(r, dtype=float)
+    ims = coef.imag_conj(r)
+    if np.any(ims <= 0.0):
+        bad = np.broadcast_to(r, ims.shape)[ims <= 0.0]
+        raise NonPositiveImag(f"Im(conj(sigma)) <= 0 at r={float(bad[0]):.4g}")
+    return 1.0 / (r ** (coef.m + 1.0) * ims)
 
 
 def condition_sigma0(coef: SigmaCoefficient, ladder: RadiusLadder,
@@ -241,60 +243,6 @@ def condition_sigma0(coef: SigmaCoefficient, ladder: RadiusLadder,
 
 
 @dataclass
-class CartesianCoefficients:
-    """Cartesian-form data of the equation: A(z) = sigma(z) |z| i, and for the
-    linear case m = 0 the complex dilatation mu with its Lavrentiev coefficient."""
-
-    A: Callable[[np.ndarray], np.ndarray]
-    mu: Callable[[np.ndarray], np.ndarray] | None
-
-
-def cartesian_coefficients(coef: SigmaCoefficient) -> CartesianCoefficients:
-    def A(r):
-        r = np.asarray(r, dtype=float)
-        return np.asarray(coef.sigma(r)) * r * 1j
-
-    mu = None
-    if coef.m == 0.0:
-        def mu(z):
-            z = np.asarray(z, dtype=complex)
-            a = A(np.abs(z))
-            denom = a + 1.0
-            if np.any(np.abs(denom) < 1e-14):
-                raise DegenerateDenominator("A(z) + 1 vanishes")
-            return (z / np.conj(z)) * (a - 1.0) / denom
-
-    return CartesianCoefficients(A=A, mu=mu)
-
-
-def lavrentiev_coefficient(mu_val: complex) -> float:
-    """K_mu = (1 + |mu|) / (1 - |mu|), finite only for |mu| < 1."""
-    a = abs(mu_val)
-    if a >= 1.0:
-        return math.inf
-    return (1.0 + a) / (1.0 - a)
-
-
-def cartesian_residual(model: MappingModel, coef: SigmaCoefficient,
-                       z: PolarPoint) -> float:
-    """Residual of the Cartesian form at z, with f_z and f_zbar reconstructed
-    from the polar partials via r f_r = z f_z + zbar f_zbar and
-    f_theta = i (z f_z - zbar f_zbar)."""
-    fr = complex(np.asarray(model.partial_r(np.array([z.r]), np.array([z.theta])))[0])
-    ft = complex(np.asarray(model.partial_theta(np.array([z.r]), np.array([z.theta])))[0])
-    zc = z.z
-    f_z = (z.r * fr - 1j * ft) / (2.0 * zc)
-    f_zbar = (z.r * fr + 1j * ft) / (2.0 * np.conj(zc))
-    a = complex(np.asarray(coef.sigma(np.array([z.r])))[0]) * z.r * 1j
-    core = a * abs(ft) ** coef.m  # |z f_z - zbar f_zbar| = |f_theta|
-    denom = core + 1.0
-    if abs(denom) < 1e-14:
-        raise DegenerateDenominator(f"A |f_theta|^m + 1 vanishes at r={z.r:.4g}")
-    rhs = ((core - 1.0) / denom) * (zc / np.conj(zc)) * f_z
-    return abs(f_zbar - rhs)
-
-
-@dataclass
 class NbBoundResult:
     sigma0: LimitProxy
     bound: float
@@ -307,12 +255,13 @@ def theorem_nb_bound(coef: SigmaCoefficient, solution: RadialSolution,
     """liminf |f(z)|/|z| <= c_{m+2} sigma_0^{1/m} for solutions with m > 0."""
     if not coef.m > 0.0:
         raise ConfigError(f"the asymptotic bound needs m > 0, got m={coef.m}")
+    tail = ladder.tail_radii()
+    lo, hi = float(solution.grid[0]), float(solution.grid[-1])
+    if not (lo <= tail.min() and tail.max() <= hi):
+        raise ConfigError(f"ladder tail [{tail.min():.4g}, {tail.max():.4g}] lies outside "
+                          f"the solved span [{lo:.4g}, {hi:.4g}]")
     sigma0 = condition_sigma0(coef, ladder, cfg)
     bound = growth_constant(coef.m + 2.0) * sigma0.value ** (1.0 / coef.m)
-    span_lo = float(solution.grid[0])
-    tail = np.array([r for r in ladder.tail_radii() if r >= span_lo])
-    if tail.size < 3:
-        tail = solution.grid[:3]
     ratios = np.asarray(solution.profile.R(tail), dtype=float) / tail
     attained = LimitProxy.from_tail("liminf", ratios).value
     report = _finish("theorem_nb", coef.m + 2.0, tail[-1], bound, attained, notes=solution.notes)

@@ -4,7 +4,8 @@ Subcommands:
   eval      tabulate d_p, disc mean, S, L, modulus extremes over a radius ladder
   verify    run every inequality check applicable to the given order p
   asym      report limit proxies and asymptotic-ratio bounds
-  beltrami  solve the radial nonlinear Beltrami equation and verify it
+  beltrami  solve the radial nonlinear Beltrami equation down to the ladder
+            and check its asymptotic-ratio bound
 
 Exit codes: 0 all checks hold, 1 an inequality is violated, 2 configuration
 error, 3 numerical failure. Identical configurations produce byte-identical
@@ -24,7 +25,7 @@ from . import __version__, beltrami, catalog
 from .errors import ConfigError, ToolkitError
 from .functionals import DilatationOrder, boundary_length, circular_dilatation_mean, disc_mean
 from .functionals import area as area_fn
-from .mapping import map_from_json, min_max_modulus
+from .mapping import MappingModel, map_from_json, min_max_modulus
 from .quadrature import QuadratureConfig
 from .verifier import (
     CHECKS,
@@ -64,14 +65,12 @@ def _read_json(path: str):
         raise ConfigError(f"cannot read JSON document {path!r}: {exc}") from exc
 
 
-def _build_map(args) -> catalog.CatalogEntry | None:
-    if getattr(args, "map_json", None):
-        model = map_from_json(_read_json(args.map_json))
-        return catalog.CatalogEntry(model=model, dilatation=None, area=None,
-                                    length=None, ratio=None)
-    if not getattr(args, "map", None):
+def _build_map(args) -> MappingModel:
+    if args.map_json:
+        return map_from_json(_read_json(args.map_json))
+    if not args.map:
         raise ConfigError("a map is required: --map <name> or --map-json <file>")
-    return catalog.from_name(args.map, **_parse_params(args.param))
+    return catalog.from_name(args.map, **_parse_params(args.param)).model
 
 
 def _quad_config(args) -> QuadratureConfig:
@@ -105,16 +104,16 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def cmd_eval(args) -> int:
-    entry = _build_map(args)
+    model = _build_map(args)
     cfg = _quad_config(args)
     ladder = _ladder(args, cfg)
     p = DilatationOrder(args.p)
     radii = ladder.radii()
-    columns = zip(radii, circular_dilatation_mean(entry.model, radii, p, cfg).tolist(),
-                  disc_mean(entry.model, radii, p, cfg).value.tolist(),
-                  area_fn(entry.model, radii, cfg).tolist(),
-                  boundary_length(entry.model, radii, cfg).tolist(),
-                  *(m.tolist() for m in min_max_modulus(entry.model, radii)))
+    columns = zip(radii, circular_dilatation_mean(model, radii, p, cfg).tolist(),
+                  disc_mean(model, radii, p, cfg).value.tolist(),
+                  area_fn(model, radii, cfg).tolist(),
+                  boundary_length(model, radii, cfg).tolist(),
+                  *(m.tolist() for m in min_max_modulus(model, radii)))
     out = Path(args.out) / "functionals.csv"
     lines = ["r,d_p,disc_mean,S,L,l_f,L_f,iso_defect"]
     for r, d, dm, s, ell, lo, hi in columns:
@@ -126,10 +125,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    entry = _build_map(args)
+    model = _build_map(args)
     cfg = _quad_config(args)
     ladder = _ladder(args, cfg)
-    reports = run_checks(entry.model, args.p, ladder, cfg, args.check)
+    reports = run_checks(model, args.p, ladder, cfg, args.check)
     doc = {
         "config": _resolved_config(args),
         "matrix": [rep.to_dict() for rep in reports],
@@ -146,7 +145,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_asym(args) -> int:
-    entry = _build_map(args)
+    model = _build_map(args)
     cfg = _quad_config(args)
     ladder = _ladder(args, cfg)
     p = args.p
@@ -156,8 +155,8 @@ def cmd_asym(args) -> int:
                  "tail_spreads": {}}
     holds = True
     if HIGH_P.applies(p):
-        t1 = theorem1_bound(entry.model, p, ladder, cfg)
-        t3 = theorem3_bound(entry.model, p, ladder, cfg)
+        t1 = theorem1_bound(model, p, ladder, cfg)
+        t3 = theorem3_bound(model, p, ladder, cfg)
         doc["proxies"]["k"] = t1.k.to_dict()
         doc["proxies"]["k_0"] = t3.k0.to_dict()
         doc["bounds"]["theorem1"] = t1.bound
@@ -165,8 +164,8 @@ def cmd_asym(args) -> int:
         doc["attained"] = {"liminf_ratio": t1.attained}
         holds = t1.report.holds and t3.report.holds
     elif LOW_P.applies(p):
-        t5 = theorem5_bound(entry.model, p, ladder, cfg)
-        t6 = theorem6_bracket(entry.model, p, ladder, cfg)
+        t5 = theorem5_bound(model, p, ladder, cfg)
+        t6 = theorem6_bracket(model, p, ladder, cfg)
         doc["proxies"]["k_0"] = t5.k0.to_dict()
         doc["proxies"]["k_1"] = t6.k1.to_dict()
         doc["proxies"]["k_2"] = t6.k2.to_dict()
@@ -176,7 +175,7 @@ def cmd_asym(args) -> int:
         doc["tail_spreads"]["ratio"] = t6.a_proxy.tail_spread
         holds = t5.report.holds and t6.report.holds
         if args.s is not None:
-            t7 = theorem7_area_derivative(entry.model, p, args.s, ladder, cfg)
+            t7 = theorem7_area_derivative(model, p, args.s, ladder, cfg)
             doc["proxies"]["area_derivative"] = {
                 "limit_lower": t7.limit_lower.to_dict(),
                 "limit_upper": t7.limit_upper.to_dict(),
@@ -203,8 +202,8 @@ def cmd_beltrami(args) -> int:
         coef = beltrami.power_sigma(kappa, m)
     cfg = _quad_config(args)
     ladder = _ladder(args, cfg)
-    solution = beltrami.solve_radial(coef, args.r0, args.R0,
-                                     (args.span_lo, args.span_hi), args.step)
+    span = (float(ladder.radii()[-1]), args.span_hi)
+    solution = beltrami.solve_radial(coef, args.r0, args.R0, span, args.step)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     solution.to_csv(out_dir / "solution.csv")
@@ -232,12 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"dilatox {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--map", help="catalog map name")
+    def shared_options(sp):
         sp.add_argument("--param", action="append", default=[],
                         help="map/coefficient parameter key=value (repeatable)")
-        sp.add_argument("--map-json", help="JSON file with a custom map document")
-        sp.add_argument("--p", type=float, default=4.0, help="dilatation order")
         sp.add_argument("--rmax", type=float, default=0.5)
         sp.add_argument("--rho", type=float, default=0.8)
         sp.add_argument("--count", type=int, default=20)
@@ -247,31 +243,39 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--rmin", type=float, default=1e-4)
         sp.add_argument("--out", default=".", help="output directory")
 
+    def map_options(sp):
+        sp.add_argument("--map", help="catalog map name")
+        sp.add_argument("--map-json", help="JSON file with a custom map document")
+        sp.add_argument("--p", type=float, default=4.0, help="dilatation order")
+        shared_options(sp)
+
     sp = sub.add_parser("eval", help="tabulate functionals over the ladder")
-    common(sp)
+    map_options(sp)
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("verify", help="run inequality checks")
-    common(sp)
+    map_options(sp)
     sp.add_argument("--check", action="append", default=[],
                     choices=[check.name for check in CHECKS],
                     help="restrict to specific checks (repeatable)")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("asym", help="limit proxies and theorem bounds")
-    common(sp)
+    map_options(sp)
     sp.add_argument("--s", type=float, default=None,
                     help="second order for the area-derivative theorem")
     sp.set_defaults(func=cmd_asym)
 
-    sp = sub.add_parser("beltrami", help="solve the radial Beltrami equation")
-    common(sp)
+    # no abbreviations: "--p" must not pass for "--param"
+    sp = sub.add_parser("beltrami", help="solve the radial Beltrami equation",
+                        allow_abbrev=False)
+    shared_options(sp)
     sp.add_argument("--coef", help="JSON file describing the coefficient")
     sp.add_argument("--r0", type=float, default=0.5, help="anchor radius")
     sp.add_argument("--R0", type=float, default=1.0, help="anchor value")
-    sp.add_argument("--span-lo", type=float, default=0.05)
-    sp.add_argument("--span-hi", type=float, default=0.95)
-    sp.add_argument("--step", type=float, default=1e-3)
+    sp.add_argument("--span-hi", type=float, default=0.95,
+                    help="upper end of the solve span; the lower end is the deepest rung")
+    sp.add_argument("--step", type=float, default=1e-2, help="RK4 step in ln r")
     sp.set_defaults(func=cmd_beltrami)
     return parser
 
@@ -284,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (ToolkitError, ValueError, FloatingPointError) as exc:
+    except (ToolkitError, ValueError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -36,6 +36,3 @@ class ComplexDrift(ToolkitError):
 class BlowUp(ToolkitError):
     """The radial ODE solution became non-finite or exceeded the growth cap."""
 
-
-class DegenerateDenominator(ToolkitError):
-    """A Cartesian-form denominator is numerically zero."""

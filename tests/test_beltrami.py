@@ -1,5 +1,6 @@
-"""Radial nonlinear Beltrami solver: exact-solution oracle, order of accuracy,
-coefficient-derived dilatation, Cartesian reduction, and the asymptotic bound."""
+"""Radial nonlinear Beltrami solver: exact-solution oracles (the power family's
+fixed point and its anchored closed form), order of accuracy in ln r,
+coefficient-derived dilatation, and the asymptotic bound on the ladder tail."""
 
 import math
 
@@ -7,19 +8,14 @@ import numpy as np
 import pytest
 
 from dilatox.beltrami import (
-    RadialSolution,
     SigmaCoefficient,
-    cartesian_coefficients,
-    cartesian_residual,
     condition_sigma0,
     dilatation_from_sigma,
-    lavrentiev_coefficient,
     power_sigma,
     sigma_from_json,
     solve_radial,
     theorem_nb_bound,
 )
-from dilatox.catalog import beltrami_exact
 from dilatox.errors import (
     BlowUp,
     ComplexDrift,
@@ -27,9 +23,6 @@ from dilatox.errors import (
     NonPositiveImag,
 )
 from dilatox.functionals import dilatation_grid
-from dilatox.mapping import PolarPoint
-from dilatox.verifier import RadiusLadder
-from dilatox.quadrature import QuadratureConfig
 
 
 def logistic_sigma():
@@ -47,6 +40,25 @@ def logistic_sigma():
 def logistic_exact(r, r0=0.5, R0=0.5):
     c = 1.0 / R0 - 1.0 / r0 + math.log(r0)
     return 1.0 / (1.0 / np.asarray(r, dtype=float) - np.log(r) + c)
+
+
+def ladder_span(ladder, hi=0.95):
+    """The solve span of the CLI: from the ladder's deepest rung up to hi."""
+    return float(ladder.radii()[-1]), hi
+
+
+def power_closed_form(r, kappa, m, r0, R0):
+    """R = r (1/kappa + C r^m)^{-1/m} with C = R0^{-m} - r0^{-m}/kappa, the power
+    family's solution through (r0, R0); C = 0 is the linear kappa^{1/m} r."""
+    c = R0 ** -m - r0 ** -m / kappa
+    r = np.asarray(r, dtype=float)
+    return r * (1.0 / kappa + c * r ** m) ** (-1.0 / m)
+
+
+# (m, R0) with kappa = 2 and r0 = 0.5: anchors at 0.6, 0.8 and 1 times the
+# linear solution's value; above it the closed form blows up inside the span.
+POWER_ANCHORS = [(m, frac * 2.0 ** (1.0 / m) * 0.5)
+                 for m in (0.5, 1.0, 2.0) for frac in (0.6, 0.8, 1.0)]
 
 
 class TestCoefficients:
@@ -150,8 +162,8 @@ class TestDilatationAndCondition:
     def test_dilatation_from_sigma_closed_form(self):
         coef = power_sigma(kappa=2.0, m=1.0)
         # D_{m+2} = 1/(r^{m+1} Im(conj sigma)) = kappa for the power family
-        for r in (0.1, 0.5, 0.9):
-            assert dilatation_from_sigma(coef, PolarPoint(r, 0.0)) == pytest.approx(2.0)
+        r = np.array([0.1, 0.5, 0.9])
+        assert dilatation_from_sigma(coef, r) == pytest.approx([2.0, 2.0, 2.0])
 
     def test_path_independence(self, cfg):
         # the coefficient-derived dilatation equals the solved map's dilatation
@@ -159,9 +171,8 @@ class TestDilatationAndCondition:
         sol = solve_radial(coef, 0.5, 1.0)
         model = sol.model()
         for r in (0.1, 0.4, 0.8):
-            z = PolarPoint(r, 1.0)
-            assert float(dilatation_grid(model, z.r, z.theta, 3.0)) == pytest.approx(
-                dilatation_from_sigma(coef, z), rel=1e-8)
+            assert float(dilatation_grid(model, r, 1.0, 3.0)) == pytest.approx(
+                float(dilatation_from_sigma(coef, r)), rel=1e-8)
 
     def test_condition_sigma0_power_family(self, ladder, cfg):
         proxy = condition_sigma0(power_sigma(kappa=2.0, m=1.0), ladder, cfg)
@@ -169,7 +180,7 @@ class TestDilatationAndCondition:
 
     def test_asymptotic_bound_holds(self, ladder, cfg):
         coef = power_sigma(kappa=2.0, m=1.0)
-        sol = solve_radial(coef, 0.5, 1.0)
+        sol = solve_radial(coef, 0.5, 1.0, ladder_span(ladder))
         res = theorem_nb_bound(coef, sol, ladder, cfg)
         assert res.report.holds
         # c_3 * sigma0 = 4 * 2 = 8; the solution attains ratio 2
@@ -183,39 +194,26 @@ class TestDilatationAndCondition:
             theorem_nb_bound(coef, sol, ladder, cfg)
 
 
-class TestCartesianForms:
-    def test_A_and_mu_closed_forms(self):
-        coef = power_sigma(kappa=2.0, m=0.0)
-        cart = cartesian_coefficients(coef)
-        # A = sigma r i = (-i/(2r)) r i = 1/2, real and positive
-        a = complex(np.asarray(cart.A(np.array([0.3])))[0])
-        assert a == pytest.approx(0.5)
-        # mu = (z/conj z) (A-1)/(A+1); |mu| = 1/3 < 1
-        z = np.array([0.3 * np.exp(1j)])
-        mu = complex(np.asarray(cart.mu(z))[0])
-        assert abs(mu) == pytest.approx(1.0 / 3.0, rel=1e-12)
+class TestPowerFamilyClosedForm:
+    @pytest.mark.parametrize("m, R0", POWER_ANCHORS)
+    def test_nodes_match_closed_form(self, m, R0, ladder):
+        sol = solve_radial(power_sigma(kappa=2.0, m=m), 0.5, R0, ladder_span(ladder))
+        exact = power_closed_form(sol.grid, 2.0, m, 0.5, R0)
+        assert np.max(np.abs(sol.values - exact) / exact) <= 1e-9
 
-    def test_lavrentiev_coefficient(self):
-        assert lavrentiev_coefficient(1.0 / 3.0) == pytest.approx(2.0)
-        assert math.isinf(lavrentiev_coefficient(1.0))
+    @pytest.mark.parametrize("m, R0", POWER_ANCHORS)
+    def test_attained_is_the_tail_liminf(self, m, R0, ladder, cfg):
+        coef = power_sigma(kappa=2.0, m=m)
+        sol = solve_radial(coef, 0.5, R0, ladder_span(ladder))
+        tail = ladder.tail_radii()
+        exact = float(np.min(power_closed_form(tail, 2.0, m, 0.5, R0) / tail))
+        res = theorem_nb_bound(coef, sol, ladder, cfg)
+        assert res.attained == pytest.approx(exact, rel=1e-9)
+        assert res.report.holds
 
-    def test_mu_inside_unit_disc_on_grid(self):
-        cart = cartesian_coefficients(power_sigma(kappa=2.0, m=0.0))
-        rng = np.random.default_rng(5)
-        r = rng.uniform(0.05, 0.95, 64)
-        th = rng.uniform(0.0, 2.0 * math.pi, 64)
-        mu = np.asarray(cart.mu(r * np.exp(1j * th)))
-        assert np.all(np.abs(mu) < 1.0)
-
-    def test_polar_and_cartesian_residuals_agree(self):
-        coef = power_sigma(kappa=2.0, m=0.0)
-        sol = solve_radial(coef, 0.5, 1.0)
-        model = sol.model()
-        for r, th in ((0.2, 0.0), (0.5, 1.3), (0.8, 4.0)):
-            res = cartesian_residual(model, coef, PolarPoint(r, th))
-            assert res <= 1e-8
-
-    def test_cartesian_residual_exact_catalog_solution(self):
+    def test_solution_above_the_tail_is_config_error(self, ladder, cfg):
         coef = power_sigma(kappa=2.0, m=1.0)
-        model = beltrami_exact(m=1.0, kappa=2.0).model
-        assert cartesian_residual(model, coef, PolarPoint(0.4, 2.0)) <= 1e-12
+        sol = solve_radial(coef, 0.5, 1.0, (0.05, 0.95))
+        assert sol.grid[0] > ladder.tail_radii().max()
+        with pytest.raises(ConfigError, match="outside the solved span"):
+            theorem_nb_bound(coef, sol, ladder, cfg)

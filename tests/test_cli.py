@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import dilatox
+from dilatox import verifier
 from dilatox.cli import main
 
 
@@ -91,6 +92,17 @@ class TestExitCodes:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert run(["eval", "--map-json", str(path), "--out", str(tmp_path)]) in (2, 3)
+
+    def test_arithmetic_error_is_exit_3(self, tmp_path, capsys, monkeypatch):
+        # an OverflowError is an ArithmeticError but not a FloatingPointError
+        def overflow(*args):
+            raise OverflowError("(34, 'Numerical result out of range')")
+
+        monkeypatch.setattr(verifier, "check_lemma1", overflow)
+        code = run(["verify", "--map", "linear", "--param", "k=0.5", "--p", "3",
+                    "--check", "lemma1", "--out", str(tmp_path)])
+        assert code == 3
+        assert "numerical failure" in capsys.readouterr().err
 
     # (flag, file text or None for a missing file): documents that cannot be ingested
     MALFORMED = {
@@ -259,8 +271,27 @@ class TestBeltrami:
         assert doc["sigma0"]["value"] == pytest.approx(2.0, rel=1e-6)
         assert doc["bound"] == pytest.approx(8.0, rel=1e-6)
         assert doc["holds"] is True
+        assert doc["attained"] == pytest.approx(2.0, rel=1e-15)
+        assert not {"map", "map_json", "p", "span_lo"} & doc["config"].keys()
         sol = (tmp_path / "solution.csv").read_text().splitlines()
         assert sol[0] == "r,R"
+
+    def test_attained_is_read_on_the_ladder_tail(self, tmp_path):
+        # the closed form r (1/kappa + C r^m)^{-1/m} through (0.5, 0.6), at its
+        # minimum ratio over the default ladder's tail
+        assert run(["beltrami", "--param", "kappa=2", "--param", "m=1", "--R0", "0.6",
+                    "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "beltrami.json").read_text())
+        assert doc["attained"] == pytest.approx(1.9541626755, rel=1e-9)
+
+    @pytest.mark.parametrize("flag", [["--p", "3"], ["--map", "identity"],
+                                      ["--map-json", "map.json"], ["--span-lo", "0.1"]])
+    def test_options_beltrami_does_not_read_are_usage_errors(self, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["beltrami", "--param", "kappa=2", "--param", "m=1", *flag,
+                 "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_deterministic_beltrami(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
