@@ -22,6 +22,7 @@ from .mapping import (
     MappingModel,
     _check_radii,
     _jacobian_and_ft,
+    block_rows,
     circle_angles,
     evaluation_grid,
     jacobian_grid,
@@ -34,7 +35,6 @@ from .quadrature import (
     integrate_from_origin,
     integrate_radial,
     log_power_tail,
-    romberg_nodes,
 )
 
 RadialFn = Callable[[np.ndarray], np.ndarray]
@@ -89,12 +89,20 @@ def dilatation_grid(model: MappingModel, r: np.ndarray, theta: np.ndarray,
     p = _order(p)
     r, theta, shape = evaluation_grid(model, r, theta)
     jac, ft = _jacobian_and_ft(model, r, theta)
-    num = np.abs(ft) ** p
+    return np.broadcast_to(_dilatation(jac, np.abs(ft), r, p), shape)
+
+
+def _dilatation(jac: np.ndarray, ft_abs: np.ndarray, r: np.ndarray, p: float) -> np.ndarray:
+    """D_p from J_f and |f_theta| on one grid: +inf where J_f = 0 while f_theta
+    does not vanish, 0 where both vanish."""
+    num = ft_abs ** p
     with np.errstate(divide="ignore", invalid="ignore"):
         out = num / (r ** p * jac)
-    out = np.where((jac == 0.0) & (num > 0.0), math.inf, out)
-    out = np.where((jac == 0.0) & (num == 0.0), 0.0, out)
-    return np.broadcast_to(out, shape)
+    zero = jac == 0.0
+    if zero.any():
+        out = np.where(zero & (num > 0.0), math.inf, out)
+        out = np.where(zero & (num == 0.0), 0.0, out)
+    return out
 
 
 # ----------------------------- circle reductions -----------------------------
@@ -106,29 +114,42 @@ def dilatation_grid(model: MappingModel, r: np.ndarray, theta: np.ndarray,
 # radii.
 
 
+def _angle_columns(vals: np.ndarray) -> np.ndarray:
+    """vals, or its first column alone when it is angle-broadcast: a grid of
+    angle stride 0 holds one value per row."""
+    return vals[..., :1] if vals.ndim and vals.strides[-1] == 0 else vals
+
+
 def _circle_reduce(sample: Callable[[np.ndarray, np.ndarray], np.ndarray], r,
-                   theta: np.ndarray, reduce: Callable[[np.ndarray], np.ndarray],
-                   cfg: QuadratureConfig) -> np.ndarray:
-    """reduce(sample(t[:, None], theta[None, :])) along the angle, for every
-    radius t of r. Rows are evaluated in blocks no larger than one base radial
-    Romberg grid, so a whole ladder's nodes never sit in memory at once."""
+                   theta: np.ndarray, reduce: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """reduce(sample(t[:, None], theta[None, :])) along the angle (the last
+    axis), for every radius t of r; the last axis of the result runs over r.
+
+    Rows are evaluated in blocks of mapping.block_rows(width) radii, where
+    width is the number of angles the sample actually evaluates: theta.size,
+    or 1 once a block comes back angle-broadcast (one column, or angle stride
+    0, as dilatation_grid returns for a theta-invariant map). Such a block is
+    reduced on its one column. Each row is reduced on its own, so the values
+    do not depend on the blocking."""
     t = np.atleast_1d(np.asarray(r, dtype=float))
-    block = romberg_nodes(cfg)
-    out = np.empty(t.shape)
-    for i in range(0, t.size, block):
-        rows = t[i:i + block, None]
+    parts, start, width = [], 0, theta.size
+    while start < t.size:
+        rows = t[start:start + block_rows(width), None]
         vals = np.asarray(sample(rows, theta[None, :]), dtype=float)
-        out[i:i + block] = reduce(np.broadcast_to(vals, (rows.shape[0], theta.size)))
-    return out
+        vals = _angle_columns(np.broadcast_to(vals, vals.shape[:-2] + (len(rows), theta.size)))
+        width = vals.shape[-1]
+        parts.append(reduce(vals))
+        start += len(rows)
+    return np.concatenate(parts, axis=-1)
 
 
 # (1/2pi) * integral over each circle, by the periodic trapezoid rule
-_row_mean = partial(np.mean, axis=1)
+_row_mean = partial(np.mean, axis=-1)
 
 
 def _power_mean(q: np.ndarray, p: float) -> np.ndarray:
     """Row-wise power mean of exponent 1/(p-1), raised back to p-1."""
-    if np.isnan(q).any() or np.any(q < 0):
+    if not (q >= 0.0).all():  # NaN compares false
         raise ValueError("circular mean needs nonnegative, non-NaN samples")
     if q.shape[1] == 1:
         return q[:, 0]  # the mean of one sample is that sample
@@ -147,7 +168,7 @@ def circular_mean(q_fn: Callable[[np.ndarray, np.ndarray], np.ndarray], r: Radii
     p = _order(p)
     _check_radii(r)
     return _like_radius(r, _circle_reduce(q_fn, r, circle_nodes(cfg.n_theta),
-                                          partial(_power_mean, p=p), cfg))
+                                          partial(_power_mean, p=p)))
 
 
 def circular_dilatation_mean(model: MappingModel, r: Radii,
@@ -169,7 +190,30 @@ def dilatation_radial_fn(model: MappingModel, p: Union[float, DilatationOrder],
     def fn(t):
         if not model.theta_invariant:
             _check_radii(t)  # full circles must lie inside the disc
-        return _circle_reduce(sample, t, theta, reduce, cfg)
+        return _circle_reduce(sample, t, theta, reduce)
+
+    return fn
+
+
+def length_dilatation_fn(model: MappingModel, p: Union[float, DilatationOrder],
+                         cfg: QuadratureConfig) -> Callable[[np.ndarray], np.ndarray]:
+    """Vectorized t -> the rows (L(t), d_p(t)) of a (2, t.size) array, from
+    one evaluation of the partials at every node of every circle."""
+    p = _order(p)
+    theta = circle_angles(model, cfg.n_theta)
+
+    def sample(t, th):
+        r, th, _ = evaluation_grid(model, t, th)
+        jac, ft = _jacobian_and_ft(model, r, th)
+        ft_abs = np.abs(ft)
+        return np.stack(np.broadcast_arrays(ft_abs, _dilatation(jac, ft_abs, r, p)))
+
+    def reduce(vals):
+        return np.stack([2.0 * math.pi * _row_mean(vals[0]), _power_mean(vals[1], p)])
+
+    def fn(t):
+        _check_radii(t)
+        return _circle_reduce(sample, t, theta, reduce)
 
     return fn
 
@@ -186,7 +230,7 @@ def boundary_length(model: MappingModel, r: Radii, cfg: QuadratureConfig) -> Rad
     """L(r): length of the image curve of the circle |z| = r."""
     _check_radii(r)
     ft = _circle_reduce(lambda t, th: np.abs(np.asarray(model.partial_theta(t, th))), r,
-                        circle_angles(model, cfg.n_theta), _row_mean, cfg)
+                        circle_angles(model, cfg.n_theta), _row_mean)
     return _like_radius(r, 2.0 * math.pi * ft)
 
 
@@ -201,7 +245,7 @@ def _circle_integral_fn(sample: Callable[[np.ndarray, np.ndarray], np.ndarray],
     """t -> t * integral_0^{2pi} sample(t, theta) d theta, vectorized over t."""
     def fn(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        return t * 2.0 * math.pi * _circle_reduce(sample, t, theta, _row_mean, cfg)
+        return t * 2.0 * math.pi * _circle_reduce(sample, t, theta, _row_mean)
     return fn
 
 

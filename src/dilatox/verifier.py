@@ -41,8 +41,10 @@ from .functionals import (
     dilatation_grid,
     dilatation_radial_fn,
     disc_mean,
+    length_dilatation_fn,
     radial_integral_inner,
     radial_integral_outer,
+    _angle_columns,
     _disc_integral,
     _order,
     _radial_integrand,
@@ -250,12 +252,11 @@ def check_length_area(model: MappingModel, p, r1: float, r2: float,
     p = _order(p)
     if not 0.0 < r1 < r2 < 1.0:
         raise ConfigError(f"need 0 < r1 < r2 < 1, got ({r1}, {r2})")
-    dp_fn = dilatation_radial_fn(model, p, cfg)
+    length_and_dp = length_dilatation_fn(model, p, cfg)
 
     def integrand(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        ell = boundary_length(model, t, cfg)
-        d = np.asarray(dp_fn(t), dtype=float)
+        ell, d = length_and_dp(t)
         with np.errstate(divide="ignore"):
             out = ell ** p / ((2.0 * math.pi * t) ** (p - 1.0) * d)
         return np.where(np.isinf(d), 0.0, out)
@@ -289,8 +290,8 @@ def check_lemma3(q_fn: Callable[[np.ndarray, np.ndarray], np.ndarray], p,
     denom = integrate_radial(inv_q, eps, 2.0 * eps, cfg)
     lhs = 1.0 / denom if denom > 0.0 else math.inf
 
-    def sample(t, th):
-        return np.asarray(q_fn(t, th), dtype=float) ** (1.0 / (p - 1.0))
+    def sample(t, th):  # an angle-broadcast q_fn stays one column through the power
+        return _angle_columns(np.asarray(q_fn(t, th), dtype=float)) ** (1.0 / (p - 1.0))
 
     disc = float(_disc_integral(sample, 2.0 * eps, circle_nodes(cfg.n_theta), cfg)[0])
     avg = disc / (4.0 * math.pi * eps ** 2)
@@ -305,7 +306,9 @@ def check_lemma4(model: MappingModel, p, ladder: RadiusLadder,
     p, r = _rungs("lemma4", LOW_P, p, ladder, cfg)
     inner, rel_deltas, notes = _inner(model, p, r, cfg)
     expo = 2.0 / (2.0 - p)
-    bound = math.pi * (2.0 - p) ** expo * inner ** expo
+    # one power of the product: (2-p)^expo underflows and inner^expo
+    # overflows as p -> 2, where the product stays near r^(2-p)
+    bound = math.pi * ((2.0 - p) * inner) ** expo
     return _finish("lemma4", p, r, area(model, r, cfg), bound,
                    _trunc_slack(bound, expo, rel_deltas), notes)
 
@@ -453,7 +456,7 @@ def theorem7_area_derivative(model: MappingModel, p, s, ladder: RadiusLadder,
         raise ConfigError(f"theorem7 needs s in {HIGH_P.name}, got s={s}")
     inner, rel_deltas, notes = _inner(model, p, r, cfg)
     expo, expo_s = 2.0 / (2.0 - p), 2.0 / (2.0 - s)
-    lower = (2.0 - p) ** expo * (r ** (p - 2.0) * inner) ** expo
+    lower = ((2.0 - p) * r ** (p - 2.0) * inner) ** expo
     v = r ** (s - 2.0) * radial_integral_outer(dilatation_radial_fn(model, s, cfg), r, s, cfg)
     with np.errstate(divide="ignore", invalid="ignore"):
         upper = np.where(v > 0, (s - 2.0) ** expo_s * v ** expo_s, math.inf)

@@ -1,6 +1,9 @@
 """Shared fixtures: the default quadrature config, the default radius ladder,
-the catalog map suite used by map-wide checks, and a theta-dependent test map
-with closed-form partials (a small conformal perturbation of the identity)."""
+the catalog map suite used by map-wide checks, a theta-dependent test map
+with closed-form partials (a small conformal perturbation of the identity),
+and a wrapper that records the size of every model call."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -68,3 +71,20 @@ def perturbed_conformal() -> MappingModel:
 
     return MappingModel(label="perturbed_conformal", value=value,
                         partial_r=partial_r, partial_theta=partial_theta)
+
+
+def recording(model: MappingModel) -> tuple[MappingModel, dict[str, list[int]]]:
+    """A copy of model whose value and partials append the number of points
+    of each call (the broadcast size of r and theta) to the returned lists."""
+    sizes = {"value": [], "partial_r": [], "partial_theta": []}
+
+    def wrap(kind):
+        fn = getattr(model, kind)
+
+        def counted(r, theta):
+            sizes[kind].append(np.broadcast(np.asarray(r), np.asarray(theta)).size)
+            return fn(r, theta)
+
+        return counted
+
+    return replace(model, **{kind: wrap(kind) for kind in sizes}), sizes

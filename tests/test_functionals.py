@@ -9,7 +9,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import catalog_suite, perturbed_conformal, suite_ids
+from conftest import catalog_suite, perturbed_conformal, recording, suite_ids
 from dilatox.catalog import linear, log_singular, radial_stretch
 from dilatox.errors import ConfigError, EmptyRange
 from dilatox.functionals import (
@@ -24,8 +24,10 @@ from dilatox.functionals import (
     disc_mean,
     radial_integral_inner,
     radial_integral_outer,
+    _circle_reduce,
 )
-from dilatox.mapping import PolarPoint, jacobian_grid, min_max_modulus
+from dilatox import mapping
+from dilatox.mapping import BLOCK_POINTS, PolarPoint, block_rows, jacobian_grid, min_max_modulus
 from dilatox.quadrature import EPS_TRUNC, R_FLOOR, circle_nodes
 
 # Frozen oracles, computed once with 30-digit adaptive quadrature (mpmath) and
@@ -114,6 +116,64 @@ class TestCircularMeans:
         q_fn = lambda r, th: 1.0 + 0.5 * np.cos(th)
         means = [circular_mean(q_fn, 0.5, p, cfg) for p in (1.2, 1.5, 2.0, 3.0, 5.0)]
         assert all(a >= b - 1e-12 for a, b in zip(means, means[1:]))
+
+
+class TestCircleBlocks:
+    """Circle reductions evaluate (t, theta) grids in blocks of at most
+    BLOCK_POINTS points; every row is reduced on its own, so the blocking
+    never shows in the values."""
+
+    @staticmethod
+    def _ladder_functionals(model, radii, cfg):
+        return [dilatation_radial_fn(model, 3.0, cfg)(radii), area(model, radii, cfg),
+                boundary_length(model, radii, cfg), disc_mean(model, radii, 1.5, cfg).value]
+
+    def test_values_do_not_depend_on_the_block(self, ladder, cfg, monkeypatch):
+        model, radii = perturbed_conformal(), ladder.radii()
+        blocked = self._ladder_functionals(model, radii, cfg)
+        # one radius per model call, then every radius of a call in one block
+        for points in (1, 2 ** 40):
+            monkeypatch.setattr(mapping, "BLOCK_POINTS", points)
+            for got, want in zip(self._ladder_functionals(model, radii, cfg), blocked):
+                np.testing.assert_array_equal(got, want)
+
+    def test_model_calls_stay_within_one_block(self, ladder, cfg):
+        model, sizes = recording(perturbed_conformal())
+        self._ladder_functionals(model, ladder.radii(), cfg)
+        min_max_modulus(model, ladder.radii())
+        assert max(n for calls in sizes.values() for n in calls) <= BLOCK_POINTS
+        assert block_rows(cfg.n_theta) * cfg.n_theta in sizes["partial_theta"]
+
+    @pytest.mark.parametrize("broadcast", [
+        lambda rows, th: np.broadcast_to(rows * rows, (rows.shape[0], th.size)),
+        lambda rows, th: rows * rows,
+    ], ids=["stride-0", "one-column"])
+    def test_angle_broadcast_sample_is_reduced_on_one_column(self, broadcast):
+        t, theta = np.geomspace(1e-3, 0.9, 5000), circle_nodes(512)
+        seen = []
+
+        def reduce(vals):
+            seen.append(vals.shape)
+            return vals[:, 0]
+
+        np.testing.assert_array_equal(_circle_reduce(broadcast, t, theta, reduce), t * t)
+        # the first block is sized for every angle, the later ones for one
+        first = block_rows(theta.size)
+        assert seen == [(first, 1), (t.size - first, 1)]
+
+    def test_full_sample_is_reduced_in_blocks_of_rows(self):
+        t, theta = np.geomspace(1e-3, 0.9, 300), circle_nodes(512)
+        seen = []
+
+        def reduce(vals):
+            seen.append(vals.shape)
+            return vals[:, -1]
+
+        got = _circle_reduce(lambda rows, th: rows + 0.0 * th, t, theta, reduce)
+        np.testing.assert_array_equal(got, t)
+        rows = block_rows(theta.size)
+        assert [n for n, _ in seen] == [rows] * (t.size // rows) + [t.size % rows]
+        assert {w for _, w in seen} == {theta.size}
 
 
 class TestDiscMeans:

@@ -4,12 +4,13 @@ asymptotic-ratio theorems with their sharpness cases."""
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import catalog_suite, suite_ids
-from dilatox.catalog import linear, log_singular, radial_stretch
+from conftest import catalog_suite, perturbed_conformal, recording, suite_ids
+from dilatox.catalog import identity, linear, log_singular, radial_stretch
 from dilatox.errors import ConfigError
 from dilatox.functionals import (
     area,
@@ -18,7 +19,7 @@ from dilatox.functionals import (
     circular_dilatation_mean,
     dilatation_grid,
 )
-from dilatox.mapping import MappingModel
+from dilatox.mapping import BLOCK_POINTS, MappingModel
 from dilatox.quadrature import QuadratureConfig
 from dilatox import verifier
 from dilatox.verifier import (
@@ -143,6 +144,27 @@ class TestLemmaChecks:
             check_lemma3(lambda rr, th: np.ones(np.broadcast_shapes(np.shape(rr),
                                                                     np.shape(th))),
                          3.0, eps, cfg)
+
+    @pytest.mark.parametrize("entry", [identity(), linear(0.5)], ids=["identity", "linear"])
+    @pytest.mark.parametrize("p", [1.9, 1.99])
+    def test_lemma4_equality_case_near_order_2(self, entry, p, ladder, cfg):
+        # for f = k z the bound pi ((2-p) inner)^{2/(2-p)} is exactly S = pi k^2 r^2;
+        # raised factor by factor it was 0 * inf = NaN at p = 1.99. The bound's
+        # relative error is 2/(2-p) times the inner integral's, taken as 1e-11.
+        rep = check_lemma4(entry.model, p, ladder, cfg)
+        assert rep.holds
+        s = area(entry.model, ladder.radii(), cfg)
+        assert np.all(np.abs(rep.margins) <= 1e-11 * 2.0 / (2.0 - p) * s), rep.margins
+
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
+    def test_lemma3_same_with_or_without_the_invariance_flag(self, p, ladder, cfg):
+        # the flagged map's q_fn comes back angle-broadcast and is reduced on
+        # one column, the unflagged one on every angle
+        model = linear(0.5).model
+        flagged, unflagged = (run_checks(m, p, ladder, cfg, ["lemma3"])[0]
+                              for m in (model, replace(model, theta_invariant=False)))
+        assert flagged.holds and unflagged.holds
+        assert flagged.margin == pytest.approx(unflagged.margin, rel=1e-13, abs=1e-13)
 
     def test_lemma2_rejects_low_order(self, ladder, cfg):
         with pytest.raises(ConfigError):
@@ -344,6 +366,24 @@ class TestRegistry:
         run_checks(linear(0.5).model, 3.0, ladder, cfg,
                    ["length_area", "lemma3", "theorem1"])
         assert seen == ["check_length_area", "check_lemma3", "theorem1_bound"]
+
+    # the checks that run on a theta-dependent map; lemma2, theorem3 and
+    # theorem6 reach t = 1 in an outer integral and are rejected there
+    THETA_CHECKS = {1.5: ["lemma1", "length_area", "lemma4", "theorem5"],
+                    3.0: ["lemma1", "length_area", "lemma3", "theorem1"]}
+
+    @pytest.mark.parametrize("p", sorted(THETA_CHECKS))
+    def test_model_calls_stay_within_one_block(self, p, ladder, cfg):
+        model, sizes = recording(perturbed_conformal())
+        reports = run_checks(model, p, ladder, cfg, self.THETA_CHECKS[p])
+        assert all(rep.holds for rep in reports)
+        assert max(n for calls in sizes.values() for n in calls) <= BLOCK_POINTS
+
+    def test_length_area_evaluates_each_partial_once_per_node(self, ladder, cfg):
+        model, sizes = recording(perturbed_conformal())
+        run_checks(model, 1.5, ladder, cfg, ["length_area"])
+        assert sum(sizes["partial_theta"]) == sum(sizes["partial_r"]) > 0
+        assert sizes["value"] == []
 
     def test_ladder_derived_interval_and_eps(self, ladder, cfg, monkeypatch):
         calls = {}
