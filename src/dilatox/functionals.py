@@ -34,7 +34,7 @@ from .quadrature import (
     circle_nodes,
     integrate_from_origin,
     integrate_radial,
-    log_power_tail,
+    refine_truncation,
 )
 
 RadialFn = Callable[[np.ndarray], np.ndarray]
@@ -260,15 +260,10 @@ def _disc_integral(sample, r, theta: np.ndarray, cfg: QuadratureConfig) -> np.nd
 def _refined(fn: RadialFn, eps: float, r: Radii, transform: Callable[[np.ndarray], np.ndarray],
              flag: str, cfg: QuadratureConfig) -> TruncatedValue:
     """transform of integral_0^r fn at every radius of r truncated at eps/2, and
-    its distance to the same truncated at eps. Halving eps changes only the part
-    below eps, so one ladder pass from eps serves both: the fine value adds the
-    quadrature on [eps/2, eps] and the tail fit at eps/2, the coarse one the tail
-    fit at eps. A change beyond quadrature tolerance is flagged, not thrown; a
-    radius not above eps is an EmptyRange."""
-    body = integrate_radial(fn, eps, np.atleast_1d(np.asarray(r, dtype=float)), cfg)
-    coarse = transform(body + log_power_tail(fn, eps))
-    fine = transform(body + (integrate_radial(fn, eps / 2.0, eps, cfg)
-                             + log_power_tail(fn, eps / 2.0)))
+    its distance to the same truncated at eps (quadrature.refine_truncation). A
+    change beyond quadrature tolerance is flagged, not thrown; a radius not
+    above eps is an EmptyRange."""
+    coarse, fine = (transform(raw) for raw in refine_truncation(fn, eps, r, cfg))
     with np.errstate(invalid="ignore"):  # inf - inf is masked below
         delta = np.where(np.isfinite(fine) & np.isfinite(coarse), np.abs(fine - coarse),
                          math.inf)

@@ -122,9 +122,29 @@ def _romberg_segments(fn: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
     return out
 
 
-# A rung segment has at least 2^3 intervals, so its Romberg extrapolation keeps
-# a high order even where the rungs are closer together than one base step.
+# A segment has at least 2^3 intervals, so its Romberg extrapolation keeps a
+# high order even where the rungs are closer together than one ladder step.
 MIN_SEGMENT_LEVEL = 3
+
+
+def _deepest_span(anchor: float, radii: np.ndarray) -> float:
+    """Log-width of the deepest rung's own integral, between the anchor and
+    min(radii); np.log, as for the segment widths, so that segment takes
+    exactly 2^k steps."""
+    deepest = float(radii.min())
+    return float(np.log(max(anchor, deepest) / min(anchor, deepest)))
+
+
+def _segment_integrals(fn: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
+                       hi: np.ndarray, span: float, cfg: QuadratureConfig) -> np.ndarray:
+    """Romberg integrals of fn over the segments [lo_i, hi_i], each on the
+    fewest 2^j + 1 log-spaced nodes (MIN_SEGMENT_LEVEL <= j <= k) whose step
+    is at most span / 2^k, the step of the configured 2^k + 1 node grid over
+    a log-width span."""
+    k = int(math.log2(romberg_nodes(cfg) - 1))
+    ratio = np.log(hi / lo) / (span / 2.0 ** k)
+    levels = np.clip(np.ceil(np.log2(ratio)), MIN_SEGMENT_LEVEL, k).astype(int)
+    return _romberg_segments(fn, lo, hi, levels)
 
 
 def integrate_radial(fn: Callable[[np.ndarray], np.ndarray], a, b,
@@ -137,13 +157,14 @@ def integrate_radial(fn: Callable[[np.ndarray], np.ndarray], a, b,
 
     One limit may be a 1-d array (a ladder of radii), the other a scalar (the
     anchor); the result is then the array of integrals over [a_i, b] or
-    [a, b_i], from one pass. The base segment joins the anchor to the nearest
-    radius on the configured 2^k + 1 node grid. Every further radius adds one
-    Romberg segment from its neighbour nearer the anchor, with the fewest
-    2^j + 1 nodes (MIN_SEGMENT_LEVEL <= j <= k) whose step is no larger than the
-    base step. Cumulative sums of the segments give each radius's integral, and
-    fn is called once on all nodes. +inf in a segment makes the integral of every radius beyond it
-    +inf; NaN raises.
+    [a, b_i], from one pass. Each radius adds one Romberg segment from its
+    neighbour nearer the anchor (the nearest radius from the anchor itself).
+    Every segment takes one step rule: the fewest 2^j + 1 nodes
+    (MIN_SEGMENT_LEVEL <= j <= k) whose log-step is at most that of the
+    deepest rung's own integral on the configured 2^k + 1 node grid, so a
+    lone radius gets that grid. Cumulative sums of the segments give each
+    radius's integral, and fn is called once on all nodes. +inf in a segment
+    makes the integral of every radius beyond it +inf; NaN raises.
     """
     if np.ndim(a) and np.ndim(b):
         raise ConfigError("at most one limit of a radial integral may be an array")
@@ -161,15 +182,8 @@ def integrate_radial(fn: Callable[[np.ndarray], np.ndarray], a, b,
     lo, hi = np.minimum(ends[:-1], ends[1:]), np.maximum(ends[:-1], ends[1:])
     if not lo[0] > 0.0:
         raise ConfigError(f"a log-spaced radial grid needs positive radii, got {lo[0]}")
-    width = np.log(hi / lo)
-    base_level = int(math.log2(romberg_nodes(cfg) - 1))
-    levels = np.full(len(lo), base_level)
-    ratio = width[1:] / (width[0] / 2.0 ** base_level)
-    # j <= k: a short base segment (an outer ladder with r_max near 1) would
-    # otherwise ask for millions of nodes per rung segment
-    levels[1:] = np.clip(np.ceil(np.log2(ratio)), MIN_SEGMENT_LEVEL, base_level)
     out = np.empty(len(radii))
-    out[order] = np.cumsum(_romberg_segments(fn, lo, hi, levels))
+    out[order] = np.cumsum(_segment_integrals(fn, lo, hi, _deepest_span(anchor, radii), cfg))
     return out if np.ndim(a) or np.ndim(b) else float(out[0])
 
 
@@ -207,3 +221,20 @@ def integrate_from_origin(fn: Callable[[np.ndarray], np.ndarray], eps: float,
     """integral_0^b fn(t) dt for a radius b or a 1-d array of them: the radial
     quadrature on [eps, b] plus the fitted tail below eps, which every radius shares."""
     return integrate_radial(fn, eps, b, cfg) + log_power_tail(fn, eps)
+
+
+def refine_truncation(fn: Callable[[np.ndarray], np.ndarray], eps: float, b,
+                      cfg: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
+    """integral_0^b fn(t) dt at every radius of b, truncated at eps and at
+    eps/2, each closed by its tail fit: the pair (coarse, fine) of arrays.
+
+    Halving eps changes only the part below eps, so one ladder pass from eps
+    serves both: the fine values add the [eps/2, eps] segment, on the ladder's
+    step, and the tail fit at eps/2; the coarse ones the tail fit at eps. A
+    radius not above eps is an EmptyRange."""
+    radii = np.atleast_1d(np.asarray(b, dtype=float))
+    body = integrate_radial(fn, eps, radii, cfg)
+    below = _segment_integrals(fn, np.array([eps / 2.0]), np.array([eps]),
+                               _deepest_span(eps, radii), cfg)[0]
+    return (body + log_power_tail(fn, eps),
+            body + (below + log_power_tail(fn, eps / 2.0)))

@@ -9,8 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import catalog_suite, perturbed_conformal, suite_ids
-from dilatox.catalog import linear
+from conftest import catalog_suite, perturbed_conformal, recording, suite_ids
+from dilatox.catalog import beltrami_exact, identity, linear, radial_stretch
 from dilatox.errors import ConfigError, EmptyRange
 from dilatox.functionals import (
     area,
@@ -98,8 +98,10 @@ class TestRadialLadder:
             integrate_radial(np.sqrt, [0.1], [0.3], cfg)
 
     def test_no_rung_segment_is_finer_than_the_base_grid(self, cfg):
-        # r_max near 1 makes the outer base segment [r_max, 1] tiny; a rung
-        # segment still gets no more nodes than the base segment
+        # r_max near 1 makes the outer base segment [r_max, 1] tiny; every
+        # segment takes the step of the deepest rung's own integral over
+        # [r_min, 1]: 2^3 + 1 nodes for [r_max, 1] and 65 for each of the 19
+        # rung segments
         radii = RadiusLadder(r_max=0.9999).radii()
         nodes = []
 
@@ -108,7 +110,7 @@ class TestRadialLadder:
             return np.sqrt(t)
 
         got = integrate_radial(fn, radii, 1.0, cfg)
-        assert nodes == [len(radii) * romberg_nodes(cfg)]
+        assert nodes == [1244]
         # 1 - r^1.5 by expm1: near r = 1 the plain difference loses digits
         exact = -2.0 / 3.0 * np.expm1(1.5 * np.log(radii))
         np.testing.assert_allclose(got, exact, rtol=1e-14)
@@ -232,17 +234,63 @@ class TestOnePassRefinement:
         _same_truncated(radial_integral_inner(d_p, ladder.radii(), 1.5, cfg), single)
 
     def test_inner_node_count(self, cfg, ladder):
-        # one ladder pass (1,649 radii), one [eps/2, eps] segment (1,025) and
-        # two tail fits (3 each); two whole passes took 3,310
+        # one ladder pass (1,652 radii), the [eps/2, eps] segment on the
+        # ladder's step (129) and two tail fits (3 each)
         d_p = dilatation_radial_fn(linear(0.5).model, 1.5, cfg)
         nodes = []
 
-        def recording(t):
+        def counted(t):
             nodes.append(np.size(t))
             return d_p(t)
 
-        radial_integral_inner(recording, ladder.radii(), 1.5, cfg)
-        assert sum(nodes) <= 2683
+        radial_integral_inner(counted, ladder.radii(), 1.5, cfg)
+        assert sum(nodes) == 1787
+
+    def test_disc_mean_node_count(self, cfg, ladder):
+        # one ladder pass from R_FLOOR (1,652 radii), the [eps/2, eps] segment
+        # on that ladder's longer step (65) and two tail fits (3 each)
+        model, sizes = recording(linear(0.5).model)
+        disc_mean(model, ladder.radii(), 3.0, cfg)
+        assert sum(sizes["partial_theta"]) == 1723
+
+
+def test_outer_ladder_node_count(cfg, ladder):
+    # [r_max, 1] on 257 nodes and 19 rung segments on 65 each, at the step
+    # of the deepest rung's own integral over [r_min, 1]
+    d_p = dilatation_radial_fn(linear(0.5).model, 3.0, cfg)
+    nodes = []
+
+    def counted(t):
+        nodes.append(np.size(t))
+        return d_p(t)
+
+    radial_integral_outer(counted, ladder.radii(), 3.0, cfg)
+    assert nodes == [1492]
+
+
+RADIAL_MAPS = [identity(), linear(0.5), radial_stretch(1.5), beltrami_exact(m=1.0, kappa=0.8)]
+
+
+@pytest.mark.parametrize("entry", RADIAL_MAPS, ids=[e.model.label for e in RADIAL_MAPS])
+class TestRadialIntegralsClosedForm:
+    """For a radial map R(r) e^{i theta} the integrand 1/(t^{q-1} d_q(t)) is
+    R'(t) R(t)^{1-q}, so both radial integrals have closed forms at every
+    rung; they guard the digits of every segment of a ladder pass."""
+
+    @pytest.mark.parametrize("q", [1.2, 1.5, 1.8])
+    def test_inner(self, entry, q, cfg, ladder):
+        radii = ladder.radii()
+        exact = (radii * entry.ratio(radii)) ** (2.0 - q) / (2.0 - q)
+        got = radial_integral_inner(dilatation_radial_fn(entry.model, q, cfg), radii, q, cfg)
+        np.testing.assert_allclose(got.value, exact, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("q", [2.5, 3.0, 4.0])
+    def test_outer(self, entry, q, cfg, ladder):
+        radii = ladder.radii()
+        exact = ((float(entry.ratio(1.0)) ** (2.0 - q) - (radii * entry.ratio(radii)) ** (2.0 - q))
+                 / (2.0 - q))
+        got = radial_integral_outer(dilatation_radial_fn(entry.model, q, cfg), radii, q, cfg)
+        np.testing.assert_allclose(got, exact, rtol=1e-14, atol=0.0)
 
 
 def _per_node_circular_mean(model, r, p, n_theta):
