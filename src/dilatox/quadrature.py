@@ -51,16 +51,11 @@ def circle_nodes(n_theta: int) -> np.ndarray:
     return np.arange(n_theta) * (2.0 * math.pi / n_theta)
 
 
-def romb(y, dx=1.0, axis: int = -1):
-    """Romberg integral of 2^k + 1 equally spaced samples along `axis`.
-
-    The Richardson table of scipy.integrate.romb, with the same operations in
-    the same order, so the result is bit-identical to it. A dot product with
-    precomputed Romberg weights would sum in another order and differ in the
-    last bits. `dx` is a scalar or an array that broadcasts against `y` with
-    `axis` removed (one step per row of a ladder block).
-    """
-    y = np.asarray(y)
+def _trapezoid_column(y: np.ndarray, dx, axis: int) -> np.ndarray:
+    """The trapezoid sums T_0 ... T_k of 2^k + 1 equally spaced samples along
+    `axis`, T_i on 2^i intervals, stacked along a new leading axis; the
+    first column of scipy.integrate.romb's Richardson table, with its
+    operations."""
     n_interv = y.shape[axis] - 1
     k = n_interv.bit_length() - 1
     if n_interv < 1 or n_interv != 1 << k:
@@ -71,55 +66,46 @@ def romb(y, dx=1.0, axis: int = -1):
         return lead + (s,)
 
     h = n_interv * np.asarray(dx, dtype=np.float64)
-    row = [(y[along(0)] + y[along(-1)]) / 2.0 * h]
+    column = [(y[along(0)] + y[along(-1)]) / 2.0 * h]
     start = step = n_interv
-    for i in range(1, k + 1):
+    for _ in range(k):
         start >>= 1
         midpoints = y[along(slice(start, n_interv, step))]
         step >>= 1
-        prev_row, row = row, [0.5 * (row[0] + h * np.sum(midpoints, axis=axis))]
-        for j in range(1, i + 1):
-            prev = row[j - 1]
-            row.append(prev + (prev - prev_row[j - 1]) / ((1 << (2 * j)) - 1))
+        column.append(0.5 * (column[-1] + h * np.add.reduce(midpoints, axis=axis)))
         h = h / 2.0
-    return row[k]
+    return np.stack(column)
+
+
+def _richardson(table: np.ndarray) -> np.ndarray:
+    """Richardson extrapolation of a trapezoid column, in place, one column of
+    the table at a time across all rows: row i ends as R[i, i], from exactly
+    the operations scipy.integrate.romb applies to it. Row i reads only rows
+    up to i, so columns of different depths can share one table, each read
+    at its own depth."""
+    for j in range(1, len(table)):
+        table[j:] = table[j:] + (table[j:] - table[j - 1:-1]) / ((1 << (2 * j)) - 1)
+    return table
+
+
+def romb(y, dx=1.0, axis: int = -1):
+    """Romberg integral of 2^k + 1 equally spaced samples along `axis`.
+
+    The Richardson table of scipy.integrate.romb, with the same operations in
+    the same order, so the result is bit-identical to it; only the order in
+    which the table's entries are filled differs (the trapezoid column first,
+    then one column at a time). A dot product with precomputed Romberg
+    weights would sum in another order and differ in the last bits. `dx` is a
+    scalar or an array that broadcasts against `y` with `axis` removed (one
+    step per row of a ladder block).
+    """
+    return _richardson(_trapezoid_column(np.asarray(y), dx, axis))[-1]
 
 
 def romberg_nodes(cfg: QuadratureConfig) -> int:
     """Nodes of the base radial grid: Romberg needs 2^k + 1, the first such count
     above n_r."""
     return 2 ** math.ceil(math.log2(cfg.n_r)) + 1
-
-
-def _romberg_segments(fn: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
-                      hi: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """Romberg integrals of fn(t) dt = fn(e^u) e^u du over the segments
-    [lo_i, hi_i], segment i on 2^levels_i + 1 nodes equispaced in u = ln t,
-    from a single call of fn on all nodes.
-
-    A segment holding +inf integrates to +inf; NaN anywhere raises.
-    """
-    u_lo, u_hi = np.log(lo), np.log(hi)
-    # the exact step; a difference of neighbouring nodes near u = -14 would
-    # lose about three digits
-    dx = (u_hi - u_lo) / 2.0 ** levels
-    groups = [np.flatnonzero(levels == k) for k in np.unique(levels)]
-    grids = [np.linspace(u_lo[g], u_hi[g], 2 ** int(levels[g[0]]) + 1, axis=-1)
-             for g in groups]
-    ts = [np.exp(u) for u in grids]
-    y_all = np.asarray(fn(np.concatenate([t.ravel() for t in ts])), dtype=float)
-    if np.isnan(y_all).any():
-        raise ValueError("NaN in radial quadrature values")
-    out = np.empty(len(lo))
-    start = 0
-    for g, t in zip(groups, ts):
-        y = y_all[start:start + t.size].reshape(t.shape)
-        start += t.size
-        y = y * t
-        inf_rows = np.isinf(y).any(axis=1)
-        out[g] = romb(np.where(np.isinf(y), 0.0, y), dx=dx[g], axis=-1)
-        out[g[inf_rows]] = math.inf
-    return out
 
 
 # A segment has at least 2^3 intervals, so its Romberg extrapolation keeps a
@@ -136,15 +122,78 @@ def _deepest_span(anchor: float, radii: np.ndarray) -> float:
 
 
 def _segment_integrals(fn: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
-                       hi: np.ndarray, span: float, cfg: QuadratureConfig) -> np.ndarray:
-    """Romberg integrals of fn over the segments [lo_i, hi_i], each on the
-    fewest 2^j + 1 log-spaced nodes (MIN_SEGMENT_LEVEL <= j <= k) whose step
-    is at most span / 2^k, the step of the configured 2^k + 1 node grid over
-    a log-width span."""
+                       hi: np.ndarray, span: float, cfg: QuadratureConfig,
+                       samples=()) -> tuple[np.ndarray, np.ndarray]:
+    """Romberg integrals of fn(t) dt = fn(e^u) e^u du over the segments
+    [lo_i, hi_i], and fn at the radii `samples`, from a single call of fn.
+
+    Segment i lies on 2^j + 1 nodes equispaced in u = ln t, the fewest
+    (MIN_SEGMENT_LEVEL <= j <= k) whose step is at most span / 2^k, the step
+    of the configured 2^k + 1 node grid over a log-width span. Every
+    segment's trapezoid column goes into one table, which takes one
+    Richardson pass. A segment holding +inf integrates to +inf; NaN at a
+    node raises.
+    """
     k = int(math.log2(romberg_nodes(cfg) - 1))
     ratio = np.log(hi / lo) / (span / 2.0 ** k)
     levels = np.clip(np.ceil(np.log2(ratio)), MIN_SEGMENT_LEVEL, k).astype(int)
-    return _romberg_segments(fn, lo, hi, levels)
+    u_lo, u_hi = np.log(lo), np.log(hi)
+    # the exact step; a difference of neighbouring nodes near u = -14 would
+    # lose about three digits
+    dx = (u_hi - u_lo) / 2.0 ** levels
+    groups = [np.flatnonzero(levels == j) for j in np.unique(levels)]
+    ts = [np.exp(np.linspace(u_lo[g], u_hi[g], 2 ** int(levels[g[0]]) + 1, axis=-1))
+          for g in groups]
+    samples = np.asarray(samples, dtype=float)
+    y_all = np.asarray(fn(np.concatenate([t.ravel() for t in ts] + [samples])), dtype=float)
+    n_nodes = y_all.size - samples.size
+    if np.isnan(y_all[:n_nodes]).any():
+        raise ValueError("NaN in radial quadrature values")
+    table = np.zeros((int(levels.max()) + 1, len(lo)))
+    inf_rows = np.zeros(len(lo), dtype=bool)
+    start = 0
+    for g, t in zip(groups, ts):
+        y = y_all[start:start + t.size].reshape(t.shape) * t
+        start += t.size
+        inf = np.isinf(y)
+        inf_rows[g] = inf.any(axis=1)
+        column = _trapezoid_column(np.where(inf, 0.0, y), dx[g], -1)
+        table[:len(column), g] = column
+    out = _richardson(table)[levels, np.arange(len(lo))]
+    out[inf_rows] = math.inf
+    return out, y_all[n_nodes:]
+
+
+def _ladder_pass(fn: Callable[[np.ndarray], np.ndarray], a, b, cfg: QuadratureConfig,
+                 samples=(), refine: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One call of fn for a whole ladder: the integrals over [a, b] at every
+    radius (an array, see integrate_radial); with `refine`, the integral over
+    [a/2, a] below a scalar lower limit a, on the ladder's step, as a
+    one-element array (else an empty one); and fn at the radii `samples`.
+    The limits are checked before fn is called."""
+    if np.ndim(a) and np.ndim(b):
+        raise ConfigError("at most one limit of a radial integral may be an array")
+    if np.ndim(a):
+        anchor, radii = float(b), np.asarray(a, dtype=float)
+    else:
+        anchor, radii = float(a), np.atleast_1d(np.asarray(b, dtype=float))
+    if radii.ndim != 1 or radii.size == 0:
+        raise ConfigError(f"radii must be a non-empty 1-d array, got shape {radii.shape}")
+    order = np.argsort(np.abs(radii - anchor), kind="stable")
+    ends = np.concatenate([[anchor], radii[order]])
+    steps = np.diff(ends)
+    if not np.all(steps < 0.0 if np.ndim(a) else steps > 0.0):
+        raise EmptyRange(f"empty radial range [{a}, {b}]")
+    lo, hi = np.minimum(ends[:-1], ends[1:]), np.maximum(ends[:-1], ends[1:])
+    if not lo.min() > 0.0:
+        raise ConfigError(f"a log-spaced radial grid needs positive radii, got {lo.min()}")
+    span = _deepest_span(anchor, radii)
+    if refine:
+        lo, hi = np.append(lo, anchor / 2.0), np.append(hi, anchor)
+    segments, values = _segment_integrals(fn, lo, hi, span, cfg, samples)
+    out = np.empty(len(radii))
+    out[order] = np.cumsum(segments[:len(radii)])
+    return out, segments[len(radii):], values
 
 
 def integrate_radial(fn: Callable[[np.ndarray], np.ndarray], a, b,
@@ -164,39 +213,28 @@ def integrate_radial(fn: Callable[[np.ndarray], np.ndarray], a, b,
     deepest rung's own integral on the configured 2^k + 1 node grid, so a
     lone radius gets that grid. Cumulative sums of the segments give each
     radius's integral, and fn is called once on all nodes. +inf in a segment
-    makes the integral of every radius beyond it +inf; NaN raises.
+    makes the integral of every radius beyond it +inf; NaN raises, and so
+    does a limit that is not positive, before fn is called.
     """
-    if np.ndim(a) and np.ndim(b):
-        raise ConfigError("at most one limit of a radial integral may be an array")
-    if np.ndim(a):
-        anchor, radii = float(b), np.asarray(a, dtype=float)
-    else:
-        anchor, radii = float(a), np.atleast_1d(np.asarray(b, dtype=float))
-    if radii.ndim != 1 or radii.size == 0:
-        raise ConfigError(f"radii must be a non-empty 1-d array, got shape {radii.shape}")
-    order = np.argsort(np.abs(radii - anchor), kind="stable")
-    ends = np.concatenate([[anchor], radii[order]])
-    steps = np.diff(ends)
-    if not np.all(steps < 0.0 if np.ndim(a) else steps > 0.0):
-        raise EmptyRange(f"empty radial range [{a}, {b}]")
-    lo, hi = np.minimum(ends[:-1], ends[1:]), np.maximum(ends[:-1], ends[1:])
-    if not lo[0] > 0.0:
-        raise ConfigError(f"a log-spaced radial grid needs positive radii, got {lo[0]}")
-    out = np.empty(len(radii))
-    out[order] = np.cumsum(_segment_integrals(fn, lo, hi, _deepest_span(anchor, radii), cfg))
+    out = _ladder_pass(fn, a, b, cfg)[0]
     return out if np.ndim(a) or np.ndim(b) else float(out[0])
 
 
-def log_power_tail(fn: Callable[[np.ndarray], np.ndarray], eps: float) -> float:
+# Radii of the samples of the tail fit at eps, in units of eps.
+TAIL_SAMPLES = np.array([1.0, 2.0, 4.0])
+
+
+def log_power_tail(eps: float, g) -> float:
     """Estimate of integral_0^eps fn(t) dt from a power-times-log fit.
 
-    Fits fn(t) ~ c t^beta (1 - ln t)^gamma through samples at eps, 2 eps and
-    4 eps. Reduces to the exact pure-power tail when gamma vanishes, and
-    handles the slowly-convergent log-corrected integrands of the singular
-    example family far better than a plain power fit.
+    g holds fn at eps * TAIL_SAMPLES, that is at eps, 2 eps and 4 eps; the
+    fit fn(t) ~ c t^beta (1 - ln t)^gamma runs through these samples.
+    Reduces to the exact pure-power tail when gamma vanishes, and handles the
+    slowly-convergent log-corrected integrands of the singular example family
+    far better than a plain power fit.
     """
-    ts = np.array([eps, 2.0 * eps, 4.0 * eps])
-    g = np.asarray(fn(ts), dtype=float)
+    ts = eps * TAIL_SAMPLES
+    g = np.asarray(g, dtype=float)
     if np.isnan(g).any():
         raise ValueError("NaN in tail fit samples")
     if np.isinf(g).any():
@@ -219,8 +257,10 @@ def log_power_tail(fn: Callable[[np.ndarray], np.ndarray], eps: float) -> float:
 def integrate_from_origin(fn: Callable[[np.ndarray], np.ndarray], eps: float,
                           b: float | np.ndarray, cfg: QuadratureConfig) -> float | np.ndarray:
     """integral_0^b fn(t) dt for a radius b or a 1-d array of them: the radial
-    quadrature on [eps, b] plus the fitted tail below eps, which every radius shares."""
-    return integrate_radial(fn, eps, b, cfg) + log_power_tail(fn, eps)
+    quadrature on [eps, b] plus the fitted tail below eps, which every radius
+    shares; one call of fn covers the ladder and the tail samples."""
+    body, _, g = _ladder_pass(fn, eps, b, cfg, eps * TAIL_SAMPLES)
+    return (body if np.ndim(b) else float(body[0])) + log_power_tail(eps, g)
 
 
 def refine_truncation(fn: Callable[[np.ndarray], np.ndarray], eps: float, b,
@@ -230,11 +270,11 @@ def refine_truncation(fn: Callable[[np.ndarray], np.ndarray], eps: float, b,
 
     Halving eps changes only the part below eps, so one ladder pass from eps
     serves both: the fine values add the [eps/2, eps] segment, on the ladder's
-    step, and the tail fit at eps/2; the coarse ones the tail fit at eps. A
-    radius not above eps is an EmptyRange."""
-    radii = np.atleast_1d(np.asarray(b, dtype=float))
-    body = integrate_radial(fn, eps, radii, cfg)
-    below = _segment_integrals(fn, np.array([eps / 2.0]), np.array([eps]),
-                               _deepest_span(eps, radii), cfg)[0]
-    return (body + log_power_tail(fn, eps),
-            body + (below + log_power_tail(fn, eps / 2.0)))
+    step, and the tail fit at eps/2; the coarse ones the tail fit at eps. One
+    call of fn covers the ladder, that segment and the samples of both fits.
+    A radius not above eps is an EmptyRange."""
+    body, below, g = _ladder_pass(fn, eps, np.atleast_1d(np.asarray(b, dtype=float)), cfg,
+                                  np.concatenate([eps * TAIL_SAMPLES, eps / 2.0 * TAIL_SAMPLES]),
+                                  refine=True)
+    return (body + log_power_tail(eps, g[:3]),
+            body + (below[0] + log_power_tail(eps / 2.0, g[3:])))

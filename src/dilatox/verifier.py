@@ -23,6 +23,7 @@ run_checks runs them.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -178,6 +179,14 @@ class BoundReport:
         }
 
 
+@functools.lru_cache(maxsize=64)
+def _radii_tuple(raw: bytes) -> tuple[float, ...]:
+    """The float64 radii packed in raw as a tuple of floats. A run's reports
+    take their radii from a few ladders, so they share a few such tuples
+    rather than each boxing its 5-40 radii afresh."""
+    return tuple(np.frombuffer(raw).tolist())
+
+
 def _finish(check_id: str, p: float, radii, greater, lesser, slack=0.0,
             notes=()) -> BoundReport:
     """The report of greater >= lesser, one row per element of the broadcast
@@ -192,7 +201,7 @@ def _finish(check_id: str, p: float, radii, greater, lesser, slack=0.0,
     finite = margins[np.isfinite(margins)]
     return BoundReport(check_id=check_id, p=p, holds=holds,
                        margin=float(finite.min()) if finite.size else math.inf,
-                       radii=tuple(radii.tolist()), margins=tuple(margins.tolist()),
+                       radii=_radii_tuple(radii.tobytes()), margins=tuple(margins.tolist()),
                        notes=tuple(sorted(notes)))
 
 

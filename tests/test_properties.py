@@ -85,7 +85,7 @@ def test_growth_constant_positive_finite(p):
        c=st.floats(min_value=0.1, max_value=10.0),
        eps=st.floats(min_value=1e-8, max_value=1e-2))
 def test_log_power_tail_exact_on_pure_powers(beta, c, eps):
-    got = log_power_tail(lambda t: c * np.asarray(t) ** beta, eps)
+    got = log_power_tail(eps, c * (eps * np.array([1.0, 2.0, 4.0])) ** beta)
     exact = c * eps ** (beta + 1.0) / (beta + 1.0)
     assert got == pytest.approx(exact, rel=1e-9)
 

@@ -1,6 +1,8 @@
 """The in-tree Romberg table against scipy.integrate.romb: the same Richardson
-table in the same order of operations, so every result is bit-identical; and
-the range of QuadratureConfig.r_min."""
+table in the same order of operations, so every result is bit-identical, also
+where a ladder pass shares one table across segments of different depths; one
+integrand call per ladder pass; the checks on radial limits; and the range of
+QuadratureConfig.r_min."""
 
 import math
 
@@ -9,7 +11,16 @@ import pytest
 from scipy.integrate import romb as scipy_romb
 
 from dilatox.errors import ConfigError
-from dilatox.quadrature import EPS_TRUNC, QuadratureConfig, romb
+from dilatox.quadrature import (
+    EPS_TRUNC,
+    QuadratureConfig,
+    integrate_from_origin,
+    integrate_radial,
+    log_power_tail,
+    refine_truncation,
+    romb,
+)
+from dilatox.verifier import RadiusLadder
 
 
 @pytest.mark.parametrize("k", range(13))
@@ -55,3 +66,84 @@ def test_r_min_lies_between_eps_trunc_and_one():
     for r_min in (EPS_TRUNC / 2.0, 1e-9, 0.0, 1.0, math.nan):
         with pytest.raises(ConfigError, match="r_min"):
             QuadratureConfig(r_min=r_min)
+
+
+@pytest.mark.parametrize("a, b", [
+    (np.array([0.5, 0.0]), 1.0),
+    (np.array([0.5, -0.1]), 1.0),
+    (0.0, 1.0),
+    (0.0, np.array([0.1, 0.5])),
+    (-0.1, 1.0),
+])
+def test_radial_limits_must_be_positive_before_any_call(a, b):
+    # the deepest end of an array limit is its last rung from the anchor,
+    # not the first; a zero or negative one is refused before fn is called
+    def fn(t):
+        raise AssertionError("integrand called")
+
+    with pytest.raises(ConfigError, match="positive radii"):
+        integrate_radial(fn, a, b, QuadratureConfig())
+
+
+def _integrand(t):
+    # a power near the origin, with a correction that varies along the ladder
+    t = np.asarray(t, dtype=float)
+    return t ** -0.5 * (2.0 + np.sin(3.0 * t))
+
+
+def _scipy_segments(fn, ends, nodes):
+    """scipy.integrate.romb of fn(t) dt over each [ends_i, ends_{i+1}], on
+    nodes_i log-spaced nodes, each segment with its own call of fn."""
+    u = np.log(ends)
+    out = []
+    for u_lo, u_hi, n in zip(u[:-1], u[1:], nodes):
+        t = np.exp(np.linspace(u_lo, u_hi, n))
+        out.append(scipy_romb(fn(t) * t, dx=(u_hi - u_lo) / (n - 1)))
+    return np.array(out)
+
+
+def _separate_tail(fn, eps):
+    return log_power_tail(eps, fn(eps * np.array([1.0, 2.0, 4.0])))
+
+
+def test_mixed_depth_ladder_pass_matches_scipy_segment_by_segment():
+    # the default inner ladder: a 1,025-node base segment [eps, min(radii)],
+    # 33-node rung segments, and the 129-node [eps/2, eps] segment, all
+    # extrapolated in one shared Richardson table
+    cfg, radii = QuadratureConfig(), RadiusLadder().radii()
+    rungs = np.concatenate([[EPS_TRUNC], radii[::-1]])
+    body = np.cumsum(_scipy_segments(_integrand, rungs, [1025] + [33] * len(radii)))[::-1]
+    below = _scipy_segments(_integrand, np.array([EPS_TRUNC / 2.0, EPS_TRUNC]), [129])[0]
+    coarse, fine = refine_truncation(_integrand, EPS_TRUNC, radii, cfg)
+    assert np.isfinite(coarse).all() and np.isfinite(fine).all()
+    assert np.array_equal(coarse, body + _separate_tail(_integrand, EPS_TRUNC))
+    assert np.array_equal(
+        fine, body + (below + _separate_tail(_integrand, EPS_TRUNC / 2.0)))
+
+
+def test_one_integrand_call_per_ladder_pass():
+    cfg, radii, eps = QuadratureConfig(), RadiusLadder().radii(), EPS_TRUNC
+    calls = []
+
+    def counted(t):
+        calls.append(np.size(t))
+        return _integrand(t)
+
+    coarse, fine = refine_truncation(counted, eps, radii, cfg)
+    assert calls == [1652 + 129 + 6]
+    calls.clear()
+    from_origin = integrate_from_origin(counted, eps, radii, cfg)
+    assert calls == [1652 + 3]
+    calls.clear()
+    one = integrate_from_origin(counted, eps, 0.3, cfg)
+    assert calls == [1025 + 3] and isinstance(one, float)
+
+    # the same numbers as separate calls: the ladder body through
+    # integrate_radial, the [eps/2, eps] segment on the ladder's step and
+    # each tail fit from its own samples
+    body = integrate_radial(_integrand, eps, radii, cfg)
+    below = _scipy_segments(_integrand, np.array([eps / 2.0, eps]), [129])[0]
+    assert np.array_equal(coarse, body + _separate_tail(_integrand, eps))
+    assert np.array_equal(fine, body + (below + _separate_tail(_integrand, eps / 2.0)))
+    assert np.array_equal(from_origin, body + _separate_tail(_integrand, eps))
+    assert one == integrate_radial(_integrand, eps, 0.3, cfg) + _separate_tail(_integrand, eps)

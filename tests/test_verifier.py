@@ -131,6 +131,13 @@ class TestLemmaChecks:
         assert rep.radii == tuple(np.repeat(rungs, 2).tolist())
         np.testing.assert_allclose(rep.margins, want, rtol=1e-12, atol=1e-12)
 
+    def test_reports_on_one_ladder_share_their_radii(self, ladder, cfg):
+        # a run keeps one tuple of boxed radii per ladder, not one per report
+        first = check_lemma1(linear(0.5).model, 3.0, ladder, cfg)
+        second = check_lemma1(radial_stretch(1.5).model, 1.5, ladder, cfg)
+        assert first.radii is second.radii
+        assert first.radii == tuple(np.repeat(ladder.radii(), 2).tolist())
+
     def test_conformal_saturation(self, ladder, cfg):
         ident = next(e for e in catalog_suite() if e.model.label == "identity")
         for rep in (check_lemma1(ident.model, 3.0, ladder, cfg),
