@@ -29,7 +29,7 @@ from .mapping import (
     sample_table,
 )
 from .quadrature import R_FLOOR, QuadratureConfig, circle_nodes, integrate_from_origin
-from .verifier import BoundReport, LimitProxy, RadiusLadder, _finish, growth_constant
+from .verifier import BoundReport, LimitProxy, RadiusLadder, _finish, growth_bound
 
 DRIFT_TOL = 1e-12
 BLOWUP_CAP = 1e6
@@ -261,7 +261,7 @@ def theorem_nb_bound(coef: SigmaCoefficient, solution: RadialSolution,
         raise ConfigError(f"ladder tail [{tail.min():.4g}, {tail.max():.4g}] lies outside "
                           f"the solved span [{lo:.4g}, {hi:.4g}]")
     sigma0 = condition_sigma0(coef, ladder, cfg)
-    bound = growth_constant(coef.m + 2.0) * sigma0.value ** (1.0 / coef.m)
+    bound = growth_bound(coef.m + 2.0, sigma0.value)
     ratios = np.asarray(solution.profile.R(tail), dtype=float) / tail
     attained = LimitProxy.from_tail("liminf", ratios).value
     report = _finish("theorem_nb", coef.m + 2.0, tail[-1], bound, attained, notes=solution.notes)

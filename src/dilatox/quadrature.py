@@ -8,6 +8,7 @@ NaN raises. Integrands are vectorized callables over radius arrays.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -84,7 +85,9 @@ def _richardson(table: np.ndarray) -> np.ndarray:
     up to i, so columns of different depths can share one table, each read
     at its own depth."""
     for j in range(1, len(table)):
-        table[j:] = table[j:] + (table[j:] - table[j - 1:-1]) / ((1 << (2 * j)) - 1)
+        change = table[j:] - table[j - 1:-1]
+        change /= (1 << (2 * j)) - 1
+        table[j:] += change
     return table
 
 
@@ -97,7 +100,7 @@ def romb(y, dx=1.0, axis: int = -1):
     then one column at a time). A dot product with precomputed Romberg
     weights would sum in another order and differ in the last bits. `dx` is a
     scalar or an array that broadcasts against `y` with `axis` removed (one
-    step per row of a ladder block).
+    step per row).
     """
     return _richardson(_trapezoid_column(np.asarray(y), dx, axis))[-1]
 
@@ -121,20 +124,62 @@ def _deepest_span(anchor: float, radii: np.ndarray) -> float:
     return float(np.log(max(anchor, deepest) / min(anchor, deepest)))
 
 
-def _segment_integrals(fn: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
-                       hi: np.ndarray, span: float, cfg: QuadratureConfig,
-                       samples=()) -> tuple[np.ndarray, np.ndarray]:
-    """Romberg integrals of fn(t) dt = fn(e^u) e^u du over the segments
-    [lo_i, hi_i], and fn at the radii `samples`, from a single call of fn.
+@dataclass(frozen=True)
+class _LadderPlan:
+    """The node layout of one ladder pass, which depends only on its limits
+    and the grid size. `order` sorts the rungs outward from the anchor. The
+    segments are laid out as columns by level j (2^j + 1 nodes each),
+    shallowest first, and `columns` holds the segment of each column; per
+    column, its level and the node indices of its two ends. For each
+    trapezoid sum T_i, `steps[i]` holds the step and, for i >= 1,
+    `midpoints[i - 1]` the node indices of the new midpoints, both for the
+    columns of level >= i, a suffix of the layout. Every array is read-only,
+    since one plan serves every pass on its ladder."""
+
+    order: np.ndarray
+    nodes: np.ndarray
+    columns: np.ndarray
+    levels: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    steps: tuple[np.ndarray, ...]
+    midpoints: tuple[np.ndarray, ...]
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@functools.lru_cache(maxsize=32)
+def _ladder_plan(anchor: float, raw: bytes, array_is_lower: bool, refine: bool,
+                 k: int) -> _LadderPlan:
+    """The plan of the ladder pass from `anchor` to each radius packed in
+    `raw` (below it when `array_is_lower`), with the [anchor/2, anchor]
+    segment when `refine`, on the step of a 2^k + 1 node grid (see
+    integrate_radial). A plan is a pure function of these arguments, so the
+    few ladders of a run each build theirs once; the range checks raise on
+    every call, since lru_cache keeps no exception.
 
     Segment i lies on 2^j + 1 nodes equispaced in u = ln t, the fewest
     (MIN_SEGMENT_LEVEL <= j <= k) whose step is at most span / 2^k, the step
-    of the configured 2^k + 1 node grid over a log-width span. Every
-    segment's trapezoid column goes into one table, which takes one
-    Richardson pass. A segment holding +inf integrates to +inf; NaN at a
-    node raises.
+    of the configured grid over the deepest rung's log-width span. The steps
+    and midpoints are those _trapezoid_column takes for each segment.
     """
-    k = int(math.log2(romberg_nodes(cfg) - 1))
+    radii = np.frombuffer(raw)
+    order = np.argsort(np.abs(radii - anchor), kind="stable")
+    ends = np.concatenate([[anchor], radii[order]])
+    gaps = np.diff(ends)
+    if not np.all(gaps < 0.0 if array_is_lower else gaps > 0.0):
+        side = "below" if array_is_lower else "above"
+        raise EmptyRange(f"empty radial range: radii {radii.tolist()} must be distinct "
+                         f"and {side} {anchor}")
+    lo, hi = np.minimum(ends[:-1], ends[1:]), np.maximum(ends[:-1], ends[1:])
+    if not lo.min() > 0.0:
+        raise ConfigError(f"a log-spaced radial grid needs positive radii, got {lo.min()}")
+    span = _deepest_span(anchor, radii)
+    if refine:
+        lo, hi = np.append(lo, anchor / 2.0), np.append(hi, anchor)
     ratio = np.log(hi / lo) / (span / 2.0 ** k)
     levels = np.clip(np.ceil(np.log2(ratio)), MIN_SEGMENT_LEVEL, k).astype(int)
     u_lo, u_hi = np.log(lo), np.log(hi)
@@ -142,26 +187,27 @@ def _segment_integrals(fn: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
     # lose about three digits
     dx = (u_hi - u_lo) / 2.0 ** levels
     groups = [np.flatnonzero(levels == j) for j in np.unique(levels)]
-    ts = [np.exp(np.linspace(u_lo[g], u_hi[g], 2 ** int(levels[g[0]]) + 1, axis=-1))
-          for g in groups]
-    samples = np.asarray(samples, dtype=float)
-    y_all = np.asarray(fn(np.concatenate([t.ravel() for t in ts] + [samples])), dtype=float)
-    n_nodes = y_all.size - samples.size
-    if np.isnan(y_all[:n_nodes]).any():
-        raise ValueError("NaN in radial quadrature values")
-    table = np.zeros((int(levels.max()) + 1, len(lo)))
-    inf_rows = np.zeros(len(lo), dtype=bool)
-    start = 0
-    for g, t in zip(groups, ts):
-        y = y_all[start:start + t.size].reshape(t.shape) * t
-        start += t.size
-        inf = np.isinf(y)
-        inf_rows[g] = inf.any(axis=1)
-        column = _trapezoid_column(np.where(inf, 0.0, y), dx[g], -1)
-        table[:len(column), g] = column
-    out = _richardson(table)[levels, np.arange(len(lo))]
-    out[inf_rows] = math.inf
-    return out, y_all[n_nodes:]
+    nodes = np.concatenate([
+        np.exp(np.linspace(u_lo[g], u_hi[g], 2 ** int(levels[g[0]]) + 1, axis=-1)).ravel()
+        for g in groups])
+    columns = np.concatenate(groups)
+    depth = levels[columns]
+    intervals = 2 ** depth
+    first = np.concatenate([[0], np.cumsum(intervals[:-1] + 1)])
+    # as in _trapezoid_column: T_i adds the nodes (2m + 1) 2^(j-i) of a
+    # level-j segment, m < 2^(i-1), with the step 2^j dx halved i - 1 times
+    h = intervals * dx[columns]
+    steps, midpoints = [_frozen(h)], []
+    for i in range(1, int(depth.max()) + 1):
+        deep = depth >= i
+        odd = 2 * np.arange(1 << (i - 1)) + 1
+        midpoints.append(_frozen(first[deep, None] + (intervals[deep, None] >> i) * odd))
+        steps.append(_frozen(h[deep]))
+        h = h / 2.0
+    return _LadderPlan(order=_frozen(order), nodes=_frozen(nodes), columns=_frozen(columns),
+                       levels=_frozen(depth), first=_frozen(first),
+                       last=_frozen(first + intervals), steps=tuple(steps),
+                       midpoints=tuple(midpoints))
 
 
 def _ladder_pass(fn: Callable[[np.ndarray], np.ndarray], a, b, cfg: QuadratureConfig,
@@ -170,7 +216,14 @@ def _ladder_pass(fn: Callable[[np.ndarray], np.ndarray], a, b, cfg: QuadratureCo
     radius (an array, see integrate_radial); with `refine`, the integral over
     [a/2, a] below a scalar lower limit a, on the ladder's step, as a
     one-element array (else an empty one); and fn at the radii `samples`.
-    The limits are checked before fn is called."""
+    The limits are checked before fn is called.
+
+    The node layout comes from the ladder's cached plan. Each call evaluates
+    fn on it and builds the trapezoid column T_0 ... T_j of every segment,
+    one level at a time across all segments deep enough, with the operations
+    of _trapezoid_column, into one Richardson table. A segment holding +inf
+    integrates to +inf, and so does every radius beyond it; NaN at a node
+    raises."""
     if np.ndim(a) and np.ndim(b):
         raise ConfigError("at most one limit of a radial integral may be an array")
     if np.ndim(a):
@@ -179,21 +232,32 @@ def _ladder_pass(fn: Callable[[np.ndarray], np.ndarray], a, b, cfg: QuadratureCo
         anchor, radii = float(a), np.atleast_1d(np.asarray(b, dtype=float))
     if radii.ndim != 1 or radii.size == 0:
         raise ConfigError(f"radii must be a non-empty 1-d array, got shape {radii.shape}")
-    order = np.argsort(np.abs(radii - anchor), kind="stable")
-    ends = np.concatenate([[anchor], radii[order]])
-    steps = np.diff(ends)
-    if not np.all(steps < 0.0 if np.ndim(a) else steps > 0.0):
-        raise EmptyRange(f"empty radial range [{a}, {b}]")
-    lo, hi = np.minimum(ends[:-1], ends[1:]), np.maximum(ends[:-1], ends[1:])
-    if not lo.min() > 0.0:
-        raise ConfigError(f"a log-spaced radial grid needs positive radii, got {lo.min()}")
-    span = _deepest_span(anchor, radii)
-    if refine:
-        lo, hi = np.append(lo, anchor / 2.0), np.append(hi, anchor)
-    segments, values = _segment_integrals(fn, lo, hi, span, cfg, samples)
+    plan = _ladder_plan(anchor, radii.tobytes(), bool(np.ndim(a)), refine,
+                        int(math.log2(romberg_nodes(cfg) - 1)))
+    samples = np.asarray(samples, dtype=float)
+    n_nodes = plan.nodes.size
+    y_all = np.asarray(fn(np.concatenate([plan.nodes, samples])), dtype=float)
+    if np.isnan(y_all[:n_nodes]).any():
+        raise ValueError("NaN in radial quadrature values")
+    y = y_all[:n_nodes] * plan.nodes
+    inf, inf_columns = np.isinf(y), None
+    if inf.any():
+        inf_columns = np.logical_or.reduceat(inf, plan.first)
+        y = np.where(inf, 0.0, y)
+    table = np.zeros((len(plan.steps), plan.columns.size))
+    column = (y[plan.first] + y[plan.last]) / 2.0 * plan.steps[0]
+    table[0] = column
+    for i, (h, mid) in enumerate(zip(plan.steps[1:], plan.midpoints), start=1):
+        column = 0.5 * (column[-len(mid):] + h * np.add.reduce(y[mid], axis=-1))
+        table[i, -len(mid):] = column
+    values = _richardson(table)[plan.levels, np.arange(plan.columns.size)]
+    if inf_columns is not None:
+        values[inf_columns] = math.inf
+    segments = np.empty(plan.columns.size)
+    segments[plan.columns] = values
     out = np.empty(len(radii))
-    out[order] = np.cumsum(segments[:len(radii)])
-    return out, segments[len(radii):], values
+    out[plan.order] = np.cumsum(segments[:len(radii)])
+    return out, segments[len(radii):], y_all[n_nodes:]
 
 
 def integrate_radial(fn: Callable[[np.ndarray], np.ndarray], a, b,
@@ -224,6 +288,16 @@ def integrate_radial(fn: Callable[[np.ndarray], np.ndarray], a, b,
 TAIL_SAMPLES = np.array([1.0, 2.0, 4.0])
 
 
+@functools.lru_cache(maxsize=8)
+def _tail_design(eps: float) -> np.ndarray:
+    """The read-only design matrix [1, ln t, ln(1 - ln t)] of the tail fit at
+    t = eps * TAIL_SAMPLES. Every fit of a run uses one of a few eps, and
+    np.linalg.solve on the same matrix gives the same beta, so it is built
+    once per eps (a cached inverse would round differently)."""
+    ts = eps * TAIL_SAMPLES
+    return _frozen(np.column_stack([np.ones(3), np.log(ts), np.log1p(-np.log(ts))]))
+
+
 def log_power_tail(eps: float, g) -> float:
     """Estimate of integral_0^eps fn(t) dt from a power-times-log fit.
 
@@ -233,7 +307,6 @@ def log_power_tail(eps: float, g) -> float:
     slowly-convergent log-corrected integrands of the singular example family
     far better than a plain power fit.
     """
-    ts = eps * TAIL_SAMPLES
     g = np.asarray(g, dtype=float)
     if np.isnan(g).any():
         raise ValueError("NaN in tail fit samples")
@@ -241,8 +314,7 @@ def log_power_tail(eps: float, g) -> float:
         return math.inf
     if np.any(g <= 0.0):
         return 0.0
-    design = np.column_stack([np.ones(3), np.log(ts), np.log1p(-np.log(ts))])
-    lnc, beta, gamma = np.linalg.solve(design, np.log(g))
+    lnc, beta, gamma = np.linalg.solve(_tail_design(eps), np.log(g))
     if beta <= -1.0:
         return math.inf
     if abs(gamma) < 1e-9:

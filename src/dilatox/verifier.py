@@ -26,6 +26,7 @@ import csv
 import functools
 import json
 import math
+from array import array
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -94,15 +95,33 @@ def tolerance(lhs, rhs):
     return 1e-9 + 1e-6 * np.where(np.isfinite(scale), scale, 0.0)
 
 
-def growth_constant(p: float) -> float:
-    """The explicit constant c_p = 2^{(p-1)/(p-2)} (p-2)^{-1/(p-2)}, p > 2.
+def _power(base: float, expo: float) -> float:
+    """base ** expo, +inf where it overflows. Every bound of the paper carries
+    an exponent in 1/(p-2) or 1/(2-p), so near p = 2 a bound may legitimately
+    be +inf, a held row, where a Python float power raises OverflowError.
+    The numpy scalar power rounds as the Python one does."""
+    with np.errstate(over="ignore"):
+        return float(np.float64(base) ** expo)
 
-    Obtained by chaining the area upper bound on [r, 2r] with the annulus
-    estimate at eps = r; see the derivation test for the p = 4 hand check.
+
+def growth_bound(p: float, k) -> float:
+    """The bound c_p k^{1/(p-2)} of theorem 1, p > 2, with the explicit constant
+    c_p = 2^{(p-1)/(p-2)} (p-2)^{-1/(p-2)}, as one power of the product,
+    2 (2k/(p-2))^{1/(p-2)}: near p = 2 the two factors overflow and underflow
+    apart, and a product that overflows is +inf, which holds trivially.
+
+    c_p is obtained by chaining the area upper bound on [r, 2r] with the
+    annulus estimate at eps = r; see the derivation test for the p = 4 hand
+    check.
     """
     if not p > 2.0:
         raise ConfigError(f"growth constant defined for p > 2, got {p}")
-    return 2.0 ** ((p - 1.0) / (p - 2.0)) * (p - 2.0) ** (-1.0 / (p - 2.0))
+    return 2.0 * _power(2.0 * k / (p - 2.0), 1.0 / (p - 2.0))
+
+
+def growth_constant(p: float) -> float:
+    """The explicit constant c_p of theorem 1: growth_bound at k = 1."""
+    return growth_bound(p, 1.0)
 
 
 @dataclass(frozen=True)
@@ -156,16 +175,18 @@ class LimitProxy:
         return asdict(self)
 
 
-@dataclass
+@dataclass(slots=True)
 class BoundReport:
-    """Per-inequality verdict with signed margins over the evaluated rungs."""
+    """Per-inequality verdict with signed margins over the evaluated rungs.
+    The margins are a float64 array.array, one per row: 8 bytes a row where
+    a tuple boxes each float in 32, and it iterates as Python floats."""
 
     check_id: str
     p: float
     holds: bool
     margin: float
     radii: tuple[float, ...]
-    margins: tuple[float, ...]
+    margins: array
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
@@ -201,7 +222,7 @@ def _finish(check_id: str, p: float, radii, greater, lesser, slack=0.0,
     finite = margins[np.isfinite(margins)]
     return BoundReport(check_id=check_id, p=p, holds=holds,
                        margin=float(finite.min()) if finite.size else math.inf,
-                       radii=_radii_tuple(radii.tobytes()), margins=tuple(margins.tolist()),
+                       radii=_radii_tuple(radii.tobytes()), margins=array("d", margins.tobytes()),
                        notes=tuple(sorted(notes)))
 
 
@@ -360,12 +381,13 @@ def theorem1_bound(model: MappingModel, p, ladder: RadiusLadder,
         notes.update(("divergent-mean", "vacuous"))
         bound, slack = math.inf, 0.0
     else:
-        bound = growth_constant(p) * k.value ** (1.0 / (p - 2.0))
+        bound = growth_bound(p, k.value)
         # The inequality relates limits; when the proxies are still moving
         # (both sides decaying toward 0, say), their tail spreads measure the
-        # unconverged part and widen the tolerance accordingly.
-        bound_hi = growth_constant(p) * (k.value + k.tail_spread) ** (1.0 / (p - 2.0))
-        slack = attained.tail_spread + (bound_hi - bound)
+        # unconverged part and widen the tolerance accordingly. bound_hi >=
+        # bound, and an infinite bound holds without slack.
+        bound_hi = growth_bound(p, k.value + k.tail_spread)
+        slack = attained.tail_spread + (bound_hi - bound if math.isfinite(bound) else 0.0)
         if bound - attained.value < 0.0 <= bound - attained.value + slack:
             notes.add("proxy-slack")
     report = _finish("theorem1", p, r[-1], bound, attained.value, slack, notes)
@@ -388,9 +410,9 @@ def theorem3_bound(model: MappingModel, p, ladder: RadiusLadder,
     vals = r ** (p - 2.0) * radial_integral_outer(dilatation_radial_fn(model, p, cfg), r, p, cfg)
     k0 = LimitProxy.from_tail("limsup", vals[-ladder.tail:])
     attained = _ratio_proxy("liminf", model, r, ladder.tail)
-    bound = ((p - 2.0) * k0.value) ** (1.0 / (2.0 - p)) if k0.value > 0 else math.inf
+    bound = _power((p - 2.0) * k0.value, 1.0 / (2.0 - p)) if k0.value > 0 else math.inf
     k0_lo = k0.value - k0.tail_spread
-    bound_hi = ((p - 2.0) * k0_lo) ** (1.0 / (2.0 - p)) if k0_lo > 0 else math.inf
+    bound_hi = _power((p - 2.0) * k0_lo, 1.0 / (2.0 - p)) if k0_lo > 0 else math.inf
     slack = attained.tail_spread + (bound_hi - bound if math.isfinite(bound_hi) else 0.0)
     report = _finish("theorem3", p, r[-1], bound, attained.value, slack)
     return TailBoundResult(k0=k0, bound=bound, attained=attained.value, report=report)
@@ -404,7 +426,7 @@ def theorem5_bound(model: MappingModel, p, ladder: RadiusLadder,
     inner, rel_deltas, notes = _inner(model, p, r, cfg)
     k0 = LimitProxy.from_tail("limsup", (r ** (p - 2.0) * inner)[-ladder.tail:])
     attained = _ratio_proxy("limsup", model, r, ladder.tail)
-    bound = ((2.0 - p) * k0.value) ** (1.0 / (2.0 - p))
+    bound = _power((2.0 - p) * k0.value, 1.0 / (2.0 - p))
     slack = (_trunc_slack(bound, 1.0 / (2.0 - p), rel_deltas[-ladder.tail:].max())
              + attained.tail_spread)
     report = _finish("theorem5", p, r[-1], attained.value, bound, slack, notes)
@@ -432,8 +454,8 @@ def theorem6_bracket(model: MappingModel, p, ladder: RadiusLadder,
     outer = radial_integral_outer(dilatation_radial_fn(model, pc, cfg), r, pc, cfg)
     k1 = LimitProxy.from_tail("limsup", (r ** (p - 2.0) * inner)[-ladder.tail:])
     k2 = LimitProxy.from_tail("limsup", (r ** (pc - 2.0) * outer)[-ladder.tail:])
-    lower = ((2.0 - p) * k1.value) ** (1.0 / (2.0 - p))
-    upper = ((pc - 2.0) * k2.value) ** (1.0 / (2.0 - pc)) if k2.value > 0 else math.inf
+    lower = _power((2.0 - p) * k1.value, 1.0 / (2.0 - p))
+    upper = _power((pc - 2.0) * k2.value, 1.0 / (2.0 - pc)) if k2.value > 0 else math.inf
     a_proxy = _ratio_proxy("limit", model, r, ladder.tail)
     remark_rhs = ((p - 1.0) ** (p - 1.0) / ((2.0 - p) ** p * k2.value ** (p - 1.0))
                   if k2.value > 0 else math.inf)

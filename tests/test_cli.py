@@ -261,6 +261,14 @@ class TestAsym:
         assert run(["asym", "--map", "linear", "--param", "k=0.5", "--p", "2",
                     "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("command", ["verify", "asym"])
+    @pytest.mark.parametrize("p", ["1.999", "2.001"])
+    def test_order_near_two_exits_zero(self, command, p, tmp_path):
+        # theorem 6's upper bound at the conjugate order, and theorems 1 and
+        # 3 at p > 2, once overflowed a float here: exit 3, no report
+        assert run([command, "--map", "identity", "--p", p, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / f"{command}.json").exists()
+
 
 class TestBeltrami:
     def test_power_coefficient_run(self, tmp_path):

@@ -1,8 +1,9 @@
 """The in-tree Romberg table against scipy.integrate.romb: the same Richardson
 table in the same order of operations, so every result is bit-identical, also
 where a ladder pass shares one table across segments of different depths; one
-integrand call per ladder pass; the checks on radial limits; and the range of
-QuadratureConfig.r_min."""
+integrand call per ladder pass; cached ladder plans and tail-fit design
+matrices, which change no result; the checks on radial limits; and the range
+of QuadratureConfig.r_min."""
 
 import math
 
@@ -10,9 +11,11 @@ import numpy as np
 import pytest
 from scipy.integrate import romb as scipy_romb
 
-from dilatox.errors import ConfigError
+from dilatox import quadrature
+from dilatox.errors import ConfigError, EmptyRange
 from dilatox.quadrature import (
     EPS_TRUNC,
+    R_FLOOR,
     QuadratureConfig,
     integrate_from_origin,
     integrate_radial,
@@ -81,8 +84,28 @@ def test_radial_limits_must_be_positive_before_any_call(a, b):
     def fn(t):
         raise AssertionError("integrand called")
 
-    with pytest.raises(ConfigError, match="positive radii"):
-        integrate_radial(fn, a, b, QuadratureConfig())
+    # twice: the cache of ladder plans keeps no exception
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="positive radii"):
+            integrate_radial(fn, a, b, QuadratureConfig())
+
+
+@pytest.mark.parametrize("call", [
+    lambda fn, cfg: integrate_radial(fn, 0.5, 0.3, cfg),
+    lambda fn, cfg: integrate_radial(fn, 0.5, np.array([0.3]), cfg),
+    lambda fn, cfg: integrate_radial(fn, np.array([0.3, 0.3]), 0.5, cfg),
+    lambda fn, cfg: refine_truncation(fn, EPS_TRUNC, np.array([0.5, EPS_TRUNC]), cfg),
+    lambda fn, cfg: integrate_from_origin(fn, R_FLOOR, np.array([0.5, R_FLOOR / 2.0]), cfg),
+])
+def test_empty_range_raises_before_any_call_every_time(call):
+    def fn(t):
+        raise AssertionError("integrand called")
+
+    # the same (anchor, radii) the other way round is a valid, cached ladder
+    integrate_radial(_integrand, np.array([0.3]), 0.5, QuadratureConfig())
+    for _ in range(2):
+        with pytest.raises(EmptyRange):
+            call(fn, QuadratureConfig())
 
 
 def _integrand(t):
@@ -147,3 +170,89 @@ def test_one_integrand_call_per_ladder_pass():
     assert np.array_equal(fine, body + (below + _separate_tail(_integrand, eps / 2.0)))
     assert np.array_equal(from_origin, body + _separate_tail(_integrand, eps))
     assert one == integrate_radial(_integrand, eps, 0.3, cfg) + _separate_tail(_integrand, eps)
+
+
+# a pass of each ladder kind the functionals run on the rungs: the inner
+# integral and the disc mean (refined at EPS_TRUNC and R_FLOOR), the area
+# (from R_FLOOR) and the outer integral (up to 1)
+LADDER_KINDS = {
+    "inner": lambda r, cfg: refine_truncation(_integrand, EPS_TRUNC, r, cfg),
+    "disc": lambda r, cfg: refine_truncation(_integrand, R_FLOOR, r, cfg),
+    "area": lambda r, cfg: integrate_from_origin(_integrand, R_FLOOR, r, cfg),
+    "outer": lambda r, cfg: integrate_radial(_integrand, r, 1.0, cfg),
+}
+
+
+@pytest.mark.parametrize("kind", LADDER_KINDS)
+def test_warm_plan_gives_the_cold_result(kind):
+    cfg, radii = QuadratureConfig(), RadiusLadder().radii()
+    quadrature._ladder_plan.cache_clear()
+    cold = LADDER_KINDS[kind](radii, cfg)
+    misses = quadrature._ladder_plan.cache_info().misses
+    warm = LADDER_KINDS[kind](radii, cfg)
+    info = quadrature._ladder_plan.cache_info()
+    assert info.misses == misses and info.hits >= 1
+    for c, w in zip(np.atleast_1d(cold), np.atleast_1d(warm)):
+        assert np.array_equal(c, w)
+
+
+def test_ladders_that_differ_get_their_own_plans():
+    radii = RadiusLadder().radii()
+    quadrature._ladder_plan.cache_clear()
+    base = QuadratureConfig()
+    layouts = {
+        "inner": (lambda: refine_truncation(_integrand, EPS_TRUNC, radii, base)),
+        "anchor": (lambda: refine_truncation(_integrand, EPS_TRUNC / 2.0, radii, base)),
+        "n_r": (lambda: refine_truncation(_integrand, EPS_TRUNC, radii,
+                                          QuadratureConfig(n_r=256))),
+        "no refine": (lambda: integrate_from_origin(_integrand, EPS_TRUNC, radii, base)),
+        "up to 0.5": (lambda: integrate_radial(_integrand, 0.3, np.array([0.5]), base)),
+        "down to 0.3": (lambda: integrate_radial(_integrand, np.array([0.3]), 0.5, base)),
+    }
+    # each call adds its own plan rather than reuse an earlier one; the two
+    # [0.3, 0.5] ladders lay out the same nodes, but an array limit below
+    # the anchor must not share a plan (or its range check) with one above
+    for count, call in enumerate(layouts.values(), start=1):
+        call()
+        assert quadrature._ladder_plan.cache_info().currsize == count
+
+
+def test_plan_arrays_are_read_only():
+    radii = RadiusLadder().radii()
+    plan = quadrature._ladder_plan(EPS_TRUNC, radii.tobytes(), False, True, 10)
+    arrays = [plan.order, plan.nodes, plan.columns, plan.levels, plan.first, plan.last,
+              *plan.steps, *plan.midpoints]
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0
+
+
+def test_plan_cache_stays_bounded():
+    cfg, bound = QuadratureConfig(), quadrature._ladder_plan.cache_info().maxsize
+    for j in range(bound + 5):
+        integrate_radial(_integrand, 0.1, 0.2 + j / 1000.0, cfg)
+    assert quadrature._ladder_plan.cache_info().currsize <= bound
+
+
+@pytest.mark.parametrize("eps", [1e-6, 5e-7, 1e-8, 5e-9])
+def test_cached_tail_design_gives_the_same_fit(eps):
+    # the design matrix of the fit is built once per eps; solving against it
+    # must give the bits of a matrix built afresh at every call
+    def fresh(g):
+        ts = eps * np.array([1.0, 2.0, 4.0])
+        design = np.column_stack([np.ones(3), np.log(ts), np.log1p(-np.log(ts))])
+        lnc, beta, gamma = np.linalg.solve(design, np.log(g))
+        if abs(gamma) < 1e-9:
+            return float(g[0]) * eps / (beta + 1.0)
+        lo = math.log(eps) - 60.0 / (beta + 1.0)
+        u = np.linspace(lo, math.log(eps), 4097)
+        y = np.exp(lnc + (beta + 1.0) * u + gamma * np.log1p(-u))
+        return float(romb(y, dx=(math.log(eps) - lo) / (len(u) - 1)))
+
+    rng = np.random.default_rng(int(eps * 1e10))
+    for _ in range(50):
+        beta, gamma = rng.uniform(-0.9, 3.0), rng.choice([0.0, rng.uniform(-2.0, 2.0)])
+        ts = eps * np.array([1.0, 2.0, 4.0])
+        g = rng.uniform(0.1, 10.0) * ts ** beta * (1.0 - np.log(ts)) ** gamma
+        assert log_power_tail(eps, g) == fresh(g)

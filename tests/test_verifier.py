@@ -30,6 +30,7 @@ from dilatox.verifier import (
     check_lemma3,
     check_lemma4,
     check_length_area,
+    growth_bound,
     growth_constant,
     margins_to_csv,
     reports_to_json,
@@ -57,6 +58,16 @@ class TestInfrastructure:
         assert growth_constant(3.0) == pytest.approx(4.0)
         with pytest.raises(ConfigError):
             growth_constant(2.0)
+
+    def test_growth_bound_is_one_power_of_the_product(self):
+        # c_p k^{1/(p-2)} = 2 (2k/(p-2))^{1/(p-2)}; near p = 2 the factor c_p
+        # alone overflows a float, while the product is +inf or 0 as it should
+        assert growth_bound(4.0, 0.25) == pytest.approx(growth_constant(4.0) * 0.5)
+        assert growth_bound(3.0, 0.1) == pytest.approx(growth_constant(3.0) * 0.1)
+        assert growth_bound(2.001, 1.0) == math.inf
+        assert growth_bound(2.001, 1e-4) == 0.0
+        with pytest.raises(ConfigError):
+            growth_bound(2.0, 1.0)
 
     def test_ladder_geometry(self):
         lad = RadiusLadder(r_max=0.4, rho=0.5, count=4, tail=3)
@@ -170,6 +181,15 @@ class TestLemmaChecks:
         # the product may still be +inf, a trivial bound that holds
         rep = check_lemma2(entry.model, p, ladder, cfg)
         assert rep.holds, rep.margins
+
+    @pytest.mark.parametrize("p", [1.9, 1.99, 1.999, 1.9999, 2.0001, 2.001, 2.01, 2.1])
+    @pytest.mark.parametrize("entry", catalog_suite(), ids=suite_ids())
+    def test_every_check_runs_and_holds_near_order_2(self, entry, p, ladder, cfg):
+        # every bound carries an exponent in 1/(p-2) or 1/(2-p); raised as
+        # Python floats, theorems 1, 3 and 6 overflowed here, and theorem 1's
+        # factors gave inf * 0 = NaN on radial_stretch at p = 2.0001
+        reports = run_checks(entry.model, p, ladder, cfg)
+        assert [rep.check_id for rep in reports if not rep.holds] == []
 
     @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
     def test_lemma3_same_with_or_without_the_invariance_flag(self, p, ladder, cfg):
