@@ -262,7 +262,6 @@ def theorem_nb_bound(coef: SigmaCoefficient, solution: RadialSolution,
                           f"the solved span [{lo:.4g}, {hi:.4g}]")
     sigma0 = condition_sigma0(coef, ladder, cfg)
     bound = growth_bound(coef.m + 2.0, sigma0.value)
-    ratios = np.asarray(solution.profile.R(tail), dtype=float) / tail
-    attained = LimitProxy.from_tail("liminf", ratios).value
+    attained = LimitProxy.from_tail("liminf", solution.profile.ratio(tail)).value
     report = _finish("theorem_nb", coef.m + 2.0, tail[-1], bound, attained, notes=solution.notes)
     return NbBoundResult(sigma0=sigma0, bound=bound, attained=attained, report=report)

@@ -1,15 +1,16 @@
 """Closed-form example families: the linear map, the radial stretching, the
 log-singular disc automorphism, and the exact radial Beltrami solution.
 
-Each entry carries analytic partials plus closed-form dilatation, area, and
-boundary length, which serve as oracles for the quadrature-based functionals.
+Each entry carries a model with analytic partials and its radial profile
+R(r): every family is R(r) e^{i theta} up to a rotation, so the profile's
+closed forms (mapping.RadialProfile: |f|/|z|, area, length and both radial
+integrals) are the oracles for the quadrature-based functionals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -19,24 +20,16 @@ from .mapping import CubicHermite, MappingModel, RadialProfile, model_from_profi
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A model together with its closed-form functionals.
-
-    dilatation(r, p) is the angular dilatation D_p (theta-independent for all
-    catalog families, so it doubles as the circular mean d_p); area(r) is the
-    Lebesgue area of the image of B_r; length(r) the image boundary length;
-    ratio(r) the modulus ratio |f(z)|/|z| on the circle of radius r.
-    """
+    """A model together with the radial profile R of |f|, f = R(r) e^{i theta}
+    up to a rotation."""
 
     model: MappingModel
-    dilatation: Callable[[np.ndarray, float], np.ndarray]
-    area: Callable[[float], float]
-    length: Callable[[float], float]
-    ratio: Callable[[np.ndarray], np.ndarray]
+    profile: RadialProfile
 
 
 def _slope_map(k: complex, label: str) -> CatalogEntry:
-    """f(z) = k z with its closed forms; linear, identity and beltrami_exact
-    are this map under their own labels and parameter checks."""
+    """f(z) = k z with its profile R = |k| r; linear, identity and
+    beltrami_exact are this map under their own labels and parameter checks."""
     k = complex(k)
     ak = abs(k)
 
@@ -51,13 +44,9 @@ def _slope_map(k: complex, label: str) -> CatalogEntry:
 
     model = MappingModel(label=label, value=value, partial_r=partial_r,
                          partial_theta=partial_theta, theta_invariant=True)
-    return CatalogEntry(
-        model=model,
-        dilatation=lambda r, p: np.full_like(np.asarray(r, dtype=float), ak ** (p - 2.0)),
-        area=lambda r: math.pi * ak * ak * r * r,
-        length=lambda r: 2.0 * math.pi * ak * r,
-        ratio=lambda r: np.full_like(np.asarray(r, dtype=float), ak),
-    )
+    profile = RadialProfile(R=lambda r: ak * np.asarray(r, dtype=float),
+                            R_prime=lambda r: np.full_like(np.asarray(r, dtype=float), ak))
+    return CatalogEntry(model=model, profile=profile)
 
 
 def linear(k: complex) -> CatalogEntry:
@@ -83,14 +72,8 @@ def radial_stretch(alpha: float) -> CatalogEntry:
         R=lambda r: np.asarray(r, dtype=float) ** (alpha + 1.0),
         R_prime=lambda r: (alpha + 1.0) * np.asarray(r, dtype=float) ** alpha,
     )
-    model = model_from_profile(profile, label=f"radial_stretch(alpha={alpha:g})")
-    return CatalogEntry(
-        model=model,
-        dilatation=lambda r, p: np.asarray(r, dtype=float) ** (alpha * (p - 2.0)) / (alpha + 1.0),
-        area=lambda r: math.pi * r ** (2.0 * (alpha + 1.0)),
-        length=lambda r: 2.0 * math.pi * r ** (alpha + 1.0),
-        ratio=lambda r: np.asarray(r, dtype=float) ** alpha,
-    )
+    return CatalogEntry(model_from_profile(profile, label=f"radial_stretch(alpha={alpha:g})"),
+                        profile)
 
 
 class _LogSingularProfile:
@@ -141,21 +124,7 @@ def log_singular(p: float) -> CatalogEntry:
         raise ConfigError(f"log-singular automorphism needs p > 2, got {p}")
     prof = _LogSingularProfile(p)
     profile = RadialProfile(R=prof.R, R_prime=prof.R_prime)
-    model = model_from_profile(profile, label=f"log_singular(p={p:g})")
-
-    def dilatation(r, q):
-        # General order q: D_q = R^{q-1} / (r^{q-1} R'); at q = p this is ln^{p-1}(e/r).
-        r = np.asarray(r, dtype=float)
-        R = prof.R(r)
-        return R ** (q - 1.0) / (r ** (q - 1.0) * prof.R_prime(r))
-
-    return CatalogEntry(
-        model=model,
-        dilatation=dilatation,
-        area=lambda r: math.pi * float(prof.R(r)) ** 2,
-        length=lambda r: 2.0 * math.pi * float(prof.R(r)),
-        ratio=lambda r: prof.R(r) / np.asarray(r, dtype=float),
-    )
+    return CatalogEntry(model_from_profile(profile, label=f"log_singular(p={p:g})"), profile)
 
 
 def beltrami_exact(m: float, kappa: float) -> CatalogEntry:

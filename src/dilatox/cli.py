@@ -138,8 +138,9 @@ def cmd_verify(args) -> int:
     margins_to_csv(reports, Path(args.out) / "margins.csv")
     ok = all(rep.holds for rep in reports)
     for rep in reports:
-        print(f"{rep.check_id:12s} p={rep.p:<6g} "
-              f"{'holds' if rep.holds else 'VIOLATED'} margin_min={rep.margin:.3e}")
+        verdict = ("vacuous" if "vacuous" in rep.notes else
+                   f"{'holds' if rep.holds else 'VIOLATED'} margin_min={rep.margin:.3e}")
+        print(f"{rep.check_id:12s} p={rep.p:<6g} {verdict}")
     print(f"wrote {out}")
     return 0 if ok else 1
 

@@ -21,8 +21,8 @@ from .errors import ConfigError, EmptyRange
 from .mapping import (
     MappingModel,
     _check_radii,
+    _circle_reduce,
     _jacobian_and_ft,
-    block_rows,
     circle_angles,
     evaluation_grid,
     jacobian_grid,
@@ -76,6 +76,13 @@ class TruncatedValue:
     flags: tuple[str, ...] = ()
 
 
+def tolerance(lhs, rhs=0.0):
+    """Base slack of a comparison, element-wise: 1e-9 absolute plus 1e-6
+    relative to the larger side, or 1e-9 alone where that side is not finite."""
+    scale = np.maximum(np.abs(lhs), np.abs(rhs))
+    return 1e-9 + 1e-6 * np.where(np.isfinite(scale), scale, 0.0)
+
+
 # ----------------------------- pointwise dilatation -----------------------------
 
 def dilatation_grid(model: MappingModel, r: np.ndarray, theta: np.ndarray,
@@ -107,41 +114,9 @@ def _dilatation(jac: np.ndarray, ft_abs: np.ndarray, r: np.ndarray, p: float) ->
 
 # ----------------------------- circle reductions -----------------------------
 #
-# Every quantity defined on the circles |z| = t is one reduction over a
-# (t, theta) grid. mapping.circle_angles samples a rotation-invariant map at a
-# single angle, so invariance is a grid size rather than a separate code path.
-# Functions of a radius r accept a float (and return one) or a 1-d array of
-# radii.
-
-
-def _angle_columns(vals: np.ndarray) -> np.ndarray:
-    """vals, or its first column alone when it is angle-broadcast: a grid of
-    angle stride 0 holds one value per row."""
-    return vals[..., :1] if vals.ndim and vals.strides[-1] == 0 else vals
-
-
-def _circle_reduce(sample: Callable[[np.ndarray, np.ndarray], np.ndarray], r,
-                   theta: np.ndarray, reduce: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """reduce(sample(t[:, None], theta[None, :])) along the angle (the last
-    axis), for every radius t of r; the last axis of the result runs over r.
-
-    Rows are evaluated in blocks of mapping.block_rows(width) radii, where
-    width is the number of angles the sample actually evaluates: theta.size,
-    or 1 once a block comes back angle-broadcast (one column, or angle stride
-    0, as dilatation_grid returns for a theta-invariant map). Such a block is
-    reduced on its one column. Each row is reduced on its own, so the values
-    do not depend on the blocking."""
-    t = np.atleast_1d(np.asarray(r, dtype=float))
-    parts, start, width = [], 0, theta.size
-    while start < t.size:
-        rows = t[start:start + block_rows(width), None]
-        vals = np.asarray(sample(rows, theta[None, :]), dtype=float)
-        vals = _angle_columns(np.broadcast_to(vals, vals.shape[:-2] + (len(rows), theta.size)))
-        width = vals.shape[-1]
-        parts.append(reduce(vals))
-        start += len(rows)
-    return np.concatenate(parts, axis=-1)
-
+# Every quantity defined on the circles |z| = t is one mapping._circle_reduce
+# over a (t, theta) grid. Functions of a radius r accept a float (and return
+# one) or a 1-d array of radii.
 
 # (1/2pi) * integral over each circle, by the periodic trapezoid rule
 _row_mean = partial(np.mean, axis=-1)
@@ -267,7 +242,7 @@ def _refined(fn: RadialFn, eps: float, r: Radii, transform: Callable[[np.ndarray
     with np.errstate(invalid="ignore"):  # inf - inf is masked below
         delta = np.where(np.isfinite(fine) & np.isfinite(coarse), np.abs(fine - coarse),
                          math.inf)
-    unstable = ~np.isfinite(fine) | (delta > 1e-9 + 1e-6 * np.abs(fine))
+    unstable = ~np.isfinite(fine) | (delta > tolerance(fine))
     return TruncatedValue(_like_radius(r, fine), _like_radius(r, delta),
                           (flag,) if unstable.any() else ())
 

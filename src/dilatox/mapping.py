@@ -77,10 +77,37 @@ class MappingModel:
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Scalar profile R(r) of a rotationally symmetric map R(r) e^{i theta}."""
+    """Scalar profile R(r) of a rotationally symmetric map R(r) e^{i theta}.
+
+    Every functional of such a map is closed form in R and R': d_q(t) =
+    R^{q-1} / (t^{q-1} R'), so the radial integrand 1/(t^{q-1} d_q(t)) is
+    R' R^{1-q}. The methods below are these closed forms, the exact oracles
+    of the quadrature-based functionals; inner and outer need q != 2.
+    """
 
     R: Callable[[np.ndarray], np.ndarray]
     R_prime: Callable[[np.ndarray], np.ndarray]
+
+    def ratio(self, r):
+        """|f(z)|/|z| = R(r)/r on the circle |z| = r."""
+        return self.R(r) / r
+
+    def area(self, r):
+        """S(r) = pi R(r)^2, the area of the image of B_r."""
+        return math.pi * self.R(r) ** 2
+
+    def length(self, r):
+        """L(r) = 2 pi R(r), the length of the image of |z| = r."""
+        return 2.0 * math.pi * self.R(r)
+
+    def inner(self, r, q: float):
+        """R(r)^{2-q} / (2-q): an antiderivative in r of the radial integrand,
+        and for q < 2 the inner integral integral_0^r dt / (t^{q-1} d_q(t))."""
+        return self.R(r) ** (2.0 - q) / (2.0 - q)
+
+    def outer(self, r, q: float):
+        """integral_r^1 dt / (t^{q-1} d_q(t)) = (R(1)^{2-q} - R(r)^{2-q}) / (2-q)."""
+        return self.inner(1.0, q) - self.inner(r, q)
 
 
 class CubicHermite:
@@ -196,6 +223,38 @@ def block_rows(width: int) -> int:
     return max(1, BLOCK_POINTS // width)
 
 
+def _angle_columns(vals: np.ndarray) -> np.ndarray:
+    """vals, or its first column alone when it is angle-broadcast: a grid of
+    angle stride 0 holds one value per row."""
+    return vals[..., :1] if vals.ndim and vals.strides[-1] == 0 else vals
+
+
+def _circle_reduce(sample: Callable[[np.ndarray, np.ndarray], np.ndarray], r,
+                   theta: np.ndarray, reduce: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """reduce(sample(t[:, None], theta[None, :])) along the angle (the last
+    axis), for every radius t of r; the last axis of the result runs over r.
+
+    Every quantity defined on the circles |z| = t is one such reduction, and
+    circle_angles samples a rotation-invariant map at a single angle, so
+    invariance is a grid size rather than a separate code path. Rows are
+    evaluated in blocks of block_rows(width) radii, where width is the number
+    of angles the sample actually evaluates: theta.size, or 1 once a block
+    comes back angle-broadcast (one column, or angle stride 0, as
+    functionals.dilatation_grid returns for a theta-invariant map). Such a
+    block is reduced on its one column. Each row is reduced on its own, so the
+    values do not depend on the blocking."""
+    t = np.atleast_1d(np.asarray(r, dtype=float))
+    parts, start, width = [], 0, theta.size
+    while start < t.size:
+        rows = t[start:start + block_rows(width), None]
+        vals = np.asarray(sample(rows, theta[None, :]), dtype=float)
+        vals = _angle_columns(np.broadcast_to(vals, vals.shape[:-2] + (len(rows), theta.size)))
+        width = vals.shape[-1]
+        parts.append(reduce(vals))
+        start += len(rows)
+    return np.concatenate(parts, axis=-1)
+
+
 def evaluation_grid(model: MappingModel, r, theta) -> tuple[np.ndarray, np.ndarray, tuple]:
     """(r, theta, shape): the points at which model is evaluated to know its
     circle quantities on the broadcast grid of r and theta, and that grid's
@@ -247,21 +306,16 @@ def min_max_modulus(model: MappingModel, r, n_theta: int = 2048) -> tuple:
     n_theta then goes unused (it is still validated).
 
     r is one radius, giving two floats, or an array of rungs, giving two arrays
-    from one model call per block of block_rows rungs of the (rung, theta)
-    grid. Dense equispaced sampling without local refinement; exact for
-    rotationally symmetric maps, resolution-limited otherwise.
+    from one _circle_reduce over the (rung, theta) grid. Dense equispaced
+    sampling without local refinement; exact for rotationally symmetric maps,
+    resolution-limited otherwise.
     """
-    radii = np.atleast_1d(np.asarray(r, dtype=float))
-    _check_radii(radii)
+    _check_radii(r)
     if n_theta < 8:
         raise ConfigError(f"n_theta must be >= 8, got {n_theta}")
-    theta = circle_angles(model, n_theta)
-    lo, hi = np.empty(radii.shape), np.empty(radii.shape)
-    step = block_rows(theta.size)
-    for i in range(0, radii.size, step):
-        rr, th = np.meshgrid(radii[i:i + step], theta, indexing="ij")
-        mod = np.abs(np.asarray(model.value(rr, th)))
-        lo[i:i + step], hi[i:i + step] = mod.min(axis=1), mod.max(axis=1)
+    lo, hi = _circle_reduce(lambda t, th: np.abs(np.asarray(model.value(t, th))), r,
+                            circle_angles(model, n_theta),
+                            lambda mod: np.stack([mod.min(axis=-1), mod.max(axis=-1)]))
     return (lo, hi) if np.ndim(r) else (float(lo[0]), float(hi[0]))
 
 

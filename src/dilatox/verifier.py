@@ -5,13 +5,15 @@ Every check evaluates both sides of its inequality greater >= lesser on the
 ladder rungs, or at the deepest rung for a theorem, and _finish reports the
 signed margins greater - lesser. "holds" means margin >= -tolerance on every
 row, where the tolerance is the sum of three parts:
-  * the base term 1e-9 + 1e-6 * max(|greater|, |lesser|);
+  * the base term 1e-9 + 1e-6 * max(|greater|, |lesser|), functionals.tolerance;
   * truncation slack TRUNC_SAFETY * |expo| * |bound| * rel_delta, for a bound
     C * I^expo built on a truncated inner integral I whose relative
     refinement delta is rel_delta;
   * the tail spread of the limit proxies that the row compares.
-A statement whose limit cannot be certified is "vacuous": it holds with
-margin +inf.
+The report's margin is the least row margin, so a -inf row shows. A statement
+whose limit cannot be certified is "vacuous": it holds with margin +inf.
+Otherwise a NaN row (a NaN side, or inf - inf) is a FloatingPointError that
+names the check.
 
 Each statement applies in one of three regimes of the order p: ANY_P (the
 length-area lemmas), HIGH_P (p > 2) and LOW_P (1 < p < 2). A LimitProxy stands
@@ -46,12 +48,12 @@ from .functionals import (
     length_dilatation_fn,
     radial_integral_inner,
     radial_integral_outer,
-    _angle_columns,
+    tolerance,
     _disc_integral,
     _order,
     _radial_integrand,
 )
-from .mapping import MappingModel, min_max_modulus
+from .mapping import MappingModel, _angle_columns, min_max_modulus
 from .quadrature import QuadratureConfig, circle_nodes, integrate_radial
 
 # flat tail_spread threshold operationalizing "|f(z)|/|z| has a single limit point"
@@ -86,13 +88,6 @@ def _trunc_slack(bound, expo: float, rel_delta):
     with np.errstate(invalid="ignore"):
         slack = np.abs(bound) * abs(expo) * TRUNC_SAFETY * rel_delta
     return np.where(np.isfinite(slack), slack, 0.0)
-
-
-def tolerance(lhs, rhs):
-    """Inequality slack, element-wise: 1e-9 absolute plus 1e-6 relative to
-    the larger side, or 1e-9 alone where that side is not finite."""
-    scale = np.maximum(np.abs(lhs), np.abs(rhs))
-    return 1e-9 + 1e-6 * np.where(np.isfinite(scale), scale, 0.0)
 
 
 def _power(base: float, expo: float) -> float:
@@ -212,16 +207,22 @@ def _finish(check_id: str, p: float, radii, greater, lesser, slack=0.0,
             notes=()) -> BoundReport:
     """The report of greater >= lesser, one row per element of the broadcast
     arrays: margin greater - lesser, held within tolerance(greater, lesser)
-    plus slack. A "vacuous" note makes every margin +inf."""
+    plus slack; the report's margin is the least row margin, -inf included.
+    A "vacuous" note makes every margin +inf. Otherwise a NaN margin (a NaN
+    side, or inf - inf) decides nothing and is a FloatingPointError."""
     radii, greater, lesser, slack = (a.ravel() for a in np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (radii, greater, lesser, slack))))
-    margins = greater - lesser
     if "vacuous" in notes:
-        margins = np.full(margins.shape, math.inf)
+        margins = np.full(greater.shape, math.inf)
+    else:
+        with np.errstate(invalid="ignore"):  # inf - inf is reported below
+            margins = greater - lesser
+        nan = np.isnan(margins)
+        if nan.any():
+            raise FloatingPointError(f"{check_id} at p={p:g}: NaN margin on {int(nan.sum())} "
+                                     f"of {nan.size} row(s), from a NaN side or inf - inf")
     holds = bool(np.all(margins >= -(tolerance(greater, lesser) + slack)))
-    finite = margins[np.isfinite(margins)]
-    return BoundReport(check_id=check_id, p=p, holds=holds,
-                       margin=float(finite.min()) if finite.size else math.inf,
+    return BoundReport(check_id=check_id, p=p, holds=holds, margin=float(margins.min()),
                        radii=_radii_tuple(radii.tobytes()), margins=array("d", margins.tobytes()),
                        notes=tuple(sorted(notes)))
 

@@ -219,6 +219,27 @@ class TestVerify:
         assert margins["theorem1"] == math.inf
         assert all(math.isfinite(m) for name, m in margins.items() if name != "theorem1")
 
+    def test_vacuous_report_reads_vacuous(self, tmp_path, capsys):
+        # the vacuous theorem1 report still holds with margin_min +inf in
+        # verify.json, but its stdout line says "vacuous", not a margin
+        assert run(["verify", "--map", "log_singular", "--param", "p=3", "--p", "3",
+                    "--out", str(tmp_path)]) == 0
+        lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()
+                 if " p=" in line}
+        assert lines["theorem1"].split()[1:] == ["p=3", "vacuous"]
+        assert all(" holds margin_min=" in line for name, line in lines.items()
+                   if name != "theorem1")
+        doc = json.loads((tmp_path / "verify.json").read_text())
+        row = next(row for row in doc["matrix"] if row["check_id"] == "theorem1")
+        assert (row["holds"], row["margin_min"]) == (True, "Infinity")
+
+    def test_nan_margin_exits_3_naming_the_check(self, tmp_path, capsys, monkeypatch):
+        # infinite areas make the length-area side S(r2) - S(r1) NaN
+        monkeypatch.setattr(verifier, "area", lambda model, r, cfg: np.full(np.shape(r), np.inf))
+        assert run(["verify", "--map", "identity", "--p", "3", "--check", "length_area",
+                    "--out", str(tmp_path)]) == 3
+        assert "length_area at p=3: NaN margin" in capsys.readouterr().err
+
     def test_repeated_check_runs_once(self, tmp_path):
         base = ["verify", "--map", "linear", "--param", "k=0.5", "--p", "3"]
         once, twice = tmp_path / "once", tmp_path / "twice"
@@ -406,6 +427,13 @@ MATRIX_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_verificat
 MATRIX_MAPS = ("identity", "linear(k=0.5)", "radial_stretch(alpha=1.5)", "log_singular(p=3)",
                "beltrami_exact(m=1,kappa=0.8)")
 MATRIX_ORDERS = (1.2, 1.5, 1.8, 2.0, 2.5, 3.0, 4.0)
+# The matrix rows whose limit the ladder cannot certify: theorem 6's single
+# limit of |f|/|z| on radial_stretch(1.5) and log_singular(3), and theorem 1's
+# divergent disc mean on log_singular(3)
+MATRIX_VACUOUS = {(name, f"p={p:g}", "theorem6")
+                  for name in ("radial_stretch(alpha=1.5)", "log_singular(p=3)")
+                  for p in (1.2, 1.5, 1.8)} | {
+                     ("log_singular(p=3)", f"p={p:g}", "theorem1") for p in (2.5, 3.0, 4.0)}
 
 
 class TestMatrixScript:
@@ -422,4 +450,5 @@ class TestMatrixScript:
         assert len(rows) == len(expected) == 175
         assert [tuple(row[:3]) for row in rows] == expected
         assert all(row[3] == "HOLDS" for row in rows)
+        assert {tuple(row[:3]) for row in rows if "vacuous" in row[-1]} == MATRIX_VACUOUS
         assert lines[-1] == "all checks hold"

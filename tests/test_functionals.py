@@ -24,10 +24,16 @@ from dilatox.functionals import (
     disc_mean,
     radial_integral_inner,
     radial_integral_outer,
-    _circle_reduce,
 )
 from dilatox import mapping
-from dilatox.mapping import BLOCK_POINTS, PolarPoint, block_rows, jacobian_grid, min_max_modulus
+from dilatox.mapping import (
+    BLOCK_POINTS,
+    PolarPoint,
+    _circle_reduce,
+    block_rows,
+    jacobian_grid,
+    min_max_modulus,
+)
 from dilatox.quadrature import EPS_TRUNC, R_FLOOR, circle_nodes
 
 # Frozen oracles, computed once with 30-digit adaptive quadrature (mpmath) and
@@ -217,10 +223,10 @@ class TestAreaAndLength:
     @pytest.mark.parametrize("entry", catalog_suite(), ids=suite_ids())
     def test_closed_forms(self, entry, cfg):
         for r in (0.1, 0.5, 0.9):
-            assert area(entry.model, r, cfg) == pytest.approx(entry.area(r), rel=1e-8,
+            assert area(entry.model, r, cfg) == pytest.approx(entry.profile.area(r), rel=1e-8,
                                                               abs=1e-12)
             assert boundary_length(entry.model, r, cfg) == pytest.approx(
-                entry.length(r), rel=1e-10)
+                entry.profile.length(r), rel=1e-10)
 
     @pytest.mark.parametrize("entry", catalog_suite(), ids=suite_ids())
     def test_area_monotone_and_bounded(self, entry, cfg):

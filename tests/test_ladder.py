@@ -275,20 +275,20 @@ RADIAL_MAPS = [identity(), linear(0.5), radial_stretch(1.5), beltrami_exact(m=1.
 class TestRadialIntegralsClosedForm:
     """For a radial map R(r) e^{i theta} the integrand 1/(t^{q-1} d_q(t)) is
     R'(t) R(t)^{1-q}, so both radial integrals have closed forms at every
-    rung; they guard the digits of every segment of a ladder pass."""
+    rung (RadialProfile.inner and .outer); they guard the digits of every
+    segment of a ladder pass."""
 
     @pytest.mark.parametrize("q", [1.2, 1.5, 1.8])
     def test_inner(self, entry, q, cfg, ladder):
         radii = ladder.radii()
-        exact = (radii * entry.ratio(radii)) ** (2.0 - q) / (2.0 - q)
+        exact = entry.profile.inner(radii, q)
         got = radial_integral_inner(dilatation_radial_fn(entry.model, q, cfg), radii, q, cfg)
         np.testing.assert_allclose(got.value, exact, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("q", [2.5, 3.0, 4.0])
     def test_outer(self, entry, q, cfg, ladder):
         radii = ladder.radii()
-        exact = ((float(entry.ratio(1.0)) ** (2.0 - q) - (radii * entry.ratio(radii)) ** (2.0 - q))
-                 / (2.0 - q))
+        exact = entry.profile.outer(radii, q)
         got = radial_integral_outer(dilatation_radial_fn(entry.model, q, cfg), radii, q, cfg)
         np.testing.assert_allclose(got, exact, rtol=1e-14, atol=0.0)
 

@@ -170,7 +170,7 @@ class TestSlopeMaps:
     def test_beltrami_exact_slope_may_exceed_one(self):
         entry = beltrami_exact(m=1.0, kappa=2.0)
         assert float(jacobian_grid(entry.model, 0.3, 1.0)) == pytest.approx(4.0)
-        assert entry.ratio(np.array([0.3]))[0] == 2.0
+        assert entry.profile.ratio(np.array([0.3]))[0] == 2.0
         with pytest.raises(ConfigError):
             linear(2.0)
 

@@ -10,12 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dilatox.catalog import linear, radial_stretch
-from dilatox.functionals import DilatationOrder, circular_mean, dilatation_grid
+from dilatox.functionals import (
+    DilatationOrder,
+    area,
+    boundary_length,
+    circular_mean,
+    dilatation_grid,
+)
 from dilatox.mapping import PolarPoint, jacobian_grid
 from dilatox.quadrature import QuadratureConfig, log_power_tail
 from dilatox.verifier import LimitProxy, growth_constant, tolerance
 
 CFG = QuadratureConfig(n_theta=64, n_r=64)
+DEFAULT_CFG = QuadratureConfig()
 
 radii = st.floats(min_value=1e-3, max_value=0.95, allow_nan=False)
 angles = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
@@ -91,11 +98,15 @@ def test_log_power_tail_exact_on_pure_powers(beta, c, eps):
 
 
 @given(alpha=st.floats(min_value=0.1, max_value=3.0), r=radii)
-def test_radial_stretch_area_scaling(alpha, r):
-    # closed form: the image of B_r is the disc of radius r^{alpha+1}
+@settings(max_examples=25, deadline=None)
+def test_radial_stretch_area_and_length_match_profile(alpha, r):
+    # the quadrature of the Jacobian and of |f_theta| against pi R^2 and
+    # 2 pi R, at the tolerances of the catalog's closed-form test
     entry = radial_stretch(alpha)
-    assert entry.area(r) == pytest.approx(math.pi * r ** (2.0 * (alpha + 1.0)))
-    assert entry.length(r) == pytest.approx(2.0 * math.pi * r ** (alpha + 1.0))
+    assert area(entry.model, r, DEFAULT_CFG) == pytest.approx(entry.profile.area(r), rel=1e-8,
+                                                              abs=1e-12)
+    assert boundary_length(entry.model, r, DEFAULT_CFG) == pytest.approx(
+        entry.profile.length(r), rel=1e-10)
 
 
 def test_circle_mean_rejects_nan():

@@ -21,7 +21,7 @@ from dilatox.functionals import (
 )
 from dilatox.mapping import BLOCK_POINTS, MappingModel
 from dilatox.quadrature import QuadratureConfig
-from dilatox import verifier
+from dilatox import beltrami, verifier
 from dilatox.verifier import (
     LimitProxy,
     RadiusLadder,
@@ -92,6 +92,37 @@ class TestInfrastructure:
         assert (limit.value, limit.tail_spread) == (2.0, 2.0)
         assert LimitProxy.from_tail("limit", [1.0, math.inf, 2.0]).tail_spread == math.inf
         assert limit.to_dict() == {"kind": "limit", "value": 2.0, "tail_spread": 2.0}
+
+
+class TestFinish:
+    def test_nan_side_raises_naming_the_check(self):
+        for greater in ([1.0, math.nan], [1.0, math.inf]):  # a NaN side, or inf - inf
+            with pytest.raises(FloatingPointError, match=r"^lemma2 at p=3: NaN margin on 1 of 2"):
+                verifier._finish("lemma2", 3.0, [0.2, 0.1], greater, [0.5, math.inf])
+
+    def test_margin_is_the_least_row_with_minus_inf(self):
+        rep = verifier._finish("lemma2", 3.0, [0.2, 0.1], [1.0, 2.0], [0.5, math.inf])
+        assert not rep.holds
+        assert rep.margin == -math.inf
+        assert list(rep.margins) == [0.5, -math.inf]
+
+    def test_vacuous_report_keeps_plus_inf(self):
+        rep = verifier._finish("theorem6", 1.5, 0.1, [math.nan, 1.0], [1.0, math.inf],
+                               notes=("vacuous",))
+        assert rep.holds
+        assert rep.margin == math.inf
+        assert list(rep.margins) == [math.inf, math.inf]
+
+    def test_solution_leaving_the_disc_shows_its_bad_rows(self, ladder, cfg):
+        # below the solved span the profile is its end cubic extrapolated, and
+        # the area's tail fit at the origin comes back +inf: lemma2 then has
+        # -inf rows, and length_area's side S(r2) - S(r1) is NaN
+        span = (float(ladder.radii()[-1]), 0.95)
+        model = beltrami.solve_radial(beltrami.power_sigma(2.0, 1.0), 0.5, 0.6, span).model()
+        rep = check_lemma2(model, 3.0, ladder, cfg)
+        assert not rep.holds and rep.margin == -math.inf
+        with pytest.raises(FloatingPointError, match="^length_area at p=3"):
+            run_checks(model, 3.0, ladder, cfg, ["length_area"])
 
 
 def _applicable(p: float) -> bool:
