@@ -2,7 +2,8 @@
 
 Covers the pointwise dilatation D_p, circular power means q_p / d_p, disc
 means, the area functional S(r) with its rate S'(r), the image boundary length
-L(r), and the two radial integrals of 1/(t^{p-1} d_p(t)).
+L(r), both sides of the length-area principle, and the two radial integrals
+of 1/(t^{p-1} d_p(t)).
 
 Extended-real conventions: d_p = +inf makes the radial integrand 0; d_p = 0
 makes it +inf and the integral is reported as +inf.
@@ -170,10 +171,14 @@ def dilatation_radial_fn(model: MappingModel, p: Union[float, DilatationOrder],
     return fn
 
 
-def length_dilatation_fn(model: MappingModel, p: Union[float, DilatationOrder],
-                         cfg: QuadratureConfig) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized t -> the rows (L(t), d_p(t)) of a (2, t.size) array, from
-    one evaluation of the partials at every node of every circle."""
+def length_area_sides(model: MappingModel, p: Union[float, DilatationOrder], r1: float,
+                      r2: float, cfg: QuadratureConfig) -> tuple[float, float]:
+    """Both sides of the length-area principle on [r1, r2]: the integral of
+    L^p(t) / ((2 pi t)^{p-1} d_p(t)) dt and the area gain S(r2) - S(r1),
+    as the integral of S'(t) = 2 pi t * mean_theta J_f. One evaluation of
+    the partials at every node of every circle gives L, d_p and S' there, and
+    one ladder pass integrates both rows. d_p = +inf makes the first
+    integrand 0, d_p = 0 makes it +inf."""
     p = _order(p)
     theta = circle_angles(model, cfg.n_theta)
 
@@ -181,16 +186,21 @@ def length_dilatation_fn(model: MappingModel, p: Union[float, DilatationOrder],
         r, th, _ = evaluation_grid(model, t, th)
         jac, ft = _jacobian_and_ft(model, r, th)
         ft_abs = np.abs(ft)
-        return np.stack(np.broadcast_arrays(ft_abs, _dilatation(jac, ft_abs, r, p)))
+        return np.stack(np.broadcast_arrays(ft_abs, _dilatation(jac, ft_abs, r, p), jac))
 
     def reduce(vals):
-        return np.stack([2.0 * math.pi * _row_mean(vals[0]), _power_mean(vals[1], p)])
+        return np.stack([2.0 * math.pi * _row_mean(vals[0]), _power_mean(vals[1], p),
+                         _row_mean(vals[2])])
 
-    def fn(t):
+    def integrands(t):
         _check_radii(t)
-        return _circle_reduce(sample, t, theta, reduce)
+        ell, d, jac_mean = _circle_reduce(sample, t, theta, reduce)
+        with np.errstate(divide="ignore"):
+            length = ell ** p / ((2.0 * math.pi * t) ** (p - 1.0) * d)
+        return np.stack([np.where(np.isinf(d), 0.0, length), t * 2.0 * math.pi * jac_mean])
 
-    return fn
+    integral, area_gain = integrate_radial(integrands, r1, r2, cfg).tolist()
+    return integral, area_gain
 
 
 def area_rate(model: MappingModel, r: Radii, cfg: QuadratureConfig) -> Radii:

@@ -218,12 +218,12 @@ def _ladder_pass(fn: Callable[[np.ndarray], np.ndarray], a, b, cfg: QuadratureCo
     one-element array (else an empty one); and fn at the radii `samples`.
     The limits are checked before fn is called.
 
-    The node layout comes from the ladder's cached plan. Each call evaluates
-    fn on it and builds the trapezoid column T_0 ... T_j of every segment,
-    one level at a time across all segments deep enough, with the operations
-    of _trapezoid_column, into one Richardson table. A segment holding +inf
-    integrates to +inf, and so does every radius beyond it; NaN at a node
-    raises."""
+    fn returns one value per point, or a (k, n) array of k integrands, and
+    every result then gains a leading axis of k. The node layout comes from
+    the ladder's cached plan, and each row is integrated on it on its own
+    (_segment_integrals), so a row's values are those of a pass of that row
+    alone. A segment holding +inf integrates to +inf, and so does every
+    radius beyond it on that row; NaN at a node of any row raises."""
     if np.ndim(a) and np.ndim(b):
         raise ConfigError("at most one limit of a radial integral may be an array")
     if np.ndim(a):
@@ -237,9 +237,25 @@ def _ladder_pass(fn: Callable[[np.ndarray], np.ndarray], a, b, cfg: QuadratureCo
     samples = np.asarray(samples, dtype=float)
     n_nodes = plan.nodes.size
     y_all = np.asarray(fn(np.concatenate([plan.nodes, samples])), dtype=float)
-    if np.isnan(y_all[:n_nodes]).any():
+    y = y_all[..., :n_nodes]
+    if np.isnan(y).any():
         raise ValueError("NaN in radial quadrature values")
-    y = y_all[:n_nodes] * plan.nodes
+    segments = np.stack([_segment_integrals(row, plan) for row in np.atleast_2d(y)])
+    segments = segments.reshape(y.shape[:-1] + (-1,))
+    out = np.empty(y.shape[:-1] + radii.shape)
+    out[..., plan.order] = np.cumsum(segments[..., :len(radii)], axis=-1)
+    return out, segments[..., len(radii):], y_all[..., n_nodes:]
+
+
+def _segment_integrals(fn_values: np.ndarray, plan: _LadderPlan) -> np.ndarray:
+    """The integral of every segment of plan, in the order of its radii and
+    then the refinement segment, from the integrand's values at its nodes.
+
+    The trapezoid column T_0 ... T_j of every segment is built one level at a
+    time across all segments deep enough, with the operations of
+    _trapezoid_column, into one Richardson table. A segment holding +inf
+    integrates to +inf."""
+    y = fn_values * plan.nodes
     inf, inf_columns = np.isinf(y), None
     if inf.any():
         inf_columns = np.logical_or.reduceat(inf, plan.first)
@@ -255,9 +271,7 @@ def _ladder_pass(fn: Callable[[np.ndarray], np.ndarray], a, b, cfg: QuadratureCo
         values[inf_columns] = math.inf
     segments = np.empty(plan.columns.size)
     segments[plan.columns] = values
-    out = np.empty(len(radii))
-    out[plan.order] = np.cumsum(segments[:len(radii)])
-    return out, segments[len(radii):], y_all[n_nodes:]
+    return segments
 
 
 def integrate_radial(fn: Callable[[np.ndarray], np.ndarray], a, b,
@@ -279,9 +293,15 @@ def integrate_radial(fn: Callable[[np.ndarray], np.ndarray], a, b,
     radius's integral, and fn is called once on all nodes. +inf in a segment
     makes the integral of every radius beyond it +inf; NaN raises, and so
     does a limit that is not positive, before fn is called.
+
+    fn may return a (k, n) array, k integrands at the n nodes: each row is
+    integrated on its own, with the values of a pass of that row alone, and
+    the result gains a leading axis of k.
     """
     out = _ladder_pass(fn, a, b, cfg)[0]
-    return out if np.ndim(a) or np.ndim(b) else float(out[0])
+    if np.ndim(a) or np.ndim(b):
+        return out
+    return out[:, 0] if out.ndim == 2 else float(out[0])
 
 
 # Radii of the samples of the tail fit at eps, in units of eps.

@@ -45,7 +45,7 @@ from .functionals import (
     dilatation_grid,
     dilatation_radial_fn,
     disc_mean,
-    length_dilatation_fn,
+    length_area_sides,
     radial_integral_inner,
     radial_integral_outer,
     tolerance,
@@ -279,22 +279,14 @@ def check_lemma1(model: MappingModel, p, ladder: RadiusLadder,
 def check_length_area(model: MappingModel, p, r1: float, r2: float,
                       cfg: QuadratureConfig) -> BoundReport:
     """Integrated length-area principle on [r1, r2]:
-    integral L^p(r) dr / ((2 pi r)^{p-1} d_p(r)) <= S(r2) - S(r1)."""
+    integral L^p(r) dr / ((2 pi r)^{p-1} d_p(r)) <= S(r2) - S(r1), the
+    area gain taken as the integral of S' over [r1, r2] from the same
+    circle samples (functionals.length_area_sides)."""
     p = _order(p)
     if not 0.0 < r1 < r2 < 1.0:
         raise ConfigError(f"need 0 < r1 < r2 < 1, got ({r1}, {r2})")
-    length_and_dp = length_dilatation_fn(model, p, cfg)
-
-    def integrand(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        ell, d = length_and_dp(t)
-        with np.errstate(divide="ignore"):
-            out = ell ** p / ((2.0 * math.pi * t) ** (p - 1.0) * d)
-        return np.where(np.isinf(d), 0.0, out)
-
-    integral = integrate_radial(integrand, r1, r2, cfg)
-    s1, s2 = area(model, np.array([r1, r2]), cfg).tolist()
-    return _finish("length_area", p, r2, s2 - s1, integral)
+    integral, area_gain = length_area_sides(model, p, r1, r2, cfg)
+    return _finish("length_area", p, r2, area_gain, integral)
 
 
 def check_lemma2(model: MappingModel, p, ladder: RadiusLadder,

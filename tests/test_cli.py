@@ -234,8 +234,9 @@ class TestVerify:
         assert (row["holds"], row["margin_min"]) == (True, "Infinity")
 
     def test_nan_margin_exits_3_naming_the_check(self, tmp_path, capsys, monkeypatch):
-        # infinite areas make the length-area side S(r2) - S(r1) NaN
-        monkeypatch.setattr(verifier, "area", lambda model, r, cfg: np.full(np.shape(r), np.inf))
+        # a NaN area gain makes the length-area margin NaN
+        monkeypatch.setattr(verifier, "length_area_sides",
+                            lambda model, p, r1, r2, cfg: (1.0, math.nan))
         assert run(["verify", "--map", "identity", "--p", "3", "--check", "length_area",
                     "--out", str(tmp_path)]) == 3
         assert "length_area at p=3: NaN margin" in capsys.readouterr().err

@@ -1,9 +1,9 @@
 """The in-tree Romberg table against scipy.integrate.romb: the same Richardson
 table in the same order of operations, so every result is bit-identical, also
-where a ladder pass shares one table across segments of different depths; one
-integrand call per ladder pass; cached ladder plans and tail-fit design
-matrices, which change no result; the checks on radial limits; and the range
-of QuadratureConfig.r_min."""
+where a ladder pass shares one table across segments of different depths or
+integrates several integrands as rows; one integrand call per ladder pass;
+cached ladder plans and tail-fit design matrices, which change no result; the
+checks on radial limits; and the range of QuadratureConfig.r_min."""
 
 import math
 
@@ -170,6 +170,65 @@ def test_one_integrand_call_per_ladder_pass():
     assert np.array_equal(fine, body + (below + _separate_tail(_integrand, eps / 2.0)))
     assert np.array_equal(from_origin, body + _separate_tail(_integrand, eps))
     assert one == integrate_radial(_integrand, eps, 0.3, cfg) + _separate_tail(_integrand, eps)
+
+
+def _rows(*fns):
+    return lambda t: np.stack([fn(t) for fn in fns])
+
+
+def _beyond_02_inf(t):
+    return np.where(t > 0.2, math.inf, _integrand(t))
+
+
+# (a, b, keyword arguments) of the ladder passes behind every public call
+PASSES = {
+    "inner": (EPS_TRUNC, RadiusLadder().radii(), {}),
+    "outer": (RadiusLadder().radii(), 1.0, {}),
+    "refined": (EPS_TRUNC, RadiusLadder().radii(),
+                {"samples": np.concatenate([EPS_TRUNC * np.array([1.0, 2.0, 4.0]),
+                                            EPS_TRUNC / 2.0 * np.array([1.0, 2.0, 4.0])]),
+                 "refine": True}),
+    "one segment": (0.1, 0.8, {}),
+}
+
+
+@pytest.mark.parametrize("kind", PASSES)
+@pytest.mark.parametrize("inf_row", [False, True])
+def test_rows_of_one_pass_are_one_row_passes(kind, inf_row):
+    # each row of a (3, n) integrand gets the bits of its own one-row pass,
+    # +inf included where one row holds it; compared in-process, as the last
+    # bits of a pass depend on the numpy build
+    a, b, kwargs = PASSES[kind]
+    cfg = QuadratureConfig()
+    fns = [_integrand, _beyond_02_inf if inf_row else (lambda t: np.exp(-t) * t ** 0.3),
+           lambda t: 1.0 / (t * (1.0 - np.log(t)) ** 2)]
+    together = quadrature._ladder_pass(_rows(*fns), a, b, cfg, **kwargs)
+    for i, fn in enumerate(fns):
+        alone = quadrature._ladder_pass(fn, a, b, cfg, **kwargs)
+        for part, joint in zip(alone, together):
+            assert part.ndim == 1 and joint.shape == (3,) + part.shape
+            assert np.array_equal(part, joint[i]), (kind, i)
+    if inf_row:
+        body = together[0]
+        assert np.isinf(body[1]).any() and np.isfinite(body[[0, 2]]).all()
+
+
+@pytest.mark.parametrize("row", range(3))
+def test_nan_in_any_row_raises(row):
+    fns = [_integrand] * 3
+    fns[row] = lambda t: np.where(t > 0.2, math.nan, _integrand(t))
+    with pytest.raises(ValueError, match="NaN"):
+        quadrature._ladder_pass(_rows(*fns), 0.1, 0.8, QuadratureConfig())
+
+
+def test_rows_through_integrate_radial():
+    cfg, radii = QuadratureConfig(), RadiusLadder().radii()
+    both = _rows(_integrand, np.cos)
+    one = integrate_radial(both, 0.1, 0.8, cfg)
+    assert one.shape == (2,)
+    assert one.tolist() == [integrate_radial(_integrand, 0.1, 0.8, cfg),
+                            integrate_radial(np.cos, 0.1, 0.8, cfg)]
+    assert integrate_radial(both, radii, 1.0, cfg).shape == (2, radii.size)
 
 
 # a pass of each ladder kind the functionals run on the rungs: the inner

@@ -18,9 +18,10 @@ from dilatox.functionals import (
     boundary_length,
     circular_dilatation_mean,
     dilatation_grid,
+    length_area_sides,
 )
 from dilatox.mapping import BLOCK_POINTS, MappingModel
-from dilatox.quadrature import QuadratureConfig
+from dilatox.quadrature import QuadratureConfig, romberg_nodes
 from dilatox import beltrami, verifier
 from dilatox.verifier import (
     LimitProxy,
@@ -116,13 +117,17 @@ class TestFinish:
     def test_solution_leaving_the_disc_shows_its_bad_rows(self, ladder, cfg):
         # below the solved span the profile is its end cubic extrapolated, and
         # the area's tail fit at the origin comes back +inf: lemma2 then has
-        # -inf rows, and length_area's side S(r2) - S(r1) is NaN
+        # -inf rows. length_area integrates S' and its length side over
+        # [deepest rung, r_max] only, inside the span, where the radial
+        # solution is the principle's equality case
         span = (float(ladder.radii()[-1]), 0.95)
         model = beltrami.solve_radial(beltrami.power_sigma(2.0, 1.0), 0.5, 0.6, span).model()
         rep = check_lemma2(model, 3.0, ladder, cfg)
         assert not rep.holds and rep.margin == -math.inf
-        with pytest.raises(FloatingPointError, match="^length_area at p=3"):
-            run_checks(model, 3.0, ladder, cfg, ["length_area"])
+        (rep,) = run_checks(model, 3.0, ladder, cfg, ["length_area"])
+        area_gain = length_area_sides(model, 3.0, span[0], ladder.r_max, cfg)[1]
+        assert rep.holds and math.isfinite(rep.margin)
+        assert abs(rep.margin) <= 1e-12 * area_gain
 
 
 def _applicable(p: float) -> bool:
@@ -239,6 +244,40 @@ class TestLemmaChecks:
     def test_lemma4_rejects_high_order(self, ladder, cfg):
         with pytest.raises(ConfigError):
             check_lemma4(linear(0.5).model, 3.0, ladder, cfg)
+
+
+class TestLengthAreaSides:
+    """Both sides of the length-area principle from one sample of the
+    partials at each Romberg node of [r1, r2], with no integral from the
+    origin."""
+
+    @pytest.mark.parametrize("entry", catalog_suite(), ids=suite_ids())
+    @pytest.mark.parametrize("interval", ["0.1-0.8", "registry"])
+    def test_area_gain_is_the_profile_area_difference(self, entry, interval, ladder, cfg):
+        r1, r2 = ((0.1, 0.8) if interval == "0.1-0.8"
+                  else (float(ladder.radii()[-1]), ladder.r_max))
+        gain = length_area_sides(entry.model, 3.0, r1, r2, cfg)[1]
+        # log_singular's R' is the closed-form derivative, its R a Hermite
+        # interpolant; the two disagree by about 2e-12 relative on [0.1, 0.8],
+        # and area(r2) - area(r1) misses the profile by as much
+        rel = 5e-12 if entry.model.label.startswith("log_singular") else 1e-12
+        exact = entry.profile.area(r2) - entry.profile.area(r1)
+        assert gain == pytest.approx(exact, rel=rel, abs=0.0)
+
+    def test_area_gain_of_a_theta_dependent_map(self, cfg):
+        def area_of(r):  # S(r) of z + 0.1 z^2
+            return math.pi * (r * r + 0.02 * r ** 4)
+
+        for p in (1.5, 3.0):
+            gain = length_area_sides(perturbed_conformal(), p, 0.1, 0.8, cfg)[1]
+            assert gain == pytest.approx(area_of(0.8) - area_of(0.1), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("entry", [identity(), linear(0.5)], ids=lambda e: e.model.label)
+    @pytest.mark.parametrize("p", [1.2, 2.0, 3.0, 4.0])
+    def test_conformal_equality_case_has_a_zero_margin(self, entry, p, cfg):
+        rep = check_length_area(entry.model, p, 0.1, 0.8, cfg)
+        assert rep.holds
+        assert abs(rep.margin) <= 1e-14 * entry.profile.area(0.8)
 
 
 class TestTheorem1:
@@ -446,9 +485,13 @@ class TestRegistry:
         assert max(n for calls in sizes.values() for n in calls) <= BLOCK_POINTS
 
     def test_length_area_evaluates_each_partial_once_per_node(self, ladder, cfg):
+        # both sides come from one sample of the Romberg nodes of [r1, r2]:
+        # no disc integral from the origin
         model, sizes = recording(perturbed_conformal())
         run_checks(model, 1.5, ladder, cfg, ["length_area"])
-        assert sum(sizes["partial_theta"]) == sum(sizes["partial_r"]) > 0
+        points = romberg_nodes(cfg) * cfg.n_theta
+        assert points == 524_800
+        assert sum(sizes["partial_theta"]) == sum(sizes["partial_r"]) == points
         assert sizes["value"] == []
 
     def test_ladder_derived_interval_and_eps(self, ladder, cfg, monkeypatch):
