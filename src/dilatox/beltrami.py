@@ -88,7 +88,8 @@ def sigma_from_json(doc) -> SigmaCoefficient:
 
 @dataclass
 class RadialSolution:
-    """A solved radial profile with its PDE residual on the verification grid."""
+    """A solved radial profile with its PDE residual on the verification grid,
+    taken with the interpolated R and that interpolant's derivative."""
 
     profile: RadialProfile
     grid: np.ndarray
@@ -183,15 +184,18 @@ def solve_radial(coef: SigmaCoefficient, r0: float, R0: float,
     R_of = CubicHermite(grid, values, ode_slope(grid, values))
 
     def R_prime(r):
-        # exact ODE relation rather than the interpolant's derivative
+        # exact ODE relation rather than the interpolant's derivative, which
+        # is only C^0 across the nodes and costs Romberg extrapolation its order
         r = np.asarray(r, dtype=float)
         return ode_slope(r, R_of(r))
 
-    profile = RadialProfile(R=R_of, R_prime=R_prime)
-    model = model_from_profile(profile, label=f"solve({coef.label})")
-    res = residual_check(model, coef, _default_residual_grid(a, b))
-    return RadialSolution(profile=profile, grid=grid, values=values,
-                          residual_max=res, notes=tuple(notes))
+    # The residual reads the interpolant's own derivative: with R_prime, the
+    # ODE relation, it would vanish however far the solver is off.
+    interpolant = RadialProfile(R=R_of, R_prime=lambda r: R_of(r, nu=1))
+    res = residual_check(model_from_profile(interpolant, label=f"solve({coef.label})"), coef,
+                         _default_residual_grid(a, b))
+    return RadialSolution(profile=RadialProfile(R=R_of, R_prime=R_prime), grid=grid,
+                          values=values, residual_max=res, notes=tuple(notes))
 
 
 def _default_residual_grid(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:

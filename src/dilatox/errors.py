@@ -17,10 +17,6 @@ class DegenerateJacobian(ToolkitError):
     """Jacobian negative beyond tolerance: the regularity contract is violated."""
 
 
-class StepTooLarge(ToolkitError):
-    """A finite-difference stencil would leave the punctured unit disc."""
-
-
 class EmptyRange(ToolkitError):
     """An integration range is empty or inverted."""
 

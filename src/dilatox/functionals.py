@@ -150,12 +150,15 @@ def circular_mean(q_fn: Callable[[np.ndarray, np.ndarray], np.ndarray], r: Radii
 def circular_dilatation_mean(model: MappingModel, r: Radii,
                              p: Union[float, DilatationOrder], cfg: QuadratureConfig) -> Radii:
     """d_p(r): the circular mean of the angular dilatation."""
+    _check_radii(r)
     return _like_radius(r, dilatation_radial_fn(model, p, cfg)(r))
 
 
 def dilatation_radial_fn(model: MappingModel, p: Union[float, DilatationOrder],
                          cfg: QuadratureConfig) -> RadialFn:
-    """Vectorized r -> d_p(r), used as the integrand source of radial integrals."""
+    """Vectorized r -> d_p(r), used as the integrand source of radial integrals.
+    Like every integrand, it does not check its radii: the public functions
+    check theirs at entry, and the nodes of their integrals lie between them."""
     p = _order(p)
     theta = circle_angles(model, cfg.n_theta)
     reduce = partial(_power_mean, p=p)
@@ -163,12 +166,7 @@ def dilatation_radial_fn(model: MappingModel, p: Union[float, DilatationOrder],
     def sample(t, th):
         return dilatation_grid(model, t, th, p)
 
-    def fn(t):
-        if not model.theta_invariant:
-            _check_radii(t)  # full circles must lie inside the disc
-        return _circle_reduce(sample, t, theta, reduce)
-
-    return fn
+    return lambda t: _circle_reduce(sample, t, theta, reduce)
 
 
 def length_area_sides(model: MappingModel, p: Union[float, DilatationOrder], r1: float,
@@ -178,8 +176,10 @@ def length_area_sides(model: MappingModel, p: Union[float, DilatationOrder], r1:
     as the integral of S'(t) = 2 pi t * mean_theta J_f. One evaluation of
     the partials at every node of every circle gives L, d_p and S' there, and
     one ladder pass integrates both rows. d_p = +inf makes the first
-    integrand 0, d_p = 0 makes it +inf."""
+    integrand 0, d_p = 0 makes it +inf. Needs 0 < r1 < r2 < 1."""
     p = _order(p)
+    if not 0.0 < r1 < r2 < 1.0:
+        raise ConfigError(f"need 0 < r1 < r2 < 1, got ({r1}, {r2})")
     theta = circle_angles(model, cfg.n_theta)
 
     def sample(t, th):
@@ -193,7 +193,6 @@ def length_area_sides(model: MappingModel, p: Union[float, DilatationOrder], r1:
                          _row_mean(vals[2])])
 
     def integrands(t):
-        _check_radii(t)
         ell, d, jac_mean = _circle_reduce(sample, t, theta, reduce)
         with np.errstate(divide="ignore"):
             length = ell ** p / ((2.0 * math.pi * t) ** (p - 1.0) * d)
@@ -265,6 +264,7 @@ def disc_mean(model: MappingModel, r: Radii, p: Union[float, DilatationOrder],
     the "truncation-sensitive" flag.
     """
     p = _order(p)
+    _check_radii(r)
     radii = np.atleast_1d(np.asarray(r, dtype=float))
 
     def sample(t, th):
@@ -277,6 +277,7 @@ def disc_mean(model: MappingModel, r: Radii, p: Union[float, DilatationOrder],
 
 def area(model: MappingModel, r: Radii, cfg: QuadratureConfig) -> Radii:
     """S(r): area of the image of B_r, by nested quadrature of the Jacobian."""
+    _check_radii(r)
     return _like_radius(r, _disc_integral(lambda t, th: jacobian_grid(model, t, th), r,
                                           circle_angles(model, cfg.n_theta), cfg))
 
@@ -317,5 +318,6 @@ def radial_integral_inner(d_p: RadialFn, r: Radii,
     p = _order(p)
     if not p < 2.0:
         raise ConfigError(f"inner radial integral needs 1 < p < 2, got p={p}")
+    _check_radii(r)
     return _refined(_radial_integrand(d_p, p), EPS_TRUNC, r, lambda raw: raw,
                     "nonconvergent", cfg)

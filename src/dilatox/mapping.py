@@ -1,7 +1,7 @@
 """Mappings of the punctured unit disc in polar coordinates.
 
 A MappingModel bundles the complex value f(r e^{i theta}) with its partial
-derivatives f_r and f_theta, either closed-form or central finite differences.
+derivatives f_r and f_theta, either closed-form or finite differences.
 All callables are vectorized over numpy arrays and must be pure: models are
 safe to share across concurrent evaluators.
 """
@@ -14,12 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DegenerateJacobian,
-    NonFiniteDerivative,
-    StepTooLarge,
-)
+from .errors import ConfigError, DegenerateJacobian, NonFiniteDerivative
 from .quadrature import JAC_TOL, circle_nodes
 
 TWO_PI = 2.0 * math.pi
@@ -71,7 +66,6 @@ class MappingModel:
     value: ComplexFn
     partial_r: ComplexFn
     partial_theta: ComplexFn
-    derivative_kind: str = "analytic"
     theta_invariant: bool = False
 
 
@@ -280,15 +274,20 @@ def jacobian_grid(model: MappingModel, r: np.ndarray, theta: np.ndarray) -> np.n
 
 
 def fd_model(value: ComplexFn, label: str, theta_invariant: bool = False) -> MappingModel:
-    """Wrap a value-only map with vectorized central-difference partials, of
-    steps h_r = 1e-5 max(r, 1e-3) and h_theta = 1e-5 (truncation vs roundoff)."""
+    """Wrap a value-only map with vectorized finite-difference partials of
+    steps h_r = 1e-5 r and h_theta = 1e-5 (truncation vs roundoff): central
+    differences, and in r the second-order one-sided (3 f(r) - 4 f(r-h) +
+    f(r-2h)) / 2h where r + h > 1, so no stencil leaves the closed disc."""
 
     def partial_r(r, theta):
         r = np.asarray(r, dtype=float)
-        h = 1e-5 * np.maximum(r, 1e-3)
-        if np.any(r - h <= 0.0) or np.any(r + h >= 1.0):
-            raise StepTooLarge("radial stencil leaves the disc")
-        return (value(r + h, theta) - value(r - h, theta)) / (2.0 * h)
+        h = 1e-5 * r
+        rim = r + h > 1.0
+        ahead, behind = value(np.where(rim, r, r + h), theta), value(r - h, theta)
+        diff = ahead - behind
+        if rim.any():
+            diff = np.where(rim, 3.0 * ahead - 4.0 * behind + value(r - 2.0 * h, theta), diff)
+        return diff / (2.0 * h)
 
     def partial_theta(r, theta):
         theta = np.asarray(theta, dtype=float)
@@ -296,8 +295,7 @@ def fd_model(value: ComplexFn, label: str, theta_invariant: bool = False) -> Map
         return (value(r, theta + h) - value(r, theta - h)) / (2.0 * h)
 
     return MappingModel(label=label, value=value, partial_r=partial_r,
-                        partial_theta=partial_theta, derivative_kind="finite-difference",
-                        theta_invariant=theta_invariant)
+                        partial_theta=partial_theta, theta_invariant=theta_invariant)
 
 
 def min_max_modulus(model: MappingModel, r, n_theta: int = 2048) -> tuple:

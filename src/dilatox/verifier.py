@@ -283,8 +283,6 @@ def check_length_area(model: MappingModel, p, r1: float, r2: float,
     area gain taken as the integral of S' over [r1, r2] from the same
     circle samples (functionals.length_area_sides)."""
     p = _order(p)
-    if not 0.0 < r1 < r2 < 1.0:
-        raise ConfigError(f"need 0 < r1 < r2 < 1, got ({r1}, {r2})")
     integral, area_gain = length_area_sides(model, p, r1, r2, cfg)
     return _finish("length_area", p, r2, area_gain, integral)
 

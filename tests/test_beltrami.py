@@ -116,6 +116,15 @@ class TestSolver:
             errs.append(np.max(np.abs(sol.values - logistic_exact(sol.grid))))
         assert errs[0] / errs[1] >= 15.0
 
+    def test_residual_sees_the_solver_error(self):
+        # the residual reads the interpolant's derivative against the PDE, so
+        # it shrinks with the step like the profile error (about 4th order)
+        coef = logistic_sigma()
+        residuals = [solve_radial(coef, 0.5, 0.4, (0.05, 0.95), step=step).residual_max
+                     for step in (0.3, 0.1, 0.03, 0.01)]
+        assert residuals[0] >= 1e-3
+        assert all(coarse >= 8.0 * fine for coarse, fine in zip(residuals, residuals[1:]))
+
     def test_profile_interpolates_off_grid(self):
         coef = power_sigma(kappa=2.0, m=1.0)
         sol = solve_radial(coef, 0.5, 1.0)

@@ -22,6 +22,7 @@ from dilatox.functionals import (
     dilatation_grid,
     dilatation_radial_fn,
     disc_mean,
+    length_area_sides,
     radial_integral_inner,
     radial_integral_outer,
 )
@@ -289,3 +290,23 @@ class TestRadialIntegrals:
             return np.where((t > 0.1) & (t < 0.4), 0.0, 1.0)
 
         assert radial_integral_outer(d_p, 0.1, 4.0, cfg) == math.inf
+
+
+class TestRadiiCheckedAtEntry:
+    # every function that takes radii from its caller rejects one outside
+    # (0, 1), theta-invariant map or not, before it evaluates the map
+    CALLS = {
+        "circular_dilatation_mean": lambda m, cfg: circular_dilatation_mean(m, 1.5, 3.0, cfg),
+        "area": lambda m, cfg: area(m, 1.5, cfg),
+        "disc_mean": lambda m, cfg: disc_mean(m, np.array([0.5, 1.5]), 3.0, cfg),
+        "length_area_sides": lambda m, cfg: length_area_sides(m, 3.0, 0.5, 1.5, cfg),
+        "radial_integral_inner": lambda m, cfg: radial_integral_inner(
+            dilatation_radial_fn(m, 1.5, cfg), 1.5, 1.5, cfg),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_radius_outside_the_disc_rejected(self, name, cfg):
+        model, sizes = recording(linear(0.5).model)
+        with pytest.raises(ConfigError, match=r"\b1\.5\b"):
+            self.CALLS[name](model, cfg)
+        assert sizes == {"value": [], "partial_r": [], "partial_theta": []}

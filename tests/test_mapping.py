@@ -12,12 +12,7 @@ from scipy.interpolate import CubicSpline, PchipInterpolator
 from conftest import catalog_suite, perturbed_conformal, suite_ids
 from dilatox.beltrami import power_sigma, solve_radial
 from dilatox.catalog import _LogSingularProfile, beltrami_exact, linear
-from dilatox.errors import (
-    ConfigError,
-    DegenerateJacobian,
-    NonFiniteDerivative,
-    StepTooLarge,
-)
+from dilatox.errors import ConfigError, DegenerateJacobian, NonFiniteDerivative
 from dilatox.mapping import (
     CubicHermite,
     MappingModel,
@@ -106,7 +101,7 @@ class TestJacobian:
 
 class TestFiniteDifferences:
     def test_default_steps(self):
-        # fd_model's steps: h_r = 1e-5 max(r, 1e-3), h_theta = 1e-5
+        # fd_model's steps: h_r = 1e-5 r, h_theta = 1e-5
         calls = []
 
         def value(r, theta):
@@ -117,8 +112,8 @@ class TestFiniteDifferences:
         r, th = np.array([0.5, 1e-5]), np.array([0.0, 0.0])
         g.partial_r(r, th)
         (r_plus, _), (r_minus, _) = calls
-        np.testing.assert_allclose(r_plus - r, [0.5e-5, 1e-8], rtol=1e-6)
-        np.testing.assert_allclose(r - r_minus, [0.5e-5, 1e-8], rtol=1e-6)
+        np.testing.assert_allclose(r_plus - r, [0.5e-5, 1e-10], rtol=1e-6)
+        np.testing.assert_allclose(r - r_minus, [0.5e-5, 1e-10], rtol=1e-6)
         calls.clear()
         g.partial_theta(r, th)
         (_, t_plus), (_, t_minus) = calls
@@ -140,15 +135,24 @@ class TestFiniteDifferences:
             err = np.abs(np.asarray(fd_partial(r, th)) - exact)
             assert np.all(err <= 1e-6 * np.maximum(np.abs(exact), 1.0))
 
-    def test_stencil_leaving_disc_rejected(self):
-        g = fd_model(lambda r, t: r * np.exp(1j * t), label="fd")
-        with pytest.raises(StepTooLarge):
-            g.partial_r(np.array([0.5, 1.0 - 1e-6]), np.array([0.0, 0.0]))
+    def test_rim_stencil_stays_in_the_closed_disc(self):
+        # where r + h_r > 1 the radial stencil is one-sided, second order
+        f = perturbed_conformal()
+        seen = []
+
+        def value(r, theta):
+            seen.append(float(np.max(r)))
+            return f.value(r, theta)
+
+        r, th = np.array([0.5, 1.0 - 1e-6, 1.0]), np.array([0.3, 1.1, 4.0])
+        got = np.asarray(fd_model(value, label="fd").partial_r(r, th))
+        exact = np.asarray(f.partial_r(r, th))
+        np.testing.assert_allclose(got, exact, rtol=1e-6)
+        assert max(seen) <= 1.0
 
     def test_fd_model_wraps_value_only_map(self):
         f = perturbed_conformal()
         g = fd_model(f.value, label="fd")
-        assert g.derivative_kind == "finite-difference"
         z = PolarPoint(0.4, 1.2)
         assert float(jacobian_grid(g, z.r, z.theta)) == pytest.approx(
             float(jacobian_grid(f, z.r, z.theta)), rel=1e-6)

@@ -1,6 +1,7 @@
 """Inequality checks, limit proxies, the explicit growth constant, and the
 asymptotic-ratio theorems with their sharpness cases."""
 
+import functools
 import json
 import math
 import re
@@ -20,7 +21,7 @@ from dilatox.functionals import (
     dilatation_grid,
     length_area_sides,
 )
-from dilatox.mapping import BLOCK_POINTS, MappingModel
+from dilatox.mapping import BLOCK_POINTS, MappingModel, fd_model
 from dilatox.quadrature import QuadratureConfig, romberg_nodes
 from dilatox import beltrami, verifier
 from dilatox.verifier import (
@@ -432,6 +433,24 @@ OUTSIDE_REGIME = [(check, p) for check in verifier.CHECKS
                   for p in (1.2, 2.0, 3.0) if not check.regime.applies(p)]
 
 
+# closed-form maps whose finite-difference wrappers must verify as they do
+CLOSED_MAPS = {"linear": lambda: linear(0.5).model, "perturbed_conformal": perturbed_conformal}
+
+
+def _registry(p: float) -> list[str]:
+    """The names of the registry checks that apply at p, in report order."""
+    return [check.name for check in verifier.CHECKS if check.regime.applies(p)]
+
+
+@functools.lru_cache(maxsize=None)
+def _vacuous_notes(closed: str, p: float) -> list[tuple[str, ...]]:
+    """The notes of the vacuous reports of the named closed-form map at p,
+    over the whole registry on the default ladder."""
+    model = CLOSED_MAPS[closed]()
+    reports = run_checks(model, p, RadiusLadder(), QuadratureConfig())
+    return [rep.notes for rep in reports if "vacuous" in rep.notes]
+
+
 class TestRegistry:
     @pytest.mark.parametrize("check, p", OUTSIDE_REGIME,
                              ids=[f"{check.name}-p{p}" for check, p in OUTSIDE_REGIME])
@@ -472,17 +491,33 @@ class TestRegistry:
                    ["length_area", "lemma3", "theorem1"])
         assert seen == ["check_length_area", "check_lemma3", "theorem1_bound"]
 
-    # the checks that run on a theta-dependent map; lemma2, theorem3 and
-    # theorem6 reach t = 1 in an outer integral and are rejected there
-    THETA_CHECKS = {1.5: ["lemma1", "length_area", "lemma4", "theorem5"],
-                    3.0: ["lemma1", "length_area", "lemma3", "theorem1"]}
-
-    @pytest.mark.parametrize("p", sorted(THETA_CHECKS))
+    @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_model_calls_stay_within_one_block(self, p, ladder, cfg):
         model, sizes = recording(perturbed_conformal())
-        reports = run_checks(model, p, ladder, cfg, self.THETA_CHECKS[p])
+        reports = run_checks(model, p, ladder, cfg)
+        assert [rep.check_id for rep in reports] == _registry(p)
         assert all(rep.holds for rep in reports)
         assert max(n for calls in sizes.values() for n in calls) <= BLOCK_POINTS
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("closed, wrap", [
+        ("perturbed_conformal", "closed"),
+        ("linear", "fd"),
+        ("linear", "fd-flagged"),
+        ("perturbed_conformal", "fd"),
+    ])
+    def test_every_check_runs_and_holds_on_any_map(self, closed, wrap, p, ladder, cfg):
+        # a theta-dependent or finite-difference map runs the whole registry,
+        # outer integrals to t = 1 included, and is vacuous where its
+        # closed-form map is
+        model = CLOSED_MAPS[closed]()
+        if wrap != "closed":
+            model = fd_model(model.value, label=f"{wrap}:{closed}",
+                             theta_invariant=wrap == "fd-flagged")
+        reports = run_checks(model, p, ladder, cfg)
+        assert [rep.check_id for rep in reports] == _registry(p)
+        assert all(rep.holds for rep in reports)
+        assert [rep.notes for rep in reports if "vacuous" in rep.notes] == _vacuous_notes(closed, p)
 
     def test_length_area_evaluates_each_partial_once_per_node(self, ladder, cfg):
         # both sides come from one sample of the Romberg nodes of [r1, r2]:
