@@ -3,7 +3,8 @@
 Covers the pointwise dilatation D_p, circular power means q_p / d_p, disc
 means, the area functional S(r) with its rate S'(r), the image boundary length
 L(r), both sides of the length-area principle, and the two radial integrals
-of 1/(t^{p-1} d_p(t)).
+of 1/(t^{p-1} d_p(t)). S, S' and L are circle reductions on |z| = r alone: S
+by Green's formula, S' and L as integrals over that circle.
 
 Extended-real conventions: d_p = +inf makes the radial integrand 0; d_p = 0
 makes it +inf and the integral is reported as +inf.
@@ -210,6 +211,27 @@ def area_rate(model: MappingModel, r: Radii, cfg: QuadratureConfig) -> Radii:
     return _like_radius(r, fn(r))
 
 
+def area(model: MappingModel, r: Radii, cfg: QuadratureConfig) -> Radii:
+    """S(r): area of the image of B_r, by Green's formula on the circle |z| = r,
+    S(r) = (1/2) integral_0^{2pi} Im(conj(f) f_theta) d theta.
+
+    Green's theorem on the annulus eps < |z| < r makes the integral of J_f
+    over it the difference of this circle integral at r and at eps, and the
+    term at eps, |f(B_eps)|, tends to 0; no integral from the origin is
+    taken. The partials are evaluated through
+    the Jacobian checks, so a sense-reversing or non-finite sample raises as
+    it does for every other circle quantity."""
+    _check_radii(r)
+
+    def sample(t, th):
+        t, th, _ = evaluation_grid(model, t, th)
+        ft = _jacobian_and_ft(model, t, th)[1]
+        return np.imag(np.conj(np.asarray(model.value(t, th))) * ft)
+
+    return _like_radius(r, math.pi * _circle_reduce(sample, r, circle_angles(model, cfg.n_theta),
+                                                    _row_mean))
+
+
 def boundary_length(model: MappingModel, r: Radii, cfg: QuadratureConfig) -> Radii:
     """L(r): length of the image curve of the circle |z| = r."""
     _check_radii(r)
@@ -218,7 +240,7 @@ def boundary_length(model: MappingModel, r: Radii, cfg: QuadratureConfig) -> Rad
     return _like_radius(r, 2.0 * math.pi * ft)
 
 
-# ----------------------------- disc means and area -----------------------------
+# ----------------------------- disc means -----------------------------
 #
 # Disc and radial integrals take one radius or a whole ladder of them; a ladder
 # costs one pass of the ladder quadrature (quadrature.integrate_radial), and a
@@ -273,13 +295,6 @@ def disc_mean(model: MappingModel, r: Radii, p: Union[float, DilatationOrder],
     fn = _circle_integral_fn(sample, circle_angles(model, cfg.n_theta), cfg)
     return _refined(fn, R_FLOOR, r, lambda raw: (raw / (math.pi * radii * radii)) ** (p - 1.0),
                     "truncation-sensitive", cfg)
-
-
-def area(model: MappingModel, r: Radii, cfg: QuadratureConfig) -> Radii:
-    """S(r): area of the image of B_r, by nested quadrature of the Jacobian."""
-    _check_radii(r)
-    return _like_radius(r, _disc_integral(lambda t, th: jacobian_grid(model, t, th), r,
-                                          circle_angles(model, cfg.n_theta), cfg))
 
 
 # ----------------------------- radial integrals -----------------------------

@@ -159,6 +159,18 @@ class TestEval:
         assert row["S"] == pytest.approx(math.pi * 0.25 * 0.25, rel=1e-9)
         assert row["iso_defect"] >= -1e-9
 
+    def test_isoperimetric_defect_vanishes_on_a_radial_map(self, tmp_path):
+        # the image of each circle is a circle, so L^2 = 4 pi S; S from Green's
+        # formula on that circle leaves only round-off in the difference
+        assert run(["eval", "--map", "log_singular", "--param", "p=3", "--p", "3",
+                    "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "functionals.csv").read_text().splitlines()
+        rows = [dict(zip(lines[0].split(","), map(float, line.split(","))))
+                for line in lines[1:]]
+        assert len(rows) == 20
+        for row in rows:
+            assert abs(row["iso_defect"]) <= 1e-14 * row["L"] ** 2, row
+
     def test_custom_radial_profile_map(self, tmp_path):
         r = np.linspace(0.01, 0.99, 30)
         doc = {"type": "radial_profile",

@@ -223,11 +223,21 @@ class TestAreaAndLength:
 
     @pytest.mark.parametrize("entry", catalog_suite(), ids=suite_ids())
     def test_closed_forms(self, entry, cfg):
+        # Green's formula on a rotation-invariant map is pi R^2 from one sample
         for r in (0.1, 0.5, 0.9):
-            assert area(entry.model, r, cfg) == pytest.approx(entry.profile.area(r), rel=1e-8,
-                                                              abs=1e-12)
+            assert area(entry.model, r, cfg) == entry.profile.area(r)
             assert boundary_length(entry.model, r, cfg) == pytest.approx(
                 entry.profile.length(r), rel=1e-10)
+
+    def test_theta_dependent_area_on_the_ladder(self, ladder, cfg):
+        # S(r) of z + 0.1 z^2 is pi (r^2 + 0.02 r^4); its finite-difference
+        # wrapper carries the partials' O(h^2) error
+        radii = ladder.radii()
+        exact = math.pi * (radii * radii + 0.02 * radii ** 4)
+        f = perturbed_conformal()
+        np.testing.assert_allclose(area(f, radii, cfg), exact, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(area(mapping.fd_model(f.value, "fd"), radii, cfg), exact,
+                                   rtol=1e-9, atol=0.0)
 
     @pytest.mark.parametrize("entry", catalog_suite(), ids=suite_ids())
     def test_area_monotone_and_bounded(self, entry, cfg):

@@ -13,6 +13,7 @@ from conftest import catalog_suite, perturbed_conformal, suite_ids
 from dilatox.beltrami import power_sigma, solve_radial
 from dilatox.catalog import _LogSingularProfile, beltrami_exact, linear
 from dilatox.errors import ConfigError, DegenerateJacobian, NonFiniteDerivative
+from dilatox.functionals import area
 from dilatox.mapping import (
     CubicHermite,
     MappingModel,
@@ -58,7 +59,7 @@ class TestJacobian:
         th = np.linspace(0.0, 2.0 * math.pi, 17)[None, :]
         assert np.all(jacobian_grid(entry.model, r, th) > 0.0)
 
-    def test_orientation_reversal_rejected(self):
+    def test_orientation_reversal_rejected(self, cfg):
         def conj_value(r, theta):
             return np.asarray(r) * np.exp(-1j * np.asarray(theta))
 
@@ -68,14 +69,18 @@ class TestJacobian:
                              partial_theta=lambda r, t: -1j * conj_value(r, t))
         with pytest.raises(DegenerateJacobian):
             jacobian_grid(model, 0.5, 0.3)
+        with pytest.raises(DegenerateJacobian):  # the area's samples are checked too
+            area(model, 0.5, cfg)
 
-    def test_nonfinite_partials_rejected(self):
+    def test_nonfinite_partials_rejected(self, cfg):
         model = MappingModel(label="bad", value=lambda r, t: np.asarray(r) + 0j,
                              partial_r=lambda r, t: np.full_like(
                                  np.asarray(r, dtype=float), np.nan) + 0j,
                              partial_theta=lambda r, t: np.asarray(r) * 1j)
         with pytest.raises(NonFiniteDerivative):
             jacobian_grid(model, 0.5, 0.0)
+        with pytest.raises(NonFiniteDerivative):
+            area(model, 0.5, cfg)
 
     def test_rotation_invariance(self):
         # g(z) = e^{i beta} f(e^{i gamma} z) has the same Jacobian at rotated points

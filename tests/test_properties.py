@@ -100,11 +100,10 @@ def test_log_power_tail_exact_on_pure_powers(beta, c, eps):
 @given(alpha=st.floats(min_value=0.1, max_value=3.0), r=radii)
 @settings(max_examples=25, deadline=None)
 def test_radial_stretch_area_and_length_match_profile(alpha, r):
-    # the quadrature of the Jacobian and of |f_theta| against pi R^2 and
+    # Green's formula and the circle mean of |f_theta| against pi R^2 and
     # 2 pi R, at the tolerances of the catalog's closed-form test
     entry = radial_stretch(alpha)
-    assert area(entry.model, r, DEFAULT_CFG) == pytest.approx(entry.profile.area(r), rel=1e-8,
-                                                              abs=1e-12)
+    assert area(entry.model, r, DEFAULT_CFG) == entry.profile.area(r)
     assert boundary_length(entry.model, r, DEFAULT_CFG) == pytest.approx(
         entry.profile.length(r), rel=1e-10)
 

@@ -232,12 +232,13 @@ def test_rows_through_integrate_radial():
 
 
 # a pass of each ladder kind the functionals run on the rungs: the inner
-# integral and the disc mean (refined at EPS_TRUNC and R_FLOOR), the area
-# (from R_FLOOR) and the outer integral (up to 1)
+# integral and the disc mean (refined at EPS_TRUNC and R_FLOOR), an
+# unrefined pass from R_FLOOR (lemma 3's disc average and the Beltrami
+# sigma_0 condition) and the outer integral (up to 1)
 LADDER_KINDS = {
     "inner": lambda r, cfg: refine_truncation(_integrand, EPS_TRUNC, r, cfg),
     "disc": lambda r, cfg: refine_truncation(_integrand, R_FLOOR, r, cfg),
-    "area": lambda r, cfg: integrate_from_origin(_integrand, R_FLOOR, r, cfg),
+    "from_origin": lambda r, cfg: integrate_from_origin(_integrand, R_FLOOR, r, cfg),
     "outer": lambda r, cfg: integrate_radial(_integrand, r, 1.0, cfg),
 }
 

@@ -115,21 +115,6 @@ class TestFinish:
         assert rep.margin == math.inf
         assert list(rep.margins) == [math.inf, math.inf]
 
-    def test_solution_leaving_the_disc_shows_its_bad_rows(self, ladder, cfg):
-        # below the solved span the profile is its end cubic extrapolated, and
-        # the area's tail fit at the origin comes back +inf: lemma2 then has
-        # -inf rows. length_area integrates S' and its length side over
-        # [deepest rung, r_max] only, inside the span, where the radial
-        # solution is the principle's equality case
-        span = (float(ladder.radii()[-1]), 0.95)
-        model = beltrami.solve_radial(beltrami.power_sigma(2.0, 1.0), 0.5, 0.6, span).model()
-        rep = check_lemma2(model, 3.0, ladder, cfg)
-        assert not rep.holds and rep.margin == -math.inf
-        (rep,) = run_checks(model, 3.0, ladder, cfg, ["length_area"])
-        area_gain = length_area_sides(model, 3.0, span[0], ladder.r_max, cfg)[1]
-        assert rep.holds and math.isfinite(rep.margin)
-        assert abs(rep.margin) <= 1e-12 * area_gain
-
 
 def _applicable(p: float) -> bool:
     return True
@@ -164,6 +149,23 @@ class TestLemmaChecks:
     def test_lemma4_holds_on_catalog(self, entry, ladder, cfg):
         rep = check_lemma4(entry.model, 1.5, ladder, cfg)
         assert rep.holds, rep.margins
+
+    def test_beltrami_solution_holds_every_check(self, ladder, cfg):
+        # the solution is only known on its solved span, which starts at the
+        # deepest rung; the area is read on each rung's circle (Green's
+        # formula), never integrated through the profile's extrapolation
+        # below the span. length_area integrates over [deepest rung, r_max],
+        # where the radial solution is the principle's equality case
+        span = (float(ladder.radii()[-1]), 0.95)
+        model = beltrami.solve_radial(beltrami.power_sigma(2.0, 1.0), 0.5, 0.6, span).model()
+        rep = check_lemma2(model, 3.0, ladder, cfg)
+        assert rep.holds and rep.margin == pytest.approx(2.19e-5, rel=1e-2)
+        reports = run_checks(model, 3.0, ladder, cfg)
+        assert len(reports) == 6
+        assert [rep.check_id for rep in reports if not rep.holds] == []
+        (rep,) = (rep for rep in reports if rep.check_id == "length_area")
+        area_gain = length_area_sides(model, 3.0, span[0], ladder.r_max, cfg)[1]
+        assert abs(rep.margin) <= 1e-12 * area_gain
 
     def test_lemma1_rows_match_the_per_rung_reference(self, ladder, cfg):
         # a per-rung scalar reference: at each rung the area row, then the length row
@@ -260,7 +262,8 @@ class TestLengthAreaSides:
         gain = length_area_sides(entry.model, 3.0, r1, r2, cfg)[1]
         # log_singular's R' is the closed-form derivative, its R a Hermite
         # interpolant; the two disagree by about 2e-12 relative on [0.1, 0.8],
-        # and area(r2) - area(r1) misses the profile by as much
+        # so the integral of S' misses pi R^2 by as much, while area(r) reads
+        # pi R^2 exactly
         rel = 5e-12 if entry.model.label.startswith("log_singular") else 1e-12
         exact = entry.profile.area(r2) - entry.profile.area(r1)
         assert gain == pytest.approx(exact, rel=rel, abs=0.0)
