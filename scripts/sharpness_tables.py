@@ -41,7 +41,7 @@ KS = (0.25, 0.5, 0.75, 0.9)
 
 def high_order_table():
     lad = RadiusLadder(r_max=0.01, rho=0.5, count=12, tail=5)
-    cfg = QuadratureConfig(r_min=1e-6)
+    cfg = QuadratureConfig()
     print("high-order tail constant, p = 4  (exact k0 = 1/(2 k^2), bound = k)")
     print(f"{'k':>6} {'k0':>12} {'k0 exact':>12} {'bound':>10} {'|bound-k|':>10}")
     for k in KS:
@@ -65,7 +65,7 @@ def low_order_table():
 
 def bracket_table():
     lad = RadiusLadder(r_max=0.01, rho=0.5, count=8, tail=5)
-    cfg = QuadratureConfig(r_min=1e-5)
+    cfg = QuadratureConfig()
     p = 1.5
     print("two-sided bracket at p = 1.5 and the tail-constant relation")
     print(f"{'k':>6} {'lower':>10} {'upper':>10} {'k1':>10} {'relation rhs':>14}")

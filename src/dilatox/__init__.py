@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .errors import ToolkitError, ConfigError
 from .mapping import MappingModel, PolarPoint, RadialProfile
 from .quadrature import QuadratureConfig
-from .functionals import DilatationOrder
 from .verifier import BoundReport, LimitProxy, RadiusLadder
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "PolarPoint",
     "RadialProfile",
     "QuadratureConfig",
-    "DilatationOrder",
     "BoundReport",
     "LimitProxy",
     "RadiusLadder",

@@ -230,8 +230,6 @@ def condition_sigma0(coef: SigmaCoefficient, ladder: RadiusLadder,
                      cfg: QuadratureConfig) -> LimitProxy:
     """liminf proxy of ((1/pi r^2) * integral_{B_r} dxdy /
     (|z| Im(conj sigma)^{1/(m+1)}))^{m+1} over the ladder tail."""
-    ladder.validate_against(cfg)
-
     def g(t):
         t = np.asarray(t, dtype=float)
         ims = coef.imag_conj(t)

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import __version__, beltrami, catalog
 from .errors import ConfigError, ToolkitError
-from .functionals import DilatationOrder, boundary_length, circular_dilatation_mean, disc_mean
+from .functionals import boundary_length, circular_dilatation_mean, disc_mean
 from .functionals import area as area_fn
 from .mapping import MappingModel, map_from_json, min_max_modulus
 from .quadrature import QuadratureConfig
@@ -74,13 +74,11 @@ def _build_map(args) -> MappingModel:
 
 
 def _quad_config(args) -> QuadratureConfig:
-    return QuadratureConfig(n_theta=args.ntheta, n_r=args.nr, r_min=args.rmin)
+    return QuadratureConfig(n_theta=args.ntheta, n_r=args.nr)
 
 
-def _ladder(args, cfg: QuadratureConfig) -> RadiusLadder:
-    ladder = RadiusLadder(r_max=args.rmax, rho=args.rho, count=args.count, tail=args.tail)
-    ladder.validate_against(cfg)
-    return ladder
+def _ladder(args) -> RadiusLadder:
+    return RadiusLadder(r_max=args.rmax, rho=args.rho, count=args.count, tail=args.tail)
 
 
 def _resolved_config(args) -> dict:
@@ -106,11 +104,9 @@ def _write_json(path: Path, doc: dict) -> None:
 def cmd_eval(args) -> int:
     model = _build_map(args)
     cfg = _quad_config(args)
-    ladder = _ladder(args, cfg)
-    p = DilatationOrder(args.p)
-    radii = ladder.radii()
-    columns = zip(radii, circular_dilatation_mean(model, radii, p, cfg).tolist(),
-                  disc_mean(model, radii, p, cfg).value.tolist(),
+    radii = _ladder(args).radii()
+    columns = zip(radii, circular_dilatation_mean(model, radii, args.p, cfg).tolist(),
+                  disc_mean(model, radii, args.p, cfg).value.tolist(),
                   area_fn(model, radii, cfg).tolist(),
                   boundary_length(model, radii, cfg).tolist(),
                   *(m.tolist() for m in min_max_modulus(model, radii)))
@@ -127,7 +123,7 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     model = _build_map(args)
     cfg = _quad_config(args)
-    ladder = _ladder(args, cfg)
+    ladder = _ladder(args)
     reports = run_checks(model, args.p, ladder, cfg, args.check)
     doc = {
         "config": _resolved_config(args),
@@ -148,7 +144,7 @@ def cmd_verify(args) -> int:
 def cmd_asym(args) -> int:
     model = _build_map(args)
     cfg = _quad_config(args)
-    ladder = _ladder(args, cfg)
+    ladder = _ladder(args)
     p = args.p
     if args.s is not None and not (LOW_P.applies(p) and HIGH_P.applies(args.s)):
         raise ConfigError(f"--s: theorem7 needs {LOW_P.name} and s > 2, got p={p}, s={args.s}")
@@ -202,7 +198,7 @@ def cmd_beltrami(args) -> int:
             raise ConfigError("beltrami needs --coef <json> or real --param kappa=... m=...")
         coef = beltrami.power_sigma(kappa, m)
     cfg = _quad_config(args)
-    ladder = _ladder(args, cfg)
+    ladder = _ladder(args)
     span = (float(ladder.radii()[-1]), args.span_hi)
     solution = beltrami.solve_radial(coef, args.r0, args.R0, span, args.step)
     out_dir = Path(args.out)
@@ -231,17 +227,17 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Angular-dilatation toolkit")
     parser.add_argument("--version", action="version", version=f"dilatox {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    ladder, quad = RadiusLadder(), QuadratureConfig()  # the defaults of a run
 
     def shared_options(sp):
         sp.add_argument("--param", action="append", default=[],
                         help="map/coefficient parameter key=value (repeatable)")
-        sp.add_argument("--rmax", type=float, default=0.5)
-        sp.add_argument("--rho", type=float, default=0.8)
-        sp.add_argument("--count", type=int, default=20)
-        sp.add_argument("--tail", type=int, default=5)
-        sp.add_argument("--ntheta", type=int, default=512)
-        sp.add_argument("--nr", type=int, default=1024)
-        sp.add_argument("--rmin", type=float, default=1e-4)
+        sp.add_argument("--rmax", type=float, default=ladder.r_max)
+        sp.add_argument("--rho", type=float, default=ladder.rho)
+        sp.add_argument("--count", type=int, default=ladder.count)
+        sp.add_argument("--tail", type=int, default=ladder.tail)
+        sp.add_argument("--ntheta", type=int, default=quad.n_theta)
+        sp.add_argument("--nr", type=int, default=quad.n_r)
         sp.add_argument("--out", default=".", help="output directory")
 
     def map_options(sp):

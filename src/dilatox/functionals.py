@@ -44,26 +44,13 @@ RadialFn = Callable[[np.ndarray], np.ndarray]
 Radii = Union[float, np.ndarray]
 
 
-@dataclass(frozen=True)
-class DilatationOrder:
-    """The finite order p > 1 of the angular dilatation, with its conjugate exponent."""
-
-    p: float
-
-    def __post_init__(self):
-        if not 1.0 < self.p < math.inf:
-            raise ConfigError(f"dilatation order must be finite with p > 1, got {self.p}")
-
-    @property
-    def conjugate(self) -> float:
-        """p' = p/(p-1); maps (1,2) onto (2,inf)."""
-        return self.p / (self.p - 1.0)
-
-
-def _order(p: Union[float, DilatationOrder]) -> float:
-    if isinstance(p, DilatationOrder):
-        return p.p
-    return DilatationOrder(float(p)).p
+def _order(p: float) -> float:
+    """The order p of the angular dilatation as a float, once checked finite
+    with p > 1."""
+    p = float(p)
+    if not 1.0 < p < math.inf:
+        raise ConfigError(f"dilatation order must be finite with p > 1, got {p}")
+    return p
 
 
 @dataclass
@@ -88,7 +75,7 @@ def tolerance(lhs, rhs=0.0):
 # ----------------------------- pointwise dilatation -----------------------------
 
 def dilatation_grid(model: MappingModel, r: np.ndarray, theta: np.ndarray,
-                    p: Union[float, DilatationOrder]) -> np.ndarray:
+                    p: float) -> np.ndarray:
     """D_p = |f_theta|^p / (r^p J_f) on a broadcastable grid; +inf where J_f = 0
     while f_theta does not vanish.
 
@@ -139,7 +126,7 @@ def _like_radius(r: Radii, values: np.ndarray) -> Radii:
 
 
 def circular_mean(q_fn: Callable[[np.ndarray, np.ndarray], np.ndarray], r: Radii,
-                  p: Union[float, DilatationOrder], cfg: QuadratureConfig) -> Radii:
+                  p: float, cfg: QuadratureConfig) -> Radii:
     """q_p(r): the power mean of exponent 1/(p-1) of Q over the circle |z| = r,
     raised back to p-1. Periodic trapezoid rule; +inf propagates."""
     p = _order(p)
@@ -148,15 +135,14 @@ def circular_mean(q_fn: Callable[[np.ndarray, np.ndarray], np.ndarray], r: Radii
                                           partial(_power_mean, p=p)))
 
 
-def circular_dilatation_mean(model: MappingModel, r: Radii,
-                             p: Union[float, DilatationOrder], cfg: QuadratureConfig) -> Radii:
+def circular_dilatation_mean(model: MappingModel, r: Radii, p: float,
+                             cfg: QuadratureConfig) -> Radii:
     """d_p(r): the circular mean of the angular dilatation."""
     _check_radii(r)
     return _like_radius(r, dilatation_radial_fn(model, p, cfg)(r))
 
 
-def dilatation_radial_fn(model: MappingModel, p: Union[float, DilatationOrder],
-                         cfg: QuadratureConfig) -> RadialFn:
+def dilatation_radial_fn(model: MappingModel, p: float, cfg: QuadratureConfig) -> RadialFn:
     """Vectorized r -> d_p(r), used as the integrand source of radial integrals.
     Like every integrand, it does not check its radii: the public functions
     check theirs at entry, and the nodes of their integrals lie between them."""
@@ -170,8 +156,8 @@ def dilatation_radial_fn(model: MappingModel, p: Union[float, DilatationOrder],
     return lambda t: _circle_reduce(sample, t, theta, reduce)
 
 
-def length_area_sides(model: MappingModel, p: Union[float, DilatationOrder], r1: float,
-                      r2: float, cfg: QuadratureConfig) -> tuple[float, float]:
+def length_area_sides(model: MappingModel, p: float, r1: float, r2: float,
+                      cfg: QuadratureConfig) -> tuple[float, float]:
     """Both sides of the length-area principle on [r1, r2]: the integral of
     L^p(t) / ((2 pi t)^{p-1} d_p(t)) dt and the area gain S(r2) - S(r1),
     as the integral of S'(t) = 2 pi t * mean_theta J_f. One evaluation of
@@ -278,7 +264,7 @@ def _refined(fn: RadialFn, eps: float, r: Radii, transform: Callable[[np.ndarray
                           (flag,) if unstable.any() else ())
 
 
-def disc_mean(model: MappingModel, r: Radii, p: Union[float, DilatationOrder],
+def disc_mean(model: MappingModel, r: Radii, p: float,
               cfg: QuadratureConfig) -> TruncatedValue:
     """((1/pi r^2) * integral_{B_r} D_p^{1/(p-1)} dxdy)^{p-1} at one radius or a
     ladder of them, truncated at R_FLOOR/2; its refinement delta is the change
@@ -310,8 +296,7 @@ def _radial_integrand(d_p: RadialFn, p: float) -> RadialFn:
     return fn
 
 
-def radial_integral_outer(d_p: RadialFn, r: Radii,
-                          p: Union[float, DilatationOrder], cfg: QuadratureConfig) -> Radii:
+def radial_integral_outer(d_p: RadialFn, r: Radii, p: float, cfg: QuadratureConfig) -> Radii:
     """integral_r^1 dt / (t^{p-1} d_p(t))."""
     p = _order(p)
     radii = np.atleast_1d(np.asarray(r, dtype=float))
@@ -322,9 +307,8 @@ def radial_integral_outer(d_p: RadialFn, r: Radii,
     return _like_radius(r, integrate_radial(_radial_integrand(d_p, p), radii, 1.0, cfg))
 
 
-def radial_integral_inner(d_p: RadialFn, r: Radii,
-                          p: Union[float, DilatationOrder], cfg: QuadratureConfig
-                          ) -> TruncatedValue:
+def radial_integral_inner(d_p: RadialFn, r: Radii, p: float,
+                          cfg: QuadratureConfig) -> TruncatedValue:
     """integral_0^r dt / (t^{p-1} d_p(t)) for 1 < p < 2, at one radius or a
     ladder of them, truncated at EPS_TRUNC/2 with a power-log tail fit; its
     refinement delta is the change from truncating at EPS_TRUNC, and a change

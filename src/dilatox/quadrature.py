@@ -20,31 +20,26 @@ from .errors import ConfigError, EmptyRange
 # Jacobian sign tolerance: values below -JAC_TOL violate the regularity contract.
 JAC_TOL = 1e-12
 
-# Truncation radius of the inner radial integral, and the smallest r_min a
-# radius ladder may reach.
+# Truncation radius of the inner radial integral; every rung of a radius
+# ladder lies strictly above it (verifier.RadiusLadder checks its deepest rung).
 EPS_TRUNC = 1e-6
-# Truncation radius of disc integrals; far below r_min because slowly
+# Truncation radius of disc integrals; far below the deepest rung because slowly
 # converging Jacobian tails (log-singular family) need the remainder < 1e-10.
 R_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Grid sizes used by every integral functional, and r_min, the deepest
-    radius a ladder may reach. r_min lies in [EPS_TRUNC, 1), so every rung sits
-    above both truncation radii before any integral starts."""
+    """Grid sizes used by every integral functional."""
 
     n_theta: int = 512
     n_r: int = 1024
-    r_min: float = 1e-4
 
     def __post_init__(self):
         if self.n_theta < 16 or self.n_theta % 2 != 0:
             raise ConfigError(f"n_theta must be even and >= 16, got {self.n_theta}")
         if self.n_r < 16:
             raise ConfigError(f"n_r must be >= 16, got {self.n_r}")
-        if not EPS_TRUNC <= self.r_min < 1:
-            raise ConfigError(f"r_min must lie in [{EPS_TRUNC:g}, 1), got {self.r_min}")
 
 
 def circle_nodes(n_theta: int) -> np.ndarray:

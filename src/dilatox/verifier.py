@@ -36,7 +36,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .functionals import (
-    DilatationOrder,
     area,
     area_rate,
     boundary_length,
@@ -54,7 +53,7 @@ from .functionals import (
     _radial_integrand,
 )
 from .mapping import MappingModel, _angle_columns, min_max_modulus
-from .quadrature import QuadratureConfig, circle_nodes, integrate_radial
+from .quadrature import EPS_TRUNC, QuadratureConfig, circle_nodes, integrate_radial
 
 # flat tail_spread threshold operationalizing "|f(z)|/|z| has a single limit point"
 SINGLE_LIMIT_SPREAD = 1e-3
@@ -114,14 +113,11 @@ def growth_bound(p: float, k) -> float:
     return 2.0 * _power(2.0 * k / (p - 2.0), 1.0 / (p - 2.0))
 
 
-def growth_constant(p: float) -> float:
-    """The explicit constant c_p of theorem 1: growth_bound at k = 1."""
-    return growth_bound(p, 1.0)
-
-
 @dataclass(frozen=True)
 class RadiusLadder:
-    """Geometric radius ladder r_max * rho^j, the numerical stand-in for r -> 0."""
+    """Geometric radius ladder r_max * rho^j, the numerical stand-in for r -> 0.
+    Its deepest rung lies strictly above quadrature.EPS_TRUNC, the anchor of
+    the inner radial integral, so every rung fits every integral."""
 
     r_max: float = 0.5
     rho: float = 0.8
@@ -135,6 +131,10 @@ class RadiusLadder:
             raise ConfigError(f"need count >= tail >= 3, got count={self.count}, tail={self.tail}")
         if not 0.0 < self.r_max < 1.0:
             raise ConfigError(f"r_max must lie in (0,1), got {self.r_max}")
+        deepest = self.radii()[-1]
+        if not deepest > EPS_TRUNC:
+            raise ConfigError(f"deepest rung r_max*rho^(count-1) = {deepest:.3e} must lie "
+                              f"above EPS_TRUNC = {EPS_TRUNC:g}")
 
     def radii(self) -> np.ndarray:
         """Rungs in decreasing order, from r_max toward 0."""
@@ -142,11 +142,6 @@ class RadiusLadder:
 
     def tail_radii(self) -> np.ndarray:
         return self.radii()[-self.tail:]
-
-    def validate_against(self, cfg: QuadratureConfig) -> None:
-        if self.radii()[-1] < cfg.r_min:
-            raise ConfigError(
-                f"deepest rung {self.radii()[-1]:.3e} is below r_min={cfg.r_min:.3e}")
 
 
 @dataclass
@@ -227,14 +222,12 @@ def _finish(check_id: str, p: float, radii, greater, lesser, slack=0.0,
                        notes=tuple(sorted(notes)))
 
 
-def _rungs(name: str, regime: Regime, p, ladder: RadiusLadder,
-           cfg: QuadratureConfig) -> tuple[float, np.ndarray]:
+def _rungs(name: str, regime: Regime, p: float, ladder: RadiusLadder) -> tuple[float, np.ndarray]:
     """The order p as a float and the ladder rungs, once p is checked to lie
-    in the regime and the ladder to fit the quadrature, before any integral."""
+    in the regime, before any integral."""
     p = _order(p)
     if not regime.applies(p):
         raise ConfigError(f"{name} needs {regime.name}, got p={p}")
-    ladder.validate_against(cfg)
     return p, ladder.radii()
 
 
@@ -264,7 +257,7 @@ def check_lemma1(model: MappingModel, p, ladder: RadiusLadder,
     At each rung: S'(r) >= 2 pi^{(2-p)/2} r^{1-p} d_p^{-1}(r) S^{p/2}(r) and
     S'(r) >= L^p(r) / ((2 pi r)^{p-1} d_p(r)); the area row comes first.
     """
-    p, r = _rungs("lemma1", ANY_P, p, ladder, cfg)
+    p, r = _rungs("lemma1", ANY_P, p, ladder)
     sp, s = area_rate(model, r, cfg), area(model, r, cfg)
     ell, d = boundary_length(model, r, cfg), circular_dilatation_mean(model, r, p, cfg)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -291,7 +284,7 @@ def check_lemma2(model: MappingModel, p, ladder: RadiusLadder,
                  cfg: QuadratureConfig) -> BoundReport:
     """Area upper bound for p > 2:
     S(r) <= pi (p-2)^{-2/(p-2)} (integral_r^1 dt/(t^{p-1} d_p(t)))^{-2/(p-2)}."""
-    p, r = _rungs("lemma2", HIGH_P, p, ladder, cfg)
+    p, r = _rungs("lemma2", HIGH_P, p, ladder)
     integral = radial_integral_outer(dilatation_radial_fn(model, p, cfg), r, p, cfg)
     # one power of the product, as in lemma 4: near p = 2 the factors
     # overflow and underflow apart; a product below 1 may still make the
@@ -328,7 +321,7 @@ def check_lemma4(model: MappingModel, p, ladder: RadiusLadder,
                  cfg: QuadratureConfig) -> BoundReport:
     """Area lower bound for 1 < p < 2:
     S(r) >= pi (2-p)^{2/(2-p)} (integral_0^r dt/(t^{p-1} d_p(t)))^{2/(2-p)}."""
-    p, r = _rungs("lemma4", LOW_P, p, ladder, cfg)
+    p, r = _rungs("lemma4", LOW_P, p, ladder)
     inner, rel_deltas, notes = _inner(model, p, r, cfg)
     expo = 2.0 / (2.0 - p)
     # one power of the product: (2-p)^expo underflows and inner^expo
@@ -363,7 +356,7 @@ def theorem1_bound(model: MappingModel, p, ladder: RadiusLadder,
 
     A divergent disc mean voids the hypothesis; the verdict is then vacuous.
     """
-    p, r = _rungs("theorem1", HIGH_P, p, ladder, cfg)
+    p, r = _rungs("theorem1", HIGH_P, p, ladder)
     mean = disc_mean(model, r, p, cfg)
     notes, means = set(mean.flags), mean.value
     k = LimitProxy.from_tail("liminf", means[-ladder.tail:])
@@ -397,7 +390,7 @@ def theorem3_bound(model: MappingModel, p, ladder: RadiusLadder,
                    cfg: QuadratureConfig) -> TailBoundResult:
     """liminf |f(z)|/|z| <= (p-2)^{1/(2-p)} k0^{1/(2-p)} with
     k0 = limsup r^{p-2} integral_r^1 dt/(t^{p-1} d_p(t)), p > 2."""
-    p, r = _rungs("theorem3", HIGH_P, p, ladder, cfg)
+    p, r = _rungs("theorem3", HIGH_P, p, ladder)
     vals = r ** (p - 2.0) * radial_integral_outer(dilatation_radial_fn(model, p, cfg), r, p, cfg)
     k0 = LimitProxy.from_tail("limsup", vals[-ladder.tail:])
     attained = _ratio_proxy("liminf", model, r, ladder.tail)
@@ -413,7 +406,7 @@ def theorem5_bound(model: MappingModel, p, ladder: RadiusLadder,
                    cfg: QuadratureConfig) -> TailBoundResult:
     """limsup |f(z)|/|z| >= (2-p)^{1/(2-p)} k0^{1/(2-p)} with
     k0 = limsup r^{p-2} integral_0^r dt/(t^{p-1} d_p(t)), 1 < p < 2."""
-    p, r = _rungs("theorem5", LOW_P, p, ladder, cfg)
+    p, r = _rungs("theorem5", LOW_P, p, ladder)
     inner, rel_deltas, notes = _inner(model, p, r, cfg)
     k0 = LimitProxy.from_tail("limsup", (r ** (p - 2.0) * inner)[-ladder.tail:])
     attained = _ratio_proxy("limsup", model, r, ladder.tail)
@@ -439,8 +432,8 @@ def theorem6_bracket(model: MappingModel, p, ladder: RadiusLadder,
     """Two-sided bracket of A = lim |f(z)|/|z| for 1 < p < 2, via the inner
     integral at p and the outer integral at the conjugate order p', and the
     Remark's relation between the two tail constants."""
-    p, r = _rungs("theorem6", LOW_P, p, ladder, cfg)
-    pc = DilatationOrder(p).conjugate
+    p, r = _rungs("theorem6", LOW_P, p, ladder)
+    pc = p / (p - 1.0)  # the conjugate order, in (2, inf)
     inner, rel_deltas, notes = _inner(model, p, r, cfg)
     outer = radial_integral_outer(dilatation_radial_fn(model, pc, cfg), r, pc, cfg)
     k1 = LimitProxy.from_tail("limsup", (r ** (p - 2.0) * inner)[-ladder.tail:])
@@ -476,7 +469,7 @@ def theorem7_area_derivative(model: MappingModel, p, s, ladder: RadiusLadder,
     """Existence of the area derivative at 0: the lower-bound limit at order p,
     the upper-bound limit at order s, and S(r)/(pi r^2) must all agree, each
     pair to within the sum of the three tail spreads."""
-    p, r = _rungs("theorem7", LOW_P, p, ladder, cfg)
+    p, r = _rungs("theorem7", LOW_P, p, ladder)
     s = _order(s)
     if not HIGH_P.applies(s):
         raise ConfigError(f"theorem7 needs s in {HIGH_P.name}, got s={s}")

@@ -159,8 +159,7 @@ def test_criterion_04_convergence_corollary(entry, p, cfg):
 @pytest.mark.parametrize("k", [0.25, 0.5, 0.9])
 def test_criterion_05_high_order_sharpness(k):
     lad = RadiusLadder(r_max=0.01, rho=0.5, count=12, tail=5)
-    deep = QuadratureConfig(r_min=1e-6)
-    res = theorem3_bound(linear(k).model, 4.0, lad, deep)
+    res = theorem3_bound(linear(k).model, 4.0, lad, QuadratureConfig())
     expected_k0 = 1.0 / (2.0 * k * k)
     assert res.k0.value == pytest.approx(expected_k0, rel=1e-6)
     assert res.bound == pytest.approx(k, abs=1e-4)
@@ -179,8 +178,7 @@ def test_criterion_06_low_order_sharpness(k, cfg):
 
 def test_criterion_07_bracket_collapse():
     lad = RadiusLadder(r_max=0.01, rho=0.5, count=8, tail=5)
-    deep = QuadratureConfig(r_min=1e-5)
-    res = theorem6_bracket(linear(0.5).model, 1.5, lad, deep)
+    res = theorem6_bracket(linear(0.5).model, 1.5, lad, QuadratureConfig())
     assert res.report.holds
     assert res.lower >= 0.5 - 1e-4
     assert res.upper <= 0.5 + 1e-4
@@ -206,7 +204,7 @@ def test_criterion_08_area_derivative(cfg):
 
 
 def test_criterion_09_divergence_detection():
-    cfg = QuadratureConfig(r_min=1e-5)
+    cfg = QuadratureConfig()
     lad = RadiusLadder(r_max=0.5, rho=0.8, count=29, tail=5)
     model = log_singular(3.0).model
     means = [disc_mean(model, float(r), 3.0, cfg).value for r in lad.radii()]

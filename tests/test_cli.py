@@ -66,14 +66,14 @@ class TestExitCodes:
         assert code == 2
         assert not (tmp_path / "verify.json").exists()
 
-    @pytest.mark.parametrize("rmin", ["1e-8", "1e-9"])
-    def test_ladder_below_eps_trunc_is_config_error(self, rmin, tmp_path, capsys):
+    def test_ladder_below_eps_trunc_is_config_error(self, tmp_path, capsys):
         # a deepest rung of 8.6e-8 lies below the inner integral's truncation
-        # radius; the run stops before any integral, naming r_min
+        # radius; the ladder refuses it before any integral, naming the rung
         code = run(["verify", "--map", "linear", "--param", "k=0.5", "--p", "1.5",
-                    "--rmin", rmin, "--rho", "0.4", "--count", "18", "--out", str(tmp_path)])
+                    "--rho", "0.4", "--count", "18", "--out", str(tmp_path)])
         assert code == 2
-        assert "r_min must lie in [1e-06, 1)" in capsys.readouterr().err
+        assert ("deepest rung r_max*rho^(count-1) = 8.590e-08 must lie above EPS_TRUNC = 1e-06"
+                in capsys.readouterr().err)
         assert not (tmp_path / "verify.json").exists()
 
     def test_unknown_map_is_config_error(self, tmp_path):
@@ -200,6 +200,16 @@ class TestVerify:
         doc = json.loads((tmp_path / "verify.json").read_text())
         ids = [row["check_id"] for row in doc["matrix"]]
         assert ids == ["lemma1", "length_area", "lemma4", "theorem5", "theorem6"]
+
+    def test_deep_ladder_runs_every_check(self, tmp_path):
+        # 40 rungs reach 8.3e-5, above the truncation radius 1e-6, so every
+        # check of the regime runs down to that rung
+        assert run(["verify", "--map", "linear", "--param", "k=0.5", "--p", "1.5",
+                    "--count", "40", "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "verify.json").read_text())
+        assert tuple(row["check_id"] for row in doc["matrix"]) == REGIMES[1.5]
+        assert all(row["holds"] for row in doc["matrix"])
+        assert min(doc["matrix"][0]["radii"]) == pytest.approx(8.3e-5, rel=1e-2)
 
     @pytest.mark.parametrize("p", sorted(REGIMES))
     def test_default_checks_follow_the_regime_table(self, p, tmp_path):

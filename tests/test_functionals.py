@@ -13,7 +13,6 @@ from conftest import catalog_suite, perturbed_conformal, recording, suite_ids
 from dilatox.catalog import linear, log_singular, radial_stretch
 from dilatox.errors import ConfigError, EmptyRange
 from dilatox.functionals import (
-    DilatationOrder,
     area,
     area_rate,
     boundary_length,
@@ -48,14 +47,21 @@ ORACLE_LENGTH_PERTURBED = 1.8866524342343389     # image length of |z| = 0.3, sa
 
 
 class TestDilatationOrder:
-    def test_conjugate_exponent(self):
-        assert DilatationOrder(1.5).conjugate == pytest.approx(3.0)
-        assert DilatationOrder(4.0).conjugate == pytest.approx(4.0 / 3.0)
-
     @pytest.mark.parametrize("p", [1.0, 0.5, -2.0, math.inf, math.nan])
-    def test_range_enforced(self, p):
-        with pytest.raises(ConfigError):
-            DilatationOrder(p)
+    def test_range_enforced(self, p, cfg):
+        # every functional of the order refuses it before the model is called
+        model, sizes = recording(linear(0.5).model)
+        radii = np.array([0.5, 0.25])
+        calls = (lambda: dilatation_grid(model, radii, circle_nodes(16), p),
+                 lambda: circular_dilatation_mean(model, radii, p, cfg),
+                 lambda: disc_mean(model, radii, p, cfg),
+                 lambda: length_area_sides(model, p, 0.25, 0.5, cfg),
+                 lambda: radial_integral_outer(dilatation_radial_fn(model, 3.0, cfg), radii,
+                                               p, cfg))
+        for call in calls:
+            with pytest.raises(ConfigError, match="dilatation order must be finite with p > 1"):
+                call()
+        assert sizes == {"value": [], "partial_r": [], "partial_theta": []}
 
 
 class TestPointwiseDilatation:

@@ -100,7 +100,7 @@ class TestRadialLadder:
     def test_no_rung_segment_is_finer_than_the_base_grid(self, cfg):
         # r_max near 1 makes the outer base segment [r_max, 1] tiny; every
         # segment takes the step of the deepest rung's own integral over
-        # [r_min, 1]: 2^3 + 1 nodes for [r_max, 1] and 65 for each of the 19
+        # [min(radii), 1]: 2^3 + 1 nodes for [r_max, 1] and 65 for each of the 19
         # rung segments
         radii = RadiusLadder(r_max=0.9999).radii()
         nodes = []
@@ -256,7 +256,7 @@ class TestOnePassRefinement:
 
 def test_outer_ladder_node_count(cfg, ladder):
     # [r_max, 1] on 257 nodes and 19 rung segments on 65 each, at the step
-    # of the deepest rung's own integral over [r_min, 1]
+    # of the deepest rung's own integral over [min(radii), 1]
     d_p = dilatation_radial_fn(linear(0.5).model, 3.0, cfg)
     nodes = []
 

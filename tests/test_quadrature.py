@@ -3,7 +3,8 @@ table in the same order of operations, so every result is bit-identical, also
 where a ladder pass shares one table across segments of different depths or
 integrates several integrands as rows; one integrand call per ladder pass;
 cached ladder plans and tail-fit design matrices, which change no result; the
-checks on radial limits; and the range of QuadratureConfig.r_min."""
+checks on radial limits; and the depth of a radius ladder, whose rungs lie
+above the truncation radius EPS_TRUNC."""
 
 import math
 
@@ -63,12 +64,16 @@ def test_romb_rejects_single_sample():
         romb(np.ones(1))
 
 
-def test_r_min_lies_between_eps_trunc_and_one():
-    # every rung of a valid ladder then lies above both truncation radii
-    assert QuadratureConfig(r_min=EPS_TRUNC).r_min == EPS_TRUNC
-    for r_min in (EPS_TRUNC / 2.0, 1e-9, 0.0, 1.0, math.nan):
-        with pytest.raises(ConfigError, match="r_min"):
-            QuadratureConfig(r_min=r_min)
+def test_ladder_lies_strictly_above_eps_trunc():
+    # a deepest rung at the anchor would make the inner integral's ladder
+    # pass an EmptyRange; the ladder refuses it when built, naming the rung
+    with pytest.raises(ConfigError, match=r"deepest rung r_max\*rho\^\(count-1\) = 1\.000e-06"):
+        RadiusLadder(r_max=4e-6, rho=0.5, count=3, tail=3)
+    for r_max, rho, count in ((1e-6, 0.5, 3), (0.5, 0.4, 18)):
+        with pytest.raises(ConfigError, match="must lie above EPS_TRUNC = 1e-06"):
+            RadiusLadder(r_max=r_max, rho=rho, count=count, tail=3)
+    deepest = RadiusLadder(r_max=4e-6 * (1.0 + 1e-12), rho=0.5, count=3, tail=3).radii()[-1]
+    assert EPS_TRUNC < deepest < EPS_TRUNC * (1.0 + 1e-11)
 
 
 @pytest.mark.parametrize("a, b", [

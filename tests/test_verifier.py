@@ -33,7 +33,6 @@ from dilatox.verifier import (
     check_lemma4,
     check_length_area,
     growth_bound,
-    growth_constant,
     margins_to_csv,
     reports_to_json,
     run_checks,
@@ -55,17 +54,17 @@ class TestInfrastructure:
                                    [1e-9, 1e-9 + 2e-6, 1e-9])
 
     def test_growth_constant_hand_values(self):
-        # c_4 = 2^{3/2} / 2^{1/2} = 2 and c_3 = 2^2 / 1 = 4
-        assert growth_constant(4.0) == pytest.approx(2.0)
-        assert growth_constant(3.0) == pytest.approx(4.0)
+        # c_p = growth_bound(p, 1): c_4 = 2^{3/2} / 2^{1/2} = 2 and c_3 = 2^2 / 1 = 4
+        assert growth_bound(4.0, 1.0) == pytest.approx(2.0)
+        assert growth_bound(3.0, 1.0) == pytest.approx(4.0)
         with pytest.raises(ConfigError):
-            growth_constant(2.0)
+            growth_bound(2.0, 1.0)
 
     def test_growth_bound_is_one_power_of_the_product(self):
         # c_p k^{1/(p-2)} = 2 (2k/(p-2))^{1/(p-2)}; near p = 2 the factor c_p
         # alone overflows a float, while the product is +inf or 0 as it should
-        assert growth_bound(4.0, 0.25) == pytest.approx(growth_constant(4.0) * 0.5)
-        assert growth_bound(3.0, 0.1) == pytest.approx(growth_constant(3.0) * 0.1)
+        assert growth_bound(4.0, 0.25) == pytest.approx(growth_bound(4.0, 1.0) * 0.5)
+        assert growth_bound(3.0, 0.1) == pytest.approx(growth_bound(3.0, 1.0) * 0.1)
         assert growth_bound(2.001, 1.0) == math.inf
         assert growth_bound(2.001, 1e-4) == 0.0
         with pytest.raises(ConfigError):
@@ -81,9 +80,18 @@ class TestInfrastructure:
             RadiusLadder(rho=1.5)
         with pytest.raises(ConfigError):
             RadiusLadder(count=2, tail=3)
-        lad = RadiusLadder(r_max=0.5, rho=0.1, count=10)
-        with pytest.raises(ConfigError):
-            lad.validate_against(QuadratureConfig())  # deepest rung below r_min
+        with pytest.raises(ConfigError, match="deepest rung"):
+            RadiusLadder(r_max=0.5, rho=0.1, count=10)  # deepest rung 5e-10
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_ladder_at_its_depth_limit_runs_every_check(self, p, cfg):
+        # a deepest rung just above EPS_TRUNC: every check of the regime runs
+        # to its verdict, none stops part-way on an empty integration range
+        lad = RadiusLadder(r_max=4e-6 * (1.0 + 1e-12), rho=0.5, count=3, tail=3)
+        reports = run_checks(linear(0.5).model, p, lad, cfg)
+        assert [rep.check_id for rep in reports] == [
+            check.name for check in verifier.CHECKS if check.regime.applies(p)]
+        assert all(rep.holds for rep in reports)
 
     def test_limit_proxy_tail_semantics(self):
         vals = [3.0, 1.0, 2.0]
@@ -320,8 +328,7 @@ class TestTailTheorems:
     @pytest.mark.parametrize("k", [0.25, 0.5, 0.9])
     def test_theorem3_linear_sharpness(self, k, cfg):
         lad = RadiusLadder(r_max=0.01, rho=0.5, count=12, tail=5)
-        deep = QuadratureConfig(r_min=1e-6)
-        res = theorem3_bound(linear(k).model, 4.0, lad, deep)
+        res = theorem3_bound(linear(k).model, 4.0, lad, cfg)
         assert res.report.holds
         assert res.k0.value == pytest.approx(1.0 / (2.0 * k * k), rel=1e-6)
         assert res.bound == pytest.approx(k, abs=1e-4)
@@ -345,8 +352,7 @@ class TestTailTheorems:
 class TestTheorem6:
     def test_linear_bracket_collapses(self, cfg):
         lad = RadiusLadder(r_max=0.01, rho=0.5, count=8, tail=5)
-        deep = QuadratureConfig(r_min=1e-5)
-        res = theorem6_bracket(linear(0.5).model, 1.5, lad, deep)
+        res = theorem6_bracket(linear(0.5).model, 1.5, lad, cfg)
         assert res.report.holds
         assert res.lower == pytest.approx(0.5, abs=1e-4)
         assert res.upper == pytest.approx(0.5, abs=1e-4)
@@ -356,8 +362,7 @@ class TestTheorem6:
         # for the linear map the relation between the two tail constants is an
         # equality: k1 = sqrt(2), k2 = 2 at k = 0.5, p = 1.5
         lad = RadiusLadder(r_max=0.01, rho=0.5, count=8, tail=5)
-        deep = QuadratureConfig(r_min=1e-5)
-        res = theorem6_bracket(linear(0.5).model, 1.5, lad, deep)
+        res = theorem6_bracket(linear(0.5).model, 1.5, lad, cfg)
         assert res.k1.value == pytest.approx(math.sqrt(2.0), rel=1e-8)
         assert res.k2.value == pytest.approx(2.0, rel=1e-4)
         rhs = 0.5 ** 0.5 / (0.5 ** 1.5 * res.k2.value ** 0.5)
