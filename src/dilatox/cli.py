@@ -132,13 +132,17 @@ def cmd_verify(args) -> int:
     out = Path(args.out) / "verify.json"
     _write_json(out, doc)
     margins_to_csv(reports, Path(args.out) / "margins.csv")
-    ok = all(rep.holds for rep in reports)
     for rep in reports:
-        verdict = ("vacuous" if "vacuous" in rep.notes else
-                   f"{'holds' if rep.holds else 'VIOLATED'} margin_min={rep.margin:.3e}")
-        print(f"{rep.check_id:12s} p={rep.p:<6g} {verdict}")
+        print(f"{rep.check_id:12s} p={rep.p:<6g} {_verdict(rep)}")
     print(f"wrote {out}")
-    return 0 if ok else 1
+    return 0 if all(rep.holds for rep in reports) else 1
+
+
+def _verdict(rep) -> str:
+    """"vacuous", or "holds" or "VIOLATED" with the report's least margin."""
+    if "vacuous" in rep.notes:
+        return "vacuous"
+    return f"{'holds' if rep.holds else 'VIOLATED'} margin_min={rep.margin:.3e}"
 
 
 def cmd_asym(args) -> int:
@@ -150,7 +154,6 @@ def cmd_asym(args) -> int:
         raise ConfigError(f"--s: theorem7 needs {LOW_P.name} and s > 2, got p={p}, s={args.s}")
     doc: dict = {"config": _resolved_config(args), "bounds": {}, "proxies": {},
                  "tail_spreads": {}}
-    holds = True
     if HIGH_P.applies(p):
         t1 = theorem1_bound(model, p, ladder, cfg)
         t3 = theorem3_bound(model, p, ladder, cfg)
@@ -159,7 +162,7 @@ def cmd_asym(args) -> int:
         doc["bounds"]["theorem1"] = t1.bound
         doc["bounds"]["theorem3"] = t3.bound
         doc["attained"] = {"liminf_ratio": t1.attained}
-        holds = t1.report.holds and t3.report.holds
+        reports = [t1.report, t3.report]
     elif LOW_P.applies(p):
         t5 = theorem5_bound(model, p, ladder, cfg)
         t6 = theorem6_bracket(model, p, ladder, cfg)
@@ -170,7 +173,7 @@ def cmd_asym(args) -> int:
         doc["bounds"]["theorem5"] = t5.bound
         doc["bounds"]["bracket"] = [t6.lower, t6.upper]
         doc["tail_spreads"]["ratio"] = t6.a_proxy.tail_spread
-        holds = t5.report.holds and t6.report.holds
+        reports = [t5.report, t6.report]
         if args.s is not None:
             t7 = theorem7_area_derivative(model, p, args.s, ladder, cfg)
             doc["proxies"]["area_derivative"] = {
@@ -178,14 +181,16 @@ def cmd_asym(args) -> int:
                 "limit_upper": t7.limit_upper.to_dict(),
                 "area_ratio": t7.area_ratio.to_dict(),
             }
-            holds = holds and t7.report.holds
+            reports.append(t7.report)
     else:
         raise ConfigError(f"asym needs {HIGH_P.name} or {LOW_P.name}, got p={p}")
     out = Path(args.out) / "asym.json"
     _write_json(out, doc)
     print(json_text(doc["bounds"]), end="")
+    for rep in reports:
+        print(f"{rep.check_id:12s} p={rep.p:<6g} {_verdict(rep)}")
     print(f"wrote {out}")
-    return 0 if holds else 1
+    return 0 if all(rep.holds for rep in reports) else 1
 
 
 def cmd_beltrami(args) -> int:
@@ -236,7 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--rho", type=float, default=ladder.rho)
         sp.add_argument("--count", type=int, default=ladder.count)
         sp.add_argument("--tail", type=int, default=ladder.tail)
-        sp.add_argument("--ntheta", type=int, default=quad.n_theta)
+        sp.add_argument("--ntheta", type=int, default=quad.n_theta,
+                        help="most angles per circle: the cap of the trapezoid levels, "
+                             "which stop earlier once a circle is at round-off")
         sp.add_argument("--nr", type=int, default=quad.n_r)
         sp.add_argument("--out", default=".", help="output directory")
 

@@ -25,7 +25,7 @@ from .mapping import (
     _check_radii,
     _circle_reduce,
     _jacobian_and_ft,
-    circle_angles,
+    circle_size,
     evaluation_grid,
     jacobian_grid,
 )
@@ -33,7 +33,6 @@ from .quadrature import (
     EPS_TRUNC,
     R_FLOOR,
     QuadratureConfig,
-    circle_nodes,
     integrate_from_origin,
     integrate_radial,
     refine_truncation,
@@ -131,8 +130,7 @@ def circular_mean(q_fn: Callable[[np.ndarray, np.ndarray], np.ndarray], r: Radii
     raised back to p-1. Periodic trapezoid rule; +inf propagates."""
     p = _order(p)
     _check_radii(r)
-    return _like_radius(r, _circle_reduce(q_fn, r, circle_nodes(cfg.n_theta),
-                                          partial(_power_mean, p=p)))
+    return _like_radius(r, _circle_reduce(q_fn, r, cfg.n_theta, partial(_power_mean, p=p)))
 
 
 def circular_dilatation_mean(model: MappingModel, r: Radii, p: float,
@@ -147,13 +145,13 @@ def dilatation_radial_fn(model: MappingModel, p: float, cfg: QuadratureConfig) -
     Like every integrand, it does not check its radii: the public functions
     check theirs at entry, and the nodes of their integrals lie between them."""
     p = _order(p)
-    theta = circle_angles(model, cfg.n_theta)
+    n = circle_size(model, cfg.n_theta)
     reduce = partial(_power_mean, p=p)
 
     def sample(t, th):
         return dilatation_grid(model, t, th, p)
 
-    return lambda t: _circle_reduce(sample, t, theta, reduce)
+    return lambda t: _circle_reduce(sample, t, n, reduce)
 
 
 def length_area_sides(model: MappingModel, p: float, r1: float, r2: float,
@@ -167,7 +165,7 @@ def length_area_sides(model: MappingModel, p: float, r1: float, r2: float,
     p = _order(p)
     if not 0.0 < r1 < r2 < 1.0:
         raise ConfigError(f"need 0 < r1 < r2 < 1, got ({r1}, {r2})")
-    theta = circle_angles(model, cfg.n_theta)
+    n = circle_size(model, cfg.n_theta)
 
     def sample(t, th):
         r, th, _ = evaluation_grid(model, t, th)
@@ -180,7 +178,7 @@ def length_area_sides(model: MappingModel, p: float, r1: float, r2: float,
                          _row_mean(vals[2])])
 
     def integrands(t):
-        ell, d, jac_mean = _circle_reduce(sample, t, theta, reduce)
+        ell, d, jac_mean = _circle_reduce(sample, t, n, reduce)
         with np.errstate(divide="ignore"):
             length = ell ** p / ((2.0 * math.pi * t) ** (p - 1.0) * d)
         return np.stack([np.where(np.isinf(d), 0.0, length), t * 2.0 * math.pi * jac_mean])
@@ -193,7 +191,7 @@ def area_rate(model: MappingModel, r: Radii, cfg: QuadratureConfig) -> Radii:
     """S'(r) = r * integral_0^{2pi} J_f(r e^{i theta}) d theta."""
     _check_radii(r)
     fn = _circle_integral_fn(lambda t, th: jacobian_grid(model, t, th),
-                             circle_angles(model, cfg.n_theta), cfg)
+                             circle_size(model, cfg.n_theta))
     return _like_radius(r, fn(r))
 
 
@@ -206,7 +204,12 @@ def area(model: MappingModel, r: Radii, cfg: QuadratureConfig) -> Radii:
     term at eps, |f(B_eps)|, tends to 0; no integral from the origin is
     taken. The partials are evaluated through
     the Jacobian checks, so a sense-reversing or non-finite sample raises as
-    it does for every other circle quantity."""
+    it does for every other circle quantity.
+
+    Unlike the other circle quantities, S is read on all cfg.n_theta nodes
+    of every circle, one level: its rows are one per radius, so the full
+    grid is cheap, and S is the closed-form check of a theta-dependent map
+    at 1 ulp, where a coarser level's rounding would show."""
     _check_radii(r)
 
     def sample(t, th):
@@ -214,15 +217,15 @@ def area(model: MappingModel, r: Radii, cfg: QuadratureConfig) -> Radii:
         ft = _jacobian_and_ft(model, t, th)[1]
         return np.imag(np.conj(np.asarray(model.value(t, th))) * ft)
 
-    return _like_radius(r, math.pi * _circle_reduce(sample, r, circle_angles(model, cfg.n_theta),
-                                                    _row_mean))
+    return _like_radius(r, math.pi * _circle_reduce(sample, r, circle_size(model, cfg.n_theta),
+                                                    _row_mean, nested=False))
 
 
 def boundary_length(model: MappingModel, r: Radii, cfg: QuadratureConfig) -> Radii:
     """L(r): length of the image curve of the circle |z| = r."""
     _check_radii(r)
     ft = _circle_reduce(lambda t, th: np.abs(np.asarray(model.partial_theta(t, th))), r,
-                        circle_angles(model, cfg.n_theta), _row_mean)
+                        circle_size(model, cfg.n_theta), _row_mean)
     return _like_radius(r, 2.0 * math.pi * ft)
 
 
@@ -233,19 +236,20 @@ def boundary_length(model: MappingModel, r: Radii, cfg: QuadratureConfig) -> Rad
 # single radius is its one-rung case.
 
 def _circle_integral_fn(sample: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                        theta: np.ndarray, cfg: QuadratureConfig) -> RadialFn:
-    """t -> t * integral_0^{2pi} sample(t, theta) d theta, vectorized over t."""
+                        n: int) -> RadialFn:
+    """t -> t * integral_0^{2pi} sample(t, theta) d theta, vectorized over t,
+    on at most n circle nodes."""
     def fn(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        return t * 2.0 * math.pi * _circle_reduce(sample, t, theta, _row_mean)
+        return t * 2.0 * math.pi * _circle_reduce(sample, t, n, _row_mean)
     return fn
 
 
-def _disc_integral(sample, r, theta: np.ndarray, cfg: QuadratureConfig) -> np.ndarray:
+def _disc_integral(sample, r, n: int, cfg: QuadratureConfig) -> np.ndarray:
     """Lebesgue integral over B_r for each radius of r, truncated at R_FLOOR with
-    power-law tail fit; theta holds the circle nodes at which sample is taken. A
+    power-law tail fit; sample is taken at up to n nodes of each circle. A
     radius not above R_FLOOR is an EmptyRange."""
-    return integrate_from_origin(_circle_integral_fn(sample, theta, cfg), R_FLOOR,
+    return integrate_from_origin(_circle_integral_fn(sample, n), R_FLOOR,
                                  np.atleast_1d(np.asarray(r, dtype=float)), cfg)
 
 
@@ -278,7 +282,7 @@ def disc_mean(model: MappingModel, r: Radii, p: float,
     def sample(t, th):
         return dilatation_grid(model, t, th, p) ** (1.0 / (p - 1.0))
 
-    fn = _circle_integral_fn(sample, circle_angles(model, cfg.n_theta), cfg)
+    fn = _circle_integral_fn(sample, circle_size(model, cfg.n_theta))
     return _refined(fn, R_FLOOR, r, lambda raw: (raw / (math.pi * radii * radii)) ** (p - 1.0),
                     "truncation-sensitive", cfg)
 

@@ -27,6 +27,13 @@ ComplexFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 # cache. README's design notes give the measured sweep.
 BLOCK_POINTS = 2 ** 14
 
+# Circle reductions sample every circle first on FIRST_STOP nodes of the cap
+# grid, read there at 16, 32 and 64 nodes, and refine a row further only
+# while its level differences are not yet within ROUND_OFF of its value
+# (mapping._settled).
+FIRST_STOP = 64
+ROUND_OFF = 8.0 * np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class PolarPoint:
@@ -57,7 +64,7 @@ class MappingModel:
 
     theta_invariant marks maps whose |f|, |f_theta| and Jacobian do not depend
     on the angle. Such a map is evaluated at one angle of every circle:
-    circle_angles gives the circle reductions and min_max_modulus a single
+    circle_size gives the circle reductions and min_max_modulus a single
     node, and jacobian_grid and dilatation_grid evaluate the first angle of
     their grid only. validate_model rejects a flag the map does not honour.
     """
@@ -205,10 +212,10 @@ def _check_radii(r) -> None:
         raise ConfigError(f"radius must lie in (0,1), got {float(bad.flat[0])}")
 
 
-def circle_angles(model: MappingModel, n_theta: int) -> np.ndarray:
-    """The angles at which a circle of model is sampled: all n_theta equispaced
-    nodes, or the first node alone for a theta-invariant model."""
-    return circle_nodes(1 if model.theta_invariant else n_theta)
+def circle_size(model: MappingModel, n_theta: int) -> int:
+    """The most nodes at which a circle of model is sampled: n_theta, the cap
+    of the nested trapezoid levels, or 1 for a theta-invariant model."""
+    return 1 if model.theta_invariant else n_theta
 
 
 def block_rows(width: int) -> int:
@@ -223,29 +230,145 @@ def _angle_columns(vals: np.ndarray) -> np.ndarray:
     return vals[..., :1] if vals.ndim and vals.strides[-1] == 0 else vals
 
 
-def _circle_reduce(sample: Callable[[np.ndarray, np.ndarray], np.ndarray], r,
-                   theta: np.ndarray, reduce: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+def _sample_rows(sample: Callable[[np.ndarray, np.ndarray], np.ndarray], rows: np.ndarray,
+                 theta: np.ndarray) -> np.ndarray:
+    """sample on the grid of rows (radii) and theta, broadcast to that grid."""
+    vals = np.asarray(sample(rows[:, None], theta[None, :]), dtype=float)
+    return np.broadcast_to(vals, vals.shape[:-2] + (rows.size, theta.size))
+
+
+def _difference(level: np.ndarray, coarse: np.ndarray) -> tuple:
+    """(diff, small): |level - coarse|, 0 where both are the same infinity,
+    and whether it is within ROUND_OFF of |level|."""
+    with np.errstate(invalid="ignore"):  # inf - inf, where level == coarse
+        diff = np.where(level == coarse, 0.0, np.abs(level - coarse))
+    return diff, (diff <= ROUND_OFF * np.abs(level)) & np.isfinite(diff)
+
+
+def _settled(level: np.ndarray, coarse: np.ndarray, last: tuple) -> tuple:
+    """(done, going, (diff, small)) for the rows of one level of a circle
+    reduction, the last axis of level and coarse running over the rows, and
+    last the _difference of the level before. A row is done when every entry
+    of it is small and was small before, or is nonzero and fell at least
+    8-fold from the diff before: an exactly-zero diff after a large one may be
+    a coincidence of the coarse nodes. A row is going, worth another
+    doubling, when every entry of it is small or fell at least 8-fold, as the
+    differences of a geometrically converging trapezoid rule do."""
+    diff, small = _difference(level, coarse)
+    prev_diff, prev_small = last
+    falling = (diff > 0.0) & (8.0 * diff <= prev_diff)
+
+    def rows(mask):
+        return mask.reshape(-1, mask.shape[-1]).all(axis=0)
+
+    return rows(small & (prev_small | falling)), rows(small | falling), (diff, small)
+
+
+def _extend(sample: Callable[[np.ndarray, np.ndarray], np.ndarray], rows: np.ndarray,
+            vals: np.ndarray, sub: np.ndarray, theta: np.ndarray, level: int) -> np.ndarray:
+    """The samples of rows (radii) on every (n/level)-th node of the cap grid
+    theta, from vals[..., sub, :], theirs on a coarser level that divides
+    level: one model call on the nodes the coarser level lacks, and none
+    evaluated twice. The model is called before anything else is allocated:
+    blocks held across its call make the allocator return and re-fault the
+    pages of its temporaries."""
+    m = vals.shape[-1]
+    nodes = theta[::theta.size // level].reshape(m, level // m)
+    new = _sample_rows(sample, rows, nodes[:, 1:].ravel())
+    vals = vals[..., sub, :]
+    fine = np.empty(vals.shape + (level // m,))
+    fine[..., 0] = vals
+    fine[..., 1:] = new.reshape(vals.shape + (level // m - 1,))
+    return fine.reshape(vals.shape[:-1] + (level,))
+
+
+def _refine(sample: Callable[[np.ndarray, np.ndarray], np.ndarray], rows: np.ndarray,
+            vals: np.ndarray, theta: np.ndarray, reduce: Callable[[np.ndarray], np.ndarray],
+            out: np.ndarray, going: np.ndarray, last: tuple) -> np.ndarray:
+    """out, the reduce of rows (radii) from vals, their samples on a level of
+    the cap grid theta, carried on to the cap; none of the rows has settled
+    there, and going and last are _settled's for that level. A going row
+    doubles its level while the doubled level divides n, and any other row
+    is completed to the cap, where its samples and their order are those of
+    the one-level grid. Completions go in sub-blocks of block_rows(n) rows,
+    and a doubling that would exceed BLOCK_POINTS splits the going rows into
+    sub-blocks of block_rows(2m), so no reduce and no model call takes more
+    than BLOCK_POINTS samples a quantity (or one row)."""
+    n, idx, done = theta.size, np.arange(rows.size), np.zeros(rows.size, dtype=bool)
+    while True:
+        m = vals.shape[-1]
+        double = 2 * m < n and n % (2 * m) == 0
+        jump, step = np.flatnonzero(~done & ~(going & double)), block_rows(n)
+        for i in range(0, jump.size, step):
+            sub = jump[i:i + step]
+            out[..., idx[sub]] = reduce(_extend(sample, rows[idx[sub]], vals, sub, theta, n))
+        stay = np.flatnonzero(~done & going & double)
+        if not stay.size:
+            return out
+        idx, last, step = idx[stay], tuple(a[..., stay] for a in last), block_rows(2 * m)
+        if idx.size > step:
+            for i in range(0, idx.size, step):
+                sub, k = idx[i:i + step], min(step, idx.size - i)
+                out[..., sub] = _refine(sample, rows[sub], vals[..., stay[i:i + k], :], theta,
+                                        reduce, out[..., sub], np.ones(k, dtype=bool),
+                                        tuple(a[..., i:i + k] for a in last))
+            return out
+        fine = _extend(sample, rows[idx], vals, stay, theta, 2 * m)
+        level = reduce(fine)
+        done, going, last = _settled(level, out[..., idx], last)
+        out[..., idx] = level
+        vals = fine
+
+
+def _circle_reduce(sample: Callable[[np.ndarray, np.ndarray], np.ndarray], r, n: int,
+                   reduce: Callable[[np.ndarray], np.ndarray], nested: bool = True) -> np.ndarray:
     """reduce(sample(t[:, None], theta[None, :])) along the angle (the last
-    axis), for every radius t of r; the last axis of the result runs over r.
+    axis) for every radius t of r, theta being the n equispaced nodes of
+    quadrature.circle_nodes or, for a row that settles earlier, every
+    (n/m)-th of them; the last axis of the result runs over r.
 
     Every quantity defined on the circles |z| = t is one such reduction, and
-    circle_angles samples a rotation-invariant map at a single angle, so
-    invariance is a grid size rather than a separate code path. Rows are
-    evaluated in blocks of block_rows(width) radii, where width is the number
-    of angles the sample actually evaluates: theta.size, or 1 once a block
-    comes back angle-broadcast (one column, or angle stride 0, as
-    functionals.dilatation_grid returns for a theta-invariant map). Such a
-    block is reduced on its one column. Each row is reduced on its own, so the
-    values do not depend on the blocking."""
+    circle_size gives a rotation-invariant map a single node, so invariance is
+    a grid size rather than a separate code path. The periodic trapezoid rule
+    converges geometrically on an analytic integrand, so when FIRST_STOP
+    divides n and is less than it, every circle is sampled first on
+    FIRST_STOP of the n nodes, in one model call per block of
+    block_rows(FIRST_STOP) radii, and read at 16, 32 and 64 nodes. A row stops
+    there once _settled finds its two level differences at round-off; the
+    others go on (_refine): level by level while their differences fall
+    geometrically, straight to the cap once they do not.
+    A row that reaches the cap ends with the samples and order of a
+    one-level reduction. nested=False, or an n that FIRST_STOP does not
+    divide, takes that one level, n nodes, for every row. No (t, theta)
+    point is evaluated twice.
+
+    A block that comes back angle-broadcast (one column, or angle stride 0,
+    as functionals.dilatation_grid returns for a theta-invariant map) is
+    reduced on its one column, and the blocks after it are sized for one
+    angle. Each row is reduced and stopped on its own, so the values do not
+    depend on the blocking."""
     t = np.atleast_1d(np.asarray(r, dtype=float))
-    parts, start, width = [], 0, theta.size
+    theta = circle_nodes(n)
+    nested = nested and n > FIRST_STOP and n % FIRST_STOP == 0
+    first = theta[::n // FIRST_STOP].copy() if nested else theta
+    parts, start, width = [], 0, first.size
     while start < t.size:
-        rows = t[start:start + block_rows(width), None]
-        vals = np.asarray(sample(rows, theta[None, :]), dtype=float)
-        vals = _angle_columns(np.broadcast_to(vals, vals.shape[:-2] + (len(rows), theta.size)))
+        rows = t[start:start + block_rows(width)]
+        vals = _angle_columns(_sample_rows(sample, rows, first))
         width = vals.shape[-1]
-        parts.append(reduce(vals))
-        start += len(rows)
+        if nested and width > 1:
+            out, half = np.array(reduce(vals), dtype=float), reduce(vals[..., ::2])
+            done, going, last = _settled(out, half, _difference(half, reduce(vals[..., ::4])))
+            todo = np.flatnonzero(~done)
+            if todo.size < rows.size:  # let the settled rows' samples go before refining
+                vals = vals[..., todo, :]
+            if todo.size:
+                out[..., todo] = _refine(sample, rows[todo], vals, theta, reduce, out[..., todo],
+                                         going[todo], tuple(a[..., todo] for a in last))
+            parts.append(out)
+        else:
+            parts.append(reduce(vals))
+        start += rows.size
     return np.concatenate(parts, axis=-1)
 
 
@@ -299,21 +422,24 @@ def fd_model(value: ComplexFn, label: str, theta_invariant: bool = False) -> Map
 
 
 def min_max_modulus(model: MappingModel, r, n_theta: int = 2048) -> tuple:
-    """(min, max) of |f| over the circle |z| = r, sampled at circle_angles:
-    n_theta equispaced angles, or one angle for a theta-invariant model, whose
+    """(min, max) of |f| over the circle |z| = r, sampled at equispaced angles:
+    up to n_theta of them, or one angle for a theta-invariant model, whose
     n_theta then goes unused (it is still validated).
 
     r is one radius, giving two floats, or an array of rungs, giving two arrays
-    from one _circle_reduce over the (rung, theta) grid. Dense equispaced
-    sampling without local refinement; exact for rotationally symmetric maps,
+    from one _circle_reduce over the (rung, theta) grid. Every row takes all
+    n_theta nodes (nested=False): extremes that agree on two coarser levels
+    can still sit off an extremum between their nodes. Equispaced sampling
+    without local refinement; exact for rotationally symmetric maps,
     resolution-limited otherwise.
     """
     _check_radii(r)
     if n_theta < 8:
         raise ConfigError(f"n_theta must be >= 8, got {n_theta}")
     lo, hi = _circle_reduce(lambda t, th: np.abs(np.asarray(model.value(t, th))), r,
-                            circle_angles(model, n_theta),
-                            lambda mod: np.stack([mod.min(axis=-1), mod.max(axis=-1)]))
+                            circle_size(model, n_theta),
+                            lambda mod: np.stack([mod.min(axis=-1), mod.max(axis=-1)]),
+                            nested=False)
     return (lo, hi) if np.ndim(r) else (float(lo[0]), float(hi[0]))
 
 

@@ -30,7 +30,10 @@ R_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Grid sizes used by every integral functional."""
+    """Grid sizes used by every integral functional. n_theta is the cap of
+    the trapezoid levels of a circle: read first at 16, 32 and 64 of its
+    nodes, a circle stops there or at a doubled level once its reduction is
+    at round-off, and otherwise ends at n_theta nodes."""
 
     n_theta: int = 512
     n_r: int = 1024

@@ -53,7 +53,7 @@ from .functionals import (
     _radial_integrand,
 )
 from .mapping import MappingModel, _angle_columns, min_max_modulus
-from .quadrature import EPS_TRUNC, QuadratureConfig, circle_nodes, integrate_radial
+from .quadrature import EPS_TRUNC, QuadratureConfig, integrate_radial
 
 # flat tail_spread threshold operationalizing "|f(z)|/|z| has a single limit point"
 SINGLE_LIMIT_SPREAD = 1e-3
@@ -311,7 +311,7 @@ def check_lemma3(q_fn: Callable[[np.ndarray, np.ndarray], np.ndarray], p,
     def sample(t, th):  # an angle-broadcast q_fn stays one column through the power
         return _angle_columns(np.asarray(q_fn(t, th), dtype=float)) ** (1.0 / (p - 1.0))
 
-    disc = float(_disc_integral(sample, 2.0 * eps, circle_nodes(cfg.n_theta), cfg)[0])
+    disc = float(_disc_integral(sample, 2.0 * eps, cfg.n_theta, cfg)[0])
     avg = disc / (4.0 * math.pi * eps ** 2)
     rhs = 2.0 ** (p - 1.0) * eps ** (p - 2.0) * avg ** (p - 1.0)
     return _finish("lemma3", p, eps, rhs, lhs)
@@ -477,14 +477,20 @@ def theorem7_area_derivative(model: MappingModel, p, s, ladder: RadiusLadder,
     expo, expo_s = 2.0 / (2.0 - p), 2.0 / (2.0 - s)
     lower = ((2.0 - p) * r ** (p - 2.0) * inner) ** expo
     v = r ** (s - 2.0) * radial_integral_outer(dilatation_radial_fn(model, s, cfg), r, s, cfg)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        upper = np.where(v > 0, (s - 2.0) ** expo_s * v ** expo_s, math.inf)
+    # one float64 power of the product, as in lemma 4: near s = 2 the factor
+    # (s-2)^expo_s overflows a Python float, and the product's power may be
+    # +inf
+    with np.errstate(over="ignore", divide="ignore"):
+        upper = np.where(v > 0, ((s - 2.0) * v) ** expo_s, math.inf)
     ratio = area(model, r, cfg) / (math.pi * r * r)
     proxies = [LimitProxy.from_tail("limit", vals[-ladder.tail:])
                for vals in (lower, upper, ratio)]
     spread = sum(proxy.tail_spread for proxy in proxies)
     if spread > 3.0 * SINGLE_LIMIT_SPREAD:
         notes.add("no-single-limit")
+    if not math.isfinite(proxies[1].value):
+        # an infinite upper limit bounds nothing, so the statement is vacuous
+        notes.update(("infinite-upper-bound", "vacuous"))
     # |a - b| <= spread, as min(a, b) + spread >= max(a, b), for the pairs
     # (lower, upper), (lower, ratio) and (upper, ratio)
     lo_v, up_v, ratio_v = (proxy.value for proxy in proxies)

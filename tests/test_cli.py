@@ -301,6 +301,17 @@ class TestAsym:
                     "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "asym.json").exists()
 
+    def test_theorem7_near_two_is_vacuous(self, tmp_path, capsys):
+        # the upper limit's exponent 2/(2-s) is -2000 at s = 2.001, and its
+        # Python float power once overflowed (exit 3); the +inf bound now
+        # makes theorem 7 vacuous, with the held theorems 5 and 6 beside it
+        assert run(["asym", "--map", "identity", "--p", "1.5", "--s", "2.001",
+                    "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "theorem7     p=1.5    vacuous" in out
+        assert "theorem5     p=1.5    holds" in out
+        assert (tmp_path / "asym.json").exists()
+
     def test_p_equal_two_rejected(self, tmp_path):
         assert run(["asym", "--map", "linear", "--param", "k=0.5", "--p", "2",
                     "--out", str(tmp_path)]) == 2

@@ -2,6 +2,7 @@
 boundary length, and the singular radial integrals, checked against frozen
 high-precision oracles and closed forms."""
 
+import cmath
 import math
 from dataclasses import replace
 from functools import partial
@@ -24,13 +25,15 @@ from dilatox.functionals import (
     length_area_sides,
     radial_integral_inner,
     radial_integral_outer,
+    _row_mean,
 )
 from dilatox import mapping
 from dilatox.mapping import (
     BLOCK_POINTS,
+    FIRST_STOP,
+    MappingModel,
     PolarPoint,
     _circle_reduce,
-    block_rows,
     jacobian_grid,
     min_max_modulus,
 )
@@ -131,18 +134,111 @@ class TestCircularMeans:
         assert all(a >= b - 1e-12 for a, b in zip(means, means[1:]))
 
 
+def angular_stretch() -> MappingModel:
+    """f(r e^{i theta}) = r e^{i phi(theta)}, phi piecewise linear with slope
+    1/2 on [0, 1) and (2pi - 1/2)/(2pi - 1) on [1, 2pi): Lipschitz, J = phi'
+    > 0, d_p = 1 and S = pi r^2, but phi' jumps, so the trapezoid rule
+    converges only to first order and some level differences are exactly 0."""
+    slope = (2.0 * math.pi - 0.5) / (2.0 * math.pi - 1.0)
+
+    def phi(theta):
+        th = np.mod(theta, 2.0 * math.pi)
+        return np.where(th < 1.0, 0.5 * th, 0.5 + slope * (th - 1.0))
+
+    def dphi(theta):
+        return np.where(np.mod(theta, 2.0 * math.pi) < 1.0, 0.5, slope)
+
+    def value(r, theta):
+        return np.asarray(r) * np.exp(1j * phi(theta))
+
+    def partial_r(r, theta):
+        return np.exp(1j * phi(theta)) + 0.0 * np.asarray(r)
+
+    def partial_theta(r, theta):
+        return 1j * np.asarray(r) * dphi(theta) * np.exp(1j * phi(theta))
+
+    return MappingModel(label="angular_stretch", value=value, partial_r=partial_r,
+                        partial_theta=partial_theta)
+
+
+def affine(b: float) -> MappingModel:
+    """f = (z + b conj(z)) / (1 + b): its circle means reach round-off at a
+    trapezoid level that grows like 1/log(1/b), beyond 512 nodes near b = 1."""
+
+    def value(r, theta):
+        e = np.exp(1j * np.asarray(theta))
+        return np.asarray(r) * (e + b * np.conj(e)) / (1.0 + b)
+
+    def partial_r(r, theta):
+        e = np.exp(1j * np.asarray(theta))
+        return (e + b * np.conj(e)) / (1.0 + b) + 0.0 * np.asarray(r)
+
+    def partial_theta(r, theta):
+        e = np.exp(1j * np.asarray(theta))
+        return 1j * np.asarray(r) * (e - b * np.conj(e)) / (1.0 + b)
+
+    return MappingModel(label=f"affine({b})", value=value, partial_r=partial_r,
+                        partial_theta=partial_theta)
+
+
+def quadratic(c: complex) -> MappingModel:
+    """f = z + c z^2: |f| takes its extremes on |z| = r at theta = -arg c and
+    pi - arg c, on a trapezoid node only when c is real."""
+
+    def value(r, theta):
+        z = np.asarray(r) * np.exp(1j * np.asarray(theta))
+        return z + c * z * z
+
+    def partial_r(r, theta):
+        e = np.exp(1j * np.asarray(theta))
+        return e * (1.0 + 2.0 * c * np.asarray(r) * e)
+
+    def partial_theta(r, theta):
+        z = np.asarray(r) * np.exp(1j * np.asarray(theta))
+        return 1j * z * (1.0 + 2.0 * c * z)
+
+    return MappingModel(label=f"quadratic({c})", value=value, partial_r=partial_r,
+                        partial_theta=partial_theta)
+
+
+def _recording_sample(fn):
+    """fn(rows, th) as a sample that appends the (t, theta) pairs of every call
+    to the returned list."""
+    seen = []
+
+    def sample(rows, th):
+        seen.append(np.stack([a.ravel() for a in np.broadcast_arrays(rows, th)], axis=1))
+        return fn(rows, th)
+
+    return sample, seen
+
+
+def _kink(rows, th):
+    """A sample whose circle means converge to first order only."""
+    return rows * np.abs(np.sin(th))
+
+
+def _slow(rows, th):
+    """A sample whose circle means converge geometrically, by about 0.87 a
+    node: their level differences keep falling up to 512 nodes."""
+    return rows / (1.0 - 0.99 * np.cos(th))
+
+
 class TestCircleBlocks:
-    """Circle reductions evaluate (t, theta) grids in blocks of at most
-    BLOCK_POINTS points; every row is reduced on its own, so the blocking
-    never shows in the values."""
+    """Circle reductions refine each row through nested trapezoid levels in
+    model calls of at most BLOCK_POINTS points; every row is refined and
+    reduced on its own, so the blocking never shows in the values."""
 
     @staticmethod
     def _ladder_functionals(model, radii, cfg):
         return [dilatation_radial_fn(model, 3.0, cfg)(radii), area(model, radii, cfg),
-                boundary_length(model, radii, cfg), disc_mean(model, radii, 1.5, cfg).value]
+                boundary_length(model, radii, cfg), disc_mean(model, radii, 1.5, cfg).value,
+                *min_max_modulus(model, radii)]
 
-    def test_values_do_not_depend_on_the_block(self, ladder, cfg, monkeypatch):
-        model, radii = perturbed_conformal(), ladder.radii()
+    @pytest.mark.parametrize("make", [perturbed_conformal, lambda: affine(0.99)],
+                             ids=["settles", "reaches-cap"])
+    def test_values_do_not_depend_on_the_block(self, make, ladder, cfg, monkeypatch):
+        model, radii = make(), ladder.radii()
         blocked = self._ladder_functionals(model, radii, cfg)
         # one radius per model call, then every radius of a call in one block
         for points in (1, 2 ** 40):
@@ -150,43 +246,126 @@ class TestCircleBlocks:
             for got, want in zip(self._ladder_functionals(model, radii, cfg), blocked):
                 np.testing.assert_array_equal(got, want)
 
-    def test_model_calls_stay_within_one_block(self, ladder, cfg):
-        model, sizes = recording(perturbed_conformal())
+    @pytest.mark.parametrize("make", [perturbed_conformal, lambda: affine(0.99)],
+                             ids=["settles", "reaches-cap"])
+    def test_model_calls_stay_within_one_block(self, make, ladder, cfg):
+        model, sizes = recording(make())
         self._ladder_functionals(model, ladder.radii(), cfg)
-        min_max_modulus(model, ladder.radii())
+        length_area_sides(model, 1.5, 0.1, 0.8, cfg)
         assert max(n for calls in sizes.values() for n in calls) <= BLOCK_POINTS
-        assert block_rows(cfg.n_theta) * cfg.n_theta in sizes["partial_theta"]
+
+    def test_no_point_is_evaluated_twice(self):
+        # a smooth row settles at 64 nodes, a row with a kink goes straight
+        # to the cap of 512, and a slowly converging one doubles its level up
+        # to the cap; either way every (t, theta) point is evaluated once
+        t = np.geomspace(1e-3, 0.9, 700)
+        for fn, nodes in ((lambda rows, th: rows * np.exp(np.cos(th)), FIRST_STOP),
+                          (_kink, 512), (_slow, 512)):
+            sample, seen = _recording_sample(fn)
+            _circle_reduce(sample, t, 512, _row_mean)
+            points = np.concatenate(seen)
+            assert len(np.unique(points, axis=0)) == len(points) == nodes * t.size
+
+    def test_unsettled_rows_stay_within_one_block(self):
+        # rows with a kink never settle; past FIRST_STOP they go on in
+        # sub-blocks sized for the cap, so neither a reduce nor a model call
+        # ever holds more than BLOCK_POINTS samples, however large the cap
+        t, n = np.geomspace(1e-3, 0.9, 300), 8192
+        sample, seen = _recording_sample(_kink)
+        reduced = []
+
+        def reduce(vals):
+            reduced.append(vals.size)
+            return _row_mean(vals)
+
+        np.testing.assert_array_equal(_circle_reduce(sample, t, n, reduce),
+                                      _circle_reduce(_kink, t, n, _row_mean, nested=False))
+        assert max(reduced) <= BLOCK_POINTS
+        assert max(map(len, seen)) <= BLOCK_POINTS
+        assert sum(map(len, seen)) == n * t.size
+
+    @pytest.mark.parametrize("n", [512, 192])
+    @pytest.mark.parametrize("fn", [_kink, _slow], ids=["kink", "slow"])
+    def test_unsettled_rows_end_on_the_full_grid(self, fn, n):
+        # 192 = 3 * 64: past 64 nodes the only level is the cap itself
+        t, theta = np.geomspace(1e-3, 0.9, 700), circle_nodes(n)
+        np.testing.assert_array_equal(_circle_reduce(fn, t, n, _row_mean),
+                                      _row_mean(fn(t[:, None], theta[None, :])))
 
     @pytest.mark.parametrize("broadcast", [
         lambda rows, th: np.broadcast_to(rows * rows, (rows.shape[0], th.size)),
         lambda rows, th: rows * rows,
     ], ids=["stride-0", "one-column"])
     def test_angle_broadcast_sample_is_reduced_on_one_column(self, broadcast):
-        t, theta = np.geomspace(1e-3, 0.9, 5000), circle_nodes(512)
+        t = np.geomspace(1e-3, 0.9, 5000)
         seen = []
 
         def reduce(vals):
             seen.append(vals.shape)
             return vals[:, 0]
 
-        np.testing.assert_array_equal(_circle_reduce(broadcast, t, theta, reduce), t * t)
-        # the first block is sized for every angle, the later ones for one
-        first = block_rows(theta.size)
-        assert seen == [(first, 1), (t.size - first, 1)]
+        np.testing.assert_array_equal(_circle_reduce(broadcast, t, 512, reduce), t * t)
+        # one column and no refinement; after the first block, the rest of
+        # the rows fit one block sized for one angle
+        assert {w for _, w in seen} == {1}
+        assert len(seen) == 2
 
-    def test_full_sample_is_reduced_in_blocks_of_rows(self):
-        t, theta = np.geomspace(1e-3, 0.9, 300), circle_nodes(512)
-        seen = []
 
-        def reduce(vals):
-            seen.append(vals.shape)
-            return vals[:, -1]
+class TestNestedLevels:
+    """The nested trapezoid levels of a circle reduction and their stopping
+    rule, against a reduction on the cap grid alone."""
 
-        got = _circle_reduce(lambda rows, th: rows + 0.0 * th, t, theta, reduce)
-        np.testing.assert_array_equal(got, t)
-        rows = block_rows(theta.size)
-        assert [n for n, _ in seen] == [rows] * (t.size // rows) + [t.size % rows]
-        assert {w for _, w in seen} == {theta.size}
+    @staticmethod
+    def _quantities(model, radii, cfg):
+        return [dilatation_radial_fn(model, 1.5, cfg)(radii),
+                dilatation_radial_fn(model, 3.0, cfg)(radii), area(model, radii, cfg),
+                boundary_length(model, radii, cfg), *min_max_modulus(model, radii)]
+
+    @pytest.mark.parametrize("make, rtol", [
+        (angular_stretch, 1e-15),
+        (lambda: affine(0.99), 1e-14),
+        (perturbed_conformal, 1e-14),
+        (lambda: quadratic(0.1 * cmath.exp(0.01j)), 1e-14),
+    ], ids=["angular_stretch", "affine(0.99)", "z+0.1z^2", "z+cz^2-rotated"])
+    def test_parity_with_the_cap_grid(self, make, rtol, ladder, cfg, monkeypatch):
+        # the stretch's exactly-zero level differences must not stop a row;
+        # the affine map near b = 1 reaches the cap; the analytic maps
+        # settle, and the rotated one has its extremes of |f| off every node
+        model, radii = make(), ladder.radii()
+        got = self._quantities(model, radii, cfg)
+        monkeypatch.setattr(mapping, "FIRST_STOP", cfg.n_theta)  # one level
+        for nested, cap_only in zip(got, self._quantities(model, radii, cfg)):
+            np.testing.assert_allclose(nested, cap_only, rtol=rtol, atol=0.0)
+
+    def test_area_is_read_on_the_full_grid(self, ladder, cfg):
+        # S is the closed-form check of theta maps at 1 ulp: every rung takes
+        # all n_theta nodes, where the other circle quantities settle at 64
+        model, sizes = recording(perturbed_conformal())
+        area(model, ladder.radii(), cfg)
+        assert sum(sizes["value"]) == sum(sizes["partial_theta"]) == ladder.count * cfg.n_theta
+        sizes["partial_theta"].clear()
+        boundary_length(model, ladder.radii(), cfg)
+        assert sum(sizes["partial_theta"]) == ladder.count * FIRST_STOP
+
+    @pytest.mark.parametrize("fn", [
+        # trapezoid means 2, 2, 1 at 16, 32, 64 nodes: zero, then a large diff
+        lambda th: 1.0 + np.cos(32.0 * th),
+        # 3, 2, 2 at 16, 32, 64 nodes and the true 1 from 128 on: the zero
+        # diff at 64 follows a large one
+        lambda th: 1.0 + np.cos(16.0 * th) + np.cos(64.0 * th),
+    ], ids=["zero-then-large", "large-then-zero"])
+    def test_one_zero_difference_does_not_stop_a_row(self, fn):
+        t = np.array([0.5])
+        sample, seen = _recording_sample(lambda rows, th: fn(th) + 0.0 * rows)
+        assert _circle_reduce(sample, t, 512, _row_mean)[0] == pytest.approx(1.0, abs=1e-15)
+        assert len(np.concatenate(seen)) > FIRST_STOP
+
+    def test_same_infinity_on_two_levels_settles(self):
+        t = np.array([0.25, 0.5])
+        sample, seen = _recording_sample(
+            lambda rows, th: np.where(th == 0.0, math.inf, 1.0) + 0.0 * rows)
+        np.testing.assert_array_equal(_circle_reduce(sample, t, 512, _row_mean), math.inf)
+        assert len(np.concatenate(seen)) == FIRST_STOP * t.size
 
 
 class TestDiscMeans:

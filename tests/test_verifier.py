@@ -394,6 +394,15 @@ class TestTheorem7:
         with pytest.raises(ConfigError):
             theorem7_area_derivative(linear(0.5).model, 2.5, 4.0, ladder, cfg)
 
+    def test_infinite_upper_limit_is_vacuous(self, ladder, cfg):
+        # at s = 2.001, ((s-2) v)^(2/(2-s)) = (0.001 v)^(-2000) overflows to
+        # +inf, which bounds nothing: vacuous, and no inf - inf margin
+        res = theorem7_area_derivative(identity().model, 1.5, 2.001, ladder, cfg)
+        assert res.limit_upper.value == math.inf
+        assert {"infinite-upper-bound", "vacuous"} <= set(res.report.notes)
+        assert res.report.holds and res.report.margin == math.inf
+        assert res.area_ratio.value == pytest.approx(1.0, rel=1e-12)
+
 
 class TestSerialization:
     def test_reports_json_deterministic(self, ladder, cfg):
@@ -529,12 +538,13 @@ class TestRegistry:
 
     def test_length_area_evaluates_each_partial_once_per_node(self, ladder, cfg):
         # both sides come from one sample of the Romberg nodes of [r1, r2]:
-        # no disc integral from the origin
+        # no disc integral from the origin, and on this analytic map the
+        # circles settle well below the 512-node cap
         model, sizes = recording(perturbed_conformal())
         run_checks(model, 1.5, ladder, cfg, ["length_area"])
-        points = romberg_nodes(cfg) * cfg.n_theta
-        assert points == 524_800
-        assert sum(sizes["partial_theta"]) == sum(sizes["partial_r"]) == points
+        full_grid = romberg_nodes(cfg) * cfg.n_theta
+        assert full_grid == 524_800
+        assert sum(sizes["partial_theta"]) == sum(sizes["partial_r"]) <= full_grid // 4
         assert sizes["value"] == []
 
     def test_ladder_derived_interval_and_eps(self, ladder, cfg, monkeypatch):
