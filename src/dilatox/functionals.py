@@ -110,6 +110,17 @@ def _dilatation(jac: np.ndarray, ft_abs: np.ndarray, r: np.ndarray, p: float) ->
 _row_mean = partial(np.mean, axis=-1)
 
 
+def _on_circles(fn: RadialFn, n: int) -> RadialFn:
+    """fn, a radial integrand whose value at each radius is a reduction over
+    a circle of up to n samples, marked for the ladder passes over it: its
+    `nested` attribute, read by _refined and radial_integral_outer, is
+    whether they nest (quadrature._ladder_pass). That pays only where a node
+    costs a circle of several samples, a theta-dependent map; a
+    theta-invariant one (n = 1) keeps one integrand call per pass."""
+    fn.nested = n > 1
+    return fn
+
+
 def _power_mean(q: np.ndarray, p: float) -> np.ndarray:
     """Row-wise power mean of exponent 1/(p-1), raised back to p-1."""
     if not (q >= 0.0).all():  # NaN compares false
@@ -143,7 +154,9 @@ def circular_dilatation_mean(model: MappingModel, r: Radii, p: float,
 def dilatation_radial_fn(model: MappingModel, p: float, cfg: QuadratureConfig) -> RadialFn:
     """Vectorized r -> d_p(r), used as the integrand source of radial integrals.
     Like every integrand, it does not check its radii: the public functions
-    check theirs at entry, and the nodes of their integrals lie between them."""
+    check theirs at entry, and the nodes of their integrals lie between them.
+    It is a circle integrand (_on_circles), so the radial integrals over a
+    theta-dependent map nest their ladder passes."""
     p = _order(p)
     n = circle_size(model, cfg.n_theta)
     reduce = partial(_power_mean, p=p)
@@ -151,7 +164,7 @@ def dilatation_radial_fn(model: MappingModel, p: float, cfg: QuadratureConfig) -
     def sample(t, th):
         return dilatation_grid(model, t, th, p)
 
-    return lambda t: _circle_reduce(sample, t, n, reduce)
+    return _on_circles(lambda t: _circle_reduce(sample, t, n, reduce), n)
 
 
 def length_area_sides(model: MappingModel, p: float, r1: float, r2: float,
@@ -183,7 +196,7 @@ def length_area_sides(model: MappingModel, p: float, r1: float, r2: float,
             length = ell ** p / ((2.0 * math.pi * t) ** (p - 1.0) * d)
         return np.stack([np.where(np.isinf(d), 0.0, length), t * 2.0 * math.pi * jac_mean])
 
-    integral, area_gain = integrate_radial(integrands, r1, r2, cfg).tolist()
+    integral, area_gain = integrate_radial(integrands, r1, r2, cfg, nested=n > 1).tolist()
     return integral, area_gain
 
 
@@ -238,17 +251,19 @@ def boundary_length(model: MappingModel, r: Radii, cfg: QuadratureConfig) -> Rad
 def _circle_integral_fn(sample: Callable[[np.ndarray, np.ndarray], np.ndarray],
                         n: int) -> RadialFn:
     """t -> t * integral_0^{2pi} sample(t, theta) d theta, vectorized over t,
-    on at most n circle nodes."""
+    on at most n circle nodes; a circle integrand (_on_circles)."""
     def fn(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
         return t * 2.0 * math.pi * _circle_reduce(sample, t, n, _row_mean)
-    return fn
+    return _on_circles(fn, n)
 
 
 def _disc_integral(sample, r, n: int, cfg: QuadratureConfig) -> np.ndarray:
     """Lebesgue integral over B_r for each radius of r, truncated at R_FLOOR with
     power-law tail fit; sample is taken at up to n nodes of each circle. A
-    radius not above R_FLOOR is an EmptyRange."""
+    radius not above R_FLOOR is an EmptyRange. One integrand call, not
+    nested: its caller, lemma 3, samples a bare q_fn and passes the cap n
+    without knowing whether the map depends on the angle."""
     return integrate_from_origin(_circle_integral_fn(sample, n), R_FLOOR,
                                  np.atleast_1d(np.asarray(r, dtype=float)), cfg)
 
@@ -256,10 +271,11 @@ def _disc_integral(sample, r, n: int, cfg: QuadratureConfig) -> np.ndarray:
 def _refined(fn: RadialFn, eps: float, r: Radii, transform: Callable[[np.ndarray], np.ndarray],
              flag: str, cfg: QuadratureConfig) -> TruncatedValue:
     """transform of integral_0^r fn at every radius of r truncated at eps/2, and
-    its distance to the same truncated at eps (quadrature.refine_truncation). A
-    change beyond quadrature tolerance is flagged, not thrown; a radius not
-    above eps is an EmptyRange."""
-    coarse, fine = (transform(raw) for raw in refine_truncation(fn, eps, r, cfg))
+    its distance to the same truncated at eps (quadrature.refine_truncation,
+    nested as fn is marked). A change beyond quadrature tolerance is flagged,
+    not thrown; a radius not above eps is an EmptyRange."""
+    raw = refine_truncation(fn, eps, r, cfg, nested=fn.nested)
+    coarse, fine = (transform(part) for part in raw)
     with np.errstate(invalid="ignore"):  # inf - inf is masked below
         delta = np.where(np.isfinite(fine) & np.isfinite(coarse), np.abs(fine - coarse),
                          math.inf)
@@ -297,6 +313,7 @@ def _radial_integrand(d_p: RadialFn, p: float) -> RadialFn:
             out = t ** (1.0 - p) / d
         return np.where(np.isinf(d), 0.0, out)  # d_p = +inf contributes nothing
 
+    fn.nested = getattr(d_p, "nested", False)  # each node costs what d_p's does
     return fn
 
 
@@ -308,7 +325,8 @@ def radial_integral_outer(d_p: RadialFn, r: Radii, p: float, cfg: QuadratureConf
         raise EmptyRange(f"lower limit must satisfy r < 1, got {float(radii.max())}")
     if np.any(radii <= 0.0):
         raise ConfigError(f"lower limit must be positive, got {float(radii.min())}")
-    return _like_radius(r, integrate_radial(_radial_integrand(d_p, p), radii, 1.0, cfg))
+    fn = _radial_integrand(d_p, p)
+    return _like_radius(r, integrate_radial(fn, radii, 1.0, cfg, nested=fn.nested))
 
 
 def radial_integral_inner(d_p: RadialFn, r: Radii, p: float,

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DegenerateJacobian, NonFiniteDerivative
-from .quadrature import JAC_TOL, circle_nodes
+from .quadrature import JAC_TOL, _difference, _settled, circle_nodes
 
 TWO_PI = 2.0 * math.pi
 
@@ -29,10 +29,9 @@ BLOCK_POINTS = 2 ** 14
 
 # Circle reductions sample every circle first on FIRST_STOP nodes of the cap
 # grid, read there at 16, 32 and 64 nodes, and refine a row further only
-# while its level differences are not yet within ROUND_OFF of its value
-# (mapping._settled).
+# while its level differences are not yet within quadrature.ROUND_OFF of its
+# value (quadrature._settled).
 FIRST_STOP = 64
-ROUND_OFF = 8.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -235,33 +234,6 @@ def _sample_rows(sample: Callable[[np.ndarray, np.ndarray], np.ndarray], rows: n
     """sample on the grid of rows (radii) and theta, broadcast to that grid."""
     vals = np.asarray(sample(rows[:, None], theta[None, :]), dtype=float)
     return np.broadcast_to(vals, vals.shape[:-2] + (rows.size, theta.size))
-
-
-def _difference(level: np.ndarray, coarse: np.ndarray) -> tuple:
-    """(diff, small): |level - coarse|, 0 where both are the same infinity,
-    and whether it is within ROUND_OFF of |level|."""
-    with np.errstate(invalid="ignore"):  # inf - inf, where level == coarse
-        diff = np.where(level == coarse, 0.0, np.abs(level - coarse))
-    return diff, (diff <= ROUND_OFF * np.abs(level)) & np.isfinite(diff)
-
-
-def _settled(level: np.ndarray, coarse: np.ndarray, last: tuple) -> tuple:
-    """(done, going, (diff, small)) for the rows of one level of a circle
-    reduction, the last axis of level and coarse running over the rows, and
-    last the _difference of the level before. A row is done when every entry
-    of it is small and was small before, or is nonzero and fell at least
-    8-fold from the diff before: an exactly-zero diff after a large one may be
-    a coincidence of the coarse nodes. A row is going, worth another
-    doubling, when every entry of it is small or fell at least 8-fold, as the
-    differences of a geometrically converging trapezoid rule do."""
-    diff, small = _difference(level, coarse)
-    prev_diff, prev_small = last
-    falling = (diff > 0.0) & (8.0 * diff <= prev_diff)
-
-    def rows(mask):
-        return mask.reshape(-1, mask.shape[-1]).all(axis=0)
-
-    return rows(small & (prev_small | falling)), rows(small | falling), (diff, small)
 
 
 def _extend(sample: Callable[[np.ndarray, np.ndarray], np.ndarray], rows: np.ndarray,

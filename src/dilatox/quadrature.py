@@ -20,6 +20,11 @@ from .errors import ConfigError, EmptyRange
 # Jacobian sign tolerance: values below -JAC_TOL violate the regularity contract.
 JAC_TOL = 1e-12
 
+# A level difference within ROUND_OFF of its level's value is at round-off:
+# the angular trapezoid levels of a circle (mapping._circle_reduce) and the
+# Romberg diagonal of a radial segment (_ladder_pass) stop on it (_settled).
+ROUND_OFF = 8.0 * np.finfo(float).eps
+
 # Truncation radius of the inner radial integral; every rung of a radius
 # ladder lies strictly above it (verifier.RadiusLadder checks its deepest rung).
 EPS_TRUNC = 1e-6
@@ -48,6 +53,34 @@ class QuadratureConfig:
 def circle_nodes(n_theta: int) -> np.ndarray:
     """Equispaced angles on [0, 2pi), the nodes of the periodic trapezoid rule."""
     return np.arange(n_theta) * (2.0 * math.pi / n_theta)
+
+
+def _difference(level: np.ndarray, coarse: np.ndarray) -> tuple:
+    """(diff, small): |level - coarse|, 0 where both are the same infinity,
+    and whether it is within ROUND_OFF of |level|."""
+    with np.errstate(invalid="ignore"):  # inf - inf, where level == coarse
+        diff = np.where(level == coarse, 0.0, np.abs(level - coarse))
+    return diff, (diff <= ROUND_OFF * np.abs(level)) & np.isfinite(diff)
+
+
+def _settled(level: np.ndarray, coarse: np.ndarray, last: tuple) -> tuple:
+    """(done, going, (diff, small)) for the items of one level of a nested
+    rule (the rows of a circle reduction, the segments of a radial pass),
+    the last axis of level and coarse running over the items, and last the
+    _difference of the level before. An item is done when every entry of it
+    is small and was small before, or is nonzero and fell at least 8-fold
+    from the diff before: an exactly-zero diff after a large one may be a
+    coincidence of the coarse nodes. An item is going, worth another
+    doubling, when every entry of it is small or fell at least 8-fold, as the
+    differences of a geometrically converging rule do."""
+    diff, small = _difference(level, coarse)
+    prev_diff, prev_small = last
+    falling = (diff > 0.0) & (8.0 * diff <= prev_diff)
+
+    def items(mask):
+        return mask.reshape(-1, mask.shape[-1]).all(axis=0)
+
+    return items(small & (prev_small | falling)), items(small | falling), (diff, small)
 
 
 def _trapezoid_column(y: np.ndarray, dx, axis: int) -> np.ndarray:
@@ -113,6 +146,11 @@ def romberg_nodes(cfg: QuadratureConfig) -> int:
 # high order even where the rungs are closer together than one ladder step.
 MIN_SEGMENT_LEVEL = 3
 
+# A nested ladder pass (_ladder_pass) samples a segment of level j >=
+# NESTED_LEVEL first at level j - 2, every 4th node, and reads its Romberg
+# diagonal there at levels j - 4, j - 3 and j - 2.
+NESTED_LEVEL = 8
+
 
 def _deepest_span(anchor: float, radii: np.ndarray) -> float:
     """Log-width of the deepest rung's own integral, between the anchor and
@@ -131,8 +169,11 @@ class _LadderPlan:
     column, its level and the node indices of its two ends. For each
     trapezoid sum T_i, `steps[i]` holds the step and, for i >= 1,
     `midpoints[i - 1]` the node indices of the new midpoints, both for the
-    columns of level >= i, a suffix of the layout. Every array is read-only,
-    since one plan serves every pass on its ladder."""
+    columns of level >= i, a suffix of the layout. For a nested pass, `deep`
+    holds the columns of level >= NESTED_LEVEL, `coarse` the nodes of its
+    first call (every 4th node of a deep column, every node of the
+    others) and `column_of` the column of every node. Every array is
+    read-only, since one plan serves every pass on its ladder."""
 
     order: np.ndarray
     nodes: np.ndarray
@@ -142,6 +183,9 @@ class _LadderPlan:
     last: np.ndarray
     steps: tuple[np.ndarray, ...]
     midpoints: tuple[np.ndarray, ...]
+    deep: np.ndarray
+    coarse: np.ndarray
+    column_of: np.ndarray
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -202,26 +246,43 @@ def _ladder_plan(anchor: float, raw: bytes, array_is_lower: bool, refine: bool,
         midpoints.append(_frozen(first[deep, None] + (intervals[deep, None] >> i) * odd))
         steps.append(_frozen(h[deep]))
         h = h / 2.0
+    column_of = np.repeat(np.arange(columns.size), intervals + 1)
+    offset = np.arange(nodes.size) - first[column_of]
+    coarse = np.flatnonzero((depth[column_of] < NESTED_LEVEL) | (offset % 4 == 0))
     return _LadderPlan(order=_frozen(order), nodes=_frozen(nodes), columns=_frozen(columns),
                        levels=_frozen(depth), first=_frozen(first),
                        last=_frozen(first + intervals), steps=tuple(steps),
-                       midpoints=tuple(midpoints))
+                       midpoints=tuple(midpoints),
+                       deep=_frozen(np.flatnonzero(depth >= NESTED_LEVEL)),
+                       coarse=_frozen(coarse), column_of=_frozen(column_of))
 
 
 def _ladder_pass(fn: Callable[[np.ndarray], np.ndarray], a, b, cfg: QuadratureConfig,
-                 samples=(), refine: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One call of fn for a whole ladder: the integrals over [a, b] at every
-    radius (an array, see integrate_radial); with `refine`, the integral over
-    [a/2, a] below a scalar lower limit a, on the ladder's step, as a
-    one-element array (else an empty one); and fn at the radii `samples`.
-    The limits are checked before fn is called.
+                 samples=(), refine: bool = False,
+                 nested: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The integrals of fn over [a, b] at every radius (an array, see
+    integrate_radial); with `refine`, the integral over [a/2, a] below a
+    scalar lower limit a, on the ladder's step, as a one-element array (else
+    an empty one); and fn at the radii `samples`. The limits are checked
+    before fn is called.
 
     fn returns one value per point, or a (k, n) array of k integrands, and
     every result then gains a leading axis of k. The node layout comes from
     the ladder's cached plan, and each row is integrated on it on its own
-    (_segment_integrals), so a row's values are those of a pass of that row
+    (_romberg_table), so a row's values are those of a pass of that row
     alone. A segment holding +inf integrates to +inf, and so does every
-    radius beyond it on that row; NaN at a node of any row raises."""
+    radius beyond it on that row; NaN at a node of any row raises.
+
+    One call of fn covers every node and the samples, unless `nested`, which
+    suits an integrand whose every node is a circle of several samples. Then
+    a first call takes every node of the segments below NESTED_LEVEL, every
+    4th node (level j - 2) of the deeper ones, and the samples. A row of a
+    deep segment stops at level j - 2 when _settled finds its Romberg
+    diagonal R[j - 4], R[j - 3], R[j - 2] at round-off there, unless that
+    segment holds +inf; a second call, only if some row of a deep segment
+    goes on, takes the nodes those segments lack, and such a segment ends
+    with the bits of the one-call pass. A radial feature narrower than the
+    first call's step that lies between its nodes is invisible to it."""
     if np.ndim(a) and np.ndim(b):
         raise ConfigError("at most one limit of a radial integral may be an array")
     if np.ndim(a):
@@ -233,26 +294,69 @@ def _ladder_pass(fn: Callable[[np.ndarray], np.ndarray], a, b, cfg: QuadratureCo
     plan = _ladder_plan(anchor, radii.tobytes(), bool(np.ndim(a)), refine,
                         int(math.log2(romberg_nodes(cfg) - 1)))
     samples = np.asarray(samples, dtype=float)
-    n_nodes = plan.nodes.size
-    y_all = np.asarray(fn(np.concatenate([plan.nodes, samples])), dtype=float)
-    y = y_all[..., :n_nodes]
-    if np.isnan(y).any():
-        raise ValueError("NaN in radial quadrature values")
-    segments = np.stack([_segment_integrals(row, plan) for row in np.atleast_2d(y)])
+    take = plan.coarse if nested and plan.deep.size else None
+    nodes = plan.nodes if take is None else plan.nodes[take]
+    y_all = np.asarray(fn(np.concatenate([nodes, samples])), dtype=float)
+    y = _no_nan(y_all[..., :nodes.size])
+    if take is not None:  # 0 at the nodes the first call leaves out
+        y, first = np.zeros(y.shape[:-1] + plan.nodes.shape), y
+        y[..., take] = first
+    rows = np.atleast_2d(y)
+    tables = [_romberg_table(row, plan) for row in rows]
+    levels = np.broadcast_to(plan.levels, (len(rows), plan.levels.size))
+    if take is not None:
+        levels, more = _nested_levels(tables, plan)
+        if more.size:
+            rows[:, more] = _no_nan(fn(plan.nodes[more]))
+            tables = [_romberg_table(row, plan) for row in rows]
+    segments = np.stack([_segment_integrals(table, inf_columns, plan, lv)
+                         for (table, inf_columns), lv in zip(tables, levels)])
     segments = segments.reshape(y.shape[:-1] + (-1,))
     out = np.empty(y.shape[:-1] + radii.shape)
     out[..., plan.order] = np.cumsum(segments[..., :len(radii)], axis=-1)
-    return out, segments[..., len(radii):], y_all[..., n_nodes:]
+    return out, segments[..., len(radii):], y_all[..., nodes.size:]
 
 
-def _segment_integrals(fn_values: np.ndarray, plan: _LadderPlan) -> np.ndarray:
-    """The integral of every segment of plan, in the order of its radii and
-    then the refinement segment, from the integrand's values at its nodes.
+def _no_nan(values) -> np.ndarray:
+    """values as a float array; NaN raises."""
+    values = np.asarray(values, dtype=float)
+    if np.isnan(values).any():
+        raise ValueError("NaN in radial quadrature values")
+    return values
+
+
+def _nested_levels(tables: list, plan: _LadderPlan) -> tuple[np.ndarray, np.ndarray]:
+    """(levels, more) after the first call of a nested pass: the depth at
+    which each row reads each column, j - 2 for a row of a deep column that
+    stops there and j otherwise, and the nodes still to evaluate, those the
+    deep columns with a row that goes on lack. tables are _romberg_table's
+    for each row, on values that are 0 at the nodes not yet evaluated, which
+    no entry of a deep column's diagonal up to j - 2 reads."""
+    deep = plan.deep
+    depth = plan.levels[deep]
+    stop = []
+    for table, inf_columns in tables:
+        r4, r3, r2 = (table[depth - back, deep] for back in (4, 3, 2))
+        done = _settled(r2, r3, _difference(r3, r4))[0]
+        stop.append(done if inf_columns is None else done & ~inf_columns[deep])
+    stop = np.array(stop)
+    levels = np.tile(plan.levels, (len(tables), 1))
+    levels[:, deep] -= 2 * stop
+    going = np.zeros(plan.levels.size, dtype=bool)
+    going[deep[~stop.all(axis=0)]] = True
+    lacking = going[plan.column_of]
+    lacking[plan.coarse] = False
+    return levels, np.flatnonzero(lacking)
+
+
+def _romberg_table(fn_values: np.ndarray, plan: _LadderPlan) -> tuple:
+    """(table, inf_columns): the Richardson table of every column of plan,
+    from the integrand's values at its nodes, and the columns holding +inf
+    (None if none does).
 
     The trapezoid column T_0 ... T_j of every segment is built one level at a
     time across all segments deep enough, with the operations of
-    _trapezoid_column, into one Richardson table. A segment holding +inf
-    integrates to +inf."""
+    _trapezoid_column, into one Richardson table."""
     y = fn_values * plan.nodes
     inf, inf_columns = np.isinf(y), None
     if inf.any():
@@ -264,7 +368,15 @@ def _segment_integrals(fn_values: np.ndarray, plan: _LadderPlan) -> np.ndarray:
     for i, (h, mid) in enumerate(zip(plan.steps[1:], plan.midpoints), start=1):
         column = 0.5 * (column[-len(mid):] + h * np.add.reduce(y[mid], axis=-1))
         table[i, -len(mid):] = column
-    values = _richardson(table)[plan.levels, np.arange(plan.columns.size)]
+    return _richardson(table), inf_columns
+
+
+def _segment_integrals(table: np.ndarray, inf_columns, plan: _LadderPlan,
+                       levels: np.ndarray) -> np.ndarray:
+    """The integral of every segment of plan, in the order of its radii and
+    then the refinement segment: column c of the Richardson table read on its
+    diagonal at depth levels[c]. A segment holding +inf integrates to +inf."""
+    values = table[levels, np.arange(plan.columns.size)]
     if inf_columns is not None:
         values[inf_columns] = math.inf
     segments = np.empty(plan.columns.size)
@@ -273,7 +385,7 @@ def _segment_integrals(fn_values: np.ndarray, plan: _LadderPlan) -> np.ndarray:
 
 
 def integrate_radial(fn: Callable[[np.ndarray], np.ndarray], a, b,
-                     cfg: QuadratureConfig) -> float | np.ndarray:
+                     cfg: QuadratureConfig, nested: bool = False) -> float | np.ndarray:
     """Romberg integration of fn(t) dt over [a, b] on a log-spaced radial grid.
 
     The log-spaced grid integrates fn(e^u) e^u du on a uniform u-grid, which
@@ -288,15 +400,18 @@ def integrate_radial(fn: Callable[[np.ndarray], np.ndarray], a, b,
     (MIN_SEGMENT_LEVEL <= j <= k) whose log-step is at most that of the
     deepest rung's own integral on the configured 2^k + 1 node grid, so a
     lone radius gets that grid. Cumulative sums of the segments give each
-    radius's integral, and fn is called once on all nodes. +inf in a segment
+    radius's integral. fn is called once on all nodes, or, when `nested`
+    (for an integrand whose nodes are circles of several samples), once on
+    a coarser set and once more on the nodes of the segments whose Romberg
+    diagonal is not yet at round-off there (_ladder_pass). +inf in a segment
     makes the integral of every radius beyond it +inf; NaN raises, and so
     does a limit that is not positive, before fn is called.
 
     fn may return a (k, n) array, k integrands at the n nodes: each row is
-    integrated on its own, with the values of a pass of that row alone, and
-    the result gains a leading axis of k.
+    integrated and stopped on its own, with the values of a pass of that row
+    alone, and the result gains a leading axis of k.
     """
-    out = _ladder_pass(fn, a, b, cfg)[0]
+    out = _ladder_pass(fn, a, b, cfg, nested=nested)[0]
     if np.ndim(a) or np.ndim(b):
         return out
     return out[:, 0] if out.ndim == 2 else float(out[0])
@@ -354,17 +469,21 @@ def integrate_from_origin(fn: Callable[[np.ndarray], np.ndarray], eps: float,
 
 
 def refine_truncation(fn: Callable[[np.ndarray], np.ndarray], eps: float, b,
-                      cfg: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
+                      cfg: QuadratureConfig,
+                      nested: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """integral_0^b fn(t) dt at every radius of b, truncated at eps and at
     eps/2, each closed by its tail fit: the pair (coarse, fine) of arrays.
 
     Halving eps changes only the part below eps, so one ladder pass from eps
     serves both: the fine values add the [eps/2, eps] segment, on the ladder's
     step, and the tail fit at eps/2; the coarse ones the tail fit at eps. One
-    call of fn covers the ladder, that segment and the samples of both fits.
-    A radius not above eps is an EmptyRange."""
+    call of fn covers the ladder, that segment and the samples of both fits;
+    when `nested`, it covers the segments below NESTED_LEVEL and every 4th
+    node of the deeper ones, and a second call, if any, the rest of the
+    deep segments whose Romberg diagonal is not yet at round-off
+    (_ladder_pass). A radius not above eps is an EmptyRange."""
     body, below, g = _ladder_pass(fn, eps, np.atleast_1d(np.asarray(b, dtype=float)), cfg,
                                   np.concatenate([eps * TAIL_SAMPLES, eps / 2.0 * TAIL_SAMPLES]),
-                                  refine=True)
+                                  refine=True, nested=nested)
     return (body + log_power_tail(eps, g[:3]),
             body + (below[0] + log_power_tail(eps / 2.0, g[3:])))

@@ -303,17 +303,22 @@ def check_lemma3(q_fn: Callable[[np.ndarray, np.ndarray], np.ndarray], p,
     if not 0.0 < eps < 0.5:
         raise ConfigError(f"eps must lie in (0, 1/2), so that B_(2 eps) lies inside "
                           f"the disc, got {eps}")
-    # integral over [eps, 2 eps] of dt / (t^{p-1} q_p(t))
-    inv_q = _radial_integrand(lambda t: circular_mean(q_fn, t, p, cfg), p)
-    denom = integrate_radial(inv_q, eps, 2.0 * eps, cfg)
-    lhs = 1.0 / denom if denom > 0.0 else math.inf
+    widths = []
 
     def sample(t, th):  # an angle-broadcast q_fn stays one column through the power
-        return _angle_columns(np.asarray(q_fn(t, th), dtype=float)) ** (1.0 / (p - 1.0))
+        q = _angle_columns(np.asarray(q_fn(t, th), dtype=float))
+        widths.append(q.shape[-1])
+        return q ** (1.0 / (p - 1.0))
 
     disc = float(_disc_integral(sample, 2.0 * eps, cfg.n_theta, cfg)[0])
     avg = disc / (4.0 * math.pi * eps ** 2)
     rhs = 2.0 ** (p - 1.0) * eps ** (p - 2.0) * avg ** (p - 1.0)
+    # integral over [eps, 2 eps] of dt / (t^{p-1} q_p(t)); the disc pass has
+    # shown whether the circles of q_fn take several samples, which makes
+    # this pass nested (quadrature._ladder_pass), or come back angle-broadcast
+    inv_q = _radial_integrand(lambda t: circular_mean(q_fn, t, p, cfg), p)
+    denom = integrate_radial(inv_q, eps, 2.0 * eps, cfg, nested=max(widths) > 1)
+    lhs = 1.0 / denom if denom > 0.0 else math.inf
     return _finish("lemma3", p, eps, rhs, lhs)
 
 

@@ -1,10 +1,12 @@
 """The in-tree Romberg table against scipy.integrate.romb: the same Richardson
 table in the same order of operations, so every result is bit-identical, also
 where a ladder pass shares one table across segments of different depths or
-integrates several integrands as rows; one integrand call per ladder pass;
-cached ladder plans and tail-fit design matrices, which change no result; the
-checks on radial limits; and the depth of a radius ladder, whose rungs lie
-above the truncation radius EPS_TRUNC."""
+integrates several integrands as rows; one integrand call per ladder pass,
+and at most two per nested pass, whose segments either stop within round-off
+of the one-call value or keep its bits; cached ladder plans and tail-fit
+design matrices, which change no result; the checks on radial limits; and
+the depth of a radius ladder, whose rungs lie above the truncation radius
+EPS_TRUNC."""
 
 import math
 
@@ -12,11 +14,15 @@ import numpy as np
 import pytest
 from scipy.integrate import romb as scipy_romb
 
+from conftest import perturbed_conformal
 from dilatox import quadrature
 from dilatox.errors import ConfigError, EmptyRange
+from dilatox.functionals import dilatation_radial_fn
+from dilatox.mapping import fd_model
 from dilatox.quadrature import (
     EPS_TRUNC,
     R_FLOOR,
+    ROUND_OFF,
     QuadratureConfig,
     integrate_from_origin,
     integrate_radial,
@@ -150,6 +156,7 @@ def test_mixed_depth_ladder_pass_matches_scipy_segment_by_segment():
 
 
 def test_one_integrand_call_per_ladder_pass():
+    # a pass that is not nested, as over a theta-invariant map's circles
     cfg, radii, eps = QuadratureConfig(), RadiusLadder().radii(), EPS_TRUNC
     calls = []
 
@@ -197,19 +204,21 @@ PASSES = {
 }
 
 
+@pytest.mark.parametrize("nested", [False, True], ids=["one call", "nested"])
 @pytest.mark.parametrize("kind", PASSES)
 @pytest.mark.parametrize("inf_row", [False, True])
-def test_rows_of_one_pass_are_one_row_passes(kind, inf_row):
+def test_rows_of_one_pass_are_one_row_passes(kind, inf_row, nested):
     # each row of a (3, n) integrand gets the bits of its own one-row pass,
-    # +inf included where one row holds it; compared in-process, as the last
-    # bits of a pass depend on the numpy build
+    # +inf included where one row holds it, and in a nested pass each row
+    # stops on its own; compared in-process, as the last bits of a pass
+    # depend on the numpy build
     a, b, kwargs = PASSES[kind]
     cfg = QuadratureConfig()
     fns = [_integrand, _beyond_02_inf if inf_row else (lambda t: np.exp(-t) * t ** 0.3),
            lambda t: 1.0 / (t * (1.0 - np.log(t)) ** 2)]
-    together = quadrature._ladder_pass(_rows(*fns), a, b, cfg, **kwargs)
+    together = quadrature._ladder_pass(_rows(*fns), a, b, cfg, nested=nested, **kwargs)
     for i, fn in enumerate(fns):
-        alone = quadrature._ladder_pass(fn, a, b, cfg, **kwargs)
+        alone = quadrature._ladder_pass(fn, a, b, cfg, nested=nested, **kwargs)
         for part, joint in zip(alone, together):
             assert part.ndim == 1 and joint.shape == (3,) + part.shape
             assert np.array_equal(part, joint[i]), (kind, i)
@@ -286,7 +295,7 @@ def test_plan_arrays_are_read_only():
     radii = RadiusLadder().radii()
     plan = quadrature._ladder_plan(EPS_TRUNC, radii.tobytes(), False, True, 10)
     arrays = [plan.order, plan.nodes, plan.columns, plan.levels, plan.first, plan.last,
-              *plan.steps, *plan.midpoints]
+              *plan.steps, *plan.midpoints, plan.deep, plan.coarse, plan.column_of]
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
@@ -321,3 +330,126 @@ def test_cached_tail_design_gives_the_same_fit(eps):
         ts = eps * np.array([1.0, 2.0, 4.0])
         g = rng.uniform(0.1, 10.0) * ts ** beta * (1.0 - np.log(ts)) ** gamma
         assert log_power_tail(eps, g) == fresh(g)
+
+
+# ----------------------------- nested passes -----------------------------
+
+def _kinked(t):
+    # kinks inside the deep segment of every pass in PASSES: at t = 3e-5
+    # (inner and refined), 0.3 (one segment) and 0.7 (outer); no Romberg
+    # diagonal there nears round-off
+    t = np.asarray(t, dtype=float)
+    return 2.0 + np.abs(t / 3e-5 - 1.0) + np.abs(t - 0.3) + np.abs(t - 0.7)
+
+
+def _recorded(fn):
+    """fn, and the list of the radii of each of its calls."""
+    seen = []
+
+    def recorded(t):
+        seen.append(np.array(t, dtype=float))
+        return fn(t)
+
+    return recorded, seen
+
+
+def _conformal_value(r, theta):
+    z = np.asarray(r) * np.exp(1j * np.asarray(theta))
+    return z + 0.1 * z * z
+
+
+def _d_p(model):
+    # d_p at p = 3 over circles of a theta-dependent map: every node of a
+    # pass is one circle reduction
+    return dilatation_radial_fn(model, 3.0, QuadratureConfig())
+
+
+def _multiset(t: np.ndarray) -> dict:
+    values, counts = np.unique(t, return_counts=True)
+    return dict(zip(values.tolist(), counts.tolist()))
+
+
+@pytest.mark.parametrize("kind", ["inner", "refined", "one segment"])
+def test_stopped_segments_lie_within_round_off(kind):
+    # a smooth integrand, and d_p of z + 0.1 z^2: their deep segments stop
+    # at level j - 2, with no second call, and move the integrals by at most
+    # ROUND_OFF of their value (the outer pass's 257-node segment [0.5, 1]
+    # is read at 17, 33 and 65 nodes, where neither is at round-off yet)
+    a, b, kwargs = PASSES[kind]
+    cfg = QuadratureConfig()
+    for fn in (_integrand, _d_p(perturbed_conformal())):
+        recorded, seen = _recorded(fn)
+        nested = quadrature._ladder_pass(recorded, a, b, cfg, nested=True, **kwargs)
+        one = quadrature._ladder_pass(fn, a, b, cfg, **kwargs)
+        assert len(seen) == 1
+        for got, want in zip(nested, one):
+            assert np.all(np.abs(got - want) <= ROUND_OFF * np.abs(want)), kind
+
+
+@pytest.mark.parametrize("kind", PASSES)
+@pytest.mark.parametrize("integrand", ["kink", "fd noise"])
+def test_segments_that_go_on_keep_the_one_call_bits(kind, integrand):
+    # a kink, and the rounding noise of finite-difference partials (about
+    # 1e-11 relative in d_p), keep every deep segment from stopping: the
+    # second call completes it, and the pass is the one-call pass bit for bit
+    a, b, kwargs = PASSES[kind]
+    cfg = QuadratureConfig()
+    fn = _kinked if integrand == "kink" else _d_p(fd_model(_conformal_value, "fd z+0.1z^2"))
+    recorded, seen = _recorded(fn)
+    nested = quadrature._ladder_pass(recorded, a, b, cfg, nested=True, **kwargs)
+    one = quadrature._ladder_pass(fn, a, b, cfg, **kwargs)
+    assert len(seen) == 2
+    for got, want in zip(nested, one):
+        assert np.array_equal(got, want), kind
+
+
+@pytest.mark.parametrize("kind", PASSES)
+@pytest.mark.parametrize("fn", [_integrand, _kinked], ids=["stops", "goes on"])
+def test_no_radial_node_is_evaluated_twice(kind, fn):
+    # at most two calls, which between them take no node more often than
+    # the one-call pass does (adjacent segments share an end), and all of
+    # its nodes when no segment stops
+    a, b, kwargs = PASSES[kind]
+    cfg = QuadratureConfig()
+    nested_fn, nested_seen = _recorded(fn)
+    one_fn, one_seen = _recorded(fn)
+    quadrature._ladder_pass(nested_fn, a, b, cfg, nested=True, **kwargs)
+    quadrature._ladder_pass(one_fn, a, b, cfg, **kwargs)
+    assert len(nested_seen) <= 2 and len(one_seen) == 1
+    took, full = _multiset(np.concatenate(nested_seen)), _multiset(one_seen[0])
+    assert all(count <= full.get(t, 0) for t, count in took.items())
+    if len(nested_seen) == 2:
+        assert took == full
+
+
+def test_nested_pass_without_deep_segments_is_one_call():
+    # segments below NESTED_LEVEL are taken whole by the first call: a
+    # 33-node segment has nothing to nest
+    cfg = QuadratureConfig(n_r=32)
+    recorded, seen = _recorded(_kinked)
+    nested = quadrature._ladder_pass(recorded, 0.1, 0.8, cfg, nested=True)
+    assert len(seen) == 1 and seen[0].size == 33
+    assert np.array_equal(nested[0], quadrature._ladder_pass(_kinked, 0.1, 0.8, cfg)[0])
+
+
+def test_segment_holding_inf_never_stops():
+    # +inf at every node: the first call's diagonal, read with the infinities
+    # set aside, is 0 at every level, which alone would stop the segment;
+    # it is completed and integrates to +inf
+    recorded, seen = _recorded(lambda t: np.full_like(t, math.inf))
+    out = quadrature._ladder_pass(recorded, 0.1, 0.8, QuadratureConfig(), nested=True)
+    assert out[0][0] == math.inf and len(seen) == 2
+
+
+@pytest.mark.parametrize("call", [0, 1])
+def test_nan_on_either_call_raises(call):
+    calls = []
+
+    def fn(t):
+        calls.append(t.size)
+        out = _kinked(t)
+        return np.where(t > 0.2, math.nan, out) if len(calls) == call + 1 else out
+
+    with pytest.raises(ValueError, match="NaN"):
+        quadrature._ladder_pass(fn, 0.1, 0.8, QuadratureConfig(), nested=True)
+    assert len(calls) == call + 1

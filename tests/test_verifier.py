@@ -4,6 +4,7 @@ asymptotic-ratio theorems with their sharpness cases."""
 import functools
 import json
 import math
+import random
 import re
 from dataclasses import replace
 
@@ -23,7 +24,7 @@ from dilatox.functionals import (
 )
 from dilatox.mapping import BLOCK_POINTS, MappingModel, fd_model
 from dilatox.quadrature import QuadratureConfig, romberg_nodes
-from dilatox import beltrami, verifier
+from dilatox import beltrami, quadrature, verifier
 from dilatox.verifier import (
     LimitProxy,
     RadiusLadder,
@@ -556,3 +557,59 @@ class TestRegistry:
         run_checks(linear(0.5).model, 3.0, ladder, cfg, ["length_area", "lemma3"])
         assert calls["la"] == (float(ladder.radii()[-1]), ladder.r_max)
         assert calls["l3"] == min(0.25, ladder.r_max / 2.0)
+
+
+def _theta_map(c: float) -> MappingModel:
+    """f(z) = z + c z^2 with closed-form partials, the map of the theta_sweep
+    benchmark workload."""
+
+    def zc(r, theta):
+        return np.asarray(r) * np.exp(1j * np.asarray(theta))
+
+    return MappingModel(
+        label=f"theta(c={c!r})",
+        value=lambda r, th: zc(r, th) + c * zc(r, th) ** 2,
+        partial_r=lambda r, th: np.exp(1j * np.asarray(th)) * (1.0 + 2.0 * c * zc(r, th)),
+        partial_theta=lambda r, th: 1j * zc(r, th) * (1.0 + 2.0 * c * zc(r, th)))
+
+
+# c of the theta_sweep workload for seeds 1-10, as bench/plan.py draws it
+THETA_SWEEP_C = [0.05 + 0.15 * random.Random(f"theta-c/{seed}").random()
+                 for seed in range(1, 11)]
+
+
+class TestNestedRadialPasses:
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_only_theta_dependent_maps_nest(self, p, ladder, cfg, monkeypatch):
+        # a theta-invariant map keeps one integrand call per ladder pass;
+        # on a theta-dependent one every pass nests but lemma 3's disc pass
+        seen = []
+        one_call = quadrature._ladder_pass
+
+        def spy(*args, nested=False, **kwargs):
+            seen.append(nested)
+            return one_call(*args, nested=nested, **kwargs)
+
+        monkeypatch.setattr(quadrature, "_ladder_pass", spy)
+        run_checks(linear(0.5).model, p, ladder, cfg)
+        assert seen and not any(seen)
+        seen.clear()
+        run_checks(perturbed_conformal(), p, ladder, cfg)
+        assert seen.count(False) == (1 if p > 2.0 else 0) and len(seen) > 1
+
+    @pytest.mark.parametrize("c", THETA_SWEEP_C, ids=[f"seed{s}" for s in range(1, 11)])
+    def test_margins_move_by_round_off_only(self, c, ladder, cfg, monkeypatch):
+        # every row margin of every registry check at p = 1.5 and 3, nested
+        # against one integrand call per ladder pass
+        model = _theta_map(c)
+        nested = [rep for p in (1.5, 3.0) for rep in run_checks(model, p, ladder, cfg)]
+        one_call = quadrature._ladder_pass
+        monkeypatch.setattr(quadrature, "_ladder_pass",
+                            lambda *args, nested=False, **kwargs: one_call(*args, **kwargs))
+        single = [rep for p in (1.5, 3.0) for rep in run_checks(model, p, ladder, cfg)]
+        assert [rep.check_id for rep in nested] == [rep.check_id for rep in single]
+        for got, want in zip(nested, single):
+            got, want = np.array(got.margins), np.array(want.margins)
+            finite = np.isfinite(want)
+            assert np.array_equal(got[~finite], want[~finite])
+            assert np.all(np.abs(got[finite] - want[finite]) <= 2e-15)
