@@ -9,7 +9,7 @@ symmetric nonlinear Beltrami equation with an exact-solution oracle.
 __version__ = "0.1.0"
 
 from .errors import ToolkitError, ConfigError
-from .mapping import MappingModel, PolarPoint, RadialProfile
+from .mapping import MappingModel, RadialProfile
 from .quadrature import QuadratureConfig
 from .verifier import BoundReport, LimitProxy, RadiusLadder
 
@@ -18,7 +18,6 @@ __all__ = [
     "ToolkitError",
     "ConfigError",
     "MappingModel",
-    "PolarPoint",
     "RadialProfile",
     "QuadratureConfig",
     "BoundReport",

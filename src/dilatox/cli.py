@@ -109,7 +109,7 @@ def cmd_eval(args) -> int:
                   disc_mean(model, radii, args.p, cfg).value.tolist(),
                   area_fn(model, radii, cfg).tolist(),
                   boundary_length(model, radii, cfg).tolist(),
-                  *(m.tolist() for m in min_max_modulus(model, radii)))
+                  *(m.tolist() for m in min_max_modulus(model, radii, cfg)))
     out = Path(args.out) / "functionals.csv"
     lines = ["r,d_p,disc_mean,S,L,l_f,L_f,iso_defect"]
     for r, d, dm, s, ell, lo, hi in columns:
@@ -243,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tail", type=int, default=ladder.tail)
         sp.add_argument("--ntheta", type=int, default=quad.n_theta,
                         help="most angles per circle: the cap of the trapezoid levels, "
-                             "which stop earlier once a circle is at round-off")
+                             "which stop earlier once a circle is at round-off, and "
+                             "the grid of the |f| extremes")
         sp.add_argument("--nr", type=int, default=quad.n_r)
         sp.add_argument("--out", default=".", help="output directory")
 

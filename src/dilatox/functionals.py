@@ -181,10 +181,9 @@ def length_area_sides(model: MappingModel, p: float, r1: float, r2: float,
     n = circle_size(model, cfg.n_theta)
 
     def sample(t, th):
-        r, th, _ = evaluation_grid(model, t, th)
-        jac, ft = _jacobian_and_ft(model, r, th)
+        jac, ft = _jacobian_and_ft(model, t, th)
         ft_abs = np.abs(ft)
-        return np.stack(np.broadcast_arrays(ft_abs, _dilatation(jac, ft_abs, r, p), jac))
+        return np.stack(np.broadcast_arrays(ft_abs, _dilatation(jac, ft_abs, t, p), jac))
 
     def reduce(vals):
         return np.stack([2.0 * math.pi * _row_mean(vals[0]), _power_mean(vals[1], p),
@@ -226,7 +225,6 @@ def area(model: MappingModel, r: Radii, cfg: QuadratureConfig) -> Radii:
     _check_radii(r)
 
     def sample(t, th):
-        t, th, _ = evaluation_grid(model, t, th)
         ft = _jacobian_and_ft(model, t, th)[1]
         return np.imag(np.conj(np.asarray(model.value(t, th))) * ft)
 

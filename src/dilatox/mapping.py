@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DegenerateJacobian, NonFiniteDerivative
-from .quadrature import JAC_TOL, _difference, _settled, circle_nodes
+from .quadrature import JAC_TOL, QuadratureConfig, _difference, _settled, circle_nodes
 
 TWO_PI = 2.0 * math.pi
 
@@ -32,29 +32,6 @@ BLOCK_POINTS = 2 ** 14
 # while its level differences are not yet within quadrature.ROUND_OFF of its
 # value (quadrature._settled).
 FIRST_STOP = 64
-
-
-@dataclass(frozen=True)
-class PolarPoint:
-    """A point r e^{i theta} of the punctured open disc, 0 < r < 1.
-
-    The angle is normalized into [0, 2pi) on construction.
-    """
-
-    r: float
-    theta: float
-
-    def __post_init__(self):
-        if not 0.0 < self.r < 1.0:
-            raise ConfigError(f"radius must lie in (0,1), got {self.r}")
-        theta = self.theta % TWO_PI
-        if theta >= TWO_PI:  # -tiny % 2pi rounds up to exactly 2pi
-            theta = 0.0
-        object.__setattr__(self, "theta", theta)
-
-    @property
-    def z(self) -> complex:
-        return self.r * complex(math.cos(self.theta), math.sin(self.theta))
 
 
 @dataclass(frozen=True)
@@ -393,23 +370,20 @@ def fd_model(value: ComplexFn, label: str, theta_invariant: bool = False) -> Map
                         partial_theta=partial_theta, theta_invariant=theta_invariant)
 
 
-def min_max_modulus(model: MappingModel, r, n_theta: int = 2048) -> tuple:
-    """(min, max) of |f| over the circle |z| = r, sampled at equispaced angles:
-    up to n_theta of them, or one angle for a theta-invariant model, whose
-    n_theta then goes unused (it is still validated).
+def min_max_modulus(model: MappingModel, r, cfg: QuadratureConfig) -> tuple:
+    """(min, max) of |f| over the circle |z| = r, sampled at the
+    circle_size(model, cfg.n_theta) equispaced angles of the run's grid.
 
     r is one radius, giving two floats, or an array of rungs, giving two arrays
     from one _circle_reduce over the (rung, theta) grid. Every row takes all
-    n_theta nodes (nested=False): extremes that agree on two coarser levels
-    can still sit off an extremum between their nodes. Equispaced sampling
+    the nodes (nested=False): extremes that agree on two coarser levels can
+    still sit off an extremum between their nodes. Equispaced sampling
     without local refinement; exact for rotationally symmetric maps,
     resolution-limited otherwise.
     """
     _check_radii(r)
-    if n_theta < 8:
-        raise ConfigError(f"n_theta must be >= 8, got {n_theta}")
     lo, hi = _circle_reduce(lambda t, th: np.abs(np.asarray(model.value(t, th))), r,
-                            circle_size(model, n_theta),
+                            circle_size(model, cfg.n_theta),
                             lambda mod: np.stack([mod.min(axis=-1), mod.max(axis=-1)]),
                             nested=False)
     return (lo, hi) if np.ndim(r) else (float(lo[0]), float(hi[0]))

@@ -38,7 +38,8 @@ class QuadratureConfig:
     """Grid sizes used by every integral functional. n_theta is the cap of
     the trapezoid levels of a circle: read first at 16, 32 and 64 of its
     nodes, a circle stops there or at a doubled level once its reduction is
-    at round-off, and otherwise ends at n_theta nodes."""
+    at round-off, and otherwise ends at n_theta nodes. The area and the |f|
+    extremes (mapping.min_max_modulus) read all n_theta nodes."""
 
     n_theta: int = 512
     n_r: int = 1024

@@ -20,6 +20,13 @@ length-area lemmas), HIGH_P (p > 2) and LOW_P (1 < p < 2). A LimitProxy stands
 in for a limit as r -> 0: the tail min ("liminf"), the tail max ("limsup") or
 the tail midpoint ("limit"). CHECKS lists the checks with their regimes, and
 run_checks runs them.
+
+A theorem computes the sequences of its limits on the tail rungs alone
+(RadiusLadder.tail_radii): the |f| extremes, the inner integrals (the pass
+from EPS_TRUNC to the tail is a prefix of the one to every rung, with the
+same segments and bits) and theorem 7's area ratio. Two sequences take every
+rung: theorem 1's disc means, since _divergent reads the whole ladder, and
+each outer integral (_outer_tail), since its pass from 1 crosses every rung.
 """
 
 from __future__ import annotations
@@ -222,28 +229,39 @@ def _finish(check_id: str, p: float, radii, greater, lesser, slack=0.0,
                        notes=tuple(sorted(notes)))
 
 
-def _rungs(name: str, regime: Regime, p: float, ladder: RadiusLadder) -> tuple[float, np.ndarray]:
-    """The order p as a float and the ladder rungs, once p is checked to lie
-    in the regime, before any integral."""
+def _checked_order(name: str, regime: Regime, p: float) -> float:
+    """The order p as a float, once it is checked to lie in the regime,
+    before any integral."""
     p = _order(p)
     if not regime.applies(p):
         raise ConfigError(f"{name} needs {regime.name}, got p={p}")
-    return p, ladder.radii()
+    return p
 
 
 def _inner(model: MappingModel, p: float, rungs: np.ndarray, cfg: QuadratureConfig):
-    """The inner radial integral at every rung as (values, relative refinement
-    deltas, the set of flags)."""
+    """The inner radial integral at each of rungs as (values, relative
+    refinement deltas, the set of flags)."""
     tv = radial_integral_inner(dilatation_radial_fn(model, p, cfg), rungs, p, cfg)
     with np.errstate(divide="ignore", invalid="ignore"):
         rel_deltas = np.where(tv.value > 0.0, tv.refinement_delta / tv.value, 0.0)
     return tv.value, rel_deltas, set(tv.flags)
 
 
-def _ratio_proxy(kind: str, model: MappingModel, rungs: np.ndarray, tail: int) -> LimitProxy:
-    """The proxy of |f(z)|/|z| over the last tail rungs: liminf of min|f|/r,
+def _outer_tail(model: MappingModel, q: float, ladder: RadiusLadder,
+                cfg: QuadratureConfig) -> np.ndarray:
+    """r^{q-2} integral_r^1 dt/(t^{q-1} d_q(t)) at the tail rungs. The pass
+    from 1 takes every rung: on the tail alone its upper segments would
+    merge into one, and the values would change in their last bits."""
+    r = ladder.radii()
+    outer = radial_integral_outer(dilatation_radial_fn(model, q, cfg), r, q, cfg)
+    return (r ** (q - 2.0) * outer)[-ladder.tail:]
+
+
+def _ratio_proxy(kind: str, model: MappingModel, tail: np.ndarray,
+                 cfg: QuadratureConfig) -> LimitProxy:
+    """The proxy of |f(z)|/|z| over the tail rungs: liminf of min|f|/r,
     limsup of max|f|/r, or the limit of both together."""
-    lo, hi = (m[-tail:] / rungs[-tail:] for m in min_max_modulus(model, rungs))
+    lo, hi = (m / tail for m in min_max_modulus(model, tail, cfg))
     return LimitProxy.from_tail(kind, {"liminf": lo, "limsup": hi,
                                        "limit": np.concatenate([lo, hi])}[kind])
 
@@ -257,7 +275,7 @@ def check_lemma1(model: MappingModel, p, ladder: RadiusLadder,
     At each rung: S'(r) >= 2 pi^{(2-p)/2} r^{1-p} d_p^{-1}(r) S^{p/2}(r) and
     S'(r) >= L^p(r) / ((2 pi r)^{p-1} d_p(r)); the area row comes first.
     """
-    p, r = _rungs("lemma1", ANY_P, p, ladder)
+    p, r = _checked_order("lemma1", ANY_P, p), ladder.radii()
     sp, s = area_rate(model, r, cfg), area(model, r, cfg)
     ell, d = boundary_length(model, r, cfg), circular_dilatation_mean(model, r, p, cfg)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -284,7 +302,7 @@ def check_lemma2(model: MappingModel, p, ladder: RadiusLadder,
                  cfg: QuadratureConfig) -> BoundReport:
     """Area upper bound for p > 2:
     S(r) <= pi (p-2)^{-2/(p-2)} (integral_r^1 dt/(t^{p-1} d_p(t)))^{-2/(p-2)}."""
-    p, r = _rungs("lemma2", HIGH_P, p, ladder)
+    p, r = _checked_order("lemma2", HIGH_P, p), ladder.radii()
     integral = radial_integral_outer(dilatation_radial_fn(model, p, cfg), r, p, cfg)
     # one power of the product, as in lemma 4: near p = 2 the factors
     # overflow and underflow apart; a product below 1 may still make the
@@ -326,7 +344,7 @@ def check_lemma4(model: MappingModel, p, ladder: RadiusLadder,
                  cfg: QuadratureConfig) -> BoundReport:
     """Area lower bound for 1 < p < 2:
     S(r) >= pi (2-p)^{2/(2-p)} (integral_0^r dt/(t^{p-1} d_p(t)))^{2/(2-p)}."""
-    p, r = _rungs("lemma4", LOW_P, p, ladder)
+    p, r = _checked_order("lemma4", LOW_P, p), ladder.radii()
     inner, rel_deltas, notes = _inner(model, p, r, cfg)
     expo = 2.0 / (2.0 - p)
     # one power of the product: (2-p)^expo underflows and inner^expo
@@ -361,11 +379,12 @@ def theorem1_bound(model: MappingModel, p, ladder: RadiusLadder,
 
     A divergent disc mean voids the hypothesis; the verdict is then vacuous.
     """
-    p, r = _rungs("theorem1", HIGH_P, p, ladder)
-    mean = disc_mean(model, r, p, cfg)
+    p, tail = _checked_order("theorem1", HIGH_P, p), ladder.tail_radii()
+    # the disc means take every rung, since _divergent reads the whole ladder
+    mean = disc_mean(model, ladder.radii(), p, cfg)
     notes, means = set(mean.flags), mean.value
     k = LimitProxy.from_tail("liminf", means[-ladder.tail:])
-    attained = _ratio_proxy("liminf", model, r, ladder.tail)
+    attained = _ratio_proxy("liminf", model, tail, cfg)
     if _divergent(means):
         notes.update(("divergent-mean", "vacuous"))
         bound, slack = math.inf, 0.0
@@ -379,7 +398,7 @@ def theorem1_bound(model: MappingModel, p, ladder: RadiusLadder,
         slack = attained.tail_spread + (bound_hi - bound if math.isfinite(bound) else 0.0)
         if bound - attained.value < 0.0 <= bound - attained.value + slack:
             notes.add("proxy-slack")
-    report = _finish("theorem1", p, r[-1], bound, attained.value, slack, notes)
+    report = _finish("theorem1", p, tail[-1], bound, attained.value, slack, notes)
     return Theorem1Result(k=k, bound=bound, attained=attained.value, report=report)
 
 
@@ -395,15 +414,14 @@ def theorem3_bound(model: MappingModel, p, ladder: RadiusLadder,
                    cfg: QuadratureConfig) -> TailBoundResult:
     """liminf |f(z)|/|z| <= (p-2)^{1/(2-p)} k0^{1/(2-p)} with
     k0 = limsup r^{p-2} integral_r^1 dt/(t^{p-1} d_p(t)), p > 2."""
-    p, r = _rungs("theorem3", HIGH_P, p, ladder)
-    vals = r ** (p - 2.0) * radial_integral_outer(dilatation_radial_fn(model, p, cfg), r, p, cfg)
-    k0 = LimitProxy.from_tail("limsup", vals[-ladder.tail:])
-    attained = _ratio_proxy("liminf", model, r, ladder.tail)
+    p, tail = _checked_order("theorem3", HIGH_P, p), ladder.tail_radii()
+    k0 = LimitProxy.from_tail("limsup", _outer_tail(model, p, ladder, cfg))
+    attained = _ratio_proxy("liminf", model, tail, cfg)
     bound = _power((p - 2.0) * k0.value, 1.0 / (2.0 - p)) if k0.value > 0 else math.inf
     k0_lo = k0.value - k0.tail_spread
     bound_hi = _power((p - 2.0) * k0_lo, 1.0 / (2.0 - p)) if k0_lo > 0 else math.inf
     slack = attained.tail_spread + (bound_hi - bound if math.isfinite(bound_hi) else 0.0)
-    report = _finish("theorem3", p, r[-1], bound, attained.value, slack)
+    report = _finish("theorem3", p, tail[-1], bound, attained.value, slack)
     return TailBoundResult(k0=k0, bound=bound, attained=attained.value, report=report)
 
 
@@ -411,14 +429,13 @@ def theorem5_bound(model: MappingModel, p, ladder: RadiusLadder,
                    cfg: QuadratureConfig) -> TailBoundResult:
     """limsup |f(z)|/|z| >= (2-p)^{1/(2-p)} k0^{1/(2-p)} with
     k0 = limsup r^{p-2} integral_0^r dt/(t^{p-1} d_p(t)), 1 < p < 2."""
-    p, r = _rungs("theorem5", LOW_P, p, ladder)
-    inner, rel_deltas, notes = _inner(model, p, r, cfg)
-    k0 = LimitProxy.from_tail("limsup", (r ** (p - 2.0) * inner)[-ladder.tail:])
-    attained = _ratio_proxy("limsup", model, r, ladder.tail)
+    p, tail = _checked_order("theorem5", LOW_P, p), ladder.tail_radii()
+    inner, rel_deltas, notes = _inner(model, p, tail, cfg)
+    k0 = LimitProxy.from_tail("limsup", tail ** (p - 2.0) * inner)
+    attained = _ratio_proxy("limsup", model, tail, cfg)
     bound = _power((2.0 - p) * k0.value, 1.0 / (2.0 - p))
-    slack = (_trunc_slack(bound, 1.0 / (2.0 - p), rel_deltas[-ladder.tail:].max())
-             + attained.tail_spread)
-    report = _finish("theorem5", p, r[-1], attained.value, bound, slack, notes)
+    slack = _trunc_slack(bound, 1.0 / (2.0 - p), rel_deltas.max()) + attained.tail_spread
+    report = _finish("theorem5", p, tail[-1], attained.value, bound, slack, notes)
     return TailBoundResult(k0=k0, bound=bound, attained=attained.value, report=report)
 
 
@@ -437,25 +454,24 @@ def theorem6_bracket(model: MappingModel, p, ladder: RadiusLadder,
     """Two-sided bracket of A = lim |f(z)|/|z| for 1 < p < 2, via the inner
     integral at p and the outer integral at the conjugate order p', and the
     Remark's relation between the two tail constants."""
-    p, r = _rungs("theorem6", LOW_P, p, ladder)
+    p, tail = _checked_order("theorem6", LOW_P, p), ladder.tail_radii()
     pc = p / (p - 1.0)  # the conjugate order, in (2, inf)
-    inner, rel_deltas, notes = _inner(model, p, r, cfg)
-    outer = radial_integral_outer(dilatation_radial_fn(model, pc, cfg), r, pc, cfg)
-    k1 = LimitProxy.from_tail("limsup", (r ** (p - 2.0) * inner)[-ladder.tail:])
-    k2 = LimitProxy.from_tail("limsup", (r ** (pc - 2.0) * outer)[-ladder.tail:])
+    inner, rel_deltas, notes = _inner(model, p, tail, cfg)
+    k1 = LimitProxy.from_tail("limsup", tail ** (p - 2.0) * inner)
+    k2 = LimitProxy.from_tail("limsup", _outer_tail(model, pc, ladder, cfg))
     lower = _power((2.0 - p) * k1.value, 1.0 / (2.0 - p))
     upper = _power((pc - 2.0) * k2.value, 1.0 / (2.0 - pc)) if k2.value > 0 else math.inf
-    a_proxy = _ratio_proxy("limit", model, r, ladder.tail)
+    a_proxy = _ratio_proxy("limit", model, tail, cfg)
     remark_rhs = ((p - 1.0) ** (p - 1.0) / ((2.0 - p) ** p * k2.value ** (p - 1.0))
                   if k2.value > 0 else math.inf)
     if a_proxy.tail_spread > SINGLE_LIMIT_SPREAD:
         # the bracket presumes a single limit of |f(z)|/|z|; when the proxy
         # cannot certify one at this ladder depth the statement is vacuous
         notes.update(("no-single-limit", "vacuous"))
-    a, spread, rel = a_proxy.value, a_proxy.tail_spread, rel_deltas[-ladder.tail:].max()
+    a, spread, rel = a_proxy.value, a_proxy.tail_spread, rel_deltas.max()
     slack = [spread + _trunc_slack(lower, 1.0 / (2.0 - p), rel), spread,
              _trunc_slack(k1.value, 1.0, rel)]
-    report = _finish("theorem6", p, r[-1], [a, upper, remark_rhs], [lower, a, k1.value],
+    report = _finish("theorem6", p, tail[-1], [a, upper, remark_rhs], [lower, a, k1.value],
                      slack, notes)
     return BracketResult(k1=k1, k2=k2, lower=lower, upper=upper, a_proxy=a_proxy,
                          report=report)
@@ -474,22 +490,21 @@ def theorem7_area_derivative(model: MappingModel, p, s, ladder: RadiusLadder,
     """Existence of the area derivative at 0: the lower-bound limit at order p,
     the upper-bound limit at order s, and S(r)/(pi r^2) must all agree, each
     pair to within the sum of the three tail spreads."""
-    p, r = _rungs("theorem7", LOW_P, p, ladder)
+    p, tail = _checked_order("theorem7", LOW_P, p), ladder.tail_radii()
     s = _order(s)
     if not HIGH_P.applies(s):
         raise ConfigError(f"theorem7 needs s in {HIGH_P.name}, got s={s}")
-    inner, rel_deltas, notes = _inner(model, p, r, cfg)
+    inner, rel_deltas, notes = _inner(model, p, tail, cfg)
     expo, expo_s = 2.0 / (2.0 - p), 2.0 / (2.0 - s)
-    lower = ((2.0 - p) * r ** (p - 2.0) * inner) ** expo
-    v = r ** (s - 2.0) * radial_integral_outer(dilatation_radial_fn(model, s, cfg), r, s, cfg)
+    lower = ((2.0 - p) * tail ** (p - 2.0) * inner) ** expo
+    v = _outer_tail(model, s, ladder, cfg)
     # one float64 power of the product, as in lemma 4: near s = 2 the factor
     # (s-2)^expo_s overflows a Python float, and the product's power may be
     # +inf
     with np.errstate(over="ignore", divide="ignore"):
         upper = np.where(v > 0, ((s - 2.0) * v) ** expo_s, math.inf)
-    ratio = area(model, r, cfg) / (math.pi * r * r)
-    proxies = [LimitProxy.from_tail("limit", vals[-ladder.tail:])
-               for vals in (lower, upper, ratio)]
+    ratio = area(model, tail, cfg) / (math.pi * tail * tail)
+    proxies = [LimitProxy.from_tail("limit", vals) for vals in (lower, upper, ratio)]
     spread = sum(proxy.tail_spread for proxy in proxies)
     if spread > 3.0 * SINGLE_LIMIT_SPREAD:
         notes.add("no-single-limit")
@@ -500,8 +515,8 @@ def theorem7_area_derivative(model: MappingModel, p, s, ladder: RadiusLadder,
     # (lower, upper), (lower, ratio) and (upper, ratio)
     lo_v, up_v, ratio_v = (proxy.value for proxy in proxies)
     a, b = np.array([lo_v, lo_v, up_v]), np.array([up_v, ratio_v, ratio_v])
-    slack = _trunc_slack(lower, expo, rel_deltas)[-ladder.tail:].max()
-    report = _finish("theorem7", p, r[-1], np.minimum(a, b) + spread, np.maximum(a, b),
+    slack = _trunc_slack(lower, expo, rel_deltas).max()
+    report = _finish("theorem7", p, tail[-1], np.minimum(a, b) + spread, np.maximum(a, b),
                      slack, notes)
     return AreaDerivativeResult(*proxies, report=report)
 

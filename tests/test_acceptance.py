@@ -44,7 +44,7 @@ from dilatox.functionals import (
     disc_mean,
     radial_integral_inner,
 )
-from dilatox.mapping import PolarPoint, fd_model, min_max_modulus
+from dilatox.mapping import fd_model, min_max_modulus
 from dilatox.functionals import dilatation_grid
 from dilatox.quadrature import QuadratureConfig
 from dilatox.verifier import (
@@ -80,12 +80,11 @@ def test_criterion_01_closed_form_dilatations(cfg):
         p = 3.0
         fd = fd_model(entry.model.value, label="fd", theta_invariant=True)
         for _ in range(100):
-            z = PolarPoint(float(rng.uniform(0.05, 0.95)),
-                           float(rng.uniform(0.0, 2.0 * math.pi)))
-            expected = closed(z.r, p)
-            assert float(dilatation_grid(entry.model, z.r, z.theta, p)) == pytest.approx(
+            r, theta = rng.uniform(0.05, 0.95), rng.uniform(0.0, 2.0 * math.pi)
+            expected = closed(r, p)
+            assert float(dilatation_grid(entry.model, r, theta, p)) == pytest.approx(
                 expected, rel=1e-10)
-            assert float(dilatation_grid(fd, z.r, z.theta, p)) == pytest.approx(
+            assert float(dilatation_grid(fd, r, theta, p)) == pytest.approx(
                 expected, rel=1e-6)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -211,7 +210,7 @@ def test_criterion_09_divergence_detection():
     assert all(a < b for a, b in zip(means, means[1:])), "disc mean must increase"
     assert lad.radii()[-1] <= 1e-3
     assert means[-1] > 10.0 * means[0]
-    l_f, _ = min_max_modulus(model, float(lad.radii()[-1]))
+    l_f, _ = min_max_modulus(model, float(lad.radii()[-1]), cfg)
     assert l_f / lad.radii()[-1] > 10.0
     _report("criterion-09",
             f"disc mean x{means[-1] / means[0]:.1f} by r={lad.radii()[-1]:.2e}, "

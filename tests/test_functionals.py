@@ -32,7 +32,6 @@ from dilatox.mapping import (
     BLOCK_POINTS,
     FIRST_STOP,
     MappingModel,
-    PolarPoint,
     _circle_reduce,
     jacobian_grid,
     min_max_modulus,
@@ -73,24 +72,21 @@ class TestPointwiseDilatation:
         entry = linear(0.5)
         rng = np.random.default_rng(3)
         for _ in range(20):
-            z = PolarPoint(float(rng.uniform(0.05, 0.95)),
-                           float(rng.uniform(0.0, 2.0 * math.pi)))
-            assert float(dilatation_grid(entry.model, z.r, z.theta, p)) == pytest.approx(
+            r, theta = rng.uniform(0.05, 0.95), rng.uniform(0.0, 2.0 * math.pi)
+            assert float(dilatation_grid(entry.model, r, theta, p)) == pytest.approx(
                 0.5 ** (p - 2.0), rel=1e-10)
 
     def test_log_singular_hand_value(self):
         # D_3 at r = 1/e is ln^2(e^2) = 4
         entry = log_singular(3.0)
-        z = PolarPoint(1.0 / math.e, 0.0)
-        got = float(dilatation_grid(entry.model, z.r, z.theta, 3.0))
+        got = float(dilatation_grid(entry.model, 1.0 / math.e, 0.0, 3.0))
         assert got == pytest.approx(4.0, rel=1e-9)
 
     def test_perturbed_map_closed_form(self):
         # D_p = |1 + 0.2 z|^{p-2} for f = z + 0.1 z^2
         f = perturbed_conformal()
-        z = PolarPoint(0.6, 1.1)
-        expected = abs(1.0 + 0.2 * z.z) ** 2.0
-        assert float(dilatation_grid(f, z.r, z.theta, 4.0)) == pytest.approx(
+        expected = abs(1.0 + 0.2 * cmath.rect(0.6, 1.1)) ** 2.0
+        assert float(dilatation_grid(f, 0.6, 1.1, 4.0)) == pytest.approx(
             expected, rel=1e-12)
 
 
@@ -118,7 +114,8 @@ class TestCircularMeans:
             assert got.shape == (40, 512)
             np.testing.assert_allclose(got, grid(slow, col, th), rtol=1e-13, atol=0.0)
         rungs = np.geomspace(1e-3, 0.5, 20)
-        for got, want in zip(min_max_modulus(fast, rungs), min_max_modulus(slow, rungs)):
+        for got, want in zip(min_max_modulus(fast, rungs, cfg),
+                             min_max_modulus(slow, rungs, cfg)):
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
     def test_bounded_by_supremum(self, cfg):
@@ -233,7 +230,7 @@ class TestCircleBlocks:
     def _ladder_functionals(model, radii, cfg):
         return [dilatation_radial_fn(model, 3.0, cfg)(radii), area(model, radii, cfg),
                 boundary_length(model, radii, cfg), disc_mean(model, radii, 1.5, cfg).value,
-                *min_max_modulus(model, radii)]
+                *min_max_modulus(model, radii, cfg)]
 
     @pytest.mark.parametrize("make", [perturbed_conformal, lambda: affine(0.99)],
                              ids=["settles", "reaches-cap"])
@@ -319,7 +316,7 @@ class TestNestedLevels:
     def _quantities(model, radii, cfg):
         return [dilatation_radial_fn(model, 1.5, cfg)(radii),
                 dilatation_radial_fn(model, 3.0, cfg)(radii), area(model, radii, cfg),
-                boundary_length(model, radii, cfg), *min_max_modulus(model, radii)]
+                boundary_length(model, radii, cfg), *min_max_modulus(model, radii, cfg)]
 
     @pytest.mark.parametrize("make, rtol", [
         (angular_stretch, 1e-15),

@@ -170,6 +170,20 @@ class TestLadderMatchesOneRung:
                [radial_integral_outer(d_p, r, 3.0, cfg) for r in radii])
 
 
+@pytest.mark.parametrize("p", [1.2, 1.5, 1.8])
+@pytest.mark.parametrize("entry", LADDER_MAPS, ids=LADDER_IDS)
+def test_inner_on_the_tail_is_a_prefix(entry, p, cfg, ladder):
+    # the pass from EPS_TRUNC to the tail rungs is a prefix of the one to
+    # every rung, with the same deepest rung, step and segments, so the
+    # theorems that read the tail alone get the same bits
+    d_p = dilatation_radial_fn(_model(entry), p, cfg)
+    whole = radial_integral_inner(d_p, ladder.radii(), p, cfg)
+    tail = radial_integral_inner(d_p, ladder.tail_radii(), p, cfg)
+    assert tail.value.tobytes() == whole.value[-ladder.tail:].tobytes()
+    assert tail.refinement_delta.tobytes() == whole.refinement_delta[-ladder.tail:].tobytes()
+    assert tail.flags == whole.flags
+
+
 def _two_ladder_reference(fn, eps, radii, transform, cfg):
     """The refinement as two full ladder passes, truncated at eps and at eps/2:
     (the fine values, their distances to the coarse ones, whether any rung
@@ -338,13 +352,14 @@ def test_model_calls_stay_within_one_base_grid(cfg, ladder):
 
 
 def test_invariant_model_calls_cost_one_angle(cfg, ladder):
-    # lemma 3 samples q_p = D_p on full circles, and min_max_modulus on n_theta
-    # angles; a theta-invariant model is still evaluated at one angle per radius
+    # lemma 3 samples q_p = D_p on full circles, and min_max_modulus on
+    # cfg.n_theta angles; a theta-invariant model is still evaluated at one angle
+    # per radius
     sizes = []
     model = _counted_model(linear(0.5).model, sizes)
     run_checks(model, 3.0, ladder, cfg, names=["lemma3"])
     assert sizes and max(sizes) <= romberg_nodes(cfg)
     sizes.clear()
     rungs = ladder.radii()
-    min_max_modulus(model, rungs)
+    min_max_modulus(model, rungs, cfg)
     assert sizes == [len(rungs)]

@@ -1,4 +1,4 @@
-"""Mapping core: polar points, Jacobians, finite differences, modulus extremes,
+"""Mapping core: Jacobians, finite differences, modulus extremes,
 ingestion of custom maps, and the in-tree interpolants against
 scipy.interpolate."""
 
@@ -17,7 +17,6 @@ from dilatox.functionals import area
 from dilatox.mapping import (
     CubicHermite,
     MappingModel,
-    PolarPoint,
     RadialProfile,
     fd_model,
     jacobian_grid,
@@ -27,31 +26,15 @@ from dilatox.mapping import (
     pchip,
     validate_model,
 )
-from dilatox.quadrature import circle_nodes
+from dilatox.quadrature import QuadratureConfig, circle_nodes
 from dilatox.verifier import RadiusLadder
-
-
-class TestPolarPoint:
-    def test_angle_normalized(self):
-        assert PolarPoint(0.5, 2.0 * math.pi + 1.0).theta == pytest.approx(1.0)
-        assert PolarPoint(0.5, -1.0).theta == pytest.approx(2.0 * math.pi - 1.0)
-
-    @pytest.mark.parametrize("r", [0.0, 1.0, -0.3, 1.5])
-    def test_radius_range_enforced(self, r):
-        with pytest.raises(ConfigError):
-            PolarPoint(r, 0.0)
-
-    def test_complex_embedding(self):
-        z = PolarPoint(0.5, math.pi / 2.0).z
-        assert z == pytest.approx(0.5j)
 
 
 class TestJacobian:
     def test_linear_map_value(self):
         # |k|^2 for f = k z; the k = 0.5 hand value is 0.25
         entry = next(e for e in catalog_suite() if e.model.label.startswith("linear"))
-        z = PolarPoint(0.3, 1.0)
-        assert float(jacobian_grid(entry.model, z.r, z.theta)) == pytest.approx(0.25)
+        assert float(jacobian_grid(entry.model, 0.3, 1.0)) == pytest.approx(0.25)
 
     @pytest.mark.parametrize("entry", catalog_suite(), ids=suite_ids())
     def test_positive_on_catalog(self, entry):
@@ -130,9 +113,7 @@ class TestFiniteDifferences:
         rng = np.random.default_rng(11)
         r, th = np.empty(100), np.empty(100)
         for i in range(100):
-            z = PolarPoint(float(rng.uniform(0.05, 0.95)),
-                           float(rng.uniform(0.0, 2.0 * math.pi)))
-            r[i], th[i] = z.r, z.theta
+            r[i], th[i] = rng.uniform(0.05, 0.95), rng.uniform(0.0, 2.0 * math.pi)
         fd = fd_model(entry.model.value, label="fd")
         for fd_partial, partial in ((fd.partial_r, entry.model.partial_r),
                                     (fd.partial_theta, entry.model.partial_theta)):
@@ -158,9 +139,8 @@ class TestFiniteDifferences:
     def test_fd_model_wraps_value_only_map(self):
         f = perturbed_conformal()
         g = fd_model(f.value, label="fd")
-        z = PolarPoint(0.4, 1.2)
-        assert float(jacobian_grid(g, z.r, z.theta)) == pytest.approx(
-            float(jacobian_grid(f, z.r, z.theta)), rel=1e-6)
+        assert float(jacobian_grid(g, 0.4, 1.2)) == pytest.approx(
+            float(jacobian_grid(f, 0.4, 1.2)), rel=1e-6)
 
 
 class TestSlopeMaps:
@@ -185,34 +165,34 @@ class TestSlopeMaps:
 
 
 class TestModulusExtremes:
-    def test_exact_for_rotationally_symmetric(self):
+    def test_exact_for_rotationally_symmetric(self, cfg):
         entry = next(e for e in catalog_suite() if e.model.label == "identity")
-        lo, hi = min_max_modulus(entry.model, 0.4)
+        lo, hi = min_max_modulus(entry.model, 0.4, cfg)
         assert lo == pytest.approx(0.4)
         assert hi == pytest.approx(0.4)
 
     def test_monotone_under_refinement(self):
         f = perturbed_conformal()
-        prev_lo, prev_hi = min_max_modulus(f, 0.5, n_theta=64)
+        prev_lo, prev_hi = min_max_modulus(f, 0.5, QuadratureConfig(n_theta=64))
         for n in (128, 256, 512, 1024):
-            lo, hi = min_max_modulus(f, 0.5, n_theta=n)
+            lo, hi = min_max_modulus(f, 0.5, QuadratureConfig(n_theta=n))
             assert lo <= prev_lo + 1e-15
             assert hi >= prev_hi - 1e-15
             prev_lo, prev_hi = lo, hi
 
     @pytest.mark.parametrize("model", [e.model for e in catalog_suite()]
                              + [perturbed_conformal()], ids=suite_ids() + ["perturbed"])
-    def test_rung_array_matches_each_radius(self, model):
+    def test_rung_array_matches_each_radius(self, model, cfg):
         rungs = np.array([0.5, 0.3, 0.07, 0.004])
-        lo, hi = min_max_modulus(model, rungs)
+        lo, hi = min_max_modulus(model, rungs, cfg)
         assert lo.shape == hi.shape == rungs.shape
         for r, l, h in zip(rungs, lo, hi):
-            assert min_max_modulus(model, float(r)) == (l, h)
+            assert min_max_modulus(model, float(r), cfg) == (l, h)
 
-    def test_radius_outside_disc_rejected(self):
+    def test_radius_outside_disc_rejected(self, cfg):
         # the message names the bad radius, not the whole array
         with pytest.raises(ConfigError, match=r"got 1\.0$"):
-            min_max_modulus(perturbed_conformal(), np.array([0.5, 1.0]))
+            min_max_modulus(perturbed_conformal(), np.array([0.5, 1.0]), cfg)
 
 
 class TestValidationAndIngestion:

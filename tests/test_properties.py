@@ -1,6 +1,5 @@
-"""Property-based checks of the structural invariants: angle normalization,
-Jacobian scaling laws, power-mean bounds, extended-value propagation, and
-tolerance symmetry."""
+"""Property-based checks of the structural invariants: Jacobian scaling laws,
+power-mean bounds, extended-value propagation, and tolerance symmetry."""
 
 import math
 
@@ -16,7 +15,7 @@ from dilatox.functionals import (
     circular_mean,
     dilatation_grid,
 )
-from dilatox.mapping import PolarPoint, jacobian_grid
+from dilatox.mapping import jacobian_grid
 from dilatox.quadrature import QuadratureConfig, log_power_tail
 from dilatox.verifier import LimitProxy, growth_bound, tolerance
 
@@ -30,26 +29,15 @@ orders = st.floats(min_value=1.05, max_value=8.0, allow_nan=False).filter(
 slopes = st.floats(min_value=0.05, max_value=1.0, allow_nan=False)
 
 
-@given(r=radii, theta=angles)
-def test_polar_angle_always_normalized(r, theta):
-    z = PolarPoint(r, theta)
-    assert 0.0 <= z.theta < 2.0 * math.pi
-    # the complex embedding is unchanged by normalization
-    expected = r * complex(math.cos(theta), math.sin(theta))
-    assert abs(z.z - expected) <= 1e-12 * max(1.0, abs(theta))
-
-
 @given(k=slopes, r=radii, theta=angles)
 def test_linear_jacobian_scaling(k, r, theta):
-    z = PolarPoint(r, theta)
-    assert float(jacobian_grid(linear(k).model, z.r, z.theta)) == pytest.approx(
+    assert float(jacobian_grid(linear(k).model, r, theta)) == pytest.approx(
         k * k, rel=1e-12)
 
 
 @given(k=slopes, p=orders, r=radii)
 def test_linear_dilatation_power_law(k, p, r):
-    z = PolarPoint(r, 0.0)
-    got = float(dilatation_grid(linear(k).model, z.r, z.theta, p))
+    got = float(dilatation_grid(linear(k).model, r, 0.0, p))
     assert got == pytest.approx(k ** (p - 2.0), rel=1e-10)
 
 

@@ -1,6 +1,7 @@
 """Inequality checks, limit proxies, the explicit growth constant, and the
 asymptotic-ratio theorems with their sharpness cases."""
 
+import cmath
 import functools
 import json
 import math
@@ -613,3 +614,31 @@ class TestNestedRadialPasses:
             finite = np.isfinite(want)
             assert np.array_equal(got[~finite], want[~finite])
             assert np.all(np.abs(got[finite] - want[finite]) <= 2e-15)
+
+
+class TestModulusGrid:
+    """The ratio proxies read |f| on the run's angular grid,
+    QuadratureConfig.n_theta, on the tail rungs alone."""
+
+    @pytest.mark.parametrize("n_theta", [512, 1024])
+    def test_theorem5_evaluates_the_tail_circles_only(self, n_theta, ladder):
+        # the inner integrals read the partials; the value is read by the
+        # limsup of max|f|/r alone, on all n_theta nodes of each tail rung
+        model, sizes = recording(perturbed_conformal())
+        theorem5_bound(model, 1.5, ladder, QuadratureConfig(n_theta=n_theta))
+        assert sum(sizes["value"]) == ladder.tail * n_theta
+
+    def test_off_node_extremes_keep_every_verdict(self, ladder):
+        # c = 0.1 e^{0.01i} puts the extremes of |f| off the nodes of both
+        # grids; a 2048-node grid moves the proxies, not a verdict or note
+        model = _theta_map(0.1 * cmath.exp(0.01j))
+        runs = [[rep for p in (1.2, 1.5, 1.8, 2.5, 3.0, 4.0)
+                 for rep in run_checks(model, p, ladder, QuadratureConfig(n_theta=n_theta),
+                                       ["theorem5", "theorem6"] if p < 2.0
+                                       else ["theorem1", "theorem3"])]
+                for n_theta in (512, 2048)]
+        for coarse, fine in zip(*runs):
+            assert (coarse.check_id, coarse.holds, coarse.notes) == (
+                fine.check_id, fine.holds, fine.notes)
+            if math.isfinite(fine.margin):
+                assert abs(coarse.margin - fine.margin) <= 1e-8
