@@ -28,7 +28,8 @@ from .mapping import (
     pchip,
     sample_table,
 )
-from .quadrature import R_FLOOR, QuadratureConfig, circle_nodes, integrate_from_origin
+from .functionals import disc_power_mean
+from .quadrature import QuadratureConfig, circle_nodes
 from .verifier import BoundReport, LimitProxy, RadiusLadder, _finish, growth_bound
 
 DRIFT_TOL = 1e-12
@@ -54,8 +55,8 @@ class SigmaCoefficient:
 
 def power_sigma(kappa: float, m: float) -> SigmaCoefficient:
     """The exactly solvable power-family coefficient sigma = -i / (kappa r^{m+1})."""
-    if not kappa > 0.0:
-        raise ConfigError(f"kappa must be positive, got {kappa}")
+    if not 0.0 < kappa < math.inf:
+        raise ConfigError(f"kappa must be finite and positive, got {kappa}")
 
     def sigma(r):
         return -1j / (kappa * np.asarray(r, dtype=float) ** (m + 1.0))
@@ -228,20 +229,13 @@ def dilatation_from_sigma(coef: SigmaCoefficient, r) -> np.ndarray:
 
 def condition_sigma0(coef: SigmaCoefficient, ladder: RadiusLadder,
                      cfg: QuadratureConfig) -> LimitProxy:
-    """liminf proxy of ((1/pi r^2) * integral_{B_r} dxdy /
-    (|z| Im(conj sigma)^{1/(m+1)}))^{m+1} over the ladder tail."""
-    def g(t):
-        t = np.asarray(t, dtype=float)
-        ims = coef.imag_conj(t)
-        if np.any(ims <= 0.0):
-            raise NonPositiveImag("Im(conj(sigma)) <= 0 on the sampled region")
-        # circle integral of the radially symmetric integrand, times t
-        return 2.0 * math.pi / ims ** (1.0 / (coef.m + 1.0))
-
-    radii = ladder.radii()
-    disc = integrate_from_origin(g, R_FLOOR, radii, cfg)
-    vals = (disc / (math.pi * radii * radii)) ** (coef.m + 1.0)
-    return LimitProxy.from_tail("liminf", vals[-ladder.tail:])
+    """liminf proxy over the ladder tail of sigma_0's disc mean of D_{m+2},
+    ((1/pi r^2) * integral_{B_r} dxdy / (|z| Im(conj sigma)^{1/(m+1)}))^{m+1}:
+    functionals.disc_power_mean of dilatation_from_sigma at order m + 2, on
+    one node of each circle, since D_{m+2} is radial."""
+    mean = disc_power_mean(lambda t, th: dilatation_from_sigma(coef, t), ladder.radii(),
+                           coef.m + 2.0, 1, cfg)
+    return LimitProxy.from_tail("liminf", mean.value[-ladder.tail:])
 
 
 @dataclass

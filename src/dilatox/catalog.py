@@ -66,8 +66,8 @@ def identity() -> CatalogEntry:
 def radial_stretch(alpha: float) -> CatalogEntry:
     """f(z) = z |z|^alpha, alpha > 0: vanishing asymptotic ratio at the origin."""
     alpha = float(alpha)
-    if not alpha > 0.0:
-        raise ConfigError(f"radial stretch needs alpha > 0, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise ConfigError(f"radial stretch needs a finite alpha > 0, got {alpha}")
     profile = RadialProfile(
         R=lambda r: np.asarray(r, dtype=float) ** (alpha + 1.0),
         R_prime=lambda r: (alpha + 1.0) * np.asarray(r, dtype=float) ** alpha,
@@ -84,16 +84,17 @@ class _LogSingularProfile:
     on a dense uniform grid; the antiderivative's node values come from the
     endpoint-corrected trapezoid rule and it is evaluated as the cubic Hermite
     interpolant with slopes w (relative error well below 1e-10 on
-    [r_floor, 1]).
+    [r_floor, 1]) on 6001 nodes.
     """
 
-    def __init__(self, p: float, r_floor: float = 1e-10, n: int = 6001):
+    r_floor = 1e-10
+
+    def __init__(self, p: float):
         self.p = p
-        self.r_floor = r_floor
         # Tabulate in v = -ln t, integrating away from 1 where the integrand is
         # O(1): the antiderivative then equals I - 1 directly, avoiding the
         # catastrophic cancellation of differencing two huge running sums.
-        v = np.linspace(0.0, -math.log(r_floor), n)
+        v = np.linspace(0.0, -math.log(self.r_floor), 6001)
         h = v[1] - v[0]
         # integrand of I in v, (p-2) e^{(p-2)v} (1+v)^{1-p}, and its derivative
         w = (p - 2.0) * np.exp((p - 2.0) * v) * (1.0 + v) ** (1.0 - p)
@@ -120,8 +121,8 @@ class _LogSingularProfile:
 def log_singular(p: float) -> CatalogEntry:
     """The automorphism with D_p = ln^{p-1}(e/r): divergent disc mean at 0."""
     p = float(p)
-    if not p > 2.0:
-        raise ConfigError(f"log-singular automorphism needs p > 2, got {p}")
+    if not 2.0 < p < math.inf:
+        raise ConfigError(f"log-singular automorphism needs a finite p > 2, got {p}")
     prof = _LogSingularProfile(p)
     profile = RadialProfile(R=prof.R, R_prime=prof.R_prime)
     return CatalogEntry(model_from_profile(profile, label=f"log_singular(p={p:g})"), profile)
@@ -132,8 +133,9 @@ def beltrami_exact(m: float, kappa: float) -> CatalogEntry:
     nonlinear Beltrami equation; linear with slope kappa^{1/m}."""
     m = float(m)
     kappa = float(kappa)
-    if not (m > 0.0 and kappa > 0.0):
-        raise ConfigError(f"beltrami_exact needs m > 0 and kappa > 0, got m={m}, kappa={kappa}")
+    if not (0.0 < m < math.inf and 0.0 < kappa < math.inf):
+        raise ConfigError(f"beltrami_exact needs finite m > 0 and kappa > 0, got m={m}, "
+                          f"kappa={kappa}")
     return _slope_map(kappa ** (1.0 / m), f"beltrami_exact(m={m:g},kappa={kappa:g})")
 
 

@@ -26,17 +26,11 @@ from .mapping import (
     _circle_reduce,
     _jacobian_and_ft,
     circle_size,
+    circle_size_of,
     evaluation_grid,
     jacobian_grid,
 )
-from .quadrature import (
-    EPS_TRUNC,
-    R_FLOOR,
-    QuadratureConfig,
-    integrate_from_origin,
-    integrate_radial,
-    refine_truncation,
-)
+from .quadrature import EPS_TRUNC, R_FLOOR, QuadratureConfig, integrate_radial, refine_truncation
 
 RadialFn = Callable[[np.ndarray], np.ndarray]
 # one radius, or a 1-d array of them (a ladder); results follow the same shape
@@ -110,17 +104,6 @@ def _dilatation(jac: np.ndarray, ft_abs: np.ndarray, r: np.ndarray, p: float) ->
 _row_mean = partial(np.mean, axis=-1)
 
 
-def _on_circles(fn: RadialFn, n: int) -> RadialFn:
-    """fn, a radial integrand whose value at each radius is a reduction over
-    a circle of up to n samples, marked for the ladder passes over it: its
-    `nested` attribute, read by _refined and radial_integral_outer, is
-    whether they nest (quadrature._ladder_pass). That pays only where a node
-    costs a circle of several samples, a theta-dependent map; a
-    theta-invariant one (n = 1) keeps one integrand call per pass."""
-    fn.nested = n > 1
-    return fn
-
-
 def _power_mean(q: np.ndarray, p: float) -> np.ndarray:
     """Row-wise power mean of exponent 1/(p-1), raised back to p-1."""
     if not (q >= 0.0).all():  # NaN compares false
@@ -135,13 +118,31 @@ def _like_radius(r: Radii, values: np.ndarray) -> Radii:
     return values if np.ndim(r) else float(values[0])
 
 
+def _circle_power_mean(q_fn: Callable[[np.ndarray, np.ndarray], np.ndarray], p: float,
+                       n: int) -> RadialFn:
+    """t -> q_p(t), the power mean of Q over the circle |z| = t on at most n
+    nodes, vectorized over t: the circle integrand of every radial integral
+    of a Q. Like every integrand, it does not check its radii. Its `nested`
+    attribute, read by _radial_integrand, is whether a ladder pass over it
+    nests (quadrature._ladder_pass): that pays only where a node costs a
+    circle of several samples, a theta-dependent map, so it is n > 1."""
+    reduce = partial(_power_mean, p=p)
+
+    def fn(t):
+        return _circle_reduce(q_fn, t, n, reduce)
+
+    fn.nested = n > 1
+    return fn
+
+
 def circular_mean(q_fn: Callable[[np.ndarray, np.ndarray], np.ndarray], r: Radii,
                   p: float, cfg: QuadratureConfig) -> Radii:
     """q_p(r): the power mean of exponent 1/(p-1) of Q over the circle |z| = r,
-    raised back to p-1. Periodic trapezoid rule; +inf propagates."""
+    raised back to p-1, on mapping.circle_size_of's nodes. Periodic
+    trapezoid rule; +inf propagates."""
     p = _order(p)
     _check_radii(r)
-    return _like_radius(r, _circle_reduce(q_fn, r, cfg.n_theta, partial(_power_mean, p=p)))
+    return _like_radius(r, _circle_power_mean(q_fn, p, circle_size_of(q_fn, r, cfg.n_theta))(r))
 
 
 def circular_dilatation_mean(model: MappingModel, r: Radii, p: float,
@@ -152,19 +153,12 @@ def circular_dilatation_mean(model: MappingModel, r: Radii, p: float,
 
 
 def dilatation_radial_fn(model: MappingModel, p: float, cfg: QuadratureConfig) -> RadialFn:
-    """Vectorized r -> d_p(r), used as the integrand source of radial integrals.
-    Like every integrand, it does not check its radii: the public functions
-    check theirs at entry, and the nodes of their integrals lie between them.
-    It is a circle integrand (_on_circles), so the radial integrals over a
-    theta-dependent map nest their ladder passes."""
+    """Vectorized r -> d_p(r), used as the integrand source of radial
+    integrals: the circle integrand _circle_power_mean of D_p, so the radial
+    integrals over a theta-dependent map nest their ladder passes."""
     p = _order(p)
-    n = circle_size(model, cfg.n_theta)
-    reduce = partial(_power_mean, p=p)
-
-    def sample(t, th):
-        return dilatation_grid(model, t, th, p)
-
-    return _on_circles(lambda t: _circle_reduce(sample, t, n, reduce), n)
+    return _circle_power_mean(lambda t, th: dilatation_grid(model, t, th, p), p,
+                              circle_size(model, cfg.n_theta))
 
 
 def length_area_sides(model: MappingModel, p: float, r1: float, r2: float,
@@ -249,30 +243,20 @@ def boundary_length(model: MappingModel, r: Radii, cfg: QuadratureConfig) -> Rad
 def _circle_integral_fn(sample: Callable[[np.ndarray, np.ndarray], np.ndarray],
                         n: int) -> RadialFn:
     """t -> t * integral_0^{2pi} sample(t, theta) d theta, vectorized over t,
-    on at most n circle nodes; a circle integrand (_on_circles)."""
+    on at most n circle nodes."""
     def fn(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
         return t * 2.0 * math.pi * _circle_reduce(sample, t, n, _row_mean)
-    return _on_circles(fn, n)
-
-
-def _disc_integral(sample, r, n: int, cfg: QuadratureConfig) -> np.ndarray:
-    """Lebesgue integral over B_r for each radius of r, truncated at R_FLOOR with
-    power-law tail fit; sample is taken at up to n nodes of each circle. A
-    radius not above R_FLOOR is an EmptyRange. One integrand call, not
-    nested: its caller, lemma 3, samples a bare q_fn and passes the cap n
-    without knowing whether the map depends on the angle."""
-    return integrate_from_origin(_circle_integral_fn(sample, n), R_FLOOR,
-                                 np.atleast_1d(np.asarray(r, dtype=float)), cfg)
+    return fn
 
 
 def _refined(fn: RadialFn, eps: float, r: Radii, transform: Callable[[np.ndarray], np.ndarray],
              flag: str, cfg: QuadratureConfig) -> TruncatedValue:
     """transform of integral_0^r fn at every radius of r truncated at eps/2, and
     its distance to the same truncated at eps (quadrature.refine_truncation,
-    nested as fn is marked). A change beyond quadrature tolerance is flagged,
-    not thrown; a radius not above eps is an EmptyRange."""
-    raw = refine_truncation(fn, eps, r, cfg, nested=fn.nested)
+    nested where fn is marked so). A change beyond quadrature tolerance is
+    flagged, not thrown; a radius not above eps is an EmptyRange."""
+    raw = refine_truncation(fn, eps, r, cfg, nested=getattr(fn, "nested", False))
     coarse, fine = (transform(part) for part in raw)
     with np.errstate(invalid="ignore"):  # inf - inf is masked below
         delta = np.where(np.isfinite(fine) & np.isfinite(coarse), np.abs(fine - coarse),
@@ -282,23 +266,37 @@ def _refined(fn: RadialFn, eps: float, r: Radii, transform: Callable[[np.ndarray
                           (flag,) if unstable.any() else ())
 
 
-def disc_mean(model: MappingModel, r: Radii, p: float,
-              cfg: QuadratureConfig) -> TruncatedValue:
-    """((1/pi r^2) * integral_{B_r} D_p^{1/(p-1)} dxdy)^{p-1} at one radius or a
-    ladder of them, truncated at R_FLOOR/2; its refinement delta is the change
-    from truncating at R_FLOOR, and a change beyond quadrature tolerance sets
-    the "truncation-sensitive" flag.
-    """
+def disc_power_mean(q_fn: Callable[[np.ndarray, np.ndarray], np.ndarray], r: Radii, p: float,
+                    n: int, cfg: QuadratureConfig) -> TruncatedValue:
+    """((1/pi r^2) * integral_{B_r} Q^{1/(p-1)} dxdy)^{p-1} at one radius or a
+    ladder of them, with Q sampled on at most n nodes of each circle,
+    truncated at R_FLOOR/2; its refinement delta is the change from
+    truncating at R_FLOOR, and a change beyond quadrature tolerance sets the
+    "truncation-sensitive" flag.
+
+    The ladder pass is one integrand call, not nested, whatever n: the
+    Romberg diagonal of its base segment from R_FLOOR is not at round-off
+    at the level where a nested pass could stop, so nesting would cost a
+    call and save no circle."""
     p = _order(p)
     _check_radii(r)
     radii = np.atleast_1d(np.asarray(r, dtype=float))
 
     def sample(t, th):
-        return dilatation_grid(model, t, th, p) ** (1.0 / (p - 1.0))
+        return np.asarray(q_fn(t, th), dtype=float) ** (1.0 / (p - 1.0))
 
-    fn = _circle_integral_fn(sample, circle_size(model, cfg.n_theta))
-    return _refined(fn, R_FLOOR, r, lambda raw: (raw / (math.pi * radii * radii)) ** (p - 1.0),
+    return _refined(_circle_integral_fn(sample, n), R_FLOOR, r,
+                    lambda raw: (raw / (math.pi * radii * radii)) ** (p - 1.0),
                     "truncation-sensitive", cfg)
+
+
+def disc_mean(model: MappingModel, r: Radii, p: float,
+              cfg: QuadratureConfig) -> TruncatedValue:
+    """The disc power mean (disc_power_mean) of the angular dilatation D_p,
+    on circle_size(model) nodes of each circle."""
+    p = _order(p)
+    return disc_power_mean(lambda t, th: dilatation_grid(model, t, th, p), r, p,
+                           circle_size(model, cfg.n_theta), cfg)
 
 
 # ----------------------------- radial integrals -----------------------------

@@ -194,16 +194,20 @@ def circle_size(model: MappingModel, n_theta: int) -> int:
     return 1 if model.theta_invariant else n_theta
 
 
+def circle_size_of(q_fn: Callable[[np.ndarray, np.ndarray], np.ndarray], r, n_theta: int) -> int:
+    """circle_size for a bare function Q(t, theta) of the circles: 1 when Q,
+    sampled on two nodes of the circle |z| = r (the first radius of r),
+    comes back angle-broadcast, one column or angle stride 0, as
+    functionals.dilatation_grid returns for a theta-invariant model; n_theta
+    otherwise. The probe evaluates Q at two points at most."""
+    rows = np.ravel(np.asarray(r, dtype=float))[:1]
+    return 1 if _sample_rows(q_fn, rows, circle_nodes(2)).strides[-1] == 0 else n_theta
+
+
 def block_rows(width: int) -> int:
     """Rows of a (radius, angle) grid of width angles per block of at most
     BLOCK_POINTS points, and at least one row."""
     return max(1, BLOCK_POINTS // width)
-
-
-def _angle_columns(vals: np.ndarray) -> np.ndarray:
-    """vals, or its first column alone when it is angle-broadcast: a grid of
-    angle stride 0 holds one value per row."""
-    return vals[..., :1] if vals.ndim and vals.strides[-1] == 0 else vals
 
 
 def _sample_rows(sample: Callable[[np.ndarray, np.ndarray], np.ndarray], rows: np.ndarray,
@@ -277,8 +281,9 @@ def _circle_reduce(sample: Callable[[np.ndarray, np.ndarray], np.ndarray], r, n:
     (n/m)-th of them; the last axis of the result runs over r.
 
     Every quantity defined on the circles |z| = t is one such reduction, and
-    circle_size gives a rotation-invariant map a single node, so invariance is
-    a grid size rather than a separate code path. The periodic trapezoid rule
+    circle_size (circle_size_of for a bare function) gives a
+    rotation-invariant map a single node, so invariance is a grid size
+    rather than a separate code path. The periodic trapezoid rule
     converges geometrically on an analytic integrand, so when FIRST_STOP
     divides n and is less than it, every circle is sampled first on
     FIRST_STOP of the n nodes, in one model call per block of
@@ -288,24 +293,19 @@ def _circle_reduce(sample: Callable[[np.ndarray, np.ndarray], np.ndarray], r, n:
     geometrically, straight to the cap once they do not.
     A row that reaches the cap ends with the samples and order of a
     one-level reduction. nested=False, or an n that FIRST_STOP does not
-    divide, takes that one level, n nodes, for every row. No (t, theta)
-    point is evaluated twice.
-
-    A block that comes back angle-broadcast (one column, or angle stride 0,
-    as functionals.dilatation_grid returns for a theta-invariant map) is
-    reduced on its one column, and the blocks after it are sized for one
-    angle. Each row is reduced and stopped on its own, so the values do not
-    depend on the blocking."""
+    divide, takes that one level, n nodes, for every row, in blocks of
+    block_rows(n) radii. No (t, theta) point is evaluated twice. Each row
+    is reduced and stopped on its own, so the values do not depend on the
+    blocking."""
     t = np.atleast_1d(np.asarray(r, dtype=float))
     theta = circle_nodes(n)
     nested = nested and n > FIRST_STOP and n % FIRST_STOP == 0
     first = theta[::n // FIRST_STOP].copy() if nested else theta
-    parts, start, width = [], 0, first.size
-    while start < t.size:
-        rows = t[start:start + block_rows(width)]
-        vals = _angle_columns(_sample_rows(sample, rows, first))
-        width = vals.shape[-1]
-        if nested and width > 1:
+    parts, step = [], block_rows(first.size)
+    for start in range(0, t.size, step):
+        rows = t[start:start + step]
+        vals = _sample_rows(sample, rows, first)
+        if nested:
             out, half = np.array(reduce(vals), dtype=float), reduce(vals[..., ::2])
             done, going, last = _settled(out, half, _difference(half, reduce(vals[..., ::4])))
             todo = np.flatnonzero(~done)
@@ -317,7 +317,6 @@ def _circle_reduce(sample: Callable[[np.ndarray, np.ndarray], np.ndarray], r, n:
             parts.append(out)
         else:
             parts.append(reduce(vals))
-        start += rows.size
     return np.concatenate(parts, axis=-1)
 
 
@@ -389,21 +388,19 @@ def min_max_modulus(model: MappingModel, r, cfg: QuadratureConfig) -> tuple:
     return (lo, hi) if np.ndim(r) else (float(lo[0]), float(hi[0]))
 
 
-def validate_model(model: MappingModel, radii: np.ndarray | None = None,
-                   n_theta: int = 256, jump_factor: float = 20.0) -> None:
-    """Cheap sanity checks for ingested maps, on every one of n_theta angles of
-    each sampled circle: neighbor-jump continuity, strict Jacobian positivity,
-    and for a map flagged theta_invariant, |f| and J constant around the circle
-    to 1e-9 relative."""
-    if radii is None:
-        radii = np.geomspace(1e-3, 0.95, 16)
-    th = circle_nodes(n_theta)
-    for r in radii:
-        rr = np.full(n_theta, r)
+def validate_model(model: MappingModel) -> None:
+    """Cheap sanity checks for ingested maps, on every one of 256 angles of
+    16 circles from r = 1e-3 to 0.95: continuity (no jump between neighbour
+    nodes beyond 20 times max |f| times the angle step), strict Jacobian
+    positivity, and for a map flagged theta_invariant, |f| and J constant
+    around the circle to 1e-9 relative."""
+    th = circle_nodes(256)
+    for r in np.geomspace(1e-3, 0.95, 16):
+        rr = np.full(th.size, r)
         v = np.asarray(model.value(rr, th))
         jumps = np.abs(np.diff(np.concatenate([v, v[:1]])))
         scale = max(float(np.max(np.abs(v))), 1e-30)
-        if float(np.max(jumps)) > jump_factor * scale * (TWO_PI / n_theta):
+        if float(np.max(jumps)) > 20.0 * scale * (TWO_PI / th.size):
             raise ConfigError(
                 f"{model.label!r} looks discontinuous on circle r={r:.4g}")
         jac = _jacobian_and_ft(model, rr, th)[0]

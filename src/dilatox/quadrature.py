@@ -460,15 +460,6 @@ def log_power_tail(eps: float, g) -> float:
     return float(romb(y, dx=(math.log(eps) - lo) / (len(u) - 1)))
 
 
-def integrate_from_origin(fn: Callable[[np.ndarray], np.ndarray], eps: float,
-                          b: float | np.ndarray, cfg: QuadratureConfig) -> float | np.ndarray:
-    """integral_0^b fn(t) dt for a radius b or a 1-d array of them: the radial
-    quadrature on [eps, b] plus the fitted tail below eps, which every radius
-    shares; one call of fn covers the ladder and the tail samples."""
-    body, _, g = _ladder_pass(fn, eps, b, cfg, eps * TAIL_SAMPLES)
-    return (body if np.ndim(b) else float(body[0])) + log_power_tail(eps, g)
-
-
 def refine_truncation(fn: Callable[[np.ndarray], np.ndarray], eps: float, b,
                       cfg: QuadratureConfig,
                       nested: bool = False) -> tuple[np.ndarray, np.ndarray]:

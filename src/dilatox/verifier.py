@@ -47,19 +47,19 @@ from .functionals import (
     area_rate,
     boundary_length,
     circular_dilatation_mean,
-    circular_mean,
     dilatation_grid,
     dilatation_radial_fn,
     disc_mean,
+    disc_power_mean,
     length_area_sides,
     radial_integral_inner,
     radial_integral_outer,
     tolerance,
-    _disc_integral,
+    _circle_power_mean,
     _order,
     _radial_integrand,
 )
-from .mapping import MappingModel, _angle_columns, min_max_modulus
+from .mapping import MappingModel, circle_size_of, min_max_modulus
 from .quadrature import EPS_TRUNC, QuadratureConfig, integrate_radial
 
 # flat tail_spread threshold operationalizing "|f(z)|/|z| has a single limit point"
@@ -321,23 +321,15 @@ def check_lemma3(q_fn: Callable[[np.ndarray, np.ndarray], np.ndarray], p,
     if not 0.0 < eps < 0.5:
         raise ConfigError(f"eps must lie in (0, 1/2), so that B_(2 eps) lies inside "
                           f"the disc, got {eps}")
-    widths = []
-
-    def sample(t, th):  # an angle-broadcast q_fn stays one column through the power
-        q = _angle_columns(np.asarray(q_fn(t, th), dtype=float))
-        widths.append(q.shape[-1])
-        return q ** (1.0 / (p - 1.0))
-
-    disc = float(_disc_integral(sample, 2.0 * eps, cfg.n_theta, cfg)[0])
-    avg = disc / (4.0 * math.pi * eps ** 2)
-    rhs = 2.0 ** (p - 1.0) * eps ** (p - 2.0) * avg ** (p - 1.0)
-    # integral over [eps, 2 eps] of dt / (t^{p-1} q_p(t)); the disc pass has
-    # shown whether the circles of q_fn take several samples, which makes
-    # this pass nested (quadrature._ladder_pass), or come back angle-broadcast
-    inv_q = _radial_integrand(lambda t: circular_mean(q_fn, t, p, cfg), p)
-    denom = integrate_radial(inv_q, eps, 2.0 * eps, cfg, nested=max(widths) > 1)
+    n = circle_size_of(q_fn, eps, cfg.n_theta)
+    mean = disc_power_mean(q_fn, 2.0 * eps, p, n, cfg)
+    rhs = 2.0 ** (p - 1.0) * eps ** (p - 2.0) * mean.value
+    # integral over [eps, 2 eps] of dt / (t^{p-1} q_p(t)), nested when the
+    # circles of q_fn take several samples (quadrature._ladder_pass)
+    inv_q = _radial_integrand(_circle_power_mean(q_fn, p, n), p)
+    denom = integrate_radial(inv_q, eps, 2.0 * eps, cfg, nested=inv_q.nested)
     lhs = 1.0 / denom if denom > 0.0 else math.inf
-    return _finish("lemma3", p, eps, rhs, lhs)
+    return _finish("lemma3", p, eps, rhs, lhs, notes=mean.flags)
 
 
 def check_lemma4(model: MappingModel, p, ladder: RadiusLadder,

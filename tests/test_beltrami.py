@@ -22,7 +22,8 @@ from dilatox.errors import (
     ConfigError,
     NonPositiveImag,
 )
-from dilatox.functionals import dilatation_grid
+from dilatox.catalog import beltrami_exact
+from dilatox.functionals import dilatation_grid, disc_mean
 
 
 def logistic_sigma():
@@ -186,6 +187,15 @@ class TestDilatationAndCondition:
     def test_condition_sigma0_power_family(self, ladder, cfg):
         proxy = condition_sigma0(power_sigma(kappa=2.0, m=1.0), ladder, cfg)
         assert proxy.value == pytest.approx(2.0, rel=1e-6)
+
+    @pytest.mark.parametrize("kappa, m", [(2.0, 1.0), (0.8, 1.0), (0.5, 2.0), (3.0, 0.5)])
+    def test_condition_sigma0_is_the_disc_mean_of_the_exact_solution(self, kappa, m, ladder,
+                                                                     cfg):
+        # sigma_0 is the disc mean of D_{m+2}, which beltrami_exact(m, kappa)
+        # has as its angular dilatation at order m + 2
+        proxy = condition_sigma0(power_sigma(kappa=kappa, m=m), ladder, cfg)
+        means = disc_mean(beltrami_exact(m, kappa).model, ladder.radii(), m + 2.0, cfg).value
+        assert proxy.value == pytest.approx(float(means[-ladder.tail:].min()), rel=1e-14)
 
     def test_asymptotic_bound_holds(self, ladder, cfg):
         coef = power_sigma(kappa=2.0, m=1.0)

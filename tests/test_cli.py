@@ -66,6 +66,24 @@ class TestExitCodes:
         assert code == 2
         assert not (tmp_path / "verify.json").exists()
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("args", [
+        ("verify", "--map", "radial_stretch", "--param", "alpha={}", "--p", "3"),
+        ("verify", "--map", "log_singular", "--param", "p={}", "--p", "3"),
+        ("verify", "--map", "beltrami_exact", "--param", "m=1", "--param", "kappa={}",
+         "--p", "3"),
+        ("verify", "--map", "beltrami_exact", "--param", "m={}", "--param", "kappa=0.8",
+         "--p", "3"),
+        ("beltrami", "--param", "kappa={}", "--param", "m=1"),
+    ], ids=["radial_stretch-alpha", "log_singular-p", "beltrami_exact-kappa",
+            "beltrami_exact-m", "beltrami-kappa"])
+    def test_non_finite_map_parameter_is_config_error(self, args, value, tmp_path):
+        # an infinite parameter once passed the family's checks and failed
+        # part-way (exit 3), or made beltrami_exact the identity (exit 0)
+        code = run([arg.format(value) for arg in args] + ["--out", str(tmp_path)])
+        assert code == 2
+        assert not any(tmp_path.iterdir())
+
     def test_ladder_below_eps_trunc_is_config_error(self, tmp_path, capsys):
         # a deepest rung of 8.6e-8 lies below the inner integral's truncation
         # radius; the ladder refuses it before any integral, naming the rung

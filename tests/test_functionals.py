@@ -33,6 +33,7 @@ from dilatox.mapping import (
     FIRST_STOP,
     MappingModel,
     _circle_reduce,
+    circle_size_of,
     jacobian_grid,
     min_max_modulus,
 )
@@ -289,23 +290,23 @@ class TestCircleBlocks:
         np.testing.assert_array_equal(_circle_reduce(fn, t, n, _row_mean),
                                       _row_mean(fn(t[:, None], theta[None, :])))
 
-    @pytest.mark.parametrize("broadcast", [
-        lambda rows, th: np.broadcast_to(rows * rows, (rows.shape[0], th.size)),
-        lambda rows, th: rows * rows,
-    ], ids=["stride-0", "one-column"])
-    def test_angle_broadcast_sample_is_reduced_on_one_column(self, broadcast):
-        t = np.geomspace(1e-3, 0.9, 5000)
-        seen = []
-
-        def reduce(vals):
-            seen.append(vals.shape)
-            return vals[:, 0]
-
-        np.testing.assert_array_equal(_circle_reduce(broadcast, t, 512, reduce), t * t)
-        # one column and no refinement; after the first block, the rest of
-        # the rows fit one block sized for one angle
-        assert {w for _, w in seen} == {1}
-        assert len(seen) == 2
+    @pytest.mark.parametrize("q_fn, size", [
+        (lambda rows, th: np.broadcast_to(rows * rows, (rows.shape[0], th.size)), 1),
+        (lambda rows, th: rows * rows, 1),
+        (lambda rows, th: dilatation_grid(linear(0.5).model, rows, th, 3.0), 1),
+        (lambda rows, th: rows * np.exp(np.cos(th)), 512),
+        (lambda rows, th: dilatation_grid(perturbed_conformal(), rows, th, 3.0), 512),
+    ], ids=["stride-0", "one-column", "invariant-model", "full-grid", "theta-model"])
+    def test_circle_size_of_a_bare_function(self, q_fn, size):
+        # an angle-broadcast Q takes one node of each circle and any other
+        # the cap, from a probe of at most 2 points on the first circle
+        sample, seen = _recording_sample(q_fn)
+        assert circle_size_of(sample, np.array([0.5, 0.25]), 512) == size
+        assert sum(map(len, seen)) <= 2 and np.all(np.concatenate(seen)[:, 0] == 0.5)
+        if size == 1:  # the reduction reads each circle at angle 0 alone
+            t = np.geomspace(1e-3, 0.9, 50)
+            at_zero = np.broadcast_to(q_fn(t[:, None], np.zeros((1, 1))), (t.size, 1))[:, 0]
+            np.testing.assert_array_equal(_circle_reduce(q_fn, t, size, _row_mean), at_zero)
 
 
 class TestNestedLevels:

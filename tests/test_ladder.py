@@ -26,8 +26,8 @@ from dilatox.quadrature import (
     R_FLOOR,
     QuadratureConfig,
     circle_nodes,
-    integrate_from_origin,
     integrate_radial,
+    refine_truncation,
     romberg_nodes,
 )
 from dilatox.verifier import (
@@ -185,11 +185,12 @@ def test_inner_on_the_tail_is_a_prefix(entry, p, cfg, ladder):
 
 
 def _two_ladder_reference(fn, eps, radii, transform, cfg):
-    """The refinement as two full ladder passes, truncated at eps and at eps/2:
-    (the fine values, their distances to the coarse ones, whether any rung
-    moved beyond quadrature tolerance)."""
-    coarse = transform(integrate_from_origin(fn, eps, radii, cfg))
-    fine = transform(integrate_from_origin(fn, eps / 2.0, radii, cfg))
+    """The refinement as two full ladder passes, truncated at eps and at eps/2,
+    each the coarse part of its own refine_truncation: (the fine values,
+    their distances to the coarse ones, whether any rung moved beyond
+    quadrature tolerance)."""
+    coarse = transform(refine_truncation(fn, eps, radii, cfg)[0])
+    fine = transform(refine_truncation(fn, eps / 2.0, radii, cfg)[0])
     with np.errstate(invalid="ignore"):
         delta = np.where(np.isfinite(fine) & np.isfinite(coarse), np.abs(fine - coarse),
                          math.inf)
@@ -352,13 +353,15 @@ def test_model_calls_stay_within_one_base_grid(cfg, ladder):
 
 
 def test_invariant_model_calls_cost_one_angle(cfg, ladder):
-    # lemma 3 samples q_p = D_p on full circles, and min_max_modulus on
-    # cfg.n_theta angles; a theta-invariant model is still evaluated at one angle
-    # per radius
+    # lemma 3 samples a bare q_p = D_p, and min_max_modulus reads
+    # cfg.n_theta angles; a theta-invariant model is still evaluated at one
+    # angle per radius: lemma 3's largest call is its disc pass, one point
+    # for each of the 1,025 base nodes, the 65 nodes of the [R_FLOOR/2,
+    # R_FLOOR] segment and the 6 tail samples
     sizes = []
     model = _counted_model(linear(0.5).model, sizes)
     run_checks(model, 3.0, ladder, cfg, names=["lemma3"])
-    assert sizes and max(sizes) <= romberg_nodes(cfg)
+    assert sizes and max(sizes) <= romberg_nodes(cfg) + 65 + 6
     sizes.clear()
     rungs = ladder.radii()
     min_max_modulus(model, rungs, cfg)

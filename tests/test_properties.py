@@ -98,7 +98,7 @@ def test_radial_stretch_area_and_length_match_profile(alpha, r):
 def test_circle_mean_rejects_nan():
     def q_fn(rr, th):
         q = np.ones(np.broadcast_shapes(np.shape(rr), np.shape(th)))
-        q[..., 3] = math.nan  # one node of every circle
+        q[..., -1] = math.nan  # one node of every circle
         return q
 
     with pytest.raises(ValueError, match="non-NaN"):

@@ -24,7 +24,6 @@ from dilatox.quadrature import (
     R_FLOOR,
     ROUND_OFF,
     QuadratureConfig,
-    integrate_from_origin,
     integrate_radial,
     log_power_tail,
     refine_truncation,
@@ -106,7 +105,7 @@ def test_radial_limits_must_be_positive_before_any_call(a, b):
     lambda fn, cfg: integrate_radial(fn, 0.5, np.array([0.3]), cfg),
     lambda fn, cfg: integrate_radial(fn, np.array([0.3, 0.3]), 0.5, cfg),
     lambda fn, cfg: refine_truncation(fn, EPS_TRUNC, np.array([0.5, EPS_TRUNC]), cfg),
-    lambda fn, cfg: integrate_from_origin(fn, R_FLOOR, np.array([0.5, R_FLOOR / 2.0]), cfg),
+    lambda fn, cfg: refine_truncation(fn, R_FLOOR, np.array([0.5, R_FLOOR / 2.0]), cfg),
 ])
 def test_empty_range_raises_before_any_call_every_time(call):
     def fn(t):
@@ -167,11 +166,8 @@ def test_one_integrand_call_per_ladder_pass():
     coarse, fine = refine_truncation(counted, eps, radii, cfg)
     assert calls == [1652 + 129 + 6]
     calls.clear()
-    from_origin = integrate_from_origin(counted, eps, radii, cfg)
-    assert calls == [1652 + 3]
-    calls.clear()
-    one = integrate_from_origin(counted, eps, 0.3, cfg)
-    assert calls == [1025 + 3] and isinstance(one, float)
+    one_coarse, one_fine = refine_truncation(counted, eps, 0.3, cfg)
+    assert calls == [1025 + 65 + 6] and one_coarse.shape == one_fine.shape == (1,)
 
     # the same numbers as separate calls: the ladder body through
     # integrate_radial, the [eps/2, eps] segment on the ladder's step and
@@ -180,8 +176,10 @@ def test_one_integrand_call_per_ladder_pass():
     below = _scipy_segments(_integrand, np.array([eps / 2.0, eps]), [129])[0]
     assert np.array_equal(coarse, body + _separate_tail(_integrand, eps))
     assert np.array_equal(fine, body + (below + _separate_tail(_integrand, eps / 2.0)))
-    assert np.array_equal(from_origin, body + _separate_tail(_integrand, eps))
-    assert one == integrate_radial(_integrand, eps, 0.3, cfg) + _separate_tail(_integrand, eps)
+    one_body = integrate_radial(_integrand, eps, 0.3, cfg)
+    one_below = _scipy_segments(_integrand, np.array([eps / 2.0, eps]), [65])[0]
+    assert one_coarse[0] == one_body + _separate_tail(_integrand, eps)
+    assert one_fine[0] == one_body + (one_below + _separate_tail(_integrand, eps / 2.0))
 
 
 def _rows(*fns):
@@ -245,14 +243,13 @@ def test_rows_through_integrate_radial():
     assert integrate_radial(both, radii, 1.0, cfg).shape == (2, radii.size)
 
 
-# a pass of each ladder kind the functionals run on the rungs: the inner
-# integral and the disc mean (refined at EPS_TRUNC and R_FLOOR), an
-# unrefined pass from R_FLOOR (lemma 3's disc average and the Beltrami
-# sigma_0 condition) and the outer integral (up to 1)
+# a pass of each ladder kind the functionals run: the inner integral and the
+# disc mean (refined at EPS_TRUNC and R_FLOOR) on the rungs, lemma 3's disc
+# average on one radius (refined at R_FLOOR) and the outer integral (up to 1)
 LADDER_KINDS = {
     "inner": lambda r, cfg: refine_truncation(_integrand, EPS_TRUNC, r, cfg),
     "disc": lambda r, cfg: refine_truncation(_integrand, R_FLOOR, r, cfg),
-    "from_origin": lambda r, cfg: integrate_from_origin(_integrand, R_FLOOR, r, cfg),
+    "one-radius disc": lambda r, cfg: refine_truncation(_integrand, R_FLOOR, r[0], cfg),
     "outer": lambda r, cfg: integrate_radial(_integrand, r, 1.0, cfg),
 }
 
@@ -279,7 +276,7 @@ def test_ladders_that_differ_get_their_own_plans():
         "anchor": (lambda: refine_truncation(_integrand, EPS_TRUNC / 2.0, radii, base)),
         "n_r": (lambda: refine_truncation(_integrand, EPS_TRUNC, radii,
                                           QuadratureConfig(n_r=256))),
-        "no refine": (lambda: integrate_from_origin(_integrand, EPS_TRUNC, radii, base)),
+        "no refine": (lambda: integrate_radial(_integrand, EPS_TRUNC, radii, base)),
         "up to 0.5": (lambda: integrate_radial(_integrand, 0.3, np.array([0.5]), base)),
         "down to 0.3": (lambda: integrate_radial(_integrand, np.array([0.3]), 0.5, base)),
     }

@@ -20,11 +20,13 @@ from dilatox.functionals import (
     area_rate,
     boundary_length,
     circular_dilatation_mean,
+    circular_mean,
     dilatation_grid,
+    disc_power_mean,
     length_area_sides,
 )
-from dilatox.mapping import BLOCK_POINTS, MappingModel, fd_model
-from dilatox.quadrature import QuadratureConfig, romberg_nodes
+from dilatox.mapping import BLOCK_POINTS, MappingModel, circle_size_of, fd_model
+from dilatox.quadrature import QuadratureConfig, integrate_radial, romberg_nodes
 from dilatox import beltrami, quadrature, verifier
 from dilatox.verifier import (
     LimitProxy,
@@ -242,13 +244,33 @@ class TestLemmaChecks:
 
     @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
     def test_lemma3_same_with_or_without_the_invariance_flag(self, p, ladder, cfg):
-        # the flagged map's q_fn comes back angle-broadcast and is reduced on
-        # one column, the unflagged one on every angle
+        # the flagged map's q_fn comes back angle-broadcast and is read on
+        # one node of each circle (mapping.circle_size_of), the unflagged
+        # one on every angle
         model = linear(0.5).model
         flagged, unflagged = (run_checks(m, p, ladder, cfg, ["lemma3"])[0]
                               for m in (model, replace(model, theta_invariant=False)))
         assert flagged.holds and unflagged.holds
         assert flagged.margin == pytest.approx(unflagged.margin, rel=1e-13, abs=1e-13)
+
+    @pytest.mark.parametrize("q_fn, flags", [
+        (lambda rr, th: dilatation_grid(perturbed_conformal(), rr, th, 3.0), ()),
+        (lambda rr, th: dilatation_grid(log_singular(3.0).model, rr, th, 3.0), ()),
+        # Q^{1/2} = (2 + sin(3 ln t)) t^{-1.5}: no tail fit closes it
+        (lambda rr, th: ((2.0 + np.sin(3.0 * np.log(rr))) * rr ** -1.5) ** 2,
+         ("truncation-sensitive",)),
+    ], ids=["perturbed_conformal", "log_singular", "oscillating"])
+    def test_lemma3_reads_the_disc_power_mean(self, q_fn, flags, cfg):
+        # the right side is 2^{p-1} eps^{p-2} times the disc power mean of Q
+        # over B_{2 eps}, and the notes are that mean's flags
+        p, eps = 3.0, 0.1
+        rep = check_lemma3(q_fn, p, eps, cfg)
+        mean = disc_power_mean(q_fn, 2.0 * eps, p, circle_size_of(q_fn, eps, cfg.n_theta), cfg)
+        rhs = 2.0 ** (p - 1.0) * eps ** (p - 2.0) * mean.value
+        lhs = 1.0 / integrate_radial(lambda t: t ** (1.0 - p) / circular_mean(q_fn, t, p, cfg),
+                                     eps, 2.0 * eps, cfg)
+        assert rep.notes == mean.flags == flags
+        assert abs(rep.margin - (rhs - lhs)) <= 1e-13 * rhs
 
     def test_lemma2_rejects_low_order(self, ladder, cfg):
         with pytest.raises(ConfigError):
@@ -583,7 +605,8 @@ class TestNestedRadialPasses:
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_only_theta_dependent_maps_nest(self, p, ladder, cfg, monkeypatch):
         # a theta-invariant map keeps one integrand call per ladder pass;
-        # on a theta-dependent one every pass nests but lemma 3's disc pass
+        # on a theta-dependent one every pass nests but the disc passes,
+        # theorem 1's disc means and lemma 3's disc average
         seen = []
         one_call = quadrature._ladder_pass
 
@@ -596,7 +619,7 @@ class TestNestedRadialPasses:
         assert seen and not any(seen)
         seen.clear()
         run_checks(perturbed_conformal(), p, ladder, cfg)
-        assert seen.count(False) == (1 if p > 2.0 else 0) and len(seen) > 1
+        assert seen.count(False) == (2 if p > 2.0 else 0) and len(seen) > 2
 
     @pytest.mark.parametrize("c", THETA_SWEEP_C, ids=[f"seed{s}" for s in range(1, 11)])
     def test_margins_move_by_round_off_only(self, c, ladder, cfg, monkeypatch):
