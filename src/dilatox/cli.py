@@ -7,40 +7,34 @@ Subcommands:
   beltrami  solve the radial nonlinear Beltrami equation down to the ladder
             and check its asymptotic-ratio bound
 
-Exit codes: 0 all checks hold, 1 an inequality is violated, 2 configuration
-error, 3 numerical failure. Identical configurations produce byte-identical
-reports. Reports are strict RFC 8259 JSON: a non-finite number is written as
-the string "Infinity", "-Infinity" or "NaN", which float() reads back.
+Exit codes: 0 all checks hold, 1 an inequality is violated and nothing else,
+2 configuration error (an --out that cannot be created is one, found before
+any map is built), 3 numerical failure (running out of memory is one).
+Identical configurations produce byte-identical reports. Reports are strict
+RFC 8259 JSON: a non-finite number is written as the string "Infinity",
+"-Infinity" or "NaN", which float() reads back.
+
+Cold start: neither this module nor the package imports numpy. Each cmd_*
+function imports the numeric modules it runs, inside the function: eval
+loads quadrature, mapping and functionals (and catalog for --map), verify and
+asym also verifier, beltrami also beltrami but not catalog. So --version,
+--help and usage errors load none of them: the parser reads its defaults
+from the dataclasses in config, and the --check names from verifier.CHECKS
+only when it tests or lists one. The imported names stay local to each call:
+a function replaced on its module (a tracing wrapper, say) is the one that
+runs, and none is left bound here.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
 
-from . import __version__, beltrami, catalog
+from . import __version__
+from .config import QuadratureConfig, RadiusLadder
 from .errors import ConfigError, ToolkitError
-from .functionals import boundary_length, circular_dilatation_mean, disc_mean
-from .functionals import area as area_fn
-from .mapping import MappingModel, map_from_json, min_max_modulus
-from .quadrature import QuadratureConfig
-from .verifier import (
-    CHECKS,
-    HIGH_P,
-    LOW_P,
-    RadiusLadder,
-    json_text,
-    margins_to_csv,
-    run_checks,
-    theorem1_bound,
-    theorem3_bound,
-    theorem5_bound,
-    theorem6_bracket,
-    theorem7_area_derivative,
-)
 
 
 def _parse_params(pairs: list[str]) -> dict:
@@ -59,17 +53,24 @@ def _parse_params(pairs: list[str]) -> dict:
 
 def _read_json(path: str):
     """The JSON document in the file at path; unreadable or malformed is a ConfigError."""
+    import json
+
     try:
         return json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read JSON document {path!r}: {exc}") from exc
 
 
-def _build_map(args) -> MappingModel:
+def _build_map(args):
+    """The MappingModel of --map-json or of the catalog entry --map."""
     if args.map_json:
+        from .mapping import map_from_json
+
         return map_from_json(_read_json(args.map_json))
     if not args.map:
         raise ConfigError("a map is required: --map <name> or --map-json <file>")
+    from . import catalog
+
     return catalog.from_name(args.map, **_parse_params(args.param)).model
 
 
@@ -92,22 +93,32 @@ def _resolved_config(args) -> dict:
     return out
 
 
-def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+def _make_out_dir(path: str) -> None:
+    """Make the output directory before any map is built: one that cannot be
+    made (a path under a regular file, say) is a ConfigError, not a failure
+    after the whole computation."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot create output directory {path!r}: {exc}") from exc
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    _write(path, json_text(doc))
+    from .verifier import json_text
+
+    path.write_text(json_text(doc))
 
 
 def cmd_eval(args) -> int:
+    from .functionals import area, boundary_length, circular_dilatation_mean, disc_mean
+    from .mapping import min_max_modulus
+
     model = _build_map(args)
     cfg = _quad_config(args)
     radii = _ladder(args).radii()
     columns = zip(radii, circular_dilatation_mean(model, radii, args.p, cfg).tolist(),
                   disc_mean(model, radii, args.p, cfg).value.tolist(),
-                  area_fn(model, radii, cfg).tolist(),
+                  area(model, radii, cfg).tolist(),
                   boundary_length(model, radii, cfg).tolist(),
                   *(m.tolist() for m in min_max_modulus(model, radii, cfg)))
     out = Path(args.out) / "functionals.csv"
@@ -115,12 +126,14 @@ def cmd_eval(args) -> int:
     for r, d, dm, s, ell, lo, hi in columns:
         row = (r, d, dm, s, ell, lo, hi, ell * ell - 4.0 * math.pi * s)
         lines.append(",".join(repr(float(v)) for v in row))
-    _write(out, "\n".join(lines) + "\n")
+    out.write_text("\n".join(lines) + "\n")
     print(f"wrote {out}")
     return 0
 
 
 def cmd_verify(args) -> int:
+    from .verifier import margins_to_csv, run_checks
+
     model = _build_map(args)
     cfg = _quad_config(args)
     ladder = _ladder(args)
@@ -146,6 +159,9 @@ def _verdict(rep) -> str:
 
 
 def cmd_asym(args) -> int:
+    from .verifier import (HIGH_P, LOW_P, json_text, theorem1_bound, theorem3_bound,
+                           theorem5_bound, theorem6_bracket, theorem7_area_derivative)
+
     model = _build_map(args)
     cfg = _quad_config(args)
     ladder = _ladder(args)
@@ -194,6 +210,8 @@ def cmd_asym(args) -> int:
 
 
 def cmd_beltrami(args) -> int:
+    from . import beltrami
+
     if args.coef:
         coef = beltrami.sigma_from_json(_read_json(args.coef))
     else:
@@ -207,7 +225,6 @@ def cmd_beltrami(args) -> int:
     span = (float(ladder.radii()[-1]), args.span_hi)
     solution = beltrami.solve_radial(coef, args.r0, args.R0, span, args.step)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     solution.to_csv(out_dir / "solution.csv")
     doc = {
         "config": _resolved_config(args),
@@ -227,12 +244,26 @@ def cmd_beltrami(args) -> int:
     return 0 if doc.get("holds", True) else 1
 
 
+class _CheckNames:
+    """The names in verifier.CHECKS, read only when argparse tests a --check
+    value (`in` iterates them) or lists them in help or an error, so building
+    the parser loads no numeric module. Needs a metavar: add_argument would
+    list them for one."""
+
+    def __iter__(self):
+        from .verifier import CHECKS
+
+        return (check.name for check in CHECKS)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dilatox",
                                      description="Angular-dilatation toolkit")
     parser.add_argument("--version", action="version", version=f"dilatox {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    ladder, quad = RadiusLadder(), QuadratureConfig()  # the defaults of a run
+    # the defaults of a run: the classes' field defaults, read without
+    # building a ladder, which would load numpy
+    ladder, quad = RadiusLadder, QuadratureConfig
 
     def shared_options(sp):
         sp.add_argument("--param", action="append", default=[],
@@ -260,9 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run inequality checks")
     map_options(sp)
-    sp.add_argument("--check", action="append", default=[],
-                    choices=[check.name for check in CHECKS],
-                    help="restrict to specific checks (repeatable)")
+    sp.add_argument("--check", action="append", default=[], choices=_CheckNames(),
+                    metavar="CHECK",
+                    help="restrict to specific checks (repeatable): %(choices)s")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("asym", help="limit proxies and theorem bounds")
@@ -289,12 +320,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _make_out_dir(args.out)
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (ToolkitError, ValueError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"numerical failure: out of memory: {exc}", file=sys.stderr)
         return 3
 
 

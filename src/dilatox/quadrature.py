@@ -15,6 +15,9 @@ from typing import Callable
 
 import numpy as np
 
+# EPS_TRUNC and QuadratureConfig are defined in config, which loads no numpy;
+# EPS_TRUNC is re-exported here beside R_FLOOR.
+from .config import EPS_TRUNC, QuadratureConfig  # noqa: F401
 from .errors import ConfigError, EmptyRange
 
 # Jacobian sign tolerance: values below -JAC_TOL violate the regularity contract.
@@ -25,30 +28,9 @@ JAC_TOL = 1e-12
 # Romberg diagonal of a radial segment (_ladder_pass) stop on it (_settled).
 ROUND_OFF = 8.0 * np.finfo(float).eps
 
-# Truncation radius of the inner radial integral; every rung of a radius
-# ladder lies strictly above it (verifier.RadiusLadder checks its deepest rung).
-EPS_TRUNC = 1e-6
 # Truncation radius of disc integrals; far below the deepest rung because slowly
 # converging Jacobian tails (log-singular family) need the remainder < 1e-10.
 R_FLOOR = 1e-8
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Grid sizes used by every integral functional. n_theta is the cap of
-    the trapezoid levels of a circle: read first at 16, 32 and 64 of its
-    nodes, a circle stops there or at a doubled level once its reduction is
-    at round-off, and otherwise ends at n_theta nodes. The area and the |f|
-    extremes (mapping.min_max_modulus) read all n_theta nodes."""
-
-    n_theta: int = 512
-    n_r: int = 1024
-
-    def __post_init__(self):
-        if self.n_theta < 16 or self.n_theta % 2 != 0:
-            raise ConfigError(f"n_theta must be even and >= 16, got {self.n_theta}")
-        if self.n_r < 16:
-            raise ConfigError(f"n_r must be >= 16, got {self.n_r}")
 
 
 def circle_nodes(n_theta: int) -> np.ndarray:

@@ -41,6 +41,7 @@ from typing import Callable
 
 import numpy as np
 
+from .config import RadiusLadder
 from .errors import ConfigError
 from .functionals import (
     area,
@@ -60,7 +61,7 @@ from .functionals import (
     _radial_integrand,
 )
 from .mapping import MappingModel, circle_size_of, min_max_modulus
-from .quadrature import EPS_TRUNC, QuadratureConfig, integrate_radial
+from .quadrature import QuadratureConfig, integrate_radial
 
 # flat tail_spread threshold operationalizing "|f(z)|/|z| has a single limit point"
 SINGLE_LIMIT_SPREAD = 1e-3
@@ -118,37 +119,6 @@ def growth_bound(p: float, k) -> float:
     if not p > 2.0:
         raise ConfigError(f"growth constant defined for p > 2, got {p}")
     return 2.0 * _power(2.0 * k / (p - 2.0), 1.0 / (p - 2.0))
-
-
-@dataclass(frozen=True)
-class RadiusLadder:
-    """Geometric radius ladder r_max * rho^j, the numerical stand-in for r -> 0.
-    Its deepest rung lies strictly above quadrature.EPS_TRUNC, the anchor of
-    the inner radial integral, so every rung fits every integral."""
-
-    r_max: float = 0.5
-    rho: float = 0.8
-    count: int = 20
-    tail: int = 5
-
-    def __post_init__(self):
-        if not 0.0 < self.rho < 1.0:
-            raise ConfigError(f"rho must lie in (0,1), got {self.rho}")
-        if not self.count >= self.tail >= 3:
-            raise ConfigError(f"need count >= tail >= 3, got count={self.count}, tail={self.tail}")
-        if not 0.0 < self.r_max < 1.0:
-            raise ConfigError(f"r_max must lie in (0,1), got {self.r_max}")
-        deepest = self.radii()[-1]
-        if not deepest > EPS_TRUNC:
-            raise ConfigError(f"deepest rung r_max*rho^(count-1) = {deepest:.3e} must lie "
-                              f"above EPS_TRUNC = {EPS_TRUNC:g}")
-
-    def radii(self) -> np.ndarray:
-        """Rungs in decreasing order, from r_max toward 0."""
-        return self.r_max * self.rho ** np.arange(self.count)
-
-    def tail_radii(self) -> np.ndarray:
-        return self.radii()[-self.tail:]
 
 
 @dataclass

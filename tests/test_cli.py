@@ -1,6 +1,7 @@
 """Command-line integration: exit-code contract, report files, determinism,
 strict JSON, custom-map/coefficient ingestion, runs that never import scipy,
-and the verification matrix script."""
+cold starts that import only what they run, and the verification matrix
+script."""
 
 import importlib.util
 import json
@@ -14,8 +15,9 @@ import numpy as np
 import pytest
 
 import dilatox
-from dilatox import verifier
-from dilatox.cli import main
+from dilatox import beltrami, catalog, verifier
+from dilatox.cli import build_parser, main
+from dilatox.config import QuadratureConfig, RadiusLadder
 
 
 def run(args):
@@ -50,7 +52,9 @@ class TestExitCodes:
             run(["verify", "--map", "linear", "--param", "k=0.5", "--p", "3",
                  "--check", "bogus", "--out", str(tmp_path)])
         assert exc.value.code == 2
-        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bogus'" in err
+        assert all(repr(check.name) in err for check in verifier.CHECKS)
 
     def test_check_outside_its_regime_is_config_error(self, tmp_path):
         code = run(["verify", "--map", "linear", "--param", "k=0.5", "--p", "1.5",
@@ -111,6 +115,47 @@ class TestExitCodes:
         path.write_text(json.dumps(doc))
         assert run(["eval", "--map-json", str(path), "--out", str(tmp_path)]) in (2, 3)
 
+    # (argv, module and function that builds its map or coefficient)
+    BUILDS = {
+        "eval": (["eval", "--map", "linear", "--param", "k=0.5"], catalog, "from_name"),
+        "verify": (["verify", "--map", "identity", "--p", "3"], catalog, "from_name"),
+        "asym": (["asym", "--map", "identity", "--p", "4"], catalog, "from_name"),
+        "beltrami": (["beltrami", "--param", "kappa=2", "--param", "m=1"], beltrami,
+                     "power_sigma"),
+    }
+
+    @pytest.mark.parametrize("command", BUILDS)
+    def test_out_under_a_file_is_config_error(self, command, tmp_path, capsys, monkeypatch):
+        # an --out under a regular file once raised NotADirectoryError with a
+        # traceback and exit 1 after the whole run; it is now found first
+        argv, module, builder = self.BUILDS[command]
+
+        def build(*args, **kwargs):
+            raise AssertionError("map built before --out was checked")
+
+        monkeypatch.setattr(module, builder, build)
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        assert run(argv + ["--out", str(blocker / "sub")]) == 2
+        assert "configuration error: --out: cannot create output directory" in (
+            capsys.readouterr().err)
+        assert blocker.read_text() == "kept"
+
+    @pytest.mark.parametrize("argv, module, name", [
+        (["verify", "--map", "linear", "--param", "k=0.5", "--p", "3", "--check", "lemma1"],
+         verifier, "check_lemma1"),
+        (["beltrami", "--param", "kappa=2", "--param", "m=1"], beltrami, "solve_radial"),
+    ], ids=["verify", "beltrami"])
+    def test_memory_error_is_exit_3(self, argv, module, name, tmp_path, capsys, monkeypatch):
+        # a grid too large to allocate (numpy's MemoryError) once exited 1
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 63.2 GiB for an array")
+
+        monkeypatch.setattr(module, name, out_of_memory)
+        assert run(argv + ["--out", str(tmp_path)]) == 3
+        assert ("numerical failure: out of memory: Unable to allocate 63.2 GiB"
+                in capsys.readouterr().err)
+
     def test_arithmetic_error_is_exit_3(self, tmp_path, capsys, monkeypatch):
         # an OverflowError is an ArithmeticError but not a FloatingPointError
         def overflow(*args):
@@ -162,6 +207,24 @@ class TestExitCodes:
         path = tmp_path / "coef.json"
         path.write_text(json.dumps(doc))
         assert run(["beltrami", "--coef", str(path), "--out", str(tmp_path)]) == 3
+
+
+class TestParser:
+    def test_defaults_are_the_config_defaults(self):
+        # read from the dataclasses' fields, without building either
+        args = build_parser().parse_args(["verify", "--map", "identity"])
+        ladder, quad = RadiusLadder(), QuadratureConfig()
+        assert (args.rmax, args.rho, args.count, args.tail) == (
+            ladder.r_max, ladder.rho, ladder.count, ladder.tail)
+        assert (args.ntheta, args.nr) == (quad.n_theta, quad.n_r)
+
+    def test_verify_help_lists_every_check(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--help"])
+        assert exc.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        names = ", ".join(check.name for check in verifier.CHECKS)
+        assert f"restrict to specific checks (repeatable): {names}" in help_text
 
 
 class TestEval:
@@ -473,6 +536,68 @@ class TestScipyOnFirstUse:
                               text=True, env=dict(os.environ, BLOCK_SCIPY="1"))
         assert proc.returncode != 0
         assert "scipy is blocked: scipy" in proc.stderr
+
+
+# Runs a list of CLI invocations in a fresh interpreter and reports which
+# numeric modules are loaded after `import dilatox`, after `import
+# dilatox.cli` and after each run; a run that argparse ends (--version,
+# --help, a usage error) reports its SystemExit code.
+_IMPORT_PROBE = """
+import json, sys
+NUMERIC = ["numpy"] + ["dilatox." + name for name in
+           ("quadrature", "mapping", "functionals", "verifier", "catalog", "beltrami")]
+def loaded():
+    return [name for name in NUMERIC if name in sys.modules]
+import dilatox
+seen = [loaded()]
+import dilatox.cli
+seen.append(loaded())
+codes = []
+for argv in json.loads(sys.argv[1]):
+    try:
+        codes.append(dilatox.cli.main(argv))
+    except SystemExit as exc:
+        codes.append(exc.code)
+    seen.append(loaded())
+print(json.dumps({"codes": codes, "loaded": seen}))
+"""
+
+
+def _probe_imports(runs: list[list[str]]) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(Path(dilatox.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(runs)],
+                          capture_output=True, text=True, env=env, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestColdStart:
+    def test_version_help_and_usage_errors_load_no_numeric_module(self, tmp_path):
+        runs = [["--version"], ["--help"], [], ["verify", "--rho"],
+                ["eval", "--map", "identity", "--bogus", "--out", str(tmp_path)]]
+        result = _probe_imports(runs)
+        assert result["codes"] == [0, 0, 2, 2, 2]
+        assert result["loaded"] == [[]] * (len(runs) + 2)
+
+    @pytest.mark.parametrize("argv, absent", [
+        (["eval", "--map", "linear", "--param", "k=0.5", "--p", "4"],
+         {"dilatox.verifier", "dilatox.beltrami"}),
+        (["verify", "--map", "linear", "--param", "k=0.5", "--p", "3"], {"dilatox.beltrami"}),
+        (["asym", "--map", "linear", "--param", "k=0.25", "--p", "4"], {"dilatox.beltrami"}),
+    ], ids=["eval", "verify", "asym"])
+    def test_each_subcommand_loads_only_what_it_runs(self, argv, absent, tmp_path):
+        result = _probe_imports([argv + ["--out", str(tmp_path)]])
+        assert result["codes"] == [0]
+        assert result["loaded"][:2] == [[], []]
+        assert {"numpy", "dilatox.mapping", "dilatox.functionals"} <= set(result["loaded"][2])
+        assert not absent & set(result["loaded"][2])
+
+    def test_probe_sees_an_eager_import(self):
+        probe = _IMPORT_PROBE.replace("import dilatox\n", "import dilatox\nimport numpy\n", 1)
+        proc = subprocess.run([sys.executable, "-c", probe, "[]"], capture_output=True,
+                              text=True, check=True,
+                              env=dict(os.environ, PYTHONPATH=str(
+                                  Path(dilatox.__file__).resolve().parents[1])))
+        assert json.loads(proc.stdout.splitlines()[-1])["loaded"] == [["numpy"], ["numpy"]]
 
 
 MATRIX_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_verification_matrix.py"
