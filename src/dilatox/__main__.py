@@ -1,5 +1,7 @@
+"""`python -m dilatox`: cli.run(), the entry point of the console script too."""
+
 import sys
 
-from .cli import main
+from .cli import run
 
-sys.exit(main())
+sys.exit(run())

@@ -97,10 +97,14 @@ class _LogSingularProfile:
         v = np.linspace(0.0, -math.log(self.r_floor), 6001)
         h = v[1] - v[0]
         # integrand of I in v, (p-2) e^{(p-2)v} (1+v)^{1-p}, and its derivative
-        w = (p - 2.0) * np.exp((p - 2.0) * v) * (1.0 + v) ** (1.0 - p)
-        dw = w * ((p - 2.0) + (1.0 - p) / (1.0 + v))
-        steps = 0.5 * h * (w[:-1] + w[1:]) + h * h / 12.0 * (dw[:-1] - dw[1:])
-        self._anti = CubicHermite(v, np.concatenate([[0.0], np.cumsum(steps)]), w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = (p - 2.0) * np.exp((p - 2.0) * v) * (1.0 + v) ** (1.0 - p)
+            dw = w * ((p - 2.0) + (1.0 - p) / (1.0 + v))
+            steps = 0.5 * h * (w[:-1] + w[1:]) + h * h / 12.0 * (dw[:-1] - dw[1:])
+            anti = np.concatenate([[0.0], np.cumsum(steps)])
+        if not (np.isfinite(w).all() and np.isfinite(anti).all()):
+            raise ConfigError(f"log-singular profile table overflows float64 at p={p:g}")
+        self._anti = CubicHermite(v, anti, w)
 
     def I(self, r):
         r = np.asarray(r, dtype=float)

@@ -19,7 +19,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import ConfigError, EmptyRange
+from .errors import ConfigError, DegenerateJacobian, EmptyRange, NonFiniteDerivative
 from .mapping import (
     MappingModel,
     _check_radii,
@@ -30,7 +30,8 @@ from .mapping import (
     evaluation_grid,
     jacobian_grid,
 )
-from .quadrature import EPS_TRUNC, R_FLOOR, QuadratureConfig, integrate_radial, refine_truncation
+from .quadrature import (EPS_TRUNC, R_FLOOR, QuadratureConfig, circle_nodes, integrate_radial,
+                         refine_truncation)
 
 RadialFn = Callable[[np.ndarray], np.ndarray]
 # one radius, or a 1-d array of them (a ladder); results follow the same shape
@@ -79,6 +80,30 @@ def dilatation_grid(model: MappingModel, r: np.ndarray, theta: np.ndarray,
     r, theta, shape = evaluation_grid(model, r, theta)
     jac, ft = _jacobian_and_ft(model, r, theta)
     return np.broadcast_to(_dilatation(jac, np.abs(ft), r, p), shape)
+
+
+def check_ladder_ends(model: MappingModel, radii, *orders: float) -> None:
+    """Reject, as a ConfigError before any integral, a map that float64
+    cannot evaluate at the ends of a ladder: on 8 angles of its top and
+    deepest rungs the partials must be finite, and |f|, J_f and D_p at each
+    order positive and finite. An extreme parameter (a slope of 1e-300, a
+    stretch exponent of 1e3) underflows there, and would otherwise end a run
+    part-way through a check with NaN margins."""
+    orders = [_order(p) for p in orders]
+    ends = np.asarray(radii, dtype=float)[[0, -1], None]
+    r, theta, _ = evaluation_grid(model, ends, circle_nodes(8))
+    where = f"on the rungs r={ends[0, 0]:.4g} and r={ends[1, 0]:.4g}"
+    with np.errstate(all="ignore"):
+        try:
+            jac, ft = _jacobian_and_ft(model, r, theta)
+        except (NonFiniteDerivative, DegenerateJacobian) as exc:
+            raise ConfigError(f"{exc} {where}") from exc
+        values = [("|f|", np.abs(np.asarray(model.value(r, theta)))), ("J_f", jac)]
+        values += [(f"D_{p:g}", _dilatation(jac, np.abs(ft), r, p)) for p in orders]
+    for name, q in values:
+        if not (np.isfinite(q) & (q > 0.0)).all():
+            raise ConfigError(f"{name} of {model.label!r} is not positive and finite in "
+                              f"float64 {where}")
 
 
 def _dilatation(jac: np.ndarray, ft_abs: np.ndarray, r: np.ndarray, p: float) -> np.ndarray:

@@ -211,7 +211,8 @@ def _ladder_plan(anchor: float, raw: bytes, array_is_lower: bool, refine: bool,
     # the exact step; a difference of neighbouring nodes near u = -14 would
     # lose about three digits
     dx = (u_hi - u_lo) / 2.0 ** levels
-    groups = [np.flatnonzero(levels == j) for j in np.unique(levels)]
+    # sorted(set()) rather than np.unique, which imports numpy.ma in numpy 2.x
+    groups = [np.flatnonzero(levels == j) for j in sorted(set(levels.tolist()))]
     nodes = np.concatenate([
         np.exp(np.linspace(u_lo[g], u_hi[g], 2 ** int(levels[g[0]]) + 1, axis=-1)).ravel()
         for g in groups])

@@ -31,7 +31,6 @@ each outer integral (_outer_tail), since its pass from 1 crosses every rung.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import math
@@ -563,6 +562,8 @@ def reports_to_json(reports: list[BoundReport]) -> str:
 
 def margins_to_csv(reports: list[BoundReport], path) -> None:
     """Per-rung margins, one row per (check, rung)."""
+    import csv  # only verify writes margins: asym and beltrami do not load csv
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["check_id", "p", "r", "margin"])

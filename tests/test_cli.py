@@ -3,12 +3,14 @@ strict JSON, custom-map/coefficient ingestion, runs that never import scipy,
 cold starts that import only what they run, and the verification matrix
 script."""
 
+import gc
 import importlib.util
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +89,25 @@ class TestExitCodes:
         code = run([arg.format(value) for arg in args] + ["--out", str(tmp_path)])
         assert code == 2
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["verify", "eval", "asym"])
+    @pytest.mark.parametrize("params", [
+        ("--map", "radial_stretch", "--param", "alpha=1e3"),
+        ("--map", "linear", "--param", "k=1e-300"),
+        ("--map", "beltrami_exact", "--param", "m=1e-300", "--param", "kappa=0.5"),
+        ("--map", "log_singular", "--param", "p=1e3"),
+    ], ids=["radial_stretch-alpha", "linear-k", "beltrami_exact-m", "log_singular-p"])
+    def test_extreme_finite_map_parameter_is_config_error(self, command, params, tmp_path,
+                                                          capsys):
+        # such a parameter underflows or overflows float64 at the ladder's
+        # ends; it once ran into NaN margins or non-finite partials part-way
+        # (exit 3), log_singular after an overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run([command, *params, "--p", "3", "--out", str(tmp_path)])
+        assert code == 2
+        assert not any(tmp_path.iterdir())
+        assert capsys.readouterr().err.startswith("configuration error: ")
 
     def test_ladder_below_eps_trunc_is_config_error(self, tmp_path, capsys):
         # a deepest rung of 8.6e-8 lies below the inner integral's truncation
@@ -202,10 +223,8 @@ class TestExitCodes:
         assert "configuration error" in capsys.readouterr().err
 
     def test_beltrami_wrong_sign_is_exit_3(self, tmp_path):
-        doc = {"family": "custom_radial", "m": 1.0,
-               "samples": [[0.05, 0.0, 1.0], [0.5, 0.0, 1.0], [0.95, 0.0, 1.0]]}
         path = tmp_path / "coef.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(WRONG_SIGN_COEF))
         assert run(["beltrami", "--coef", str(path), "--out", str(tmp_path)]) == 3
 
 
@@ -539,15 +558,15 @@ class TestScipyOnFirstUse:
 
 
 # Runs a list of CLI invocations in a fresh interpreter and reports which
-# numeric modules are loaded after `import dilatox`, after `import
+# numeric modules (and csv) are loaded after `import dilatox`, after `import
 # dilatox.cli` and after each run; a run that argparse ends (--version,
 # --help, a usage error) reports its SystemExit code.
 _IMPORT_PROBE = """
 import json, sys
-NUMERIC = ["numpy"] + ["dilatox." + name for name in
+WATCHED = ["numpy", "numpy.ma", "csv"] + ["dilatox." + name for name in
            ("quadrature", "mapping", "functionals", "verifier", "catalog", "beltrami")]
 def loaded():
-    return [name for name in NUMERIC if name in sys.modules]
+    return [name for name in WATCHED if name in sys.modules]
 import dilatox
 seen = [loaded()]
 import dilatox.cli
@@ -580,9 +599,10 @@ class TestColdStart:
 
     @pytest.mark.parametrize("argv, absent", [
         (["eval", "--map", "linear", "--param", "k=0.5", "--p", "4"],
-         {"dilatox.verifier", "dilatox.beltrami"}),
+         {"dilatox.verifier", "dilatox.beltrami", "csv"}),
         (["verify", "--map", "linear", "--param", "k=0.5", "--p", "3"], {"dilatox.beltrami"}),
-        (["asym", "--map", "linear", "--param", "k=0.25", "--p", "4"], {"dilatox.beltrami"}),
+        (["asym", "--map", "linear", "--param", "k=0.25", "--p", "4"],
+         {"dilatox.beltrami", "csv"}),
     ], ids=["eval", "verify", "asym"])
     def test_each_subcommand_loads_only_what_it_runs(self, argv, absent, tmp_path):
         result = _probe_imports([argv + ["--out", str(tmp_path)]])
@@ -591,6 +611,21 @@ class TestColdStart:
         assert {"numpy", "dilatox.mapping", "dilatox.functionals"} <= set(result["loaded"][2])
         assert not absent & set(result["loaded"][2])
 
+    def test_no_subcommand_loads_numpy_ma(self, tmp_path):
+        # numpy 2.x's set routines (np.unique and the like) import numpy.ma,
+        # about 20 ms of a cold run; one process runs every subcommand, on
+        # catalog maps and on JSON documents, and csv loads only with verify
+        verify_json, eval_json = _spline_backed_runs("radial_profile", tmp_path)
+        runs = [["asym", "--map", "linear", "--param", "k=0.5", "--p", "1.5"],
+                *_spline_backed_runs("beltrami", tmp_path),       # --param
+                *_spline_backed_runs("custom_radial", tmp_path),  # --coef
+                eval_json, verify_json,
+                ["verify", "--map", "log_singular", "--param", "p=3", "--p", "3"]]
+        result = _probe_imports([argv + ["--out", str(tmp_path)] for argv in runs])
+        assert result["codes"] == [0] * len(runs)
+        assert not any("numpy.ma" in seen for seen in result["loaded"])
+        assert ["csv" in seen for seen in result["loaded"]] == [False] * 6 + [True] * 2
+
     def test_probe_sees_an_eager_import(self):
         probe = _IMPORT_PROBE.replace("import dilatox\n", "import dilatox\nimport numpy\n", 1)
         proc = subprocess.run([sys.executable, "-c", probe, "[]"], capture_output=True,
@@ -598,6 +633,88 @@ class TestColdStart:
                               env=dict(os.environ, PYTHONPATH=str(
                                   Path(dilatox.__file__).resolve().parents[1])))
         assert json.loads(proc.stdout.splitlines()[-1])["loaded"] == [["numpy"], ["numpy"]]
+
+
+# Calls cli.run() as the console script does, or runs the package as
+# `python -m dilatox` does, then prints the exit code and the state the
+# run leaves the cycle collector in.
+_RUN_PROBE = """
+import gc, json, runpy, sys
+if sys.argv.pop(1) == "run":
+    from dilatox.cli import run
+    code = run()
+else:
+    try:
+        runpy.run_module("dilatox", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, gc.isenabled(), gc.get_freeze_count() > 0]))
+sys.exit(code)
+"""
+
+
+def _env_with_package() -> dict:
+    return dict(os.environ, PYTHONPATH=str(Path(dilatox.__file__).resolve().parents[1]))
+
+WRONG_SIGN_COEF = {"family": "custom_radial", "m": 1.0,
+                   "samples": [[0.05, 0.0, 1.0], [0.5, 0.0, 1.0], [0.95, 0.0, 1.0]]}
+
+
+class TestEntryPoints:
+    @pytest.mark.parametrize("argv, code", [
+        (["verify", "--map", "linear", "--param", "k=0.5", "--p", "3"], 0),
+        # theorem 7's known false violation on this equality case (ROADMAP item 3)
+        (["asym", "--map", "linear", "--param", "k=0.5", "--p", "1.5", "--s", "3"], 1),
+        (["verify", "--map", "radial_stretch", "--param", "alpha=1e3", "--p", "3"], 2),
+        (["beltrami", "--coef", "{coef}"], 3),
+    ], ids=["holds", "violated", "config-error", "numerical-failure"])
+    def test_module_and_run_match_main(self, argv, code, tmp_path, capsys):
+        # `python -m dilatox` and the console script's cli.run give main's
+        # exit code, stdout and report files; run leaves the collector off
+        # with every object frozen
+        coef = tmp_path / "coef.json"
+        coef.write_text(json.dumps(WRONG_SIGN_COEF))
+        argv = [arg.format(coef=coef) for arg in argv]
+        env = _env_with_package()
+        seen = {}
+        for how in ("main", "module", "run"):
+            out = tmp_path / how
+            full = argv + ["--out", str(out)]
+            if how == "main":
+                got, stdout = main(full), capsys.readouterr().out
+            else:
+                prefix = ["-m", "dilatox"] if how == "module" else ["-c", _RUN_PROBE, "run"]
+                proc = subprocess.run([sys.executable, *prefix, *full], capture_output=True,
+                                      text=True, env=env)
+                got, stdout = proc.returncode, proc.stdout
+                if how == "run":
+                    *lines, state = stdout.splitlines(keepends=True)
+                    assert json.loads(state) == [code, False, True]
+                    stdout = "".join(lines)
+            assert got == code
+            seen[how] = (stdout.replace(str(out), "OUT"),
+                         {path.name: path.read_bytes() for path in sorted(out.iterdir())})
+        assert seen["module"] == seen["run"] == seen["main"]
+        assert bool(seen["main"][1]) == (code < 2)
+
+    def test_module_entry_leaves_the_collector_off_and_frozen(self):
+        # `python -m dilatox` runs cli.run, even when argparse ends the run
+        proc = subprocess.run([sys.executable, "-c", _RUN_PROBE, "module", "--version"],
+                              capture_output=True, text=True, env=_env_with_package())
+        assert proc.stdout.splitlines() == [f"dilatox {dilatox.__version__}", "[0, false, true]"]
+        assert proc.returncode == 0
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_leaves_the_callers_collector_alone(self, enabled, tmp_path):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        frozen = gc.get_freeze_count()
+        try:
+            assert main(["verify", "--map", "linear", "--param", "k=0.5", "--p", "3",
+                         "--check", "lemma1", "--out", str(tmp_path)]) == 0
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 MATRIX_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_verification_matrix.py"

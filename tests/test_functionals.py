@@ -4,6 +4,7 @@ high-precision oracles and closed forms."""
 
 import cmath
 import math
+import re
 from dataclasses import replace
 from functools import partial
 
@@ -11,12 +12,13 @@ import numpy as np
 import pytest
 
 from conftest import catalog_suite, perturbed_conformal, recording, suite_ids
-from dilatox.catalog import linear, log_singular, radial_stretch
+from dilatox.catalog import beltrami_exact, linear, log_singular, radial_stretch
 from dilatox.errors import ConfigError, EmptyRange
 from dilatox.functionals import (
     area,
     area_rate,
     boundary_length,
+    check_ladder_ends,
     circular_dilatation_mean,
     circular_mean,
     dilatation_grid,
@@ -38,6 +40,7 @@ from dilatox.mapping import (
     min_max_modulus,
 )
 from dilatox.quadrature import EPS_TRUNC, R_FLOOR, circle_nodes
+from dilatox.verifier import RadiusLadder
 
 # Frozen oracles, computed once with 30-digit adaptive quadrature (mpmath) and
 # pinned here; the suite must reproduce them through its own machinery.
@@ -89,6 +92,41 @@ class TestPointwiseDilatation:
         expected = abs(1.0 + 0.2 * cmath.rect(0.6, 1.1)) ** 2.0
         assert float(dilatation_grid(f, 0.6, 1.1, 4.0)) == pytest.approx(
             expected, rel=1e-12)
+
+
+class TestLadderEnds:
+    @pytest.mark.parametrize("model", [entry.model for entry in catalog_suite()]
+                             + [perturbed_conformal()], ids=suite_ids() + ["perturbed"])
+    def test_catalog_suite_passes(self, model):
+        for ladder in (RadiusLadder(), RadiusLadder(count=40)):
+            check_ladder_ends(model, ladder.radii(), 1.5, 3.0)
+
+    @pytest.mark.parametrize("model, name", [
+        (radial_stretch(1e3).model, "|f|"),           # r^1001 underflows at r < 0.49
+        (linear(1e-300).model, "J_f"),                # J = |k|^2 underflows
+        (beltrami_exact(m=1e-300, kappa=0.5).model, "|f|"),  # slope 0.5^(1e300) = 0
+        (linear(1e-150).model, "D_3"),                # |f_theta|^3 underflows, J does not
+    ], ids=["radial_stretch", "linear-J", "beltrami_exact", "linear-D"])
+    def test_underflow_is_config_error(self, model, name):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(name)} of .* is not positive and "
+                                              r"finite in float64 on the rungs r=0\.5 and "
+                                              r"r=0\.007206$"):
+            check_ladder_ends(model, RadiusLadder().radii(), 3.0)
+
+    def test_sense_reversing_map_is_config_error(self):
+        def conj(r, theta):
+            return np.conj(np.asarray(r) * np.exp(1j * np.asarray(theta)))
+
+        model = MappingModel(label="conj", value=conj,
+                             partial_r=lambda r, th: conj(r, th) / np.asarray(r),
+                             partial_theta=lambda r, th: -1j * conj(r, th))
+        with pytest.raises(ConfigError, match="^Jacobian of 'conj' reaches"):
+            check_ladder_ends(model, RadiusLadder().radii(), 3.0)
+
+    def test_only_the_ends_are_evaluated(self):
+        model, sizes = recording(perturbed_conformal())
+        check_ladder_ends(model, RadiusLadder().radii(), 3.0)
+        assert sizes["partial_r"] == sizes["partial_theta"] == sizes["value"] == [16]
 
 
 class TestCircularMeans:

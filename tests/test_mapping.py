@@ -4,6 +4,7 @@ scipy.interpolate."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -307,6 +308,15 @@ class TestInterpolants:
         r = np.geomspace(1e-10, 1.0, 10 ** 5)
         ref = 1.0 + CubicSpline(v, w).antiderivative()(-np.log(r))
         assert np.max(np.abs(prof.I(r) / ref - 1.0)) <= 1e-10
+
+    @pytest.mark.parametrize("p", [33.0, 1e3])
+    def test_log_singular_table_overflow_is_config_error(self, p):
+        # the table's integrand e^{(p-2)v} overflows float64 for p > 32 or
+        # so; it once warned and left NaN in the table, failing part-way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="profile table overflows float64"):
+                _LogSingularProfile(p)
 
     def test_radial_solution_exact_off_the_nodes(self):
         # kappa = 2, m = 1 has the exact solution R = 2r

@@ -288,6 +288,25 @@ def test_ladders_that_differ_get_their_own_plans():
         assert quadrature._ladder_plan.cache_info().currsize == count
 
 
+@pytest.mark.parametrize("anchor, count, array_is_lower, refine", [
+    (EPS_TRUNC, 20, False, False),
+    (EPS_TRUNC, 40, False, False),
+    (EPS_TRUNC, 20, False, True),
+    (R_FLOOR, 40, False, True),
+    (1.0, 40, True, False),
+], ids=["default", "40-rung", "refine", "disc-40-rung", "outer-40-rung"])
+def test_plan_groups_segments_as_np_unique_would(anchor, count, array_is_lower, refine):
+    # the plan groups its segments by level without np.unique, which
+    # imports numpy.ma; the groups come in the same ascending order
+    radii = RadiusLadder(count=count).radii()
+    plan = quadrature._ladder_plan(anchor, radii.tobytes(), array_is_lower, refine, 10)
+    levels = np.empty_like(plan.levels)
+    levels[plan.columns] = plan.levels
+    expected = np.concatenate([np.flatnonzero(levels == j) for j in np.unique(levels)])
+    assert np.array_equal(plan.columns, expected)
+    assert len(set(levels.tolist())) > 1
+
+
 def test_plan_arrays_are_read_only():
     radii = RadiusLadder().radii()
     plan = quadrature._ladder_plan(EPS_TRUNC, radii.tobytes(), False, True, 10)
