@@ -71,10 +71,8 @@ def bracket_table():
     print(f"{'k':>6} {'lower':>10} {'upper':>10} {'k1':>10} {'relation rhs':>14}")
     for k in KS:
         res = theorem6_bracket(linear(k).model, p, lad, cfg)
-        rhs = ((p - 1.0) ** (p - 1.0)
-               / ((2.0 - p) ** p * res.k2.value ** (p - 1.0)))
         print(f"{k:>6.2f} {res.lower:>10.6f} {res.upper:>10.6f} "
-              f"{res.k1.value:>10.6f} {rhs:>14.6f}")
+              f"{res.k1.value:>10.6f} {res.remark_rhs:>14.6f}")
     print()
 
 

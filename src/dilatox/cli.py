@@ -9,8 +9,10 @@ Subcommands:
 
 Exit codes: 0 all checks hold, 1 an inequality is violated and nothing else,
 2 configuration error (an --out that cannot be created is one, found before
-any map is built, and a map that float64 cannot evaluate at the ladder's
-ends is one, found by functionals.check_ladder_ends before any integral),
+any map is built; so is a map that functionals.admit_map rejects before any
+integral, from 256 angles of each circle the run reads: the top and deepest
+rungs, R_FLOOR/2 under a disc mean, EPS_TRUNC/2 under an inner integral and
+r = 1 under an outer one, each at the orders of D_p read there),
 3 numerical failure (running out of memory is one).
 Identical configurations produce byte-identical reports. Reports are strict
 RFC 8259 JSON: a non-finite number is written as the string "Infinity",
@@ -72,11 +74,13 @@ def _read_json(path: str):
         raise ConfigError(f"cannot read JSON document {path!r}: {exc}") from exc
 
 
-def _build_map(args, radii, *orders: float):
+def _build_map(args, radii):
     """The MappingModel of --map-json or of the catalog entry --map, once
-    functionals.check_ladder_ends finds it evaluable in float64 at the ends
-    of the radii at each order."""
-    from .functionals import check_ladder_ends
+    functionals.admit_map admits it for this subcommand at --p (and --s) on
+    the ladder radii: on every circle the run reads, at the orders of D_p
+    read there, theorem 6's conjugate order p/(p-1) included. The probe's
+    one caller: run_checks and the theorem functions do not probe."""
+    from .functionals import admit_map
 
     if args.map_json:
         from .mapping import map_from_json
@@ -88,7 +92,7 @@ def _build_map(args, radii, *orders: float):
         model = catalog.from_name(args.map, **_parse_params(args.param)).model
     else:
         raise ConfigError("a map is required: --map <name> or --map-json <file>")
-    check_ladder_ends(model, radii, *orders)
+    admit_map(model, args.command, args.p, radii, getattr(args, "s", None))
     return model
 
 
@@ -132,7 +136,7 @@ def cmd_eval(args) -> int:
     from .mapping import min_max_modulus
 
     radii = _ladder(args).radii()
-    model = _build_map(args, radii, args.p)
+    model = _build_map(args, radii)
     cfg = _quad_config(args)
     columns = zip(radii, circular_dilatation_mean(model, radii, args.p, cfg).tolist(),
                   disc_mean(model, radii, args.p, cfg).value.tolist(),
@@ -153,7 +157,7 @@ def cmd_verify(args) -> int:
     from .verifier import margins_to_csv, run_checks
 
     ladder = _ladder(args)
-    model = _build_map(args, ladder.radii(), args.p)
+    model = _build_map(args, ladder.radii())
     cfg = _quad_config(args)
     reports = run_checks(model, args.p, ladder, cfg, args.check)
     doc = {
@@ -184,8 +188,7 @@ def cmd_asym(args) -> int:
     if args.s is not None and not (LOW_P.applies(p) and HIGH_P.applies(args.s)):
         raise ConfigError(f"--s: theorem7 needs {LOW_P.name} and s > 2, got p={p}, s={args.s}")
     ladder = _ladder(args)
-    orders = [p] if args.s is None else [p, args.s]
-    model = _build_map(args, ladder.radii(), *orders)
+    model = _build_map(args, ladder.radii())
     cfg = _quad_config(args)
     doc: dict = {"config": _resolved_config(args), "bounds": {}, "proxies": {},
                  "tail_spreads": {}}

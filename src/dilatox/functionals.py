@@ -19,7 +19,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateJacobian, EmptyRange, NonFiniteDerivative
+from .errors import ConfigError, EmptyRange
 from .mapping import (
     MappingModel,
     _check_radii,
@@ -82,28 +82,50 @@ def dilatation_grid(model: MappingModel, r: np.ndarray, theta: np.ndarray,
     return np.broadcast_to(_dilatation(jac, np.abs(ft), r, p), shape)
 
 
-def check_ladder_ends(model: MappingModel, radii, *orders: float) -> None:
-    """Reject, as a ConfigError before any integral, a map that float64
-    cannot evaluate at the ends of a ladder: on 8 angles of its top and
-    deepest rungs the partials must be finite, and |f|, J_f and D_p at each
-    order positive and finite. An extreme parameter (a slope of 1e-300, a
-    stretch exponent of 1e3) underflows there, and would otherwise end a run
-    part-way through a check with NaN margins."""
-    orders = [_order(p) for p in orders]
-    ends = np.asarray(radii, dtype=float)[[0, -1], None]
-    r, theta, _ = evaluation_grid(model, ends, circle_nodes(8))
-    where = f"on the rungs r={ends[0, 0]:.4g} and r={ends[1, 0]:.4g}"
-    with np.errstate(all="ignore"):
-        try:
-            jac, ft = _jacobian_and_ft(model, r, theta)
-        except (NonFiniteDerivative, DegenerateJacobian) as exc:
-            raise ConfigError(f"{exc} {where}") from exc
-        values = [("|f|", np.abs(np.asarray(model.value(r, theta)))), ("J_f", jac)]
-        values += [(f"D_{p:g}", _dilatation(jac, np.abs(ft), r, p)) for p in orders]
-    for name, q in values:
-        if not (np.isfinite(q) & (q > 0.0)).all():
-            raise ConfigError(f"{name} of {model.label!r} is not positive and finite in "
-                              f"float64 {where}")
+def admit_map(model: MappingModel, command: str, p: float, radii, s: float | None = None) -> None:
+    """Admit model for a CLI run of command ("eval", "verify" or "asym") at
+    order p (and asym's s) on a ladder of radii, or raise a ConfigError
+    before any integral. On 256 angles of each circle the run reads, the
+    partials must be finite; |f|, J_f and D at each order read there
+    positive and finite in float64; no jump between neighbour angles above
+    20 max |f| times the angle step; and |f| and J_f of a map flagged
+    theta_invariant constant to 1e-9 relative. The circles: the top and
+    deepest rungs, at p, theorem 6's conjugate p/(p-1) (1 < p < 2 outside
+    eval) and s; R_FLOOR/2 at p under a disc mean (eval, and p > 2);
+    EPS_TRUNC/2 at p under an inner integral (1 < p < 2); r = 1 at each
+    outer integral's order (p > 2: p, else p/(p-1) and s). The rule reads
+    the subcommand and p, not a --check subset."""
+    p, integrals = _order(p), command != "eval"
+    extra = [p / (p - 1.0)] if integrals and p < 2.0 else []
+    extra += [] if s is None or _order(s) in extra else [float(s)]
+    circles = [(float(r), [p] + extra) for r in (radii[0], radii[-1])]
+    circles += [(R_FLOOR / 2.0, [p])] if not integrals or p > 2.0 else []
+    circles += [(EPS_TRUNC / 2.0, [p])] if integrals and p < 2.0 else []
+    outer = ([p] if integrals and p > 2.0 else []) + extra
+    circles += [(1.0, outer)] if outer else []
+    theta = circle_nodes(256)
+    for r, orders in circles:
+        where = (f"on the circle r={r:.4g}, read at order{'s'[:len(orders) - 1]} "
+                 + ", ".join(f"{q:g}" for q in orders))
+        rr = np.full(theta.size, r)
+        with np.errstate(all="ignore"):
+            v, fr, ft = (np.asarray(fn(rr, theta))
+                         for fn in (model.value, model.partial_r, model.partial_theta))
+            if not (np.isfinite(fr).all() and np.isfinite(ft).all()):
+                raise ConfigError(f"a partial derivative of {model.label!r} is not finite {where}")
+            jac = np.imag(np.conj(fr) * ft) / r
+            values = [("|f|", np.abs(v)), ("J_f", jac)]
+            values += [(f"D_{q:g}", _dilatation(jac, np.abs(ft), r, q)) for q in orders]
+        for name, q in values:
+            if not (np.isfinite(q) & (q > 0.0)).all():
+                raise ConfigError(f"{name} of {model.label!r} is not positive and finite in "
+                                  f"float64 {where}")
+        if np.abs(v - np.roll(v, 1)).max() > 20.0 * (2.0 * math.pi / theta.size) * np.abs(v).max():
+            raise ConfigError(f"{model.label!r} looks discontinuous {where}")
+        for name, q in values[:2] if model.theta_invariant else ():
+            if np.ptp(q) > 1e-9 * q.max():
+                raise ConfigError(f"{model.label!r} is flagged theta_invariant, but {name} "
+                                  f"varies {where}")
 
 
 def _dilatation(jac: np.ndarray, ft_abs: np.ndarray, r: np.ndarray, p: float) -> np.ndarray:

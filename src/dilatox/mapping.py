@@ -17,8 +17,6 @@ import numpy as np
 from .errors import ConfigError, DegenerateJacobian, NonFiniteDerivative
 from .quadrature import JAC_TOL, QuadratureConfig, _difference, _settled, circle_nodes
 
-TWO_PI = 2.0 * math.pi
-
 ComplexFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 # Points of a (radius, angle) grid per model call: circle samplers evaluate
@@ -42,7 +40,8 @@ class MappingModel:
     on the angle. Such a map is evaluated at one angle of every circle:
     circle_size gives the circle reductions and min_max_modulus a single
     node, and jacobian_grid and dilatation_grid evaluate the first angle of
-    their grid only. validate_model rejects a flag the map does not honour.
+    their grid only. functionals.admit_map rejects a flag the map does not
+    honour.
     """
 
     label: str
@@ -386,32 +385,6 @@ def min_max_modulus(model: MappingModel, r, cfg: QuadratureConfig) -> tuple:
                             lambda mod: np.stack([mod.min(axis=-1), mod.max(axis=-1)]),
                             nested=False)
     return (lo, hi) if np.ndim(r) else (float(lo[0]), float(hi[0]))
-
-
-def validate_model(model: MappingModel) -> None:
-    """Cheap sanity checks for ingested maps, on every one of 256 angles of
-    16 circles from r = 1e-3 to 0.95: continuity (no jump between neighbour
-    nodes beyond 20 times max |f| times the angle step), strict Jacobian
-    positivity, and for a map flagged theta_invariant, |f| and J constant
-    around the circle to 1e-9 relative."""
-    th = circle_nodes(256)
-    for r in np.geomspace(1e-3, 0.95, 16):
-        rr = np.full(th.size, r)
-        v = np.asarray(model.value(rr, th))
-        jumps = np.abs(np.diff(np.concatenate([v, v[:1]])))
-        scale = max(float(np.max(np.abs(v))), 1e-30)
-        if float(np.max(jumps)) > 20.0 * scale * (TWO_PI / th.size):
-            raise ConfigError(
-                f"{model.label!r} looks discontinuous on circle r={r:.4g}")
-        jac = _jacobian_and_ft(model, rr, th)[0]
-        if np.any(jac <= 0.0):
-            raise DegenerateJacobian(
-                f"{model.label!r} has non-positive Jacobian on circle r={r:.4g}")
-        if model.theta_invariant:
-            for name, q in (("|f|", np.abs(v)), ("J", jac)):
-                if np.ptp(q) > 1e-9 * np.max(q):
-                    raise ConfigError(f"{model.label!r} is flagged theta_invariant, but "
-                                      f"{name} varies around circle r={r:.4g}")
 
 
 def json_object(doc, what: str, *keys: str) -> dict:

@@ -407,6 +407,7 @@ class BracketResult:
     lower: float
     upper: float
     a_proxy: LimitProxy
+    remark_rhs: float
     report: BoundReport
 
 
@@ -435,7 +436,7 @@ def theorem6_bracket(model: MappingModel, p, ladder: RadiusLadder,
     report = _finish("theorem6", p, tail[-1], [a, upper, remark_rhs], [lower, a, k1.value],
                      slack, notes)
     return BracketResult(k1=k1, k2=k2, lower=lower, upper=upper, a_proxy=a_proxy,
-                         report=report)
+                         remark_rhs=remark_rhs, report=report)
 
 
 @dataclass

@@ -109,6 +109,40 @@ class TestExitCodes:
         assert not any(tmp_path.iterdir())
         assert capsys.readouterr().err.startswith("configuration error: ")
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--map", "radial_stretch", "--param", "alpha=30", "--p", "3"),
+         "J_f of 'radial_stretch(alpha=30)' is not positive and finite in float64 on the "
+         "circle r=5e-09, read at order 3"),
+        (("--map", "linear", "--param", "k=1e-160", "--p", "1.5"),
+         "D_3 of 'linear(k=1e-160)' is not positive and finite in float64 on the circle "
+         "r=0.5, read at orders 1.5, 3"),
+        (("--map-json", "{doc}", "--p", "1.5"),
+         "J_f of 'radial_profile' is not positive and finite in float64 on the circle r=1, "
+         "read at order 3"),
+    ], ids=["disc-mean-floor", "conjugate-order", "outer-end"])
+    def test_map_failing_off_the_rungs_is_config_error(self, argv, message, tmp_path, capsys):
+        # each once stopped part-way (exit 3): the disc means read J at
+        # R_FLOOR/2, theorem 6 reads D at p/(p-1), the outer integrals read
+        # r = 1, past the last sample of this profile, where it turns down
+        doc = tmp_path / "profile.json"
+        doc.write_text(json.dumps({"type": "radial_profile", "samples": [
+            [t, t * (2.0 - t)] for t in np.linspace(0.001, 0.999, 40).tolist()]}))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["verify", *(a.format(doc=doc) for a in argv), "--out", str(out)])
+        assert code == 2
+        assert not any(out.iterdir())
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+    def test_map_read_only_above_its_underflow_runs(self, tmp_path):
+        # at p = 1.5 nothing is read below EPS_TRUNC/2, where J = 21 r^40
+        # of this stretch is still a normal float
+        code = run(["verify", "--map", "radial_stretch", "--param", "alpha=20", "--p", "1.5",
+                    "--out", str(tmp_path)])
+        assert code == 0
+        assert (tmp_path / "verify.json").exists()
+
     def test_ladder_below_eps_trunc_is_config_error(self, tmp_path, capsys):
         # a deepest rung of 8.6e-8 lies below the inner integral's truncation
         # radius; the ladder refuses it before any integral, naming the rung

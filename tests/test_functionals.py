@@ -14,11 +14,13 @@ import pytest
 from conftest import catalog_suite, perturbed_conformal, recording, suite_ids
 from dilatox.catalog import beltrami_exact, linear, log_singular, radial_stretch
 from dilatox.errors import ConfigError, EmptyRange
+from dilatox import catalog, cli, functionals
+from dilatox.catalog import CatalogEntry
 from dilatox.functionals import (
+    admit_map,
     area,
     area_rate,
     boundary_length,
-    check_ladder_ends,
     circular_dilatation_mean,
     circular_mean,
     dilatation_grid,
@@ -94,24 +96,36 @@ class TestPointwiseDilatation:
             expected, rel=1e-12)
 
 
-class TestLadderEnds:
+RUNGS = RadiusLadder().radii()
+TOP, DEEP = float(RUNGS[0]), float(RUNGS[-1])
+
+
+class TestAdmission:
     @pytest.mark.parametrize("model", [entry.model for entry in catalog_suite()]
                              + [perturbed_conformal()], ids=suite_ids() + ["perturbed"])
     def test_catalog_suite_passes(self, model):
         for ladder in (RadiusLadder(), RadiusLadder(count=40)):
-            check_ladder_ends(model, ladder.radii(), 1.5, 3.0)
+            for command, p, s in (("verify", 1.5, None), ("verify", 2.0, None),
+                                  ("verify", 3.0, None), ("asym", 1.5, 3.0), ("eval", 1.5, None)):
+                admit_map(model, command, p, ladder.radii(), s)
 
-    @pytest.mark.parametrize("model, name", [
-        (radial_stretch(1e3).model, "|f|"),           # r^1001 underflows at r < 0.49
-        (linear(1e-300).model, "J_f"),                # J = |k|^2 underflows
-        (beltrami_exact(m=1e-300, kappa=0.5).model, "|f|"),  # slope 0.5^(1e300) = 0
-        (linear(1e-150).model, "D_3"),                # |f_theta|^3 underflows, J does not
-    ], ids=["radial_stretch", "linear-J", "beltrami_exact", "linear-D"])
-    def test_underflow_is_config_error(self, model, name):
+    @pytest.mark.parametrize("model, p, name, where", [
+        (radial_stretch(1e3).model, 3.0, "J_f", "r=0.5, read at order 3"),  # 1001 r^2000
+        (linear(1e-300).model, 3.0, "J_f", "r=0.5, read at order 3"),  # J = |k|^2
+        (beltrami_exact(m=1e-300, kappa=0.5).model, 3.0, "|f|",
+         "r=0.5, read at order 3"),  # slope 0.5^(1e300) = 0
+        (linear(1e-150).model, 3.0, "D_3", "r=0.5, read at order 3"),  # |f_theta|^3
+        # J = 31 r^60 underflows below the rungs, where the disc means start
+        (radial_stretch(30.0).model, 3.0, "J_f", "r=5e-09, read at order 3"),
+        # |f_theta|^3 underflows at theorem 6's conjugate order, not at p
+        (linear(1e-160).model, 1.5, "D_3", "r=0.5, read at orders 1.5, 3"),
+    ], ids=["radial_stretch", "linear-J", "beltrami_exact", "linear-D", "radial_stretch-floor",
+            "linear-conjugate"])
+    def test_underflow_is_config_error(self, model, p, name, where):
         with pytest.raises(ConfigError, match=rf"^{re.escape(name)} of .* is not positive and "
-                                              r"finite in float64 on the rungs r=0\.5 and "
-                                              r"r=0\.007206$"):
-            check_ladder_ends(model, RadiusLadder().radii(), 3.0)
+                                              r"finite in float64 on the circle "
+                                              rf"{re.escape(where)}$"):
+            admit_map(model, "verify", p, RUNGS)
 
     def test_sense_reversing_map_is_config_error(self):
         def conj(r, theta):
@@ -120,13 +134,41 @@ class TestLadderEnds:
         model = MappingModel(label="conj", value=conj,
                              partial_r=lambda r, th: conj(r, th) / np.asarray(r),
                              partial_theta=lambda r, th: -1j * conj(r, th))
-        with pytest.raises(ConfigError, match="^Jacobian of 'conj' reaches"):
-            check_ladder_ends(model, RadiusLadder().radii(), 3.0)
+        with pytest.raises(ConfigError, match="^J_f of 'conj' is not positive and finite in "
+                                              "float64 on the circle r=0.5, read at order 3$"):
+            admit_map(model, "verify", 3.0, RUNGS)
 
-    def test_only_the_ends_are_evaluated(self):
+    @pytest.mark.parametrize("argv, circles", [
+        (["verify", "--p", "1.5"],
+         {TOP: [1.5, 3.0], DEEP: [1.5, 3.0], EPS_TRUNC / 2: [1.5], 1.0: [3.0]}),
+        (["verify", "--p", "1.5", "--check", "lemma4"],
+         {TOP: [1.5, 3.0], DEEP: [1.5, 3.0], EPS_TRUNC / 2: [1.5], 1.0: [3.0]}),
+        (["verify", "--p", "2"], {TOP: [2.0], DEEP: [2.0]}),
+        (["verify", "--p", "3"], {TOP: [3.0], DEEP: [3.0], R_FLOOR / 2: [3.0], 1.0: [3.0]}),
+        (["asym", "--p", "1.5", "--s", "3"],
+         {TOP: [1.5, 3.0], DEEP: [1.5, 3.0], EPS_TRUNC / 2: [1.5], 1.0: [3.0]}),
+        (["asym", "--p", "1.5", "--s", "4"],
+         {TOP: [1.5, 3.0, 4.0], DEEP: [1.5, 3.0, 4.0], EPS_TRUNC / 2: [1.5], 1.0: [3.0, 4.0]}),
+        (["eval", "--p", "1.5"], {TOP: [1.5], DEEP: [1.5], R_FLOOR / 2: [1.5]}),
+    ], ids=["verify-1.5", "verify-1.5-lemma4", "verify-2", "verify-3", "asym-1.5-s3",
+            "asym-1.5-s4", "eval-1.5"])
+    def test_probes_each_circle_the_run_reads(self, argv, circles, monkeypatch):
+        # cli._build_map probes 256 angles of each circle the subcommand reads
+        # at p, whatever its --check subset, each at the orders of D read there
         model, sizes = recording(perturbed_conformal())
-        check_ladder_ends(model, RadiusLadder().radii(), 3.0)
-        assert sizes["partial_r"] == sizes["partial_theta"] == sizes["value"] == [16]
+        monkeypatch.setattr(catalog, "from_name", lambda *a, **k: CatalogEntry(model, None))
+        probed, dilatation = [], functionals._dilatation
+
+        def recorded(jac, ft_abs, r, p):
+            probed.append((r, p))
+            return dilatation(jac, ft_abs, r, p)
+
+        monkeypatch.setattr(functionals, "_dilatation", recorded)
+        assert cli._build_map(cli.build_parser().parse_args(argv + ["--map", "any"]),
+                              RUNGS) is model
+        assert probed == [(r, p) for r, orders in circles.items() for p in orders]
+        assert sizes["value"] == sizes["partial_r"] == sizes["partial_theta"] == (
+            [256] * len(circles))
 
 
 class TestCircularMeans:

@@ -14,7 +14,7 @@ from conftest import catalog_suite, perturbed_conformal, suite_ids
 from dilatox.beltrami import power_sigma, solve_radial
 from dilatox.catalog import _LogSingularProfile, beltrami_exact, linear
 from dilatox.errors import ConfigError, DegenerateJacobian, NonFiniteDerivative
-from dilatox.functionals import area
+from dilatox.functionals import admit_map, area
 from dilatox.mapping import (
     CubicHermite,
     MappingModel,
@@ -25,7 +25,6 @@ from dilatox.mapping import (
     min_max_modulus,
     model_from_profile,
     pchip,
-    validate_model,
 )
 from dilatox.quadrature import QuadratureConfig, circle_nodes
 from dilatox.verifier import RadiusLadder
@@ -196,10 +195,17 @@ class TestModulusExtremes:
             min_max_modulus(perturbed_conformal(), np.array([0.5, 1.0]), cfg)
 
 
+def admit_everywhere(model):
+    """admit_map for every circle and order a CLI run on the default ladder reads."""
+    for command, p, s in (("verify", 1.5, None), ("verify", 3.0, None), ("asym", 1.5, 3.0),
+                          ("eval", 1.5, None)):
+        admit_map(model, command, p, RadiusLadder().radii(), s)
+
+
 class TestValidationAndIngestion:
     def test_catalog_models_validate(self):
         for entry in catalog_suite():
-            validate_model(entry.model)
+            admit_everywhere(entry.model)
 
     def test_false_invariance_flag_rejected(self):
         # z + 0.1 z^2 is theta-dependent; flagged invariant, every circle
@@ -207,14 +213,29 @@ class TestValidationAndIngestion:
         f = perturbed_conformal()
         model = fd_model(f.value, label="perturbed", theta_invariant=True)
         with pytest.raises(ConfigError, match="flagged theta_invariant"):
-            validate_model(model)
-        validate_model(fd_model(f.value, label="perturbed"))
+            admit_everywhere(model)
+        admit_everywhere(fd_model(f.value, label="perturbed"))
 
     def test_radial_profile_validates(self):
+        r = np.linspace(0.001, 1.0, 40)
+        doc = {"type": "radial_profile",
+               "samples": [[float(t), float(t * (3.0 - t) / 2.0)] for t in r]}
+        admit_everywhere(map_from_json(doc))
+
+    def test_radial_profile_turning_down_past_its_samples_rejected(self):
+        # R = t (2 - t) sampled to 0.999: the end cubic extrapolates a slope
+        # of -1.0e-3 at r = 1, where the outer integrals end (verify once
+        # stopped there with exit 3); eval reads no circle above the rungs
         r = np.linspace(0.001, 0.999, 40)
         doc = {"type": "radial_profile",
                "samples": [[float(t), float(t * (2.0 - t))] for t in r]}
-        validate_model(map_from_json(doc))
+        model = map_from_json(doc)
+        admit_map(model, "eval", 3.0, RadiusLadder().radii())
+        for p in (3.0, 1.5):  # the outer integral's order: p, or the conjugate of 1.5
+            with pytest.raises(ConfigError, match="^J_f of 'radial_profile' is not positive and "
+                                                  "finite in float64 on the circle r=1, read "
+                                                  "at order 3$"):
+                admit_map(model, "verify", p, RadiusLadder().radii())
 
     def test_discontinuous_map_rejected(self):
         def value(r, theta):
@@ -222,8 +243,8 @@ class TestValidationAndIngestion:
             return np.asarray(r) * np.exp(1j * theta) * np.where(theta < math.pi, 1.0, 5.0)
 
         model = fd_model(value, label="jump")
-        with pytest.raises((ConfigError, DegenerateJacobian)):
-            validate_model(model)
+        with pytest.raises(ConfigError, match="^'jump' looks discontinuous on the circle r=0.5"):
+            admit_everywhere(model)
 
     def test_radial_profile_roundtrip(self):
         r = np.linspace(0.01, 0.99, 40)
