@@ -1,8 +1,10 @@
 """Shared fixtures: the default quadrature config, the default radius ladder,
-the catalog map suite used by map-wide checks, a theta-dependent test map
-with closed-form partials (a small conformal perturbation of the identity),
-and a wrapper that records the size of every model call."""
+the catalog map suite used by map-wide checks, theta-dependent test maps
+with closed-form partials (a small conformal perturbation of the identity,
+z + c z^2, an affine map and a piecewise-linear angular stretch), and a
+wrapper that records the size of every model call."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -71,6 +73,74 @@ def perturbed_conformal() -> MappingModel:
 
     return MappingModel(label="perturbed_conformal", value=value,
                         partial_r=partial_r, partial_theta=partial_theta)
+
+
+def angular_stretch() -> MappingModel:
+    """f(r e^{i theta}) = r e^{i phi(theta)}, phi piecewise linear with slope
+    1/2 on [0, 1) and (2pi - 1/2)/(2pi - 1) on [1, 2pi): Lipschitz, J = phi'
+    > 0, d_p = 1 and S = pi r^2, but phi' jumps, so the trapezoid rule
+    converges only to first order and some level differences are exactly 0."""
+    slope = (2.0 * math.pi - 0.5) / (2.0 * math.pi - 1.0)
+
+    def phi(theta):
+        th = np.mod(theta, 2.0 * math.pi)
+        return np.where(th < 1.0, 0.5 * th, 0.5 + slope * (th - 1.0))
+
+    def dphi(theta):
+        return np.where(np.mod(theta, 2.0 * math.pi) < 1.0, 0.5, slope)
+
+    def value(r, theta):
+        return np.asarray(r) * np.exp(1j * phi(theta))
+
+    def partial_r(r, theta):
+        return np.exp(1j * phi(theta)) + 0.0 * np.asarray(r)
+
+    def partial_theta(r, theta):
+        return 1j * np.asarray(r) * dphi(theta) * np.exp(1j * phi(theta))
+
+    return MappingModel(label="angular_stretch", value=value, partial_r=partial_r,
+                        partial_theta=partial_theta)
+
+
+def affine(b: float) -> MappingModel:
+    """f = (z + b conj(z)) / (1 + b): its circle means reach round-off at a
+    trapezoid level that grows like 1/log(1/b), beyond 512 nodes near b = 1."""
+
+    def value(r, theta):
+        e = np.exp(1j * np.asarray(theta))
+        return np.asarray(r) * (e + b * np.conj(e)) / (1.0 + b)
+
+    def partial_r(r, theta):
+        e = np.exp(1j * np.asarray(theta))
+        return (e + b * np.conj(e)) / (1.0 + b) + 0.0 * np.asarray(r)
+
+    def partial_theta(r, theta):
+        e = np.exp(1j * np.asarray(theta))
+        return 1j * np.asarray(r) * (e - b * np.conj(e)) / (1.0 + b)
+
+    return MappingModel(label=f"affine({b})", value=value, partial_r=partial_r,
+                        partial_theta=partial_theta)
+
+
+def quadratic(c: complex) -> MappingModel:
+    """f = z + c z^2: |f| takes its extremes on |z| = r at theta = -arg c and
+    pi - arg c, on a trapezoid node only when c is real. For real c it is
+    evaluated with the operations of bench/worker.theta_map."""
+
+    def value(r, theta):
+        z = np.asarray(r) * np.exp(1j * np.asarray(theta))
+        return z + c * z * z
+
+    def partial_r(r, theta):
+        e = np.exp(1j * np.asarray(theta))
+        return e * (1.0 + 2.0 * c * (np.asarray(r) * e))
+
+    def partial_theta(r, theta):
+        z = np.asarray(r) * np.exp(1j * np.asarray(theta))
+        return 1j * z * (1.0 + 2.0 * c * z)
+
+    return MappingModel(label=f"quadratic({c})", value=value, partial_r=partial_r,
+                        partial_theta=partial_theta)
 
 
 def recording(model: MappingModel) -> tuple[MappingModel, dict[str, list[int]]]:

@@ -11,7 +11,15 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import catalog_suite, perturbed_conformal, recording, suite_ids
+from conftest import (
+    affine,
+    angular_stretch,
+    catalog_suite,
+    perturbed_conformal,
+    quadratic,
+    recording,
+    suite_ids,
+)
 from dilatox.catalog import beltrami_exact, linear, log_singular, radial_stretch
 from dilatox.errors import ConfigError, EmptyRange
 from dilatox import catalog, cli, functionals
@@ -212,73 +220,6 @@ class TestCircularMeans:
         assert all(a >= b - 1e-12 for a, b in zip(means, means[1:]))
 
 
-def angular_stretch() -> MappingModel:
-    """f(r e^{i theta}) = r e^{i phi(theta)}, phi piecewise linear with slope
-    1/2 on [0, 1) and (2pi - 1/2)/(2pi - 1) on [1, 2pi): Lipschitz, J = phi'
-    > 0, d_p = 1 and S = pi r^2, but phi' jumps, so the trapezoid rule
-    converges only to first order and some level differences are exactly 0."""
-    slope = (2.0 * math.pi - 0.5) / (2.0 * math.pi - 1.0)
-
-    def phi(theta):
-        th = np.mod(theta, 2.0 * math.pi)
-        return np.where(th < 1.0, 0.5 * th, 0.5 + slope * (th - 1.0))
-
-    def dphi(theta):
-        return np.where(np.mod(theta, 2.0 * math.pi) < 1.0, 0.5, slope)
-
-    def value(r, theta):
-        return np.asarray(r) * np.exp(1j * phi(theta))
-
-    def partial_r(r, theta):
-        return np.exp(1j * phi(theta)) + 0.0 * np.asarray(r)
-
-    def partial_theta(r, theta):
-        return 1j * np.asarray(r) * dphi(theta) * np.exp(1j * phi(theta))
-
-    return MappingModel(label="angular_stretch", value=value, partial_r=partial_r,
-                        partial_theta=partial_theta)
-
-
-def affine(b: float) -> MappingModel:
-    """f = (z + b conj(z)) / (1 + b): its circle means reach round-off at a
-    trapezoid level that grows like 1/log(1/b), beyond 512 nodes near b = 1."""
-
-    def value(r, theta):
-        e = np.exp(1j * np.asarray(theta))
-        return np.asarray(r) * (e + b * np.conj(e)) / (1.0 + b)
-
-    def partial_r(r, theta):
-        e = np.exp(1j * np.asarray(theta))
-        return (e + b * np.conj(e)) / (1.0 + b) + 0.0 * np.asarray(r)
-
-    def partial_theta(r, theta):
-        e = np.exp(1j * np.asarray(theta))
-        return 1j * np.asarray(r) * (e - b * np.conj(e)) / (1.0 + b)
-
-    return MappingModel(label=f"affine({b})", value=value, partial_r=partial_r,
-                        partial_theta=partial_theta)
-
-
-def quadratic(c: complex) -> MappingModel:
-    """f = z + c z^2: |f| takes its extremes on |z| = r at theta = -arg c and
-    pi - arg c, on a trapezoid node only when c is real."""
-
-    def value(r, theta):
-        z = np.asarray(r) * np.exp(1j * np.asarray(theta))
-        return z + c * z * z
-
-    def partial_r(r, theta):
-        e = np.exp(1j * np.asarray(theta))
-        return e * (1.0 + 2.0 * c * np.asarray(r) * e)
-
-    def partial_theta(r, theta):
-        z = np.asarray(r) * np.exp(1j * np.asarray(theta))
-        return 1j * z * (1.0 + 2.0 * c * z)
-
-    return MappingModel(label=f"quadratic({c})", value=value, partial_r=partial_r,
-                        partial_theta=partial_theta)
-
-
 def _recording_sample(fn):
     """fn(rows, th) as a sample that appends the (t, theta) pairs of every call
     to the returned list."""
@@ -344,23 +285,31 @@ class TestCircleBlocks:
             points = np.concatenate(seen)
             assert len(np.unique(points, axis=0)) == len(points) == nodes * t.size
 
-    def test_unsettled_rows_stay_within_one_block(self):
-        # rows with a kink never settle; past FIRST_STOP they go on in
-        # sub-blocks sized for the cap, so neither a reduce nor a model call
-        # ever holds more than BLOCK_POINTS samples, however large the cap
+    @pytest.mark.parametrize("fn, points", [(_kink, 8192 * 300), (_slow, 158_208)],
+                             ids=["kink", "slow"])
+    def test_unsettled_rows_stay_within_one_block(self, fn, points):
+        # rows with a kink never settle and go from FIRST_STOP straight to
+        # the cap; slowly converging rows double through 128, 256 and 512
+        # nodes, more of them at a time than block_rows(2m) holds, and a few
+        # reach 2048. Either way they go on in chunks sized for the level
+        # they reach, so neither a reduce nor a model call ever holds more
+        # than BLOCK_POINTS samples, however large the cap
         t, n = np.geomspace(1e-3, 0.9, 300), 8192
-        sample, seen = _recording_sample(_kink)
+        sample, seen = _recording_sample(fn)
         reduced = []
 
         def reduce(vals):
             reduced.append(vals.size)
             return _row_mean(vals)
 
-        np.testing.assert_array_equal(_circle_reduce(sample, t, n, reduce),
-                                      _circle_reduce(_kink, t, n, _row_mean, nested=False))
+        got = _circle_reduce(sample, t, n, reduce)
         assert max(reduced) <= BLOCK_POINTS
         assert max(map(len, seen)) <= BLOCK_POINTS
-        assert sum(map(len, seen)) == n * t.size
+        assert sum(map(len, seen)) == points
+        if fn is _kink:  # every row ends on the full grid
+            np.testing.assert_array_equal(got, _circle_reduce(_kink, t, n, _row_mean, nested=False))
+        else:  # no point is evaluated twice
+            assert len(np.unique(np.concatenate(seen), axis=0)) == points
 
     @pytest.mark.parametrize("n", [512, 192])
     @pytest.mark.parametrize("fn", [_kink, _slow], ids=["kink", "slow"])
