@@ -234,44 +234,6 @@ def _extend(sample: Callable[[np.ndarray, np.ndarray], np.ndarray], rows: np.nda
     return fine.reshape(vals.shape[:-1] + (level,))
 
 
-def _refine(sample: Callable[[np.ndarray, np.ndarray], np.ndarray], rows: np.ndarray,
-            vals: np.ndarray, theta: np.ndarray, reduce: Callable[[np.ndarray], np.ndarray],
-            out: np.ndarray, going: np.ndarray, last: tuple) -> np.ndarray:
-    """out, the reduce of rows (radii) from vals, their samples on a level of
-    the cap grid theta, carried on to the cap; none of the rows has settled
-    there, and going and last are _settled's for that level. A going row
-    doubles its level while the doubled level divides n, and any other row
-    is completed to the cap, where its samples and their order are those of
-    the one-level grid. Completions go in sub-blocks of block_rows(n) rows,
-    and a doubling that would exceed BLOCK_POINTS splits the going rows into
-    sub-blocks of block_rows(2m), so no reduce and no model call takes more
-    than BLOCK_POINTS samples a quantity (or one row)."""
-    n, idx, done = theta.size, np.arange(rows.size), np.zeros(rows.size, dtype=bool)
-    while True:
-        m = vals.shape[-1]
-        double = 2 * m < n and n % (2 * m) == 0
-        jump, step = np.flatnonzero(~done & ~(going & double)), block_rows(n)
-        for i in range(0, jump.size, step):
-            sub = jump[i:i + step]
-            out[..., idx[sub]] = reduce(_extend(sample, rows[idx[sub]], vals, sub, theta, n))
-        stay = np.flatnonzero(~done & going & double)
-        if not stay.size:
-            return out
-        idx, last, step = idx[stay], tuple(a[..., stay] for a in last), block_rows(2 * m)
-        if idx.size > step:
-            for i in range(0, idx.size, step):
-                sub, k = idx[i:i + step], min(step, idx.size - i)
-                out[..., sub] = _refine(sample, rows[sub], vals[..., stay[i:i + k], :], theta,
-                                        reduce, out[..., sub], np.ones(k, dtype=bool),
-                                        tuple(a[..., i:i + k] for a in last))
-            return out
-        fine = _extend(sample, rows[idx], vals, stay, theta, 2 * m)
-        level = reduce(fine)
-        done, going, last = _settled(level, out[..., idx], last)
-        out[..., idx] = level
-        vals = fine
-
-
 def _circle_reduce(sample: Callable[[np.ndarray, np.ndarray], np.ndarray], r, n: int,
                    reduce: Callable[[np.ndarray], np.ndarray], nested: bool = True) -> np.ndarray:
     """reduce(sample(t[:, None], theta[None, :])) along the angle (the last
@@ -286,36 +248,54 @@ def _circle_reduce(sample: Callable[[np.ndarray, np.ndarray], np.ndarray], r, n:
     converges geometrically on an analytic integrand, so when FIRST_STOP
     divides n and is less than it, every circle is sampled first on
     FIRST_STOP of the n nodes, in one model call per block of
-    block_rows(FIRST_STOP) radii, and read at 16, 32 and 64 nodes. A row stops
-    there once _settled finds its two level differences at round-off; the
-    others go on (_refine): level by level while their differences fall
-    geometrically, straight to the cap once they do not.
-    A row that reaches the cap ends with the samples and order of a
-    one-level reduction. nested=False, or an n that FIRST_STOP does not
-    divide, takes that one level, n nodes, for every row, in blocks of
-    block_rows(n) radii. No (t, theta) point is evaluated twice. Each row
-    is reduced and stopped on its own, so the values do not depend on the
-    blocking."""
+    block_rows(FIRST_STOP) radii, and read at 16, 32 and 64 nodes. The rows
+    of a block go on level by level until each has settled: a row that
+    _settled finds going (its differences fall geometrically) doubles its m
+    nodes while 2m divides n and is less than it, in chunks of
+    block_rows(2m) rows, any other one goes to the cap in chunks of
+    block_rows(n) rows, and one _settled call over the doubled rows decides
+    what goes on. Only the nodes a row lacks are sampled (_extend): no
+    (t, theta) point is evaluated twice, and no reduce or model call takes
+    more than BLOCK_POINTS samples a quantity (or one row). A row that
+    reaches the cap ends with the samples and order of a one-level
+    reduction; nested=False, or an n that FIRST_STOP does not divide, takes
+    that level for every row, in blocks of block_rows(n) radii. Each row is
+    reduced and stopped on its own: the values do not depend on blocking."""
     t = np.atleast_1d(np.asarray(r, dtype=float))
     theta = circle_nodes(n)
     nested = nested and n > FIRST_STOP and n % FIRST_STOP == 0
     first = theta[::n // FIRST_STOP].copy() if nested else theta
-    parts, step = [], block_rows(first.size)
-    for start in range(0, t.size, step):
-        rows = t[start:start + step]
+    parts, block = [], block_rows(first.size)
+    for start in range(0, t.size, block):
+        rows = t[start:start + block]
         vals = _sample_rows(sample, rows, first)
-        if nested:
-            out, half = np.array(reduce(vals), dtype=float), reduce(vals[..., ::2])
-            done, going, last = _settled(out, half, _difference(half, reduce(vals[..., ::4])))
-            todo = np.flatnonzero(~done)
-            if todo.size < rows.size:  # let the settled rows' samples go before refining
-                vals = vals[..., todo, :]
-            if todo.size:
-                out[..., todo] = _refine(sample, rows[todo], vals, theta, reduce, out[..., todo],
-                                         going[todo], tuple(a[..., todo] for a in last))
-            parts.append(out)
-        else:
+        if not nested:
             parts.append(reduce(vals))
+            continue
+        out = np.array(reduce(vals), dtype=float)
+        parts.append(out)
+        half = reduce(vals[..., ::2])
+        done, going, last = _settled(out, half, _difference(half, reduce(vals[..., ::4])))
+        live = np.flatnonzero(~done)  # live[i]: the row of the block in vals[..., i, :]
+        done, going, last = done[live], going[live], tuple(a[..., live] for a in last)
+        if live.size < rows.size:  # let the settled rows' samples go before refining
+            vals = vals[..., live, :]
+        while True:
+            m = vals.shape[-1]
+            going &= ~done & (2 * m < n) & (n % (2 * m) == 0)
+            jump, step = np.flatnonzero(~done & ~going), block_rows(n)
+            for sub in (jump[i:i + step] for i in range(0, jump.size, step)):
+                out[..., live[sub]] = reduce(_extend(sample, rows[live[sub]], vals, sub, theta, n))
+            stay, step = np.flatnonzero(going), block_rows(2 * m)
+            if not stay.size:
+                break
+            fine = [_extend(sample, rows[live[sub]], vals, sub, theta, 2 * m)
+                    for sub in (stay[i:i + step] for i in range(0, stay.size, step))]
+            level = np.concatenate([reduce(chunk) for chunk in fine], axis=-1)
+            vals = fine[0] if len(fine) == 1 else np.concatenate(fine, axis=-2)
+            live, last = live[stay], tuple(a[..., stay] for a in last)
+            done, going, last = _settled(level, out[..., live], last)
+            out[..., live] = level
     return np.concatenate(parts, axis=-1)
 
 
