@@ -23,7 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from dilatox.catalog import beltrami_exact, identity, linear, log_singular, radial_stretch
 from dilatox.quadrature import QuadratureConfig
-from dilatox.verifier import RadiusLadder, json_text, run_checks
+from dilatox.verifier import RadiusLadder, reports_to_json, run_checks
 
 ORDERS = (1.2, 1.5, 1.8, 2.0, 2.5, 3.0, 4.0)
 
@@ -55,8 +55,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.out is not None:
             args.out.mkdir(parents=True, exist_ok=True)
             path = args.out / f"{entry.model.label.replace('/', '_')}.json"
-            path.write_text(json_text([rep.to_dict() | {"margins": rep.margins.tolist()}
-                                       for rep in collected]))
+            path.write_text(reports_to_json(collected))
     print(f"\n{failures} violated check(s)" if failures else "\nall checks hold")
     return 1 if failures else 0
 

@@ -242,25 +242,23 @@ def _circle_reduce(sample: Callable[[np.ndarray, np.ndarray], np.ndarray], r, n:
     (n/m)-th of them; the last axis of the result runs over r.
 
     Every quantity defined on the circles |z| = t is one such reduction, and
-    circle_size (circle_size_of for a bare function) gives a
-    rotation-invariant map a single node, so invariance is a grid size
-    rather than a separate code path. The periodic trapezoid rule
-    converges geometrically on an analytic integrand, so when FIRST_STOP
-    divides n and is less than it, every circle is sampled first on
-    FIRST_STOP of the n nodes, in one model call per block of
-    block_rows(FIRST_STOP) radii, and read at 16, 32 and 64 nodes. The rows
-    of a block go on level by level until each has settled: a row that
-    _settled finds going (its differences fall geometrically) doubles its m
-    nodes while 2m divides n and is less than it, in chunks of
-    block_rows(2m) rows, any other one goes to the cap in chunks of
-    block_rows(n) rows, and one _settled call over the doubled rows decides
-    what goes on. Only the nodes a row lacks are sampled (_extend): no
-    (t, theta) point is evaluated twice, and no reduce or model call takes
-    more than BLOCK_POINTS samples a quantity (or one row). A row that
-    reaches the cap ends with the samples and order of a one-level
-    reduction; nested=False, or an n that FIRST_STOP does not divide, takes
-    that level for every row, in blocks of block_rows(n) radii. Each row is
-    reduced and stopped on its own: the values do not depend on blocking."""
+    circle_size (circle_size_of for a bare function) gives a rotation-invariant
+    map a single node. The periodic trapezoid rule converges geometrically on
+    an analytic integrand, so when FIRST_STOP divides n and is less than it,
+    every circle is sampled first on FIRST_STOP of the n nodes, in one model
+    call per block of block_rows(FIRST_STOP) radii, and read at 16, 32 and 64
+    nodes. The unsettled rows of a block go on in one loop over chunks of rows
+    on one level m: a row that _settled finds going (falling geometrically)
+    doubles m while 2m divides n and is less than it, block_rows(2m) rows at a
+    time and each chunk ahead of the rows that wait, so about BLOCK_POINTS
+    samples a level are held; any other row goes to the cap, block_rows(n) rows
+    at a time. Only the nodes a row lacks are sampled (_extend): no (t, theta)
+    point is evaluated twice, and no reduce or model call takes more than
+    BLOCK_POINTS samples a quantity (or one row). A row reaching the cap ends
+    with the samples and order of a one-level reduction; nested=False, or n not
+    a multiple of FIRST_STOP, takes that level for every row, in blocks of
+    block_rows(n) radii. Rows are reduced and stopped one by one: the values do
+    not depend on blocking."""
     t = np.atleast_1d(np.asarray(r, dtype=float))
     theta = circle_nodes(n)
     nested = nested and n > FIRST_STOP and n % FIRST_STOP == 0
@@ -272,30 +270,32 @@ def _circle_reduce(sample: Callable[[np.ndarray, np.ndarray], np.ndarray], r, n:
         if not nested:
             parts.append(reduce(vals))
             continue
-        out = np.array(reduce(vals), dtype=float)
+        out, half = np.array(reduce(vals), dtype=float), reduce(vals[..., ::2])
         parts.append(out)
-        half = reduce(vals[..., ::2])
         done, going, last = _settled(out, half, _difference(half, reduce(vals[..., ::4])))
         live = np.flatnonzero(~done)  # live[i]: the row of the block in vals[..., i, :]
-        done, going, last = done[live], going[live], tuple(a[..., live] for a in last)
         if live.size < rows.size:  # let the settled rows' samples go before refining
             vals = vals[..., live, :]
-        while True:
-            m = vals.shape[-1]
+        chunks = [(live, vals, done[live], going[live], tuple(a[..., live] for a in last))]
+        while chunks:  # vals stays held: freed, its pages were re-faulted by the model
+            live, fine, done, going, last = chunks.pop()
+            m = fine.shape[-1]
             going &= ~done & (2 * m < n) & (n % (2 * m) == 0)
             jump, step = np.flatnonzero(~done & ~going), block_rows(n)
             for sub in (jump[i:i + step] for i in range(0, jump.size, step)):
-                out[..., live[sub]] = reduce(_extend(sample, rows[live[sub]], vals, sub, theta, n))
+                out[..., live[sub]] = reduce(_extend(sample, rows[live[sub]], fine, sub, theta, n))
             stay, step = np.flatnonzero(going), block_rows(2 * m)
-            if not stay.size:
-                break
-            fine = [_extend(sample, rows[live[sub]], vals, sub, theta, 2 * m)
-                    for sub in (stay[i:i + step] for i in range(0, stay.size, step))]
-            level = np.concatenate([reduce(chunk) for chunk in fine], axis=-1)
-            vals = fine[0] if len(fine) == 1 else np.concatenate(fine, axis=-2)
-            live, last = live[stay], tuple(a[..., stay] for a in last)
-            done, going, last = _settled(level, out[..., live], last)
-            out[..., live] = level
+            if stay.size > step:  # the other going rows wait on fine till this chunk's are done
+                going[stay[:step]] = False
+                chunks.append((live, fine, ~going, going, last))
+                stay = stay[:step]
+            if stay.size:
+                fine = _extend(sample, rows[live[stay]], fine, stay, theta, 2 * m)
+                level, live, last = reduce(fine), live[stay], tuple(a[..., stay] for a in last)
+                done, going, last = _settled(level, out[..., live], last)
+                out[..., live] = level
+                chunks.append((live, fine, done, going, last))
+        del fine  # not held through the next block's first model call
     return np.concatenate(parts, axis=-1)
 
 

@@ -557,8 +557,8 @@ def json_text(doc) -> str:
 
 
 def reports_to_json(reports: list[BoundReport]) -> str:
-    """Verification matrix as deterministic, strict JSON."""
-    return json_text([rep.to_dict() for rep in reports])
+    """Reports, each to_dict() and its margins, as deterministic, strict JSON."""
+    return json_text([rep.to_dict() | {"margins": rep.margins.tolist()} for rep in reports])
 
 
 def margins_to_csv(reports: list[BoundReport], path) -> None:

@@ -24,7 +24,7 @@ import pytest
 from conftest import affine, angular_stretch, quadratic, recording
 from dilatox.mapping import fd_model
 from dilatox.quadrature import QuadratureConfig
-from dilatox.verifier import RadiusLadder, json_text, run_checks
+from dilatox.verifier import RadiusLadder, reports_to_json, run_checks
 
 FROZEN = Path(__file__).with_name("frozen")
 MATRIX_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_verification_matrix.py"
@@ -78,14 +78,13 @@ def write_reports(out: Path) -> dict[str, tuple[int, int]]:
         runpy.run_path(str(MATRIX_SCRIPT))["main"](["--out", str(out / "matrix")])
     cfg, ladder, counts = QuadratureConfig(), RadiusLadder(), {}
     for name, runs in checked_maps().items():
-        docs, points, calls = [], 0, 0
+        reports, points, calls = [], 0, 0
         for model, p in runs:
             model, sizes = recording(model)
-            docs += [rep.to_dict() | {"margins": rep.margins.tolist()}
-                     for rep in run_checks(model, p, ladder, cfg)]
+            reports += run_checks(model, p, ladder, cfg)
             points += sum(map(sum, sizes.values()))
             calls += sum(map(len, sizes.values()))
-        (out / name).write_text(json_text(docs))
+        (out / name).write_text(reports_to_json(reports))
         counts[name] = (points, calls)
     return counts
 

@@ -448,6 +448,7 @@ class TestSerialization:
         doc = json.loads(a)
         assert doc[0]["check_id"] == "lemma2"
         assert doc[0]["holds"] is True
+        assert doc[0]["margins"] == rep.margins.tolist()
 
     def test_reports_json_is_strict(self, ladder, cfg):
         # theorem1 on the log-singular map is vacuous: its margin is +inf
