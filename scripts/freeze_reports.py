@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Rewrite the frozen report set of tests/test_frozen.py.
 
-Writes every report of the set afresh into tests/frozen/, records the
-fingerprint of this machine's numpy beside them, and prints one line per
-field that moved against the files it replaces: file, report, field, old
-value and new value. A change that moves a field lists each one. It also
+Writes every file of the set afresh into tests/frozen/ (the reports, the
+outputs of the CLI runs and the sharpness tables), records the fingerprint
+of this machine's numpy beside them, and prints one line per field that
+moved against the files it replaces: file, record, field, old value and new
+value. A change that moves a field lists each one. It also
 prints the model points and calls of each run_checks file, the figures
 test_frozen.MODEL_POINTS_AND_CALLS pins.
 
@@ -25,9 +26,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from test_frozen import (
     FROZEN,
     fingerprint,
+    load_records,
     moved_fields,
     report_files,
-    strict_load,
     write_reports,
 )
 
@@ -38,8 +39,8 @@ def main() -> int:
         counts = write_reports(out)
         moved = 0
         for name in sorted(set(report_files(FROZEN)) | set(report_files(out))):
-            old = strict_load(FROZEN / name) if (FROZEN / name).exists() else []
-            new = strict_load(out / name) if (out / name).exists() else []
+            old = load_records(FROZEN / name) if (FROZEN / name).exists() else []
+            new = load_records(out / name) if (out / name).exists() else []
             for report, field, was, now in moved_fields(old, new):
                 print(f"{name}\t{report}\t{field}\t{was!r}\t{now!r}")
                 moved += 1

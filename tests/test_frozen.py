@@ -1,6 +1,8 @@
 """The frozen report set: every report of scripts/run_verification_matrix.py
 and of run_checks on the theta-dependent maps that take each path of the
-nested circle levels, recorded as strict JSON under tests/frozen/.
+nested circle levels, recorded as strict JSON under tests/frozen/, beside the
+files the CLI runs of CI_RUNS write and the stdout of
+scripts/sharpness_tables.py.
 
 A change that claims to keep the numbers passes this file unchanged. Values
 match bit for bit when numpy's elementary functions round as they did when
@@ -12,6 +14,7 @@ prints every field that moved."""
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -22,12 +25,26 @@ import numpy as np
 import pytest
 
 from conftest import affine, angular_stretch, quadratic, recording
+from dilatox import cli
 from dilatox.mapping import fd_model
 from dilatox.quadrature import QuadratureConfig
 from dilatox.verifier import RadiusLadder, reports_to_json, run_checks
 
 FROZEN = Path(__file__).with_name("frozen")
-MATRIX_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_verification_matrix.py"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+MATRIX_SCRIPT = SCRIPTS / "run_verification_matrix.py"
+SHARPNESS_SCRIPT = SCRIPTS / "sharpness_tables.py"
+
+# CLI runs of the CI's console-script step, by the name of their output
+# directory under cli/: each writes every file of its subcommand there.
+CI_RUNS = {
+    "beltrami": ["beltrami", "--param", "kappa=2", "--param", "m=1"],
+    "asym4": ["asym", "--map", "linear", "--param", "k=0.25", "--p", "4"],
+    "asym15": ["asym", "--map", "linear", "--param", "k=0.5", "--p", "1.5"],
+    "area15": ["verify", "--map", "log_singular", "--param", "p=3", "--p", "1.5",
+               "--check", "lemma1", "--check", "lemma4"],
+    "eval3": ["eval", "--map", "log_singular", "--param", "p=3", "--p", "3"],
+}
 
 # Relative tolerance of a value on a machine whose numpy rounds differently.
 FOREIGN_RTOL = 1e-12
@@ -71,11 +88,18 @@ def checked_maps() -> dict[str, list]:
 
 def write_reports(out: Path) -> dict[str, tuple[int, int]]:
     """Write the whole set afresh under out: the matrix script's --out
-    reports in out/matrix, and one file of run_checks reports, each with its
+    reports in out/matrix, the outputs of each CI_RUNS run through cli.main
+    in out/cli/<name>, the stdout of the sharpness script in
+    out/sharpness.txt, and one file of run_checks reports, each with its
     margins, per entry of checked_maps. Returns the model points and calls
     of each run_checks file."""
     with contextlib.redirect_stdout(io.StringIO()):
         runpy.run_path(str(MATRIX_SCRIPT))["main"](["--out", str(out / "matrix")])
+        for name, argv in CI_RUNS.items():
+            cli.main(argv + ["--out", str(out / "cli" / name)])
+    with contextlib.redirect_stdout(io.StringIO()) as tables:
+        runpy.run_path(str(SHARPNESS_SCRIPT))["main"]()
+    (out / "sharpness.txt").write_text(tables.getvalue())
     cfg, ladder, counts = QuadratureConfig(), RadiusLadder(), {}
     for name, runs in checked_maps().items():
         reports, points, calls = [], 0, 0
@@ -112,13 +136,63 @@ def strict_load(path: Path):
     return json.loads(path.read_text(), parse_constant=_reject)
 
 
+def _flat(doc: dict, prefix: str = "") -> dict:
+    """doc with each nested object, and each list of objects, spread into
+    dotted keys ("proxies.k.value", "matrix[0].margin_min")."""
+    out = {}
+    for key, val in doc.items():
+        name = prefix + key
+        if isinstance(val, dict):
+            out.update(_flat(val, name + "."))
+        elif isinstance(val, list) and val and all(isinstance(v, dict) for v in val):
+            for i, v in enumerate(val):
+                out.update(_flat(v, f"{name}[{i}]."))
+        else:
+            out[name] = val
+    return out
+
+
+def _number(text: str):
+    """text as a float if it reads as one, else as given."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _json_records(path: Path) -> list:
+    doc = strict_load(path)
+    return [_flat(rec) for rec in (doc if isinstance(doc, list) else [doc])]
+
+
+def _csv_records(path: Path) -> list:
+    with open(path, newline="") as fh:
+        return [{key: _number(val) for key, val in row.items()} for row in csv.DictReader(fh)]
+
+
+def _text_records(path: Path) -> list:
+    return [{"line": [_number(tok) for tok in line.split()]}
+            for line in path.read_text().splitlines()]
+
+
+# The loaders of the set's files, by suffix: each gives a list of records,
+# flat dicts whose fields moved_fields compares.
+LOADERS = {".json": _json_records, ".csv": _csv_records, ".txt": _text_records}
+
+
+def load_records(path: Path) -> list:
+    """The records of the set's file at path (LOADERS)."""
+    return LOADERS[path.suffix](path)
+
+
 def report_files(root: Path) -> list[str]:
-    return sorted(str(path.relative_to(root)) for path in root.rglob("*.json"))
+    return sorted(str(path.relative_to(root)) for path in root.rglob("*")
+                  if path.suffix in LOADERS)
 
 
 def _same(old, new, rtol: float) -> bool:
     if isinstance(old, float) and isinstance(new, float) and rtol:
-        return abs(new - old) <= rtol * max(1.0, abs(old))
+        return old == new or abs(new - old) <= rtol * max(1.0, abs(old))
     return type(old) is type(new) and old == new
 
 
@@ -126,11 +200,12 @@ def moved_fields(old: list, new: list, rtol: float = 0.0):
     """(report, field, old value, new value) for every field of the report
     lists old and new that differs: a float by more than rtol * max(1, |old|)
     (bitwise when rtol is 0), anything else at all. A report is named by its
-    index, check and order, an entry of a list field by its index."""
+    index, check and order, another record by its index, an entry of a list
+    field by its index."""
     if len(old) != len(new):
         yield "*", "reports", len(old), len(new)
     for i, (was, now) in enumerate(zip(old, new)):
-        label = f"{i}:{was.get('check_id')}@p={was.get('p')}"
+        label = f"{i}:{was['check_id']}@p={was.get('p')}" if "check_id" in was else str(i)
         for key in sorted(was.keys() | now.keys()):
             a, b = was.get(key), now.get(key)
             if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
@@ -153,7 +228,7 @@ def test_reports_match_the_frozen_set(fresh):
     exact = fingerprint() == (FROZEN / "FINGERPRINT").read_text().strip()
     rtol = 0.0 if exact else FOREIGN_RTOL
     moved = [(name, *field) for name in names
-             for field in moved_fields(strict_load(FROZEN / name), strict_load(out / name), rtol)]
+             for field in moved_fields(load_records(FROZEN / name), load_records(out / name), rtol)]
     assert not moved, f"{len(moved)} field(s) moved, first {moved[:5]}"
 
 
