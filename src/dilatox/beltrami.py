@@ -30,7 +30,7 @@ from .mapping import (
 )
 from .functionals import disc_power_mean
 from .quadrature import QuadratureConfig, circle_nodes
-from .verifier import BoundReport, LimitProxy, RadiusLadder, _finish, growth_bound
+from .verifier import LimitProxy, RadiusLadder, Theorem1Result, _finish, growth_bound
 
 DRIFT_TOL = 1e-12
 BLOWUP_CAP = 1e6
@@ -238,17 +238,10 @@ def condition_sigma0(coef: SigmaCoefficient, ladder: RadiusLadder,
     return LimitProxy.from_tail("liminf", mean.value[-ladder.tail:])
 
 
-@dataclass
-class NbBoundResult:
-    sigma0: LimitProxy
-    bound: float
-    attained: float
-    report: BoundReport
-
-
 def theorem_nb_bound(coef: SigmaCoefficient, solution: RadialSolution,
-                     ladder: RadiusLadder, cfg: QuadratureConfig) -> NbBoundResult:
-    """liminf |f(z)|/|z| <= c_{m+2} sigma_0^{1/m} for solutions with m > 0."""
+                     ladder: RadiusLadder, cfg: QuadratureConfig) -> Theorem1Result:
+    """liminf |f(z)|/|z| <= c_{m+2} sigma_0^{1/m} for solutions with m > 0:
+    theorem 1 at p = m + 2, whose k is the proxy sigma_0."""
     if not coef.m > 0.0:
         raise ConfigError(f"the asymptotic bound needs m > 0, got m={coef.m}")
     tail = ladder.tail_radii()
@@ -260,4 +253,4 @@ def theorem_nb_bound(coef: SigmaCoefficient, solution: RadialSolution,
     bound = growth_bound(coef.m + 2.0, sigma0.value)
     attained = LimitProxy.from_tail("liminf", solution.profile.ratio(tail)).value
     report = _finish("theorem_nb", coef.m + 2.0, tail[-1], bound, attained, notes=solution.notes)
-    return NbBoundResult(sigma0=sigma0, bound=bound, attained=attained, report=report)
+    return Theorem1Result(k=sigma0, bound=bound, attained=attained, report=report)

@@ -256,7 +256,7 @@ def cmd_beltrami(args) -> int:
     }
     if coef.m > 0.0:
         nb = beltrami.theorem_nb_bound(coef, solution, ladder, cfg)
-        doc["sigma0"] = nb.sigma0.to_dict()
+        doc["sigma0"] = nb.k.to_dict()
         doc["bound"] = nb.bound
         doc["attained"] = nb.attained
         doc["holds"] = nb.report.holds

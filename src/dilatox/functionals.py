@@ -19,7 +19,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import ConfigError, EmptyRange
+from .errors import ConfigError
 from .mapping import (
     MappingModel,
     _check_radii,
@@ -361,15 +361,12 @@ def _radial_integrand(d_p: RadialFn, p: float) -> RadialFn:
 
 
 def radial_integral_outer(d_p: RadialFn, r: Radii, p: float, cfg: QuadratureConfig) -> Radii:
-    """integral_r^1 dt / (t^{p-1} d_p(t))."""
+    """integral_r^1 dt / (t^{p-1} d_p(t)). The ladder plan rejects a radius
+    r >= 1 (EmptyRange) or r <= 0 (ConfigError) before d_p is called."""
     p = _order(p)
-    radii = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(radii >= 1.0):
-        raise EmptyRange(f"lower limit must satisfy r < 1, got {float(radii.max())}")
-    if np.any(radii <= 0.0):
-        raise ConfigError(f"lower limit must be positive, got {float(radii.min())}")
     fn = _radial_integrand(d_p, p)
-    return _like_radius(r, integrate_radial(fn, radii, 1.0, cfg, nested=fn.nested))
+    return _like_radius(r, integrate_radial(fn, np.atleast_1d(np.asarray(r, dtype=float)), 1.0,
+                                            cfg, nested=fn.nested))
 
 
 def radial_integral_inner(d_p: RadialFn, r: Radii, p: float,

@@ -66,30 +66,24 @@ def _settled(level: np.ndarray, coarse: np.ndarray, last: tuple) -> tuple:
     return items(small & (prev_small | falling)), items(small | falling), (diff, small)
 
 
-def _trapezoid_column(y: np.ndarray, dx, axis: int) -> np.ndarray:
-    """The trapezoid sums T_0 ... T_k of 2^k + 1 equally spaced samples along
-    `axis`, T_i on 2^i intervals, stacked along a new leading axis; the
-    first column of scipy.integrate.romb's Richardson table, with its
-    operations."""
-    n_interv = y.shape[axis] - 1
+def _trapezoid_column(y: np.ndarray, dx: float) -> np.ndarray:
+    """The trapezoid sums T_0 ... T_k of one row y of 2^k + 1 equally spaced
+    samples, T_i on 2^i intervals; the first column of scipy.integrate.romb's
+    Richardson table, with its operations."""
+    n_interv = len(y) - 1 if y.ndim == 1 else 0
     k = n_interv.bit_length() - 1
     if n_interv < 1 or n_interv != 1 << k:
-        raise ValueError("Number of samples must be one plus a non-negative power of 2.")
-    lead = (slice(None),) * (axis % y.ndim)
-
-    def along(s):
-        return lead + (s,)
-
-    h = n_interv * np.asarray(dx, dtype=np.float64)
-    column = [(y[along(0)] + y[along(-1)]) / 2.0 * h]
+        raise ValueError(f"romb needs one row of 2^k + 1 samples, got shape {y.shape}")
+    h = n_interv * dx
+    column = [(y[0] + y[-1]) / 2.0 * h]
     start = step = n_interv
     for _ in range(k):
         start >>= 1
-        midpoints = y[along(slice(start, n_interv, step))]
+        midpoints = y[start:n_interv:step]
         step >>= 1
-        column.append(0.5 * (column[-1] + h * np.add.reduce(midpoints, axis=axis)))
+        column.append(0.5 * (column[-1] + h * np.add.reduce(midpoints)))
         h = h / 2.0
-    return np.stack(column)
+    return np.array(column)
 
 
 def _richardson(table: np.ndarray) -> np.ndarray:
@@ -105,18 +99,16 @@ def _richardson(table: np.ndarray) -> np.ndarray:
     return table
 
 
-def romb(y, dx=1.0, axis: int = -1):
-    """Romberg integral of 2^k + 1 equally spaced samples along `axis`.
+def romb(y, dx: float = 1.0):
+    """Romberg integral of one row of 2^k + 1 equally spaced samples, dx apart.
 
     The Richardson table of scipy.integrate.romb, with the same operations in
     the same order, so the result is bit-identical to it; only the order in
     which the table's entries are filled differs (the trapezoid column first,
     then one column at a time). A dot product with precomputed Romberg
-    weights would sum in another order and differ in the last bits. `dx` is a
-    scalar or an array that broadcasts against `y` with `axis` removed (one
-    step per row).
+    weights would sum in another order and differ in the last bits.
     """
-    return _richardson(_trapezoid_column(np.asarray(y), dx, axis))[-1]
+    return _richardson(_trapezoid_column(np.asarray(y), dx))[-1]
 
 
 def romberg_nodes(cfg: QuadratureConfig) -> int:
