@@ -525,11 +525,13 @@ CHECKS = (
 def run_checks(model: MappingModel, p: float, ladder: RadiusLadder, cfg: QuadratureConfig,
                names=()) -> list[BoundReport]:
     """Reports of the named checks in the order first named, each once, or of
-    every check that applies at p; a named check that does not apply is a
-    ConfigError."""
+    every check that applies at p. A name not in CHECKS, or a named check
+    that does not apply, is a ConfigError before any check runs."""
     p = _order(p)
     by_name = {check.name: check for check in CHECKS}
     names = dict.fromkeys(names)
+    if unknown := [name for name in names if name not in by_name]:
+        raise ConfigError(f"unknown check(s) {unknown}; the checks are {list(by_name)}")
     chosen = [by_name[name] for name in names] or [c for c in CHECKS if c.regime.applies(p)]
     for check in chosen:
         if not check.regime.applies(p):

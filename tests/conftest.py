@@ -1,8 +1,9 @@
 """Shared fixtures: the default quadrature config, the default radius ladder,
 the catalog map suite used by map-wide checks, theta-dependent test maps
 with closed-form partials (a small conformal perturbation of the identity,
-z + c z^2, an affine map and a piecewise-linear angular stretch), and a
-wrapper that records the size of every model call."""
+z + c z^2 with the bench's ten values of c, an affine map and a
+piecewise-linear angular stretch), and a wrapper that records the size of
+every model call."""
 
 import math
 from dataclasses import replace
@@ -120,6 +121,13 @@ def affine(b: float) -> MappingModel:
 
     return MappingModel(label=f"affine({b})", value=value, partial_r=partial_r,
                         partial_theta=partial_theta)
+
+
+# c of the bench's theta map z + c z^2 at seeds 1-10 (bench/plan.theta_c).
+THETA_C = (0.1842563200884897, 0.056096840393221915, 0.13687551567187778,
+           0.12456641121836216, 0.18040643340769935, 0.1357314454861856,
+           0.17934343682913578, 0.06628622782845289, 0.1495281674881687,
+           0.06458664511239887)
 
 
 def quadratic(c: complex) -> MappingModel:

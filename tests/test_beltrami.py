@@ -168,6 +168,12 @@ class TestSolver:
         np.testing.assert_array_equal(rows[:, 1], sol.values)
 
 
+@pytest.mark.parametrize("step", [math.log(0.95 / 0.05), 3.0, math.inf])
+def test_step_spanning_the_whole_solve_is_config_error(step):
+    with pytest.raises(ConfigError, match=r"^bad step .* in ln r for span \(0\.05, 0\.95\)$"):
+        solve_radial(power_sigma(2.0, 1.0), 0.5, 1.0, (0.05, 0.95), step)
+
+
 class TestDilatationAndCondition:
     def test_dilatation_from_sigma_closed_form(self):
         coef = power_sigma(kappa=2.0, m=1.0)

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import affine, angular_stretch, quadratic, recording
+from conftest import THETA_C, affine, angular_stretch, quadratic, recording
 from dilatox import cli
 from dilatox.mapping import fd_model
 from dilatox.quadrature import QuadratureConfig
@@ -48,12 +48,6 @@ CI_RUNS = {
 
 # Relative tolerance of a value on a machine whose numpy rounds differently.
 FOREIGN_RTOL = 1e-12
-
-# c of the bench's theta map z + c z^2 at seeds 1-10 (bench/plan.theta_c).
-THETA_C = (0.1842563200884897, 0.056096840393221915, 0.13687551567187778,
-           0.12456641121836216, 0.18040643340769935, 0.1357314454861856,
-           0.17934343682913578, 0.06628622782845289, 0.1495281674881687,
-           0.06458664511239887)
 
 # Model points and calls of each run_checks file, as first recorded: a change
 # to the circle levels keeps the points and makes no more calls.
@@ -227,8 +221,8 @@ def test_reports_match_the_frozen_set(fresh):
     assert names and report_files(out) == names
     exact = fingerprint() == (FROZEN / "FINGERPRINT").read_text().strip()
     rtol = 0.0 if exact else FOREIGN_RTOL
-    moved = [(name, *field) for name in names
-             for field in moved_fields(load_records(FROZEN / name), load_records(out / name), rtol)]
+    moved = [(name, *field) for name in names for field in
+             moved_fields(load_records(FROZEN / name), load_records(out / name), rtol)]
     assert not moved, f"{len(moved)} field(s) moved, first {moved[:5]}"
 
 

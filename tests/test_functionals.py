@@ -135,6 +135,20 @@ class TestAdmission:
                                               rf"{re.escape(where)}$"):
             admit_map(model, "verify", p, RUNGS)
 
+    @pytest.mark.parametrize("partial, bad", [("partial_r", math.nan), ("partial_r", math.inf),
+                                              ("partial_theta", -math.inf)])
+    def test_non_finite_partial_is_config_error(self, partial, bad):
+        # one non-finite sample on the top rung's circle is enough
+        def spoiled(r, theta):
+            out = np.array(getattr(linear(0.5).model, partial)(r, theta), dtype=complex)
+            out[..., 3] = bad
+            return out
+
+        model = replace(linear(0.5).model, label="spoiled", **{partial: spoiled})
+        with pytest.raises(ConfigError, match="^a partial derivative of 'spoiled' is not "
+                                              "finite on the circle r=0.5, read at order 3$"):
+            admit_map(model, "verify", 3.0, RUNGS)
+
     def test_sense_reversing_map_is_config_error(self):
         def conj(r, theta):
             return np.conj(np.asarray(r) * np.exp(1j * np.asarray(theta)))
@@ -512,6 +526,20 @@ class TestRadialIntegrals:
             return np.where((t > 0.1) & (t < 0.4), 0.0, 1.0)
 
         assert radial_integral_outer(d_p, 0.1, 4.0, cfg) == math.inf
+
+    @pytest.mark.parametrize("r, error", [
+        (1.0, EmptyRange), (1.5, EmptyRange), (np.array([0.5, 1.0]), EmptyRange),
+        (0.0, ConfigError), (-0.5, ConfigError), (np.array([0.5, 0.0]), ConfigError),
+    ], ids=["1", "1.5", "ladder-to-1", "0", "negative", "ladder-to-0"])
+    def test_outer_radii_outside_the_disc_rejected_by_the_plan(self, r, error, cfg):
+        # the ladder plan of the pass to 1 refuses them before d_p is called,
+        # every time: its cache keeps no exception
+        def d_p(t):
+            raise AssertionError("d_p called")
+
+        for _ in range(2):
+            with pytest.raises(error):
+                radial_integral_outer(d_p, r, 4.0, cfg)
 
 
 class TestRadiiCheckedAtEntry:

@@ -21,10 +21,12 @@ from dilatox.mapping import (
     RadialProfile,
     fd_model,
     jacobian_grid,
+    json_real,
     map_from_json,
     min_max_modulus,
     model_from_profile,
     pchip,
+    sample_table,
 )
 from dilatox.quadrature import QuadratureConfig, circle_nodes
 from dilatox.verifier import RadiusLadder
@@ -290,6 +292,31 @@ def _pchip_data(kind: str, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+ROWS = [[0.1, 0.2], [0.5, 0.6], [0.9, 0.95]]
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: json_real({"k": "abc"}, "k", "a map"), "a map needs a number for 'k', got 'abc'"),
+    (lambda: json_real({"k": True}, "k", "a map"), "a map needs a number for 'k', got True"),
+    (lambda: json_real({"k": None}, "k", "a map"), "a map needs a number for 'k', got None"),
+    (lambda: json_real({"k": [1.0]}, "k", "a map"), r"a map needs a number for 'k', got \[1\.0\]"),
+    (lambda: sample_table({"samples": [["a", 1.0]] + ROWS}, "prof", ("r", "R")),
+     "prof samples must be rows of numbers"),
+    (lambda: sample_table({"samples": [[0.1, 0.2], [0.5]]}, "prof", ("r", "R")),
+     "prof samples must be rows of numbers"),
+    (lambda: sample_table({"samples": ROWS[:2]}, "prof", ("r", "R")),
+     r"prof needs >= 3 sample rows \[r, R\]"),
+    (lambda: sample_table({"samples": [ROWS[0], ROWS[2], ROWS[1]]}, "prof", ("r", "R")),
+     "prof radii must be strictly increasing"),
+    (lambda: sample_table({"samples": [ROWS[0], ROWS[0], ROWS[2]]}, "prof", ("r", "R")),
+     "prof radii must be strictly increasing"),
+], ids=["string", "bool", "null", "list", "non-numeric-row", "ragged-rows", "two-rows",
+        "radii-decrease", "radii-repeat"])
+def test_json_fields_rejected_as_config_errors(call, match):
+    with pytest.raises(ConfigError, match=match):
+        call()
+
+
 class TestInterpolants:
     @pytest.mark.parametrize("kind", ["monotone", "flat_runs", "extrema"])
     @pytest.mark.parametrize("seed", range(5))
@@ -338,6 +365,12 @@ class TestInterpolants:
             warnings.simplefilter("error")
             with pytest.raises(ConfigError, match="profile table overflows float64"):
                 _LogSingularProfile(p)
+
+    @pytest.mark.parametrize("r", [1e-11, 1.0 + 1e-12, 2.0, np.array([0.5, 0.0])],
+                             ids=["below-floor", "above-1", "2", "ladder-to-0"])
+    def test_log_singular_profile_outside_its_table_is_config_error(self, r):
+        with pytest.raises(ConfigError, match=r"tabulated only on \[1e-10, 1\]"):
+            _LogSingularProfile(3.0).I(r)
 
     def test_radial_solution_exact_off_the_nodes(self):
         # kappa = 2, m = 1 has the exact solution R = 2r

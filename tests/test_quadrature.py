@@ -67,6 +67,43 @@ def test_romb_rejects_single_sample():
         romb(np.ones(1))
 
 
+@pytest.mark.parametrize("build, match", [
+    (lambda: QuadratureConfig(n_theta=511), "n_theta must be even and >= 16, got 511"),
+    (lambda: QuadratureConfig(n_theta=8), "n_theta must be even and >= 16, got 8"),
+    (lambda: QuadratureConfig(n_theta=15), "n_theta must be even and >= 16, got 15"),
+    (lambda: QuadratureConfig(n_r=8), "n_r must be >= 16, got 8"),
+    (lambda: RadiusLadder(r_max=0.0), r"r_max must lie in \(0,1\), got 0\.0"),
+    (lambda: RadiusLadder(r_max=1.0), r"r_max must lie in \(0,1\), got 1\.0"),
+    (lambda: RadiusLadder(r_max=-0.5), r"r_max must lie in \(0,1\), got -0\.5"),
+    (lambda: RadiusLadder(r_max=math.nan), r"r_max must lie in \(0,1\), got nan"),
+], ids=["odd-ntheta", "small-ntheta", "small-odd-ntheta", "small-nr", "rmax-0", "rmax-1",
+        "rmax-negative", "rmax-nan"])
+def test_config_rejects_grid_sizes_and_ladder_tops(build, match):
+    with pytest.raises(ConfigError, match=f"^{match}$"):
+        build()
+
+
+@pytest.mark.parametrize("call, outcome", [
+    (lambda: log_power_tail(1e-6, [1.0, math.nan, 1.0]), ValueError),
+    (lambda: log_power_tail(1e-6, [1.0, math.inf, 1.0]), math.inf),
+    (lambda: log_power_tail(1e-6, [1.0, 0.0, 1.0]), 0.0),
+    (lambda: log_power_tail(1e-6, [-1.0, 1.0, 1.0]), 0.0),
+    (lambda: quadrature._ladder_pass(np.sqrt, 0.1, np.array([]), QuadratureConfig()),
+     ConfigError),
+    (lambda: quadrature._ladder_pass(np.sqrt, np.array([]), 0.2, QuadratureConfig()),
+     ConfigError),
+], ids=["tail-nan", "tail-inf", "tail-zero", "tail-negative", "pass-no-upper-radii",
+        "pass-no-lower-radii"])
+def test_tail_fit_extended_values_and_empty_ladder_pass(call, outcome):
+    # a NaN sample raises, +inf makes the tail +inf, a sample <= 0 makes it 0
+    # (no power fit through it); a pass over no radii is refused
+    if isinstance(outcome, type):
+        with pytest.raises(outcome):
+            call()
+    else:
+        assert call() == outcome
+
+
 def test_ladder_lies_strictly_above_eps_trunc():
     # a deepest rung at the anchor would make the inner integral's ladder
     # pass an EmptyRange; the ladder refuses it when built, naming the rung

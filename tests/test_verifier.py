@@ -5,14 +5,13 @@ import cmath
 import functools
 import json
 import math
-import random
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import catalog_suite, perturbed_conformal, recording, suite_ids
+from conftest import THETA_C, catalog_suite, perturbed_conformal, quadratic, recording, suite_ids
 from dilatox.catalog import identity, linear, log_singular, radial_stretch
 from dilatox.errors import ConfigError
 from dilatox.functionals import (
@@ -504,6 +503,25 @@ def _vacuous_notes(closed: str, p: float) -> list[tuple[str, ...]]:
     return [rep.notes for rep in reports if "vacuous" in rep.notes]
 
 
+@pytest.mark.parametrize("call, outcome", [
+    (lambda: verifier._divergent(np.array([1.0, math.nan, 1.5])), True),
+    (lambda: verifier._divergent(np.array([1.0, 1.2, math.inf])), True),
+    (lambda: verifier._divergent(np.array([-math.inf, 1.0, 1.0])), True),
+    (lambda: theorem7_area_derivative(linear(0.5).model, 1.5, 2.0, RadiusLadder(),
+                                      QuadratureConfig()), ConfigError),
+    (lambda: theorem7_area_derivative(linear(0.5).model, 1.5, 1.8, RadiusLadder(),
+                                      QuadratureConfig()), ConfigError),
+], ids=["mean-nan", "mean-inf", "mean-minus-inf", "theorem7-s-2", "theorem7-s-below-2"])
+def test_non_finite_means_diverge_and_theorem7_needs_s_above_2(call, outcome):
+    # a disc-mean sequence that is not finite everywhere counts as divergent;
+    # theorem 7 called directly refuses s <= 2 before any integral
+    if isinstance(outcome, type):
+        with pytest.raises(outcome, match="theorem7 needs s in p > 2"):
+            call()
+    else:
+        assert call() is outcome
+
+
 class TestRegistry:
     @pytest.mark.parametrize("check, p", OUTSIDE_REGIME,
                              ids=[f"{check.name}-p{p}" for check, p in OUTSIDE_REGIME])
@@ -528,6 +546,18 @@ class TestRegistry:
         monkeypatch.setattr(verifier, "check_lemma1", fail)
         with pytest.raises(ConfigError):
             run_checks(linear(0.5).model, 1.5, ladder, cfg, ["lemma1", "lemma2"])
+
+    @pytest.mark.parametrize("names", [["bogus"], ["lemma1", "bogus"], ["bogus", "lemma9"]])
+    def test_unknown_check_rejected_before_any_runs(self, names, ladder, cfg, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(verifier, "check_lemma1", fail)
+        unknown = [name for name in names if name != "lemma1"]
+        with pytest.raises(ConfigError, match=re.escape(
+                f"unknown check(s) {unknown}; the checks are "
+                f"{[check.name for check in verifier.CHECKS]}")):
+            run_checks(linear(0.5).model, 3.0, ladder, cfg, names)
 
     def test_runners_look_checks_up_at_call_time(self, ladder, cfg, monkeypatch):
         # a wrapper installed on the module (a tracer, say) must see every call
@@ -594,25 +624,6 @@ class TestRegistry:
         assert calls["l3"] == min(0.25, ladder.r_max / 2.0)
 
 
-def _theta_map(c: float) -> MappingModel:
-    """f(z) = z + c z^2 with closed-form partials, the map of the theta_sweep
-    benchmark workload."""
-
-    def zc(r, theta):
-        return np.asarray(r) * np.exp(1j * np.asarray(theta))
-
-    return MappingModel(
-        label=f"theta(c={c!r})",
-        value=lambda r, th: zc(r, th) + c * zc(r, th) ** 2,
-        partial_r=lambda r, th: np.exp(1j * np.asarray(th)) * (1.0 + 2.0 * c * zc(r, th)),
-        partial_theta=lambda r, th: 1j * zc(r, th) * (1.0 + 2.0 * c * zc(r, th)))
-
-
-# c of the theta_sweep workload for seeds 1-10, as bench/plan.py draws it
-THETA_SWEEP_C = [0.05 + 0.15 * random.Random(f"theta-c/{seed}").random()
-                 for seed in range(1, 11)]
-
-
 class TestNestedRadialPasses:
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_only_theta_dependent_maps_nest(self, p, ladder, cfg, monkeypatch):
@@ -633,11 +644,11 @@ class TestNestedRadialPasses:
         run_checks(perturbed_conformal(), p, ladder, cfg)
         assert seen.count(False) == (2 if p > 2.0 else 0) and len(seen) > 2
 
-    @pytest.mark.parametrize("c", THETA_SWEEP_C, ids=[f"seed{s}" for s in range(1, 11)])
+    @pytest.mark.parametrize("c", THETA_C, ids=[f"seed{s}" for s in range(1, 11)])
     def test_margins_move_by_round_off_only(self, c, ladder, cfg, monkeypatch):
         # every row margin of every registry check at p = 1.5 and 3, nested
         # against one integrand call per ladder pass
-        model = _theta_map(c)
+        model = quadratic(c)
         nested = [rep for p in (1.5, 3.0) for rep in run_checks(model, p, ladder, cfg)]
         one_call = quadrature._ladder_pass
         monkeypatch.setattr(quadrature, "_ladder_pass",
@@ -666,7 +677,7 @@ class TestModulusGrid:
     def test_off_node_extremes_keep_every_verdict(self, ladder):
         # c = 0.1 e^{0.01i} puts the extremes of |f| off the nodes of both
         # grids; a 2048-node grid moves the proxies, not a verdict or note
-        model = _theta_map(0.1 * cmath.exp(0.01j))
+        model = quadratic(0.1 * cmath.exp(0.01j))
         runs = [[rep for p in (1.2, 1.5, 1.8, 2.5, 3.0, 4.0)
                  for rep in run_checks(model, p, ladder, QuadratureConfig(n_theta=n_theta),
                                        ["theorem5", "theorem6"] if p < 2.0
