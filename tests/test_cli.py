@@ -156,13 +156,11 @@ class TestExitCodes:
     def test_unknown_map_is_config_error(self, tmp_path):
         assert run(["eval", "--map", "mystery", "--out", str(tmp_path)]) == 2
 
-    def test_bad_param_is_config_error(self, tmp_path):
+    def test_bad_param_is_config_error(self, tmp_path, capsys):
         assert run(["eval", "--map", "linear", "--param", "k", "--out", str(tmp_path)]) == 2
-
-    @pytest.mark.parametrize("param", ["k=abc", "k=", "k=0.5j+"])
-    def test_unparseable_param_value_is_config_error(self, param, tmp_path, capsys):
-        assert run(["eval", "--map", "linear", "--param", param, "--out", str(tmp_path)]) == 2
-        assert f"cannot parse parameter {param!r}" in capsys.readouterr().err
+        for param in ("k=abc", "k=", "k=0.5j+"):  # a value that is no number
+            assert run(["eval", "--map", "linear", "--param", param, "--out", str(tmp_path)]) == 2
+            assert f"cannot parse parameter {param!r}" in capsys.readouterr().err
         assert not (tmp_path / "functionals.csv").exists()
 
     def test_missing_map_is_config_error(self, tmp_path):

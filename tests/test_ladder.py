@@ -96,6 +96,9 @@ class TestRadialLadder:
             integrate_radial(np.sqrt, [0.1, 0.3], 0.2, cfg)
         with pytest.raises(ConfigError):
             integrate_radial(np.sqrt, [0.1], [0.3], cfg)
+        for a, b in ((0.1, np.array([])), (np.array([]), 0.2)):  # a ladder of no radii
+            with pytest.raises(ConfigError, match="non-empty"):
+                integrate_radial(np.sqrt, a, b, cfg)
 
     def test_no_rung_segment_is_finer_than_the_base_grid(self, cfg):
         # r_max near 1 makes the outer base segment [r_max, 1] tiny; every

@@ -88,15 +88,10 @@ def test_config_rejects_grid_sizes_and_ladder_tops(build, match):
     (lambda: log_power_tail(1e-6, [1.0, math.inf, 1.0]), math.inf),
     (lambda: log_power_tail(1e-6, [1.0, 0.0, 1.0]), 0.0),
     (lambda: log_power_tail(1e-6, [-1.0, 1.0, 1.0]), 0.0),
-    (lambda: quadrature._ladder_pass(np.sqrt, 0.1, np.array([]), QuadratureConfig()),
-     ConfigError),
-    (lambda: quadrature._ladder_pass(np.sqrt, np.array([]), 0.2, QuadratureConfig()),
-     ConfigError),
-], ids=["tail-nan", "tail-inf", "tail-zero", "tail-negative", "pass-no-upper-radii",
-        "pass-no-lower-radii"])
-def test_tail_fit_extended_values_and_empty_ladder_pass(call, outcome):
+], ids=["nan", "inf", "zero", "negative"])
+def test_tail_fit_of_extended_samples(call, outcome):
     # a NaN sample raises, +inf makes the tail +inf, a sample <= 0 makes it 0
-    # (no power fit through it); a pass over no radii is refused
+    # (no power fit runs through it)
     if isinstance(outcome, type):
         with pytest.raises(outcome):
             call()
