@@ -186,7 +186,7 @@ def report_files(root: Path) -> list[str]:
 
 def _same(old, new, rtol: float) -> bool:
     if isinstance(old, float) and isinstance(new, float) and rtol:
-        return old == new or abs(new - old) <= rtol * max(1.0, abs(old))
+        return abs(new - old) <= rtol * max(1.0, abs(old))
     return type(old) is type(new) and old == new
 
 
@@ -240,6 +240,15 @@ def test_strict_load_rejects_bare_non_finite_numbers(tmp_path):
         path.write_text(f'[{{"margin_min": {bare}}}]')
         with pytest.raises(ValueError, match="RFC 8259"):
             strict_load(path)
+
+
+def test_every_kind_of_file_reads_as_records():
+    # a loader that read nothing would make every comparison pass
+    cli_out = FROZEN / "cli"
+    assert load_records(cli_out / "eval3" / "functionals.csv")[0]["r"] == 0.5
+    assert load_records(cli_out / "beltrami" / "beltrami.json")[0]["sigma0.kind"] == "liminf"
+    assert load_records(cli_out / "area15" / "verify.json")[0]["matrix[1].check_id"] == "lemma4"
+    assert load_records(FROZEN / "sharpness.txt")[2]["line"][0] == 0.25
 
 
 def test_moved_fields_names_each_change():
