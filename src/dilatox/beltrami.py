@@ -252,5 +252,5 @@ def theorem_nb_bound(coef: SigmaCoefficient, solution: RadialSolution,
     sigma0 = condition_sigma0(coef, ladder, cfg)
     bound = growth_bound(coef.m + 2.0, sigma0.value)
     attained = LimitProxy.from_tail("liminf", solution.profile.ratio(tail)).value
-    report = _finish("theorem_nb", coef.m + 2.0, tail[-1], bound, attained, notes=solution.notes)
-    return Theorem1Result(k=sigma0, bound=bound, attained=attained, report=report)
+    return _finish("theorem_nb", coef.m + 2.0, tail[-1], bound, attained, notes=solution.notes,
+                   cls=Theorem1Result, k=sigma0, bound=bound, attained=attained)

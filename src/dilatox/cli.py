@@ -3,7 +3,8 @@
 Subcommands:
   eval      tabulate d_p, disc mean, S, L, modulus extremes over a radius ladder
   verify    run every inequality check applicable to the given order p
-  asym      report limit proxies and asymptotic-ratio bounds
+  asym      run the asymptotic-ratio theorems that apply at p, and theorem 7
+            with --s
   beltrami  solve the radial nonlinear Beltrami equation down to the ladder
             and check its asymptotic-ratio bound
 
@@ -14,6 +15,9 @@ integral, from 256 angles of each circle the run reads: the top and deepest
 rungs, R_FLOOR/2 under a disc mean, EPS_TRUNC/2 under an inner integral and
 r = 1 under an outer one, each at the orders of D_p read there),
 3 numerical failure (running out of memory is one).
+verify, asym and beltrami write one layout (_write_reports): "config", a
+"matrix" row per report, and under "theorems" each theorem's own quantities
+by check id; stdout has one verdict line per row.
 Identical configurations produce byte-identical reports. Reports are strict
 RFC 8259 JSON: a non-finite number is written as the string "Infinity",
 "-Infinity" or "NaN", which float() reads back.
@@ -125,10 +129,21 @@ def _make_out_dir(path: str) -> None:
         raise ConfigError(f"--out: cannot create output directory {path!r}: {exc}") from exc
 
 
-def _write_json(path: Path, doc: dict) -> None:
+def _write_reports(args, name: str, reports, **extra) -> int:
+    """Write <name>.json under --out: the run's config, the extra keys, a
+    "matrix" row per report and, under "theorems", each theorem's own
+    quantities by check id. Print one verdict line per report; the exit
+    code is 0 when every report holds, 1 otherwise."""
     from .verifier import json_text
 
-    path.write_text(json_text(doc))
+    out = Path(args.out) / f"{name}.json"
+    theorems = {rep.check_id: q for rep in reports if (q := rep.quantities())}
+    out.write_text(json_text({"config": _resolved_config(args), **extra, "theorems": theorems,
+                              "matrix": [rep.to_dict() for rep in reports]}))
+    for rep in reports:
+        print(f"{rep.check_id:12s} p={rep.p:<6g} {_verdict(rep)}")
+    print(f"wrote {out}")
+    return 0 if all(rep.holds for rep in reports) else 1
 
 
 def cmd_eval(args) -> int:
@@ -158,19 +173,9 @@ def cmd_verify(args) -> int:
 
     ladder = _ladder(args)
     model = _build_map(args, ladder.radii())
-    cfg = _quad_config(args)
-    reports = run_checks(model, args.p, ladder, cfg, args.check)
-    doc = {
-        "config": _resolved_config(args),
-        "matrix": [rep.to_dict() for rep in reports],
-    }
-    out = Path(args.out) / "verify.json"
-    _write_json(out, doc)
+    reports = run_checks(model, args.p, ladder, _quad_config(args), args.check)
     margins_to_csv(reports, Path(args.out) / "margins.csv")
-    for rep in reports:
-        print(f"{rep.check_id:12s} p={rep.p:<6g} {_verdict(rep)}")
-    print(f"wrote {out}")
-    return 0 if all(rep.holds for rep in reports) else 1
+    return _write_reports(args, "verify", reports)
 
 
 def _verdict(rep) -> str:
@@ -181,54 +186,25 @@ def _verdict(rep) -> str:
 
 
 def cmd_asym(args) -> int:
-    from .verifier import (HIGH_P, LOW_P, json_text, theorem1_bound, theorem3_bound,
-                           theorem5_bound, theorem6_bracket, theorem7_area_derivative)
+    from .verifier import CHECKS, HIGH_P, LOW_P, run_checks, theorem7_area_derivative
 
     p = args.p
     if args.s is not None and not (LOW_P.applies(p) and HIGH_P.applies(args.s)):
         raise ConfigError(f"--s: theorem7 needs {LOW_P.name} and s > 2, got p={p}, s={args.s}")
+    names = [c.name for c in CHECKS if c.name.startswith("theorem") and c.regime.applies(p)]
+    if not names:
+        raise ConfigError(f"asym needs {HIGH_P.name} or {LOW_P.name}, got p={p}")
     ladder = _ladder(args)
     model = _build_map(args, ladder.radii())
     cfg = _quad_config(args)
-    doc: dict = {"config": _resolved_config(args), "bounds": {}, "proxies": {},
-                 "tail_spreads": {}}
-    if HIGH_P.applies(p):
-        t1 = theorem1_bound(model, p, ladder, cfg)
-        t3 = theorem3_bound(model, p, ladder, cfg)
-        doc["proxies"]["k"] = t1.k.to_dict()
-        doc["proxies"]["k_0"] = t3.k0.to_dict()
-        doc["bounds"]["theorem1"] = t1.bound
-        doc["bounds"]["theorem3"] = t3.bound
-        doc["attained"] = {"liminf_ratio": t1.attained}
-        reports = [t1.report, t3.report]
-    elif LOW_P.applies(p):
-        t5 = theorem5_bound(model, p, ladder, cfg)
-        t6 = theorem6_bracket(model, p, ladder, cfg)
-        doc["proxies"]["k_0"] = t5.k0.to_dict()
-        doc["proxies"]["k_1"] = t6.k1.to_dict()
-        doc["proxies"]["k_2"] = t6.k2.to_dict()
-        doc["proxies"]["A_proxy"] = t6.a_proxy.to_dict()
-        doc["bounds"]["theorem5"] = t5.bound
-        doc["bounds"]["bracket"] = [t6.lower, t6.upper]
-        doc["tail_spreads"]["ratio"] = t6.a_proxy.tail_spread
-        reports = [t5.report, t6.report]
-        if args.s is not None:
-            t7 = theorem7_area_derivative(model, p, args.s, ladder, cfg)
-            doc["proxies"]["area_derivative"] = {
-                "limit_lower": t7.limit_lower.to_dict(),
-                "limit_upper": t7.limit_upper.to_dict(),
-                "area_ratio": t7.area_ratio.to_dict(),
-            }
-            reports.append(t7.report)
-    else:
-        raise ConfigError(f"asym needs {HIGH_P.name} or {LOW_P.name}, got p={p}")
-    out = Path(args.out) / "asym.json"
-    _write_json(out, doc)
-    print(json_text(doc["bounds"]), end="")
-    for rep in reports:
-        print(f"{rep.check_id:12s} p={rep.p:<6g} {_verdict(rep)}")
-    print(f"wrote {out}")
-    return 0 if all(rep.holds for rep in reports) else 1
+    reports = run_checks(model, p, ladder, cfg, names)
+    if args.s is not None:
+        reports.append(theorem7_area_derivative(model, p, args.s, ladder, cfg))
+    # bench/run.py reads its closed-form oracle off these two keys: theorem
+    # 1's k, and the k0 of theorem 3 or 5
+    proxies = {key: getattr(rep, attr).to_dict() for rep in reports
+               for key, attr in (("k", "k"), ("k_0", "k0")) if hasattr(rep, attr)}
+    return _write_reports(args, "asym", reports, proxies=proxies)
 
 
 def cmd_beltrami(args) -> int:
@@ -242,28 +218,21 @@ def cmd_beltrami(args) -> int:
         if not (isinstance(kappa, float) and isinstance(m, float)):
             raise ConfigError("beltrami needs --coef <json> or real --param kappa=... m=...")
         coef = beltrami.power_sigma(kappa, m)
-    cfg = _quad_config(args)
     ladder = _ladder(args)
     span = (float(ladder.radii()[-1]), args.span_hi)
     solution = beltrami.solve_radial(coef, args.r0, args.R0, span, args.step)
-    out_dir = Path(args.out)
-    solution.to_csv(out_dir / "solution.csv")
-    doc = {
-        "config": _resolved_config(args),
-        "coefficient": coef.label,
-        "residual_max": solution.residual_max,
-        "notes": list(solution.notes),
-    }
-    if coef.m > 0.0:
-        nb = beltrami.theorem_nb_bound(coef, solution, ladder, cfg)
-        doc["sigma0"] = nb.k.to_dict()
-        doc["bound"] = nb.bound
-        doc["attained"] = nb.attained
-        doc["holds"] = nb.report.holds
-    _write_json(out_dir / "beltrami.json", doc)
+    csv_path = Path(args.out) / "solution.csv"
+    solution.to_csv(csv_path)
     print(f"residual_max={solution.residual_max:.3e}")
-    print(f"wrote {out_dir / 'solution.csv'} and {out_dir / 'beltrami.json'}")
-    return 0 if doc.get("holds", True) else 1
+    print(f"wrote {csv_path}")
+    # the bound needs m > 0; bench/run.py reads its closed-form oracle off
+    # the top-level "attained"
+    reports = ([beltrami.theorem_nb_bound(coef, solution, ladder, _quad_config(args))]
+               if coef.m > 0.0 else [])
+    extra = {"attained": reports[0].attained} if reports else {}
+    return _write_reports(args, "beltrami", reports, coefficient=coef.label,
+                          residual_max=solution.residual_max, notes=list(solution.notes),
+                          **extra)
 
 
 class _CheckNames:

@@ -19,7 +19,8 @@ Each statement applies in one of three regimes of the order p: ANY_P (the
 length-area lemmas), HIGH_P (p > 2) and LOW_P (1 < p < 2). A LimitProxy stands
 in for a limit as r -> 0: the tail min ("liminf"), the tail max ("limsup") or
 the tail midpoint ("limit"). CHECKS lists the checks with their regimes, and
-run_checks runs them.
+run_checks runs them. A theorem's result is its report: a BoundReport subclass
+that adds its tail constants and bound, which quantities() gives for JSON.
 
 A theorem computes the sequences of its limits on the tail rungs alone
 (RadiusLadder.tail_radii): the |f| extremes, the inner integrals (the pass
@@ -35,7 +36,7 @@ import functools
 import json
 import math
 from array import array
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -165,6 +166,12 @@ class BoundReport:
             "flags": list(self.notes),
         }
 
+    def quantities(self) -> dict:
+        """The fields a theorem's result adds to its report, ready for JSON,
+        a LimitProxy as its to_dict(); {} for a lemma's bare report."""
+        return {f.name: v.to_dict() if isinstance(v := getattr(self, f.name), LimitProxy) else v
+                for f in fields(self)[len(fields(BoundReport)):]}
+
 
 @functools.lru_cache(maxsize=64)
 def _radii_tuple(raw: bytes) -> tuple[float, ...]:
@@ -174,13 +181,15 @@ def _radii_tuple(raw: bytes) -> tuple[float, ...]:
     return tuple(np.frombuffer(raw).tolist())
 
 
-def _finish(check_id: str, p: float, radii, greater, lesser, slack=0.0,
-            notes=()) -> BoundReport:
+def _finish(check_id: str, p: float, radii, greater, lesser, slack=0.0, notes=(), *,
+            cls: type[BoundReport] = BoundReport, **named) -> BoundReport:
     """The report of greater >= lesser, one row per element of the broadcast
     arrays: margin greater - lesser, held within tolerance(greater, lesser)
     plus slack; the report's margin is the least row margin, -inf included.
     A "vacuous" note makes every margin +inf. Otherwise a NaN margin (a NaN
-    side, or inf - inf) decides nothing and is a FloatingPointError."""
+    side, or inf - inf) decides nothing and is a FloatingPointError. A
+    theorem passes its result class as cls and that class's own fields as
+    the named values."""
     radii, greater, lesser, slack = (a.ravel() for a in np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (radii, greater, lesser, slack))))
     if "vacuous" in notes:
@@ -193,9 +202,9 @@ def _finish(check_id: str, p: float, radii, greater, lesser, slack=0.0,
             raise FloatingPointError(f"{check_id} at p={p:g}: NaN margin on {int(nan.sum())} "
                                      f"of {nan.size} row(s), from a NaN side or inf - inf")
     holds = bool(np.all(margins >= -(tolerance(greater, lesser) + slack)))
-    return BoundReport(check_id=check_id, p=p, holds=holds, margin=float(margins.min()),
-                       radii=_radii_tuple(radii.tobytes()), margins=array("d", margins.tobytes()),
-                       notes=tuple(sorted(notes)))
+    return cls(check_id=check_id, p=p, holds=holds, margin=float(margins.min()),
+               radii=_radii_tuple(radii.tobytes()), margins=array("d", margins.tobytes()),
+               notes=tuple(sorted(notes)), **named)
 
 
 def _checked_order(name: str, regime: Regime, p: float) -> float:
@@ -326,12 +335,11 @@ def _divergent(values: np.ndarray) -> bool:
     return bool(np.all(np.diff(values) > 0.0) and values[-1] > 2.0 * values[0])
 
 
-@dataclass
-class Theorem1Result:
+@dataclass(slots=True, kw_only=True)
+class Theorem1Result(BoundReport):
     k: LimitProxy
     bound: float
     attained: float
-    report: BoundReport
 
 
 def theorem1_bound(model: MappingModel, p, ladder: RadiusLadder,
@@ -359,16 +367,15 @@ def theorem1_bound(model: MappingModel, p, ladder: RadiusLadder,
         slack = attained.tail_spread + (bound_hi - bound if math.isfinite(bound) else 0.0)
         if bound - attained.value < 0.0 <= bound - attained.value + slack:
             notes.add("proxy-slack")
-    report = _finish("theorem1", p, tail[-1], bound, attained.value, slack, notes)
-    return Theorem1Result(k=k, bound=bound, attained=attained.value, report=report)
+    return _finish("theorem1", p, tail[-1], bound, attained.value, slack, notes,
+                   cls=Theorem1Result, k=k, bound=bound, attained=attained.value)
 
 
-@dataclass
-class TailBoundResult:
+@dataclass(slots=True, kw_only=True)
+class TailBoundResult(BoundReport):
     k0: LimitProxy
     bound: float
     attained: float
-    report: BoundReport
 
 
 def theorem3_bound(model: MappingModel, p, ladder: RadiusLadder,
@@ -382,8 +389,8 @@ def theorem3_bound(model: MappingModel, p, ladder: RadiusLadder,
     k0_lo = k0.value - k0.tail_spread
     bound_hi = _power((p - 2.0) * k0_lo, 1.0 / (2.0 - p)) if k0_lo > 0 else math.inf
     slack = attained.tail_spread + (bound_hi - bound if math.isfinite(bound_hi) else 0.0)
-    report = _finish("theorem3", p, tail[-1], bound, attained.value, slack)
-    return TailBoundResult(k0=k0, bound=bound, attained=attained.value, report=report)
+    return _finish("theorem3", p, tail[-1], bound, attained.value, slack,
+                   cls=TailBoundResult, k0=k0, bound=bound, attained=attained.value)
 
 
 def theorem5_bound(model: MappingModel, p, ladder: RadiusLadder,
@@ -396,19 +403,18 @@ def theorem5_bound(model: MappingModel, p, ladder: RadiusLadder,
     attained = _ratio_proxy("limsup", model, tail, cfg)
     bound = _power((2.0 - p) * k0.value, 1.0 / (2.0 - p))
     slack = _trunc_slack(bound, 1.0 / (2.0 - p), rel_deltas.max()) + attained.tail_spread
-    report = _finish("theorem5", p, tail[-1], attained.value, bound, slack, notes)
-    return TailBoundResult(k0=k0, bound=bound, attained=attained.value, report=report)
+    return _finish("theorem5", p, tail[-1], attained.value, bound, slack, notes,
+                   cls=TailBoundResult, k0=k0, bound=bound, attained=attained.value)
 
 
-@dataclass
-class BracketResult:
+@dataclass(slots=True, kw_only=True)
+class BracketResult(BoundReport):
     k1: LimitProxy
     k2: LimitProxy
     lower: float
     upper: float
     a_proxy: LimitProxy
     remark_rhs: float
-    report: BoundReport
 
 
 def theorem6_bracket(model: MappingModel, p, ladder: RadiusLadder,
@@ -433,18 +439,16 @@ def theorem6_bracket(model: MappingModel, p, ladder: RadiusLadder,
     a, spread, rel = a_proxy.value, a_proxy.tail_spread, rel_deltas.max()
     slack = [spread + _trunc_slack(lower, 1.0 / (2.0 - p), rel), spread,
              _trunc_slack(k1.value, 1.0, rel)]
-    report = _finish("theorem6", p, tail[-1], [a, upper, remark_rhs], [lower, a, k1.value],
-                     slack, notes)
-    return BracketResult(k1=k1, k2=k2, lower=lower, upper=upper, a_proxy=a_proxy,
-                         remark_rhs=remark_rhs, report=report)
+    return _finish("theorem6", p, tail[-1], [a, upper, remark_rhs], [lower, a, k1.value],
+                   slack, notes, cls=BracketResult, k1=k1, k2=k2, lower=lower, upper=upper,
+                   a_proxy=a_proxy, remark_rhs=remark_rhs)
 
 
-@dataclass
-class AreaDerivativeResult:
+@dataclass(slots=True, kw_only=True)
+class AreaDerivativeResult(BoundReport):
     limit_lower: LimitProxy
     limit_upper: LimitProxy
     area_ratio: LimitProxy
-    report: BoundReport
 
 
 def theorem7_area_derivative(model: MappingModel, p, s, ladder: RadiusLadder,
@@ -478,9 +482,9 @@ def theorem7_area_derivative(model: MappingModel, p, s, ladder: RadiusLadder,
     lo_v, up_v, ratio_v = (proxy.value for proxy in proxies)
     a, b = np.array([lo_v, lo_v, up_v]), np.array([up_v, ratio_v, ratio_v])
     slack = _trunc_slack(lower, expo, rel_deltas).max()
-    report = _finish("theorem7", p, tail[-1], np.minimum(a, b) + spread, np.maximum(a, b),
-                     slack, notes)
-    return AreaDerivativeResult(*proxies, report=report)
+    return _finish("theorem7", p, tail[-1], np.minimum(a, b) + spread, np.maximum(a, b),
+                   slack, notes, cls=AreaDerivativeResult, limit_lower=proxies[0],
+                   limit_upper=proxies[1], area_ratio=proxies[2])
 
 
 # ----------------------------- check registry -----------------------------
@@ -488,7 +492,8 @@ def theorem7_area_derivative(model: MappingModel, p, s, ladder: RadiusLadder,
 @dataclass(frozen=True)
 class Check:
     """A registry entry: the check's name, the regime of orders p it applies
-    to and its runner (model, p, ladder, cfg) -> BoundReport."""
+    to and its runner (model, p, ladder, cfg) -> BoundReport, which for a
+    theorem is the theorem's whole result."""
 
     name: str
     regime: Regime
@@ -515,10 +520,10 @@ CHECKS = (
     Check("lemma2", HIGH_P, lambda *a: check_lemma2(*a)),
     Check("lemma3", HIGH_P, _lemma3),
     Check("lemma4", LOW_P, lambda *a: check_lemma4(*a)),
-    Check("theorem1", HIGH_P, lambda *a: theorem1_bound(*a).report),
-    Check("theorem3", HIGH_P, lambda *a: theorem3_bound(*a).report),
-    Check("theorem5", LOW_P, lambda *a: theorem5_bound(*a).report),
-    Check("theorem6", LOW_P, lambda *a: theorem6_bracket(*a).report),
+    Check("theorem1", HIGH_P, lambda *a: theorem1_bound(*a)),
+    Check("theorem3", HIGH_P, lambda *a: theorem3_bound(*a)),
+    Check("theorem5", LOW_P, lambda *a: theorem5_bound(*a)),
+    Check("theorem6", LOW_P, lambda *a: theorem6_bracket(*a)),
 )
 
 

@@ -162,7 +162,7 @@ def test_criterion_05_high_order_sharpness(k):
     expected_k0 = 1.0 / (2.0 * k * k)
     assert res.k0.value == pytest.approx(expected_k0, rel=1e-6)
     assert res.bound == pytest.approx(k, abs=1e-4)
-    assert res.report.holds
+    assert res.holds
     _report("criterion-05", f"k={k}: tail constant rel 1e-6, bound abs 1e-4")
 
 
@@ -171,14 +171,14 @@ def test_criterion_06_low_order_sharpness(k, cfg):
     res = theorem5_bound(linear(k).model, 1.5, LADDER, cfg)
     assert res.k0.value == pytest.approx(2.0 * math.sqrt(k), rel=1e-6)
     assert res.bound == pytest.approx(k, abs=1e-4)
-    assert res.report.holds
+    assert res.holds
     _report("criterion-06", f"k={k}: tail constant rel 1e-6, bound abs 1e-4")
 
 
 def test_criterion_07_bracket_collapse():
     lad = RadiusLadder(r_max=0.01, rho=0.5, count=8, tail=5)
     res = theorem6_bracket(linear(0.5).model, 1.5, lad, QuadratureConfig())
-    assert res.report.holds
+    assert res.holds
     assert res.lower >= 0.5 - 1e-4
     assert res.upper <= 0.5 + 1e-4
     # the relation between the two tail constants, with its slack
@@ -192,11 +192,11 @@ def test_criterion_07_bracket_collapse():
 
 def test_criterion_08_area_derivative(cfg):
     res = theorem7_area_derivative(linear(0.5).model, 1.5, 4.0, LADDER, cfg)
-    assert res.report.holds
+    assert res.holds
     for proxy in (res.limit_lower, res.limit_upper, res.area_ratio):
         assert proxy.value == pytest.approx(0.25, abs=1e-3)
     res0 = theorem7_area_derivative(radial_stretch(1.0).model, 1.5, 3.0, LADDER, cfg)
-    assert res0.report.holds
+    assert res0.holds
     for proxy in (res0.limit_lower, res0.limit_upper, res0.area_ratio):
         assert abs(proxy.value) <= 1e-3
     _report("criterion-08", "area derivative 0.25 (linear) and 0 (stretch) within 1e-3")

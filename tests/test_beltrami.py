@@ -207,7 +207,7 @@ class TestDilatationAndCondition:
         coef = power_sigma(kappa=2.0, m=1.0)
         sol = solve_radial(coef, 0.5, 1.0, ladder_span(ladder))
         res = theorem_nb_bound(coef, sol, ladder, cfg)
-        assert res.report.holds
+        assert res.holds
         # c_3 * sigma0 = 4 * 2 = 8; the solution attains ratio 2
         assert res.bound == pytest.approx(8.0, rel=1e-6)
         assert res.attained == pytest.approx(2.0, rel=1e-9)
@@ -234,7 +234,7 @@ class TestPowerFamilyClosedForm:
         exact = float(np.min(power_closed_form(tail, 2.0, m, 0.5, R0) / tail))
         res = theorem_nb_bound(coef, sol, ladder, cfg)
         assert res.attained == pytest.approx(exact, rel=1e-9)
-        assert res.report.holds
+        assert res.holds
 
     def test_solution_above_the_tail_is_config_error(self, ladder, cfg):
         coef = power_sigma(kappa=2.0, m=1.0)

@@ -414,22 +414,62 @@ class TestVerify:
         assert lemma1_rows == (once / "margins.csv").read_text().splitlines()[1:]
 
 
+# Runs of the three report-writing subcommands with the checks each runs: its
+# JSON report re-derives the run.
+REDERIVED_RUNS = {
+    "verify-p3": (["verify", "--map", "linear", "--param", "k=0.5", "--p", "3"], REGIMES[3.0]),
+    "asym-p4": (["asym", "--map", "linear", "--param", "k=0.25", "--p", "4"],
+                ("theorem1", "theorem3")),
+    "asym-p1.5": (["asym", "--map", "linear", "--param", "k=0.5", "--p", "1.5"],
+                  ("theorem5", "theorem6")),
+    "asym-p1.5-s4": (["asym", "--map", "linear", "--param", "k=0.5", "--p", "1.5", "--s", "4"],
+                     ("theorem5", "theorem6", "theorem7")),
+    "beltrami-m1": (["beltrami", "--param", "kappa=2", "--param", "m=1"], ("theorem_nb",)),
+    # m = 0 has no bound: the report has no row
+    "beltrami-m0": (["beltrami", "--param", "kappa=2", "--param", "m=0"], ()),
+}
+
+
+@pytest.mark.parametrize("argv, checks", REDERIVED_RUNS.values(), ids=REDERIVED_RUNS.keys())
+def test_the_report_rederives_the_run(argv, checks, tmp_path, capsys):
+    # the exit code, the verdict lines and the theorems' ids all follow from
+    # the matrix rows, one row per check run
+    code = run(argv + ["--out", str(tmp_path)])
+    doc = json.loads((tmp_path / f"{argv[0]}.json").read_text())
+    rows = doc["matrix"]
+    assert tuple(row["check_id"] for row in rows) == checks
+    assert code == (0 if all(row["holds"] for row in rows) else 1)
+    verdicts = [line.split() for line in capsys.readouterr().out.splitlines() if " p=" in line]
+    assert verdicts == [
+        [row["check_id"], f"p={row['p']:g}",
+         *(["vacuous"] if "vacuous" in row["flags"] else
+           ["holds" if row["holds"] else "VIOLATED", f"margin_min={row['margin_min']:.3e}"])]
+        for row in rows]
+    assert doc["theorems"].keys() == {cid for cid in checks if cid.startswith("theorem")}
+
+
 class TestAsym:
     def test_high_order_bounds(self, tmp_path):
         assert run(["asym", "--map", "linear", "--param", "k=0.25", "--p", "4",
                     "--out", str(tmp_path)]) == 0
         doc = json.loads((tmp_path / "asym.json").read_text())
-        assert doc["bounds"]["theorem1"] == pytest.approx(0.5, rel=1e-6)
-        assert doc["proxies"]["k"]["value"] == pytest.approx(0.0625, rel=1e-6)
+        theorems = doc["theorems"]
+        assert theorems["theorem1"]["bound"] == pytest.approx(0.5, rel=1e-6)
+        assert theorems["theorem1"]["k"]["value"] == pytest.approx(0.0625, rel=1e-6)
+        # the two keys bench/run.py reads its closed-form oracle off
+        assert doc["proxies"] == {"k": theorems["theorem1"]["k"],
+                                  "k_0": theorems["theorem3"]["k0"]}
 
     def test_low_order_bracket(self, tmp_path):
         assert run(["asym", "--map", "linear", "--param", "k=0.5", "--p", "1.5",
                     "--s", "4", "--out", str(tmp_path)]) == 0
         doc = json.loads((tmp_path / "asym.json").read_text())
-        lo, hi = doc["bounds"]["bracket"]
+        bracket = doc["theorems"]["theorem6"]
+        lo, hi = bracket["lower"], bracket["upper"]
         assert lo <= 0.5 + 1e-9 and 0.5 <= hi + 1e-9
-        assert doc["proxies"]["area_derivative"]["area_ratio"]["value"] == pytest.approx(
+        assert doc["theorems"]["theorem7"]["area_ratio"]["value"] == pytest.approx(
             0.25, abs=1e-6)
+        assert doc["proxies"] == {"k_0": doc["theorems"]["theorem5"]["k0"]}
 
     @pytest.mark.parametrize("p, s", [("4", "3"), ("1.5", "1.5")])
     def test_second_order_outside_theorem7_is_config_error(self, p, s, tmp_path):
@@ -469,10 +509,13 @@ class TestBeltrami:
                     "--out", str(tmp_path)]) == 0
         doc = json.loads((tmp_path / "beltrami.json").read_text())
         assert doc["residual_max"] <= 1e-12
-        assert doc["sigma0"]["value"] == pytest.approx(2.0, rel=1e-6)
-        assert doc["bound"] == pytest.approx(8.0, rel=1e-6)
-        assert doc["holds"] is True
-        assert doc["attained"] == pytest.approx(2.0, rel=1e-15)
+        nb = doc["theorems"]["theorem_nb"]
+        assert nb["k"]["value"] == pytest.approx(2.0, rel=1e-6)
+        assert nb["bound"] == pytest.approx(8.0, rel=1e-6)
+        assert doc["matrix"][0]["holds"] is True
+        assert nb["attained"] == pytest.approx(2.0, rel=1e-15)
+        # the key bench/run.py reads its closed-form oracle off
+        assert doc["attained"] == nb["attained"]
         assert not {"map", "map_json", "p", "span_lo"} & doc["config"].keys()
         sol = (tmp_path / "solution.csv").read_text().splitlines()
         assert sol[0] == "r,R"
@@ -483,7 +526,8 @@ class TestBeltrami:
         assert run(["beltrami", "--param", "kappa=2", "--param", "m=1", "--R0", "0.6",
                     "--out", str(tmp_path)]) == 0
         doc = json.loads((tmp_path / "beltrami.json").read_text())
-        assert doc["attained"] == pytest.approx(1.9541626755, rel=1e-9)
+        assert doc["theorems"]["theorem_nb"]["attained"] == pytest.approx(1.9541626755,
+                                                                          rel=1e-9)
 
     @pytest.mark.parametrize("flag", [["--p", "3"], ["--map", "identity"],
                                       ["--map-json", "map.json"], ["--span-lo", "0.1"]])

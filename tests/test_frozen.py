@@ -41,6 +41,7 @@ CI_RUNS = {
     "beltrami": ["beltrami", "--param", "kappa=2", "--param", "m=1"],
     "asym4": ["asym", "--map", "linear", "--param", "k=0.25", "--p", "4"],
     "asym15": ["asym", "--map", "linear", "--param", "k=0.5", "--p", "1.5"],
+    "asym15s4": ["asym", "--map", "linear", "--param", "k=0.5", "--p", "1.5", "--s", "4"],
     "area15": ["verify", "--map", "log_singular", "--param", "p=3", "--p", "1.5",
                "--check", "lemma1", "--check", "lemma4"],
     "eval3": ["eval", "--map", "log_singular", "--param", "p=3", "--p", "3"],
@@ -132,7 +133,7 @@ def strict_load(path: Path):
 
 def _flat(doc: dict, prefix: str = "") -> dict:
     """doc with each nested object, and each list of objects, spread into
-    dotted keys ("proxies.k.value", "matrix[0].margin_min")."""
+    dotted keys ("theorems.theorem1.k.value", "matrix[0].margin_min")."""
     out = {}
     for key, val in doc.items():
         name = prefix + key
@@ -246,7 +247,8 @@ def test_every_kind_of_file_reads_as_records():
     # a loader that read nothing would make every comparison pass
     cli_out = FROZEN / "cli"
     assert load_records(cli_out / "eval3" / "functionals.csv")[0]["r"] == 0.5
-    assert load_records(cli_out / "beltrami" / "beltrami.json")[0]["sigma0.kind"] == "liminf"
+    assert (load_records(cli_out / "beltrami" / "beltrami.json")[0]["theorems.theorem_nb.k.kind"]
+            == "liminf")
     assert load_records(cli_out / "area15" / "verify.json")[0]["matrix[1].check_id"] == "lemma4"
     assert load_records(FROZEN / "sharpness.txt")[2]["line"][0] == 0.25
 

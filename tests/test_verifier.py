@@ -318,7 +318,7 @@ class TestLengthAreaSides:
 class TestTheorem1:
     def test_linear_sharp_within_factor(self, ladder, cfg):
         res = theorem1_bound(linear(0.25).model, 4.0, ladder, cfg)
-        assert res.report.holds
+        assert res.holds
         # disc mean of the constant dilatation is |k|^2 = 1/16, bound c_4/4 = 1/2
         assert res.k.value == pytest.approx(0.0625, rel=1e-9)
         assert res.bound == pytest.approx(0.5, rel=1e-9)
@@ -326,9 +326,9 @@ class TestTheorem1:
 
     def test_divergent_mean_is_vacuous(self, ladder, cfg):
         res = theorem1_bound(log_singular(3.0).model, 3.0, ladder, cfg)
-        assert "divergent-mean" in res.report.notes
-        assert "vacuous" in res.report.notes
-        assert res.report.holds
+        assert "divergent-mean" in res.notes
+        assert "vacuous" in res.notes
+        assert res.holds
         assert math.isinf(res.bound)
 
     def test_vanishing_ratio_covered_by_proxy_spread(self, ladder, cfg):
@@ -336,8 +336,8 @@ class TestTheorem1:
         # the finite-radius comparison is inconclusive and must be absorbed by
         # the proxies' tail spreads rather than reported as a violation
         res = theorem1_bound(radial_stretch(1.5).model, 3.0, ladder, cfg)
-        assert res.report.holds
-        assert "proxy-slack" in res.report.notes
+        assert res.holds
+        assert "proxy-slack" in res.notes
 
     def test_monotone_tightening_linear(self, cfg):
         bounds = []
@@ -352,14 +352,14 @@ class TestTailTheorems:
     def test_theorem3_linear_sharpness(self, k, cfg):
         lad = RadiusLadder(r_max=0.01, rho=0.5, count=12, tail=5)
         res = theorem3_bound(linear(k).model, 4.0, lad, cfg)
-        assert res.report.holds
+        assert res.holds
         assert res.k0.value == pytest.approx(1.0 / (2.0 * k * k), rel=1e-6)
         assert res.bound == pytest.approx(k, abs=1e-4)
 
     @pytest.mark.parametrize("k", [0.25, 0.5, 0.9])
     def test_theorem5_linear_sharpness(self, k, ladder, cfg):
         res = theorem5_bound(linear(k).model, 1.5, ladder, cfg)
-        assert res.report.holds
+        assert res.holds
         assert res.k0.value == pytest.approx(2.0 * math.sqrt(k), rel=1e-6)
         assert res.bound == pytest.approx(k, abs=1e-4)
 
@@ -376,7 +376,7 @@ class TestTheorem6:
     def test_linear_bracket_collapses(self, cfg):
         lad = RadiusLadder(r_max=0.01, rho=0.5, count=8, tail=5)
         res = theorem6_bracket(linear(0.5).model, 1.5, lad, cfg)
-        assert res.report.holds
+        assert res.holds
         assert res.lower == pytest.approx(0.5, abs=1e-4)
         assert res.upper == pytest.approx(0.5, abs=1e-4)
         assert res.a_proxy.value == pytest.approx(0.5, abs=1e-9)
@@ -395,9 +395,9 @@ class TestTheorem6:
         # |f(z)|/|z| -> 0 for the stretching map, too slowly for the ladder to
         # certify a single limit; the bracket must then be vacuous, not violated
         res = theorem6_bracket(radial_stretch(1.5).model, 1.5, ladder, cfg)
-        assert res.report.holds
-        assert "no-single-limit" in res.report.notes
-        assert "vacuous" in res.report.notes
+        assert res.holds
+        assert "no-single-limit" in res.notes
+        assert "vacuous" in res.notes
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="ROADMAP item 1: the ratio r^alpha -> 0 spreads less than "
@@ -408,19 +408,19 @@ class TestTheorem6:
         # k1 <= relation rhs is a theorem; at p = 1.5 the default ladder reads
         # it violated, with no note, by -2.08e-2 (alpha 2) to -3.33e-9 (alpha 10)
         res = theorem6_bracket(radial_stretch(alpha).model, 1.5, ladder, cfg)
-        assert res.report.holds
+        assert res.holds
 
 
 class TestTheorem7:
     def test_linear_area_derivative(self, ladder, cfg):
         res = theorem7_area_derivative(linear(0.5).model, 1.5, 4.0, ladder, cfg)
-        assert res.report.holds
+        assert res.holds
         for proxy in (res.limit_lower, res.limit_upper, res.area_ratio):
             assert proxy.value == pytest.approx(0.25, abs=1e-3)
 
     def test_radial_stretch_zero_derivative(self, ladder, cfg):
         res = theorem7_area_derivative(radial_stretch(1.0).model, 1.5, 3.0, ladder, cfg)
-        assert res.report.holds
+        assert res.holds
         for proxy in (res.limit_lower, res.limit_upper, res.area_ratio):
             assert abs(proxy.value) <= 1e-3
 
@@ -436,8 +436,8 @@ class TestTheorem7:
         # +inf, which bounds nothing: vacuous, and no inf - inf margin
         res = theorem7_area_derivative(identity().model, 1.5, 2.001, ladder, cfg)
         assert res.limit_upper.value == math.inf
-        assert {"infinite-upper-bound", "vacuous"} <= set(res.report.notes)
-        assert res.report.holds and res.report.margin == math.inf
+        assert {"infinite-upper-bound", "vacuous"} <= set(res.notes)
+        assert res.holds and res.margin == math.inf
         assert res.area_ratio.value == pytest.approx(1.0, rel=1e-12)
 
 
@@ -454,7 +454,7 @@ class TestSerialization:
 
     def test_reports_json_is_strict(self, ladder, cfg):
         # theorem1 on the log-singular map is vacuous: its margin is +inf
-        rep = theorem1_bound(log_singular(3.0).model, 3.0, ladder, cfg).report
+        rep = theorem1_bound(log_singular(3.0).model, 3.0, ladder, cfg)
 
         def reject(name):
             raise ValueError(f"non-standard JSON constant {name}")
@@ -525,6 +525,20 @@ class TestRegistry:
     def test_every_report_has_one_radius_per_margin(self, entry, p, ladder, cfg):
         for rep in run_checks(entry.model, p, ladder, cfg):
             assert len(rep.radii) == len(rep.margins), rep.check_id
+
+    def test_a_theorem_check_returns_its_result_as_the_report(self, ladder, cfg):
+        # bench/worker.py reads .holds, .margin and theorem5_bound(...).k0
+        # off what a check returns, through getattr(res, "report", res)
+        model = linear(0.5).model
+        res = run_checks(model, 1.5, ladder, cfg, ["theorem5"])[0]
+        direct = theorem5_bound(model, 1.5, ladder, cfg)
+        assert isinstance(res, verifier.BoundReport)
+        assert getattr(res, "report", res) is res
+        assert (res.k0, res.margins.tobytes(), res.notes) == (
+            direct.k0, direct.margins.tobytes(), direct.notes)
+        assert res.quantities() == {"k0": res.k0.to_dict(), "bound": res.bound,
+                                    "attained": res.attained}
+        assert check_lemma4(model, 1.5, ladder, cfg).quantities() == {}
 
     def test_named_checks_run_in_the_given_order(self, ladder, cfg):
         reports = run_checks(linear(0.5).model, 3.0, ladder, cfg, ["theorem3", "lemma1"])
