@@ -102,12 +102,6 @@ class RadialSolution:
         return model_from_profile(self.profile,
                                   label or "radial_solution")
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("r,R\n")
-            for r, v in zip(self.grid, self.values):
-                fh.write(f"{float(r)!r},{float(v)!r}\n")
-
 
 def _ratio_slope(u, d, m: float):
     """du/ds of the ratio u = R/r in s = ln r, given D = D_{m+2}(r)."""

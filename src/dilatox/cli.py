@@ -10,14 +10,17 @@ Subcommands:
 
 Exit codes: 0 all checks hold, 1 an inequality is violated and nothing else,
 2 configuration error (an --out that cannot be created is one, found before
-any map is built; so is a map that functionals.admit_map rejects before any
-integral, from 256 angles of each circle the run reads: the top and deepest
-rungs, R_FLOOR/2 under a disc mean, EPS_TRUNC/2 under an inner integral and
-r = 1 under an outer one, each at the orders of D_p read there),
+any map is built; so are --map-json with --map or --param and --coef with
+--param, found before any document is read; so is a map that
+functionals.admit_map rejects before any integral, from 256 angles of each
+circle the run reads: the top and deepest rungs, R_FLOOR/2 under a disc
+mean, EPS_TRUNC/2 under an inner integral and r = 1 under an outer one, each
+at the orders of D_p read there),
 3 numerical failure (running out of memory is one).
 verify, asym and beltrami write one layout (_write_reports): "config", a
 "matrix" row per report, and under "theorems" each theorem's own quantities
-by check id; stdout has one verdict line per row.
+by check id; stdout has one verdict line per row. eval, verify and beltrami
+write their table through one writer, _write_csv; only this module writes files.
 Identical configurations produce byte-identical reports. Reports are strict
 RFC 8259 JSON: a non-finite number is written as the string "Infinity",
 "-Infinity" or "NaN", which float() reads back.
@@ -31,8 +34,8 @@ from the dataclasses in config, and the --check names from verifier.CHECKS
 only when it tests or lists one. The imported names stay local to each call:
 a function replaced on its module (a tracing wrapper, say) is the one that
 runs, and none is left bound here. No path runs a numpy set routine
-(np.unique and the like import numpy.ma, about 20 ms of a run), and only
-verify loads csv.
+(np.unique and the like import numpy.ma, about 20 ms of a run), and none
+loads csv.
 
 Entry points: run() is the process entry point of `python -m dilatox` and of
 the console script. It calls main() with the cycle collector off and freezes
@@ -86,6 +89,9 @@ def _build_map(args, radii):
     one caller: run_checks and the theorem functions do not probe."""
     from .functionals import admit_map
 
+    if args.map_json and (args.map or args.param):
+        raise ConfigError(f"--map-json names its map and parameters: drop "
+                          f"{'--map' if args.map else '--param'}")
     if args.map_json:
         from .mapping import map_from_json
 
@@ -129,6 +135,14 @@ def _make_out_dir(path: str) -> None:
         raise ConfigError(f"--out: cannot create output directory {path!r}: {exc}") from exc
 
 
+def _write_csv(path: Path, header: str, rows) -> None:
+    """Write the header line, then a line per row: a string cell as it is, a
+    number as repr(float(v)). Every line ends in LF, on any platform."""
+    lines = [header, *(",".join(v if isinstance(v, str) else repr(float(v)) for v in row)
+                       for row in rows)]
+    path.write_text("\n".join(lines) + "\n", newline="")
+
+
 def _write_reports(args, name: str, reports, **extra) -> int:
     """Write <name>.json under --out: the run's config, the extra keys, a
     "matrix" row per report and, under "theorems", each theorem's own
@@ -159,22 +173,22 @@ def cmd_eval(args) -> int:
                   boundary_length(model, radii, cfg).tolist(),
                   *(m.tolist() for m in min_max_modulus(model, radii, cfg)))
     out = Path(args.out) / "functionals.csv"
-    lines = ["r,d_p,disc_mean,S,L,l_f,L_f,iso_defect"]
-    for r, d, dm, s, ell, lo, hi in columns:
-        row = (r, d, dm, s, ell, lo, hi, ell * ell - 4.0 * math.pi * s)
-        lines.append(",".join(repr(float(v)) for v in row))
-    out.write_text("\n".join(lines) + "\n")
+    _write_csv(out, "r,d_p,disc_mean,S,L,l_f,L_f,iso_defect",
+               ((r, d, dm, s, ell, lo, hi, ell * ell - 4.0 * math.pi * s)
+                for r, d, dm, s, ell, lo, hi in columns))
     print(f"wrote {out}")
     return 0
 
 
 def cmd_verify(args) -> int:
-    from .verifier import margins_to_csv, run_checks
+    from .verifier import run_checks
 
     ladder = _ladder(args)
     model = _build_map(args, ladder.radii())
     reports = run_checks(model, args.p, ladder, _quad_config(args), args.check)
-    margins_to_csv(reports, Path(args.out) / "margins.csv")
+    _write_csv(Path(args.out) / "margins.csv", "check_id,p,r,margin",
+               ((rep.check_id, rep.p, r, m) for rep in reports
+                for r, m in zip(rep.radii, rep.margins)))
     return _write_reports(args, "verify", reports)
 
 
@@ -210,6 +224,8 @@ def cmd_asym(args) -> int:
 def cmd_beltrami(args) -> int:
     from . import beltrami
 
+    if args.coef and args.param:
+        raise ConfigError("--coef names its coefficient and parameters: drop --param")
     if args.coef:
         coef = beltrami.sigma_from_json(_read_json(args.coef))
     else:
@@ -222,7 +238,7 @@ def cmd_beltrami(args) -> int:
     span = (float(ladder.radii()[-1]), args.span_hi)
     solution = beltrami.solve_radial(coef, args.r0, args.R0, span, args.step)
     csv_path = Path(args.out) / "solution.csv"
-    solution.to_csv(csv_path)
+    _write_csv(csv_path, "r,R", zip(solution.grid, solution.values))
     print(f"residual_max={solution.residual_max:.3e}")
     print(f"wrote {csv_path}")
     # the bound needs m > 0; bench/run.py reads its closed-form oracle off

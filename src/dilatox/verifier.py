@@ -121,7 +121,7 @@ def growth_bound(p: float, k) -> float:
     return 2.0 * _power(2.0 * k / (p - 2.0), 1.0 / (p - 2.0))
 
 
-@dataclass
+@dataclass(slots=True)
 class LimitProxy:
     """A limit as r -> 0 read off the ladder tail: its min ("liminf"), max
     ("limsup") or midpoint ("limit"), with the tail spread max - min."""
@@ -566,15 +566,3 @@ def json_text(doc) -> str:
 def reports_to_json(reports: list[BoundReport]) -> str:
     """Reports, each to_dict() and its margins, as deterministic, strict JSON."""
     return json_text([rep.to_dict() | {"margins": rep.margins.tolist()} for rep in reports])
-
-
-def margins_to_csv(reports: list[BoundReport], path) -> None:
-    """Per-rung margins, one row per (check, rung)."""
-    import csv  # only verify writes margins: asym and beltrami do not load csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["check_id", "p", "r", "margin"])
-        for rep in reports:
-            for r, m in zip(rep.radii, rep.margins):
-                writer.writerow([rep.check_id, repr(rep.p), repr(r), repr(m)])

@@ -156,17 +156,6 @@ class TestSolver:
         with pytest.raises(ConfigError):
             solve_radial(coef, 0.5, -1.0)
 
-    def test_csv_export(self, tmp_path):
-        sol = solve_radial(power_sigma(kappa=2.0, m=1.0), 0.5, 1.0)
-        path = tmp_path / "solution.csv"
-        sol.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "r,R"
-        assert len(lines) == 1 + len(sol.grid)
-        rows = np.loadtxt(path, delimiter=",", skiprows=1)
-        np.testing.assert_array_equal(rows[:, 0], sol.grid)
-        np.testing.assert_array_equal(rows[:, 1], sol.values)
-
 
 @pytest.mark.parametrize("step", [math.log(0.95 / 0.05), 3.0, math.inf])
 def test_step_spanning_the_whole_solve_is_config_error(step):

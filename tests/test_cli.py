@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import dilatox
-from dilatox import beltrami, catalog, verifier
+from dilatox import beltrami, catalog, cli, functionals, mapping, verifier
 from dilatox.cli import build_parser, main
 from dilatox.config import QuadratureConfig, RadiusLadder
 
@@ -260,6 +260,35 @@ class TestExitCodes:
         assert run(argv + ["--out", str(tmp_path)]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    # (argv with {doc} for a document that runs, the flag the error names):
+    # two sources for one map or coefficient; one of them once won silently
+    CONFLICTING = {
+        "map-json-and-map": (["verify", "--map", "identity", "--map-json", "{doc}"], "--map"),
+        "map-json-and-param": (["verify", "--map-json", "{doc}", "--param", "k=0.25"],
+                               "--param"),
+        "coef-and-param": (["beltrami", "--coef", "{doc}", "--param", "kappa=3"], "--param"),
+    }
+
+    @pytest.mark.parametrize("case", CONFLICTING)
+    def test_conflicting_sources_are_config_error(self, case, tmp_path, capsys, monkeypatch):
+        argv, drop = self.CONFLICTING[case]
+        if argv[0] == "verify":
+            doc = {"type": "catalog", "name": "linear", "params": {"k": 0.5}}
+            argv = argv + ["--p", "3", "--check", "lemma1"]
+        else:
+            doc = {"family": "power", "kappa": 2, "m": 1}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+
+        def read(path):
+            raise AssertionError("a document was read")
+
+        monkeypatch.setattr(cli, "_read_json", read)
+        out = tmp_path / "out"
+        assert run([arg.format(doc=path) for arg in argv] + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.endswith(f"parameters: drop {drop}\n")
+        assert not any(out.iterdir())
+
     def test_beltrami_wrong_sign_is_exit_3(self, tmp_path):
         path = tmp_path / "coef.json"
         path.write_text(json.dumps(WRONG_SIGN_COEF))
@@ -446,6 +475,56 @@ def test_the_report_rederives_the_run(argv, checks, tmp_path, capsys):
            ["holds" if row["holds"] else "VIOLATED", f"margin_min={row['margin_min']:.3e}"])]
         for row in rows]
     assert doc["theorems"].keys() == {cid for cid in checks if cid.startswith("theorem")}
+
+
+def _margins_rows():
+    reports = verifier.run_checks(catalog.linear(0.5).model, 3.0, RadiusLadder(),
+                                  QuadratureConfig(), [])
+    return [(rep.check_id, rep.p, r, m) for rep in reports
+            for r, m in zip(rep.radii, rep.margins)]
+
+
+def _functionals_rows():
+    model, radii, cfg = catalog.linear(0.5).model, RadiusLadder().radii(), QuadratureConfig()
+    s, ell = functionals.area(model, radii, cfg), functionals.boundary_length(model, radii, cfg)
+    return list(zip(radii, functionals.circular_dilatation_mean(model, radii, 4.0, cfg),
+                    functionals.disc_mean(model, radii, 4.0, cfg).value, s, ell,
+                    *mapping.min_max_modulus(model, radii, cfg), ell * ell - 4.0 * math.pi * s))
+
+
+def _solution_rows():
+    sol = beltrami.solve_radial(beltrami.power_sigma(2.0, 1.0), 0.5, 1.0,
+                                (float(RadiusLadder().radii()[-1]), 0.95), 1e-2)
+    return list(zip(sol.grid, sol.values))
+
+
+# The table each of three runs writes: (argv, file, header, its rows computed
+# in process with the CLI's defaults).
+TABLES = {
+    "verify": (["verify", "--map", "linear", "--param", "k=0.5", "--p", "3"], "margins.csv",
+               "check_id,p,r,margin", _margins_rows),
+    "eval": (["eval", "--map", "linear", "--param", "k=0.5", "--p", "4"], "functionals.csv",
+             "r,d_p,disc_mean,S,L,l_f,L_f,iso_defect", _functionals_rows),
+    "beltrami": (["beltrami", "--param", "kappa=2", "--param", "m=1"], "solution.csv", "r,R",
+                 _solution_rows),
+}
+
+
+@pytest.mark.parametrize("argv, name, header, expected", TABLES.values(), ids=TABLES.keys())
+def test_each_table_reads_back_bit_exactly(argv, name, header, expected, tmp_path):
+    # every line ends in LF, margins.csv's too (csv.writer once ended them
+    # in CRLF), and every float cell reads back as the value computed here
+    assert run(argv + ["--out", str(tmp_path)]) == 0
+    lines = (tmp_path / name).read_bytes().decode().split("\n")
+    assert lines.pop() == ""
+    assert not any(line.endswith("\r") for line in lines)
+    assert lines[0] == header
+    rows = expected()
+    assert len(lines) == 1 + len(rows)
+    assert [[cell if isinstance(v, str) else float(cell).hex()
+             for cell, v in zip(line.split(","), row, strict=True)]
+            for line, row in zip(lines[1:], rows)] == [
+        [v if isinstance(v, str) else float(v).hex() for v in row] for row in rows]
 
 
 class TestAsym:
@@ -682,7 +761,8 @@ class TestColdStart:
     @pytest.mark.parametrize("argv, absent", [
         (["eval", "--map", "linear", "--param", "k=0.5", "--p", "4"],
          {"dilatox.verifier", "dilatox.beltrami", "csv"}),
-        (["verify", "--map", "linear", "--param", "k=0.5", "--p", "3"], {"dilatox.beltrami"}),
+        (["verify", "--map", "linear", "--param", "k=0.5", "--p", "3"],
+         {"dilatox.beltrami", "csv"}),
         (["asym", "--map", "linear", "--param", "k=0.25", "--p", "4"],
          {"dilatox.beltrami", "csv"}),
     ], ids=["eval", "verify", "asym"])
@@ -696,7 +776,7 @@ class TestColdStart:
     def test_no_subcommand_loads_numpy_ma(self, tmp_path):
         # numpy 2.x's set routines (np.unique and the like) import numpy.ma,
         # about 20 ms of a cold run; one process runs every subcommand, on
-        # catalog maps and on JSON documents, and csv loads only with verify
+        # catalog maps and on JSON documents, and none loads csv
         verify_json, eval_json = _spline_backed_runs("radial_profile", tmp_path)
         runs = [["asym", "--map", "linear", "--param", "k=0.5", "--p", "1.5"],
                 *_spline_backed_runs("beltrami", tmp_path),       # --param
@@ -705,8 +785,7 @@ class TestColdStart:
                 ["verify", "--map", "log_singular", "--param", "p=3", "--p", "3"]]
         result = _probe_imports([argv + ["--out", str(tmp_path)] for argv in runs])
         assert result["codes"] == [0] * len(runs)
-        assert not any("numpy.ma" in seen for seen in result["loaded"])
-        assert ["csv" in seen for seen in result["loaded"]] == [False] * 6 + [True] * 2
+        assert not any("numpy.ma" in seen or "csv" in seen for seen in result["loaded"])
 
     def test_probe_sees_an_eager_import(self):
         probe = _IMPORT_PROBE.replace("import dilatox\n", "import dilatox\nimport numpy\n", 1)

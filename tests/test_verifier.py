@@ -36,7 +36,6 @@ from dilatox.verifier import (
     check_lemma4,
     check_length_area,
     growth_bound,
-    margins_to_csv,
     reports_to_json,
     run_checks,
     theorem1_bound,
@@ -105,6 +104,13 @@ class TestInfrastructure:
         assert (limit.value, limit.tail_spread) == (2.0, 2.0)
         assert LimitProxy.from_tail("limit", [1.0, math.inf, 2.0]).tail_spread == math.inf
         assert limit.to_dict() == {"kind": "limit", "value": 2.0, "tail_spread": 2.0}
+
+    def test_limit_proxy_has_slots(self):
+        # a slotted proxy, like the reports that hold it, carries no __dict__
+        proxy = LimitProxy.from_tail("liminf", [0.5, 0.25, 0.75])
+        assert not hasattr(proxy, "__dict__")
+        assert list(proxy.to_dict().items()) == [
+            ("kind", "liminf"), ("value", 0.25), ("tail_spread", 0.5)]
 
 
 class TestFinish:
@@ -462,16 +468,6 @@ class TestSerialization:
         doc = json.loads(reports_to_json([rep]), parse_constant=reject)
         assert doc[0]["margin_min"] == "Infinity"
         assert float(doc[0]["margin_min"]) == math.inf
-
-    def test_margins_csv_roundtrip(self, tmp_path, ladder, cfg):
-        rep = check_lemma2(linear(0.5).model, 3.0, ladder, cfg)
-        path = tmp_path / "margins.csv"
-        margins_to_csv([rep], path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "check_id,p,r,margin"
-        assert len(lines) == 1 + len(rep.radii)
-        r_back = float(lines[1].split(",")[2])
-        assert r_back == rep.radii[0]
 
 
 def _raising_model():
