@@ -20,7 +20,8 @@ at the orders of D_p read there),
 verify, asym and beltrami write one layout (_write_reports): "config", a
 "matrix" row per report, and under "theorems" each theorem's own quantities
 by check id; stdout has one verdict line per row. eval, verify and beltrami
-write their table through one writer, _write_csv; only this module writes files.
+write their table through one writer, _write_csv; only this module writes
+files, and stdout has a `wrote <path>` line for each.
 Identical configurations produce byte-identical reports. Reports are strict
 RFC 8259 JSON: a non-finite number is written as the string "Infinity",
 "-Infinity" or "NaN", which float() reads back.
@@ -107,11 +108,13 @@ def _build_map(args, radii):
 
 
 def _quad_config(args) -> QuadratureConfig:
-    return QuadratureConfig(n_theta=args.ntheta, n_r=args.nr)
+    return QuadratureConfig(n_theta=getattr(args, "ntheta", QuadratureConfig.n_theta),
+                            n_r=args.nr)
 
 
 def _ladder(args) -> RadiusLadder:
-    return RadiusLadder(r_max=args.rmax, rho=args.rho, count=args.count, tail=args.tail)
+    return RadiusLadder(r_max=args.rmax, rho=args.rho, count=args.count,
+                        tail=getattr(args, "tail", 3))
 
 
 def _resolved_config(args) -> dict:
@@ -137,10 +140,12 @@ def _make_out_dir(path: str) -> None:
 
 def _write_csv(path: Path, header: str, rows) -> None:
     """Write the header line, then a line per row: a string cell as it is, a
-    number as repr(float(v)). Every line ends in LF, on any platform."""
+    number as repr(float(v)). Every line ends in LF, on any platform. Print
+    the path written."""
     lines = [header, *(",".join(v if isinstance(v, str) else repr(float(v)) for v in row)
                        for row in rows)]
     path.write_text("\n".join(lines) + "\n", newline="")
+    print(f"wrote {path}")
 
 
 def _write_reports(args, name: str, reports, **extra) -> int:
@@ -172,11 +177,9 @@ def cmd_eval(args) -> int:
                   area(model, radii, cfg).tolist(),
                   boundary_length(model, radii, cfg).tolist(),
                   *(m.tolist() for m in min_max_modulus(model, radii, cfg)))
-    out = Path(args.out) / "functionals.csv"
-    _write_csv(out, "r,d_p,disc_mean,S,L,l_f,L_f,iso_defect",
+    _write_csv(Path(args.out) / "functionals.csv", "r,d_p,disc_mean,S,L,l_f,L_f,iso_defect",
                ((r, d, dm, s, ell, lo, hi, ell * ell - 4.0 * math.pi * s)
                 for r, d, dm, s, ell, lo, hi in columns))
-    print(f"wrote {out}")
     return 0
 
 
@@ -237,10 +240,8 @@ def cmd_beltrami(args) -> int:
     ladder = _ladder(args)
     span = (float(ladder.radii()[-1]), args.span_hi)
     solution = beltrami.solve_radial(coef, args.r0, args.R0, span, args.step)
-    csv_path = Path(args.out) / "solution.csv"
-    _write_csv(csv_path, "r,R", zip(solution.grid, solution.values))
     print(f"residual_max={solution.residual_max:.3e}")
-    print(f"wrote {csv_path}")
+    _write_csv(Path(args.out) / "solution.csv", "r,R", zip(solution.grid, solution.values))
     # the bound needs m > 0; bench/run.py reads its closed-form oracle off
     # the top-level "attained"
     reports = ([beltrami.theorem_nb_bound(coef, solution, ladder, _quad_config(args))]
@@ -272,28 +273,31 @@ def build_parser() -> argparse.ArgumentParser:
     # building a ladder, which would load numpy
     ladder, quad = RadiusLadder, QuadratureConfig
 
-    def shared_options(sp):
+    def shared_options(sp, tail=True, ntheta=True):
         sp.add_argument("--param", action="append", default=[],
                         help="map/coefficient parameter key=value (repeatable)")
         sp.add_argument("--rmax", type=float, default=ladder.r_max)
         sp.add_argument("--rho", type=float, default=ladder.rho)
         sp.add_argument("--count", type=int, default=ladder.count)
-        sp.add_argument("--tail", type=int, default=ladder.tail)
-        sp.add_argument("--ntheta", type=int, default=quad.n_theta,
-                        help="most angles per circle: the cap of the trapezoid levels, "
-                             "which stop earlier once a circle is at round-off, and "
-                             "the grid of the |f| extremes")
+        if tail:
+            sp.add_argument("--tail", type=int, default=ladder.tail)
+        if ntheta:
+            sp.add_argument("--ntheta", type=int, default=quad.n_theta,
+                            help="most angles per circle: the cap of the trapezoid levels, "
+                                 "which stop earlier once a circle is at round-off, and "
+                                 "the grid of the |f| extremes")
         sp.add_argument("--nr", type=int, default=quad.n_r)
         sp.add_argument("--out", default=".", help="output directory")
 
-    def map_options(sp):
+    def map_options(sp, tail=True):
         sp.add_argument("--map", help="catalog map name")
         sp.add_argument("--map-json", help="JSON file with a custom map document")
         sp.add_argument("--p", type=float, default=4.0, help="dilatation order")
-        shared_options(sp)
+        shared_options(sp, tail=tail)
 
     sp = sub.add_parser("eval", help="tabulate functionals over the ladder")
-    map_options(sp)
+    # eval reads no tail: it tabulates every rung, and _ladder gives it the least, 3
+    map_options(sp, tail=False)
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("verify", help="run inequality checks")
@@ -312,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     # no abbreviations: "--p" must not pass for "--param"
     sp = sub.add_parser("beltrami", help="solve the radial Beltrami equation",
                         allow_abbrev=False)
-    shared_options(sp)
+    # beltrami reads no circle of several angles: D_{m+2} is radial
+    shared_options(sp, ntheta=False)
     sp.add_argument("--coef", help="JSON file describing the coefficient")
     sp.add_argument("--r0", type=float, default=0.5, help="anchor radius")
     sp.add_argument("--R0", type=float, default=1.0, help="anchor value")

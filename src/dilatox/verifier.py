@@ -97,28 +97,36 @@ def _trunc_slack(bound, expo: float, rel_delta):
     return np.where(np.isfinite(slack), slack, 0.0)
 
 
-def _power(base: float, expo: float) -> float:
-    """base ** expo, +inf where it overflows. Every bound of the paper carries
-    an exponent in 1/(p-2) or 1/(2-p), so near p = 2 a bound may legitimately
-    be +inf, a held row, where a Python float power raises OverflowError.
-    The numpy scalar power rounds as the Python one does."""
-    with np.errstate(over="ignore"):
-        return float(np.float64(base) ** expo)
+def _power(base, expo: float, factor: float = 1.0):
+    """factor * base ** expo in float64, for a float or an array: the one
+    place where a bound's power is taken. Every bound of the paper is a power
+    whose exponent, 1/(p-2) or 1/(2-p), blows up at p = 2, so a bound may
+    legitimately be +inf, a held row. Each caller raises one product to the
+    power, since near p = 2 its factors would overflow and underflow apart.
+    The result is +inf where it overflows, and where base <= 0 under a
+    negative exponent, since a vanishing tail constant bounds nothing; NaN
+    stays NaN, for _finish to report. A float takes numpy's scalar power,
+    which rounds as Python's does but gives +inf where Python's raises
+    OverflowError, and an array the array power: the two round differently
+    in the last bit on some inputs."""
+    x = base if isinstance(base, np.ndarray) else np.float64(base)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        value = factor * x ** expo
+    if expo < 0.0:
+        value = np.where(x <= 0.0, math.inf, value)
+    return value if isinstance(base, np.ndarray) else float(value)
 
 
 def growth_bound(p: float, k) -> float:
     """The bound c_p k^{1/(p-2)} of theorem 1, p > 2, with the explicit constant
-    c_p = 2^{(p-1)/(p-2)} (p-2)^{-1/(p-2)}, as one power of the product,
-    2 (2k/(p-2))^{1/(p-2)}: near p = 2 the two factors overflow and underflow
-    apart, and a product that overflows is +inf, which holds trivially.
+    c_p = 2^{(p-1)/(p-2)} (p-2)^{-1/(p-2)}, as the power 2 (2k/(p-2))^{1/(p-2)}.
 
     c_p is obtained by chaining the area upper bound on [r, 2r] with the
     annulus estimate at eps = r; see the derivation test for the p = 4 hand
     check.
     """
-    if not p > 2.0:
-        raise ConfigError(f"growth constant defined for p > 2, got {p}")
-    return 2.0 * _power(2.0 * k / (p - 2.0), 1.0 / (p - 2.0))
+    p = _checked_order("growth_bound", HIGH_P, p)
+    return _power(2.0 * k / (p - 2.0), 1.0 / (p - 2.0), 2.0)
 
 
 @dataclass(slots=True)
@@ -256,10 +264,9 @@ def check_lemma1(model: MappingModel, p, ladder: RadiusLadder,
     p, r = _checked_order("lemma1", ANY_P, p), ladder.radii()
     sp, s = area_rate(model, r, cfg), area(model, r, cfg)
     ell, d = boundary_length(model, r, cfg), circular_dilatation_mean(model, r, p, cfg)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_d = 1.0 / d  # 0 where d_p = +inf, +inf where d_p = 0
-        rhs_area = 2.0 * math.pi ** ((2.0 - p) / 2.0) * r ** (1.0 - p) * inv_d * s ** (p / 2.0)
-        rhs_len = ell ** p * inv_d / (2.0 * math.pi * r) ** (p - 1.0)
+    inv_d = _power(d, -1.0)  # 0 where d_p = +inf, +inf where d_p = 0
+    rhs_area = 2.0 * math.pi ** ((2.0 - p) / 2.0) * r ** (1.0 - p) * inv_d * s ** (p / 2.0)
+    rhs_len = ell ** p * inv_d / (2.0 * math.pi * r) ** (p - 1.0)
     notes = ("zero-dilatation",) if np.isinf(inv_d).any() else ()
     return _finish("lemma1", p, r[:, None], sp[:, None], np.stack([rhs_area, rhs_len], axis=1),
                    notes=notes)
@@ -282,11 +289,7 @@ def check_lemma2(model: MappingModel, p, ladder: RadiusLadder,
     S(r) <= pi (p-2)^{-2/(p-2)} (integral_r^1 dt/(t^{p-1} d_p(t)))^{-2/(p-2)}."""
     p, r = _checked_order("lemma2", HIGH_P, p), ladder.radii()
     integral = radial_integral_outer(dilatation_radial_fn(model, p, cfg), r, p, cfg)
-    # one power of the product, as in lemma 4: near p = 2 the factors
-    # overflow and underflow apart; a product below 1 may still make the
-    # bound +inf, which holds trivially
-    with np.errstate(over="ignore"):
-        bound = math.pi * ((p - 2.0) * integral) ** (-2.0 / (p - 2.0))
+    bound = _power((p - 2.0) * integral, -2.0 / (p - 2.0), math.pi)
     return _finish("lemma2", p, r, bound, area(model, r, cfg))
 
 
@@ -317,9 +320,7 @@ def check_lemma4(model: MappingModel, p, ladder: RadiusLadder,
     p, r = _checked_order("lemma4", LOW_P, p), ladder.radii()
     inner, rel_deltas, notes = _inner(model, p, r, cfg)
     expo = 2.0 / (2.0 - p)
-    # one power of the product: (2-p)^expo underflows and inner^expo
-    # overflows as p -> 2, where the product stays near r^(2-p)
-    bound = math.pi * ((2.0 - p) * inner) ** expo
+    bound = _power((2.0 - p) * inner, expo, math.pi)
     return _finish("lemma4", p, r, area(model, r, cfg), bound,
                    _trunc_slack(bound, expo, rel_deltas), notes)
 
@@ -385,9 +386,8 @@ def theorem3_bound(model: MappingModel, p, ladder: RadiusLadder,
     p, tail = _checked_order("theorem3", HIGH_P, p), ladder.tail_radii()
     k0 = LimitProxy.from_tail("limsup", _outer_tail(model, p, ladder, cfg))
     attained = _ratio_proxy("liminf", model, tail, cfg)
-    bound = _power((p - 2.0) * k0.value, 1.0 / (2.0 - p)) if k0.value > 0 else math.inf
-    k0_lo = k0.value - k0.tail_spread
-    bound_hi = _power((p - 2.0) * k0_lo, 1.0 / (2.0 - p)) if k0_lo > 0 else math.inf
+    bound = _power((p - 2.0) * k0.value, 1.0 / (2.0 - p))
+    bound_hi = _power((p - 2.0) * (k0.value - k0.tail_spread), 1.0 / (2.0 - p))
     slack = attained.tail_spread + (bound_hi - bound if math.isfinite(bound_hi) else 0.0)
     return _finish("theorem3", p, tail[-1], bound, attained.value, slack,
                    cls=TailBoundResult, k0=k0, bound=bound, attained=attained.value)
@@ -428,7 +428,7 @@ def theorem6_bracket(model: MappingModel, p, ladder: RadiusLadder,
     k1 = LimitProxy.from_tail("limsup", tail ** (p - 2.0) * inner)
     k2 = LimitProxy.from_tail("limsup", _outer_tail(model, pc, ladder, cfg))
     lower = _power((2.0 - p) * k1.value, 1.0 / (2.0 - p))
-    upper = _power((pc - 2.0) * k2.value, 1.0 / (2.0 - pc)) if k2.value > 0 else math.inf
+    upper = _power((pc - 2.0) * k2.value, 1.0 / (2.0 - pc))
     a_proxy = _ratio_proxy("limit", model, tail, cfg)
     remark_rhs = ((p - 1.0) ** (p - 1.0) / ((2.0 - p) ** p * k2.value ** (p - 1.0))
                   if k2.value > 0 else math.inf)
@@ -462,13 +462,8 @@ def theorem7_area_derivative(model: MappingModel, p, s, ladder: RadiusLadder,
         raise ConfigError(f"theorem7 needs s in {HIGH_P.name}, got s={s}")
     inner, rel_deltas, notes = _inner(model, p, tail, cfg)
     expo, expo_s = 2.0 / (2.0 - p), 2.0 / (2.0 - s)
-    lower = ((2.0 - p) * tail ** (p - 2.0) * inner) ** expo
-    v = _outer_tail(model, s, ladder, cfg)
-    # one float64 power of the product, as in lemma 4: near s = 2 the factor
-    # (s-2)^expo_s overflows a Python float, and the product's power may be
-    # +inf
-    with np.errstate(over="ignore", divide="ignore"):
-        upper = np.where(v > 0, ((s - 2.0) * v) ** expo_s, math.inf)
+    lower = _power((2.0 - p) * tail ** (p - 2.0) * inner, expo)
+    upper = _power((s - 2.0) * _outer_tail(model, s, ladder, cfg), expo_s)
     ratio = area(model, tail, cfg) / (math.pi * tail * tail)
     proxies = [LimitProxy.from_tail("limit", vals) for vals in (lower, upper, ratio)]
     spread = sum(proxy.tail_spread for proxy in proxies)
@@ -539,8 +534,7 @@ def run_checks(model: MappingModel, p: float, ladder: RadiusLadder, cfg: Quadrat
         raise ConfigError(f"unknown check(s) {unknown}; the checks are {list(by_name)}")
     chosen = [by_name[name] for name in names] or [c for c in CHECKS if c.regime.applies(p)]
     for check in chosen:
-        if not check.regime.applies(p):
-            raise ConfigError(f"check {check.name!r} needs {check.regime.name}, got p={p}")
+        _checked_order(check.name, check.regime, p)
     return [check.run(model, p, ladder, cfg) for check in chosen]
 
 

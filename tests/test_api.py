@@ -2,6 +2,9 @@
 is its home module's object, and the config names keep their earlier homes."""
 
 import importlib
+import importlib.util
+import inspect
+from pathlib import Path
 
 import pytest
 
@@ -33,3 +36,31 @@ def test_config_names_keep_their_earlier_homes():
     assert QuadratureConfig is config.QuadratureConfig
     assert RadiusLadder is config.RadiusLadder
     assert EPS_TRUNC == config.EPS_TRUNC == 1e-6
+
+
+def _bench_tracer():
+    """bench/tracer.py, loaded by path without entering sys.modules."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_names_the_bench_calls_exist():
+    # the tracer wraps each of these by name, and bench/worker.py builds
+    # verifier.RadiusLadder; a name gone from its module would leave a layer
+    # untimed
+    tracer = _bench_tracer()
+    traced = [(module, fn) for module, fns in tracer.TRACED.items() for fn in fns]
+    for module, fn in [*traced, tracer.ROMB]:
+        assert callable(getattr(importlib.import_module(f"dilatox.{module}"), fn, None)), (
+            module, fn)
+    from dilatox import quadrature, verifier
+
+    assert verifier.RadiusLadder is config.RadiusLadder
+    # callers pass nested= by keyword, through the tracer's wrapper, which
+    # hands the keywords on as they are
+    nested = inspect.signature(quadrature.integrate_radial).parameters["nested"]
+    assert nested.kind in (inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                           inspect.Parameter.KEYWORD_ONLY)

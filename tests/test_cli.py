@@ -58,10 +58,11 @@ class TestExitCodes:
         assert "invalid choice: 'bogus'" in err
         assert all(repr(check.name) in err for check in verifier.CHECKS)
 
-    def test_check_outside_its_regime_is_config_error(self, tmp_path):
+    def test_check_outside_its_regime_is_config_error(self, tmp_path, capsys):
         code = run(["verify", "--map", "linear", "--param", "k=0.5", "--p", "1.5",
                     "--check", "lemma2", "--out", str(tmp_path)])
         assert code == 2
+        assert capsys.readouterr().err == "configuration error: lemma2 needs p > 2, got p=1.5\n"
         assert not (tmp_path / "verify.json").exists()
 
     @pytest.mark.parametrize("p", ["inf", "nan"])
@@ -314,6 +315,19 @@ class TestParser:
 
 
 class TestEval:
+    def test_tail_is_a_usage_error(self, tmp_path, capsys):
+        # eval tabulates every rung and reads no tail
+        with pytest.raises(SystemExit) as exc:
+            run(["eval", "--map", "identity", "--p", "3", "--tail", "5", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tail 5" in capsys.readouterr().err
+
+    def test_a_three_rung_ladder_runs(self, tmp_path):
+        # the tail eval does not read constrains no count of 3 or more
+        assert run(["eval", "--map", "identity", "--p", "3", "--count", "3",
+                    "--out", str(tmp_path)]) == 0
+        assert len((tmp_path / "functionals.csv").read_text().splitlines()) == 4
+
     def test_functionals_table(self, tmp_path):
         assert run(["eval", "--map", "linear", "--param", "k=0.5", "--p", "4",
                     "--out", str(tmp_path)]) == 0
@@ -527,6 +541,23 @@ def test_each_table_reads_back_bit_exactly(argv, name, header, expected, tmp_pat
         [v if isinstance(v, str) else float(v).hex() for v in row] for row in rows]
 
 
+# A run of each subcommand.
+WRITING_RUNS = {
+    "eval": ["eval", "--map", "linear", "--param", "k=0.5", "--p", "4"],
+    "verify": ["verify", "--map", "linear", "--param", "k=0.5", "--p", "3"],
+    "asym": ["asym", "--map", "linear", "--param", "k=0.5", "--p", "1.5", "--s", "4"],
+    "beltrami": ["beltrami", "--param", "kappa=2", "--param", "m=1"],
+}
+
+
+@pytest.mark.parametrize("argv", WRITING_RUNS.values(), ids=WRITING_RUNS.keys())
+def test_stdout_names_every_file_the_run_writes(argv, tmp_path, capsys):
+    assert run(argv + ["--out", str(tmp_path)]) == 0
+    wrote = [line.removeprefix("wrote ") for line in capsys.readouterr().out.splitlines()
+             if line.startswith("wrote ")]
+    assert sorted(wrote) == sorted(str(path) for path in tmp_path.iterdir())
+
+
 class TestAsym:
     def test_high_order_bounds(self, tmp_path):
         assert run(["asym", "--map", "linear", "--param", "k=0.25", "--p", "4",
@@ -609,7 +640,8 @@ class TestBeltrami:
                                                                           rel=1e-9)
 
     @pytest.mark.parametrize("flag", [["--p", "3"], ["--map", "identity"],
-                                      ["--map-json", "map.json"], ["--span-lo", "0.1"]])
+                                      ["--map-json", "map.json"], ["--span-lo", "0.1"],
+                                      ["--ntheta", "64"]])
     def test_options_beltrami_does_not_read_are_usage_errors(self, flag, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["beltrami", "--param", "kappa=2", "--param", "m=1", *flag,

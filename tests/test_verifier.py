@@ -6,6 +6,7 @@ import functools
 import json
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -69,8 +70,58 @@ class TestInfrastructure:
         assert growth_bound(3.0, 0.1) == pytest.approx(growth_bound(3.0, 1.0) * 0.1)
         assert growth_bound(2.001, 1.0) == math.inf
         assert growth_bound(2.001, 1e-4) == 0.0
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=re.escape("growth_bound needs p > 2, got p=2.0")):
             growth_bound(2.0, 1.0)
+
+    @pytest.mark.parametrize("expo", [-2.0, -0.5, 1.0 / 3.0, 2.5])
+    def test_power_of_a_float_is_the_scalar_power(self, expo):
+        bases = np.random.default_rng(5).uniform(0.01, 10.0, 200).tolist()
+        got = [verifier._power(b, expo) for b in bases]
+        assert all(type(v) is float for v in got)
+        assert [v.hex() for v in got] == [float(np.float64(b) ** expo).hex() for b in bases]
+        assert [v.hex() for v in got] == [(b ** expo).hex() for b in bases]
+
+    @pytest.mark.parametrize("expo", [-2.0, -0.5, 1.0 / 3.0, 2.5])
+    def test_power_of_an_array_is_the_array_power(self, expo):
+        bases = np.random.default_rng(6).uniform(0.01, 10.0, 2000)
+        got = verifier._power(bases, expo)
+        assert isinstance(got, np.ndarray)
+        assert got.tobytes() == (bases ** expo).tobytes()
+
+    def test_power_minus_one_of_an_array_is_the_quotient(self):
+        d = np.exp(np.random.default_rng(7).uniform(-30.0, 30.0, 20000))
+        assert verifier._power(d, -1.0).tobytes() == (1.0 / d).tobytes()
+
+    @pytest.mark.parametrize("wrap", [float, lambda b: np.full(2, b)], ids=["float", "array"])
+    def test_power_overflow_is_inf_without_a_warning(self, wrap):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(verifier._power(wrap(1e-3), -200.0) == math.inf)
+            assert np.all(verifier._power(wrap(1e-3), -200.0, math.pi) == math.inf)
+            # a finite power, 1e308, whose product with the factor overflows
+            assert np.all(verifier._power(wrap(1e-154), -2.0, math.pi) == math.inf)
+
+    @pytest.mark.parametrize("base", [0.0, -0.0, -1.0, -math.inf])
+    def test_power_of_a_non_positive_base_under_a_negative_exponent_is_inf(self, base):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert verifier._power(base, -0.5) == math.inf
+            assert verifier._power(base, -2.0, math.pi) == math.inf
+            assert verifier._power(np.array([base, 4.0]), -0.5).tolist() == [math.inf, 0.5]
+
+    def test_power_of_zero_under_a_positive_exponent_is_zero(self):
+        assert verifier._power(0.0, 2.5) == 0.0
+        assert verifier._power(0.0, 2.5, math.pi) == 0.0
+        assert verifier._power(np.zeros(3), 1.5).tolist() == [0.0] * 3
+
+    def test_power_of_nan_stays_nan(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for expo in (-2.0, 0.5):
+                assert math.isnan(verifier._power(math.nan, expo))
+                assert math.isnan(verifier._power(math.nan, expo, math.pi))
+                assert np.isnan(verifier._power(np.array([math.nan, 1.0]), expo)).tolist() == [
+                    True, False]
 
     def test_ladder_geometry(self):
         lad = RadiusLadder(r_max=0.4, rho=0.5, count=4, tail=3)
@@ -535,6 +586,14 @@ class TestRegistry:
         assert res.quantities() == {"k0": res.k0.to_dict(), "bound": res.bound,
                                     "attained": res.attained}
         assert check_lemma4(model, 1.5, ladder, cfg).quantities() == {}
+
+    def test_an_order_outside_its_regime_reads_alike_from_every_entry_point(self, ladder,
+                                                                              cfg):
+        message = re.escape("lemma2 needs p > 2, got p=1.5")
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            run_checks(_raising_model(), 1.5, ladder, cfg, ["lemma2"])
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            check_lemma2(_raising_model(), 1.5, ladder, cfg)
 
     def test_named_checks_run_in_the_given_order(self, ladder, cfg):
         reports = run_checks(linear(0.5).model, 3.0, ladder, cfg, ["theorem3", "lemma1"])
