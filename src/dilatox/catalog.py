@@ -1,10 +1,10 @@
 """Closed-form example families: the linear map, the radial stretching, the
 log-singular disc automorphism, and the exact radial Beltrami solution.
 
-Each entry carries a model with analytic partials and its radial profile
-R(r): every family is R(r) e^{i theta} up to a rotation, so the profile's
-closed forms (mapping.RadialProfile: |f|/|z|, area, length and both radial
-integrals) are the oracles for the quadrature-based functionals.
+Each entry carries its radial profile R(r) and the model that
+mapping.model_from_profile builds from it: every family is R(r) e^{i theta},
+so the profile's closed forms (mapping.RadialProfile: |f|/|z|, area, length,
+both radial integrals) are the oracles for the quadrature-based functionals.
 """
 
 from __future__ import annotations
@@ -20,42 +20,26 @@ from .mapping import CubicHermite, MappingModel, RadialProfile, model_from_profi
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A model together with the radial profile R of |f|, f = R(r) e^{i theta}
-    up to a rotation."""
+    """A model together with the radial profile R of |f|, f = R(r) e^{i theta}."""
 
     model: MappingModel
     profile: RadialProfile
 
 
-def _slope_map(k: complex, label: str) -> CatalogEntry:
-    """f(z) = k z with its profile R = |k| r; linear, identity and
-    beltrami_exact are this map under their own labels and parameter checks."""
-    k = complex(k)
-    ak = abs(k)
-
-    def value(r, theta):
-        return k * np.asarray(r) * np.exp(1j * np.asarray(theta))
-
-    def partial_r(r, theta):
-        return k * np.exp(1j * np.asarray(theta)) * np.ones_like(np.asarray(r, dtype=float))
-
-    def partial_theta(r, theta):
-        return 1j * k * np.asarray(r) * np.exp(1j * np.asarray(theta))
-
-    model = MappingModel(label=label, value=value, partial_r=partial_r,
-                         partial_theta=partial_theta, theta_invariant=True)
-    profile = RadialProfile(R=lambda r: ak * np.asarray(r, dtype=float),
-                            R_prime=lambda r: np.full_like(np.asarray(r, dtype=float), ak))
-    return CatalogEntry(model=model, profile=profile)
+def _slope_map(k: float, label: str) -> CatalogEntry:
+    """f(z) = k z with its profile R = k r; linear, identity and beltrami_exact
+    are this map under their own labels and parameter checks."""
+    profile = RadialProfile(R=lambda r: k * np.asarray(r, dtype=float),
+                            R_prime=lambda r: np.full_like(np.asarray(r, dtype=float), k))
+    return CatalogEntry(model_from_profile(profile, label=label), profile)
 
 
-def linear(k: complex) -> CatalogEntry:
-    """f(z) = k z with 0 < |k| <= 1."""
-    k = complex(k)
-    if not 0.0 < abs(k) <= 1.0:
-        raise ConfigError(f"linear map needs 0 < |k| <= 1, got |k|={abs(k)}")
-    k_str = f"{k.real:g}" if k.imag == 0.0 else f"{k.real:g}{k.imag:+g}j"
-    return _slope_map(k, f"linear(k={k_str})")
+def linear(k: float) -> CatalogEntry:
+    """f(z) = k z with 0 < k <= 1."""
+    k = float(k)
+    if not 0.0 < k <= 1.0:
+        raise ConfigError(f"linear map needs 0 < k <= 1, got k={k}")
+    return _slope_map(k, f"linear(k={k:g})")
 
 
 def identity() -> CatalogEntry:

@@ -65,10 +65,9 @@ def _parse_params(pairs: list[str]) -> dict:
             raise ConfigError(f"--param expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
         try:
-            val = complex(raw)
+            params[key] = float(raw)
         except ValueError as exc:
             raise ConfigError(f"cannot parse parameter {item!r}") from exc
-        params[key] = val if val.imag != 0.0 else val.real
     return params
 
 
@@ -123,7 +122,7 @@ def _resolved_config(args) -> dict:
     for key, val in sorted(vars(args).items()):
         if key in skip:
             continue
-        out[key] = str(val) if isinstance(val, complex) else val
+        out[key] = val
     out["version"] = __version__
     return out
 
@@ -234,8 +233,8 @@ def cmd_beltrami(args) -> int:
     else:
         params = _parse_params(args.param)
         kappa, m = params.get("kappa"), params.get("m")
-        if not (isinstance(kappa, float) and isinstance(m, float)):
-            raise ConfigError("beltrami needs --coef <json> or real --param kappa=... m=...")
+        if kappa is None or m is None:
+            raise ConfigError("beltrami needs --coef <json> or --param kappa=... m=...")
         coef = beltrami.power_sigma(kappa, m)
     ladder = _ladder(args)
     span = (float(ladder.radii()[-1]), args.span_hi)

@@ -159,7 +159,8 @@ class TestExitCodes:
 
     def test_bad_param_is_config_error(self, tmp_path, capsys):
         assert run(["eval", "--map", "linear", "--param", "k", "--out", str(tmp_path)]) == 2
-        for param in ("k=abc", "k=", "k=0.5j+"):  # a value that is no number
+        # a value that is no number, or a complex one: a slope is real
+        for param in ("k=abc", "k=", "k=0.5j+", "k=0.3+0.4j", "k=0.5+0j"):
             assert run(["eval", "--map", "linear", "--param", param, "--out", str(tmp_path)]) == 2
             assert f"cannot parse parameter {param!r}" in capsys.readouterr().err
         assert not (tmp_path / "functionals.csv").exists()
@@ -657,8 +658,12 @@ class TestBeltrami:
         assert (out1 / "beltrami.json").read_bytes() == (out2 / "beltrami.json").read_bytes()
         assert (out1 / "solution.csv").read_bytes() == (out2 / "solution.csv").read_bytes()
 
-    def test_missing_coefficient_is_config_error(self, tmp_path):
-        assert run(["beltrami", "--out", str(tmp_path)]) == 2
+    def test_missing_coefficient_is_config_error(self, tmp_path, capsys):
+        for params in ([], ["--param", "kappa=2"]):
+            assert run(["beltrami", *params, "--out", str(tmp_path)]) == 2
+            assert ("beltrami needs --coef <json> or --param kappa=... m=..."
+                    in capsys.readouterr().err)
+        assert not (tmp_path / "beltrami.json").exists()
 
     def test_complex_kappa_is_config_error(self, tmp_path):
         assert run(["beltrami", "--param", "kappa=2+1j", "--param", "m=1",

@@ -12,7 +12,7 @@ from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from conftest import catalog_suite, perturbed_conformal, suite_ids
 from dilatox.beltrami import power_sigma, solve_radial
-from dilatox.catalog import _LogSingularProfile, beltrami_exact, linear
+from dilatox.catalog import _LogSingularProfile, beltrami_exact, from_name, identity, linear
 from dilatox.errors import ConfigError, DegenerateJacobian, NonFiniteDerivative
 from dilatox.functionals import admit_map, area
 from dilatox.mapping import (
@@ -146,17 +146,37 @@ class TestFiniteDifferences:
 
 
 class TestSlopeMaps:
-    def test_beltrami_exact_is_linear_bit_for_bit(self):
-        # kappa^{1/m} = 0.8 at m = 1: the same map f = 0.8 z as linear(0.8)
+    @staticmethod
+    def assert_same_map(got, ref):
         rungs, th = RadiusLadder().radii()[:, None], circle_nodes(64)[None, :]
-        got, ref = beltrami_exact(m=1.0, kappa=0.8).model, linear(0.8).model
         for name in ("value", "partial_r", "partial_theta"):
             a = np.asarray(getattr(got, name)(rungs, th))
             b = np.asarray(getattr(ref, name)(rungs, th))
             assert (a.dtype, a.shape) == (b.dtype, b.shape)
             assert a.tobytes() == b.tobytes(), name
+
+    def test_beltrami_exact_is_linear_bit_for_bit(self):
+        # kappa^{1/m} = 0.8 at m = 1: the same map f = 0.8 z as linear(0.8)
+        got = beltrami_exact(m=1.0, kappa=0.8).model
+        self.assert_same_map(got, linear(0.8).model)
         assert got.label == "beltrami_exact(m=1,kappa=0.8)"
         assert got.theta_invariant
+
+    @pytest.mark.parametrize("entry", [linear(0.5), linear(1.0), identity(),
+                                       beltrami_exact(m=1.0, kappa=0.8),
+                                       beltrami_exact(m=0.5, kappa=2.0)],
+                             ids=lambda e: e.model.label)
+    def test_slope_map_is_the_model_of_its_profile(self, entry):
+        self.assert_same_map(entry.model, model_from_profile(entry.profile, entry.model.label))
+        assert entry.model.theta_invariant
+
+    def test_slope_is_a_real_number_in_the_unit_interval(self):
+        # a rotation e^{i phi} k z changes no |f|, J_f, |f_theta| or D_p, so
+        # the slope is real: a negative or complex k is a configuration error
+        with pytest.raises(ConfigError, match=r"^linear map needs 0 < k <= 1, got k=-0\.5$"):
+            linear(-0.5)
+        with pytest.raises(ConfigError, match="^bad parameters for catalog map 'linear'"):
+            from_name("linear", k=0.3 + 0.4j)
 
     def test_beltrami_exact_slope_may_exceed_one(self):
         entry = beltrami_exact(m=1.0, kappa=2.0)

@@ -457,7 +457,7 @@ class TestTheorem6:
         assert "vacuous" in res.notes
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="ROADMAP item 1: the ratio r^alpha -> 0 spreads less than "
+                       reason="ROADMAP item 3: the ratio r^alpha -> 0 spreads less than "
                               "SINGLE_LIMIT_SPREAD, so no vacuous note fires, and the "
                               "unconverged limsups k1 and k2 decide the Remark row")
     @pytest.mark.parametrize("alpha", [2.0, 3.0, 5.0, 10.0])
