@@ -66,13 +66,11 @@ def power_sigma(kappa: float, m: float) -> SigmaCoefficient:
 
 
 def sigma_from_json(doc) -> SigmaCoefficient:
-    """Ingest a coefficient description: {"family": "power", "kappa": ..., "m": ...} or
+    """Ingest a coefficient from its JSON document, the one form
     {"family": "custom_radial", "m": ..., "samples": [[r, re, im], ...]}. A document
-    of any other shape is a ConfigError."""
+    of any other shape is a ConfigError; the power family is power_sigma (the
+    CLI's --param kappa=... --param m=...), not a document."""
     family = json_object(doc, "a coefficient document").get("family")
-    if family == "power":
-        what = "a power coefficient"
-        return power_sigma(json_real(doc, "kappa", what), json_real(doc, "m", what))
     if family == "custom_radial":
         r, real, imag = sample_table(doc, "custom_radial", ("r", "re", "im")).T
         m = json_real(doc, "m", "custom_radial")

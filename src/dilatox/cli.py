@@ -232,6 +232,10 @@ def cmd_beltrami(args) -> int:
         coef = beltrami.sigma_from_json(_read_json(args.coef))
     else:
         params = _parse_params(args.param)
+        unknown = sorted(params.keys() - {"kappa", "m"})
+        if unknown:
+            raise ConfigError(f"beltrami takes --param kappa and m only, got "
+                              f"{', '.join(map(repr, unknown))}")
         kappa, m = params.get("kappa"), params.get("m")
         if kappa is None or m is None:
             raise ConfigError("beltrami needs --coef <json> or --param kappa=... m=...")

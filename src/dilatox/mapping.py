@@ -380,7 +380,11 @@ def json_object(doc, what: str, *keys: str) -> dict:
 
 def json_real(doc, key: str, what: str) -> float:
     """doc[key], checked to be present and a JSON number, as a float."""
-    value = json_object(doc, what, key)[key]
+    return _json_number(json_object(doc, what, key)[key], key, what)
+
+
+def _json_number(value, key: str, what: str) -> float:
+    """value, checked to be a JSON number (int or float, not bool), as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{what} needs a number for {key!r}, got {value!r}")
     return float(value)
@@ -388,14 +392,14 @@ def json_real(doc, key: str, what: str) -> float:
 
 def sample_table(doc, what: str, columns: tuple[str, ...]) -> np.ndarray:
     """doc["samples"], checked to be >= 3 rows of finite numbers in the named
-    columns, the first one strictly increasing radii, as a float array."""
+    columns, the first one strictly increasing radii, as a float array. Every
+    cell must be a JSON number: a string or a boolean is not read as one."""
     samples = json_object(doc, what, "samples")["samples"]
-    try:
-        table = np.asarray(samples, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} samples must be rows of numbers: {exc}") from exc
-    if table.ndim != 2 or table.shape[1] != len(columns) or table.shape[0] < 3:
+    if not (isinstance(samples, list) and len(samples) >= 3 and all(
+            isinstance(row, list) and len(row) == len(columns) for row in samples)):
         raise ConfigError(f"{what} needs >= 3 sample rows [{', '.join(columns)}]")
+    table = np.array([[_json_number(cell, "samples", what) for cell in row]
+                      for row in samples])
     if not np.isfinite(table).all():
         raise ConfigError(f"{what} samples must be finite numbers")
     if not np.all(np.diff(table[:, 0]) > 0):
@@ -404,13 +408,10 @@ def sample_table(doc, what: str, columns: tuple[str, ...]) -> np.ndarray:
 
 
 def map_from_json(doc) -> MappingModel:
-    """Ingest a custom map from its JSON document.
-
-    Supported forms:
-      {"type": "radial_profile", "samples": [[r, R], ...]}  (monotone r and R)
-      {"type": "catalog", "name": ..., "params": {...}}
-    A document of any other shape is a ConfigError.
-    """
+    """Ingest a custom map from its JSON document, the one form
+      {"type": "radial_profile", "samples": [[r, R], ...]}  (monotone r and R).
+    A document of any other shape is a ConfigError; a closed-form family is
+    named by catalog.from_name (the CLI's --map and --param), not here."""
     kind = json_object(doc, "a map document").get("type")
     if kind == "radial_profile":
         r, R = sample_table(doc, "radial_profile", ("r", "R")).T
@@ -419,9 +420,4 @@ def map_from_json(doc) -> MappingModel:
         interp = pchip(r, R)
         profile = RadialProfile(R=interp, R_prime=lambda t: interp(t, nu=1))
         return model_from_profile(profile, label="radial_profile")
-    if kind == "catalog":
-        from . import catalog  # local import: catalog depends on this module
-        name = json_object(doc, "a catalog document", "name")["name"]
-        params = json_object(doc.get("params", {}), "catalog params")
-        return catalog.from_name(str(name), **params).model
     raise ConfigError(f"unknown map document type {kind!r}")

@@ -77,10 +77,6 @@ class TestCoefficients:
         with pytest.raises(ConfigError):
             SigmaCoefficient(sigma=lambda r: -1j * np.ones_like(r), m=-0.5)
 
-    def test_json_power(self):
-        coef = sigma_from_json({"family": "power", "kappa": 2.0, "m": 1.0})
-        assert coef.m == 1.0
-
     def test_json_custom_radial(self):
         doc = {"family": "custom_radial", "m": 0.0,
                "samples": [[0.1, 0.0, -1.0], [0.5, 0.0, -1.0], [0.9, 0.0, -1.0]]}

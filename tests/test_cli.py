@@ -230,14 +230,18 @@ class TestExitCodes:
 
     # (flag, file text or None for a missing file): documents that cannot be ingested
     MALFORMED = {
-        "catalog-without-name": ("--map-json", '{"type": "catalog"}'),
         "profile-without-samples": ("--map-json", '{"type": "radial_profile"}'),
         "not-an-object": ("--map-json", "[1, 2]"),
         "missing-file": ("--map-json", None),
         "not-json": ("--map-json", "not json"),
-        "non-numeric-param": ("--map-json",
-                              '{"type": "catalog", "name": "linear", "params": {"k": "x"}}'),
-        "power-without-m": ("--coef", '{"family": "power", "kappa": 2}'),
+        "custom-radial-without-m": ("--coef", '{"family": "custom_radial", "samples": '
+                                              '[[0.05, 0, -1], [0.5, 0, -1], [0.95, 0, -1]]}'),
+        # a string sample once read as its number
+        "string-profile-sample": ("--map-json", '{"type": "radial_profile", "samples": '
+                                                '[["0.1", "0.1"], ["0.5", "0.5"], ["0.9", "0.9"]]}'),
+        "string-coefficient-sample": ("--coef", '{"family": "custom_radial", "m": 1, "samples": '
+                                                '[["0.05", "0", "-1"], ["0.5", "0", "-1"], '
+                                                '["0.95", "0", "-1"]]}'),
         "nan-radius": ("--map-json", '{"type": "radial_profile", '
                                      '"samples": [[0.1, 0.1], [NaN, 0.2], [0.3, 0.3]]}'),
         "infinite-profile-value": ("--map-json", '{"type": "radial_profile", "samples": '
@@ -259,8 +263,31 @@ class TestExitCodes:
             argv = ["beltrami", "--coef", str(path)]
         else:
             argv = ["verify", "--map-json", str(path), "--p", "3", "--check", "lemma1"]
-        assert run(argv + ["--out", str(tmp_path)]) == 2
+        out = tmp_path / "out"
+        assert run(argv + ["--out", str(out)]) == 2
         assert "configuration error" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    # (flag, document, error): the removed second spellings of a catalog map
+    # and of the power coefficient, now --map NAME --param key=value and
+    # beltrami --param kappa=... --param m=...
+    REMOVED = {
+        "catalog-map": ("--map-json", {"type": "catalog", "name": "linear", "params": {"k": 0.5}},
+                        "unknown map document type 'catalog'"),
+        "power-coefficient": ("--coef", {"family": "power", "kappa": 2, "m": 1},
+                              "unknown coefficient family 'power'"),
+    }
+
+    @pytest.mark.parametrize("case", REMOVED)
+    def test_removed_document_is_config_error(self, case, tmp_path, capsys):
+        flag, doc, error = self.REMOVED[case]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        command = ["beltrami"] if flag == "--coef" else ["verify", "--p", "3"]
+        out = tmp_path / "out"
+        assert run(command + [flag, str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {error}\n"
+        assert not any(out.iterdir())
 
     # (argv with {doc} for a document that runs, the flag the error names):
     # two sources for one map or coefficient; one of them once won silently
@@ -274,13 +301,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("case", CONFLICTING)
     def test_conflicting_sources_are_config_error(self, case, tmp_path, capsys, monkeypatch):
         argv, drop = self.CONFLICTING[case]
+        kind = "radial_profile" if argv[0] == "verify" else "custom_radial"
+        path = _spline_backed_runs(kind, tmp_path)[0][2]  # the document's path
         if argv[0] == "verify":
-            doc = {"type": "catalog", "name": "linear", "params": {"k": 0.5}}
             argv = argv + ["--p", "3", "--check", "lemma1"]
-        else:
-            doc = {"family": "power", "kappa": 2, "m": 1}
-        path = tmp_path / "doc.json"
-        path.write_text(json.dumps(doc))
 
         def read(path):
             raise AssertionError("a document was read")
@@ -664,6 +688,14 @@ class TestBeltrami:
             assert ("beltrami needs --coef <json> or --param kappa=... m=..."
                     in capsys.readouterr().err)
         assert not (tmp_path / "beltrami.json").exists()
+
+    def test_unknown_param_is_config_error(self, tmp_path, capsys):
+        # beltrami once dropped every --param key but kappa and m, and ran
+        assert run(["beltrami", "--param", "kappa=2", "--param", "m=1", "--param", "k=0.5",
+                    "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == ("configuration error: beltrami takes --param "
+                                           "kappa and m only, got 'k'\n")
+        assert not any(tmp_path.iterdir())
 
     def test_complex_kappa_is_config_error(self, tmp_path):
         assert run(["beltrami", "--param", "kappa=2+1j", "--param", "m=1",
