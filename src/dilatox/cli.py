@@ -231,15 +231,11 @@ def cmd_beltrami(args) -> int:
     if args.coef:
         coef = beltrami.sigma_from_json(_read_json(args.coef))
     else:
-        params = _parse_params(args.param)
-        unknown = sorted(params.keys() - {"kappa", "m"})
-        if unknown:
-            raise ConfigError(f"beltrami takes --param kappa and m only, got "
-                              f"{', '.join(map(repr, unknown))}")
-        kappa, m = params.get("kappa"), params.get("m")
-        if kappa is None or m is None:
-            raise ConfigError("beltrami needs --coef <json> or --param kappa=... m=...")
-        coef = beltrami.power_sigma(kappa, m)
+        try:
+            coef = beltrami.power_sigma(**_parse_params(args.param))
+        except TypeError as exc:  # a missing or unknown --param key
+            raise ConfigError(f"beltrami needs --coef <json> or --param kappa=... m=...: "
+                              f"{exc}") from exc
     ladder = _ladder(args)
     span = (float(ladder.radii()[-1]), args.span_hi)
     solution = beltrami.solve_radial(coef, args.r0, args.R0, span, args.step)

@@ -384,10 +384,14 @@ def json_real(doc, key: str, what: str) -> float:
 
 
 def _json_number(value, key: str, what: str) -> float:
-    """value, checked to be a JSON number (int or float, not bool), as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{what} needs a number for {key!r}, got {value!r}")
-    return float(value)
+    """value, checked to be a JSON number (int or float, not bool) that a float
+    holds, as a float."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            return float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    raise ConfigError(f"{what} needs a number for {key!r}, got {value!r}")
 
 
 def sample_table(doc, what: str, columns: tuple[str, ...]) -> np.ndarray:

@@ -4,17 +4,12 @@ scipy.interpolate."""
 
 import json
 import math
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
-import dilatox
 from conftest import catalog_suite, perturbed_conformal, suite_ids
 from dilatox.beltrami import power_sigma, solve_radial
 from dilatox.catalog import _LogSingularProfile, beltrami_exact, from_name, identity, linear
@@ -290,17 +285,6 @@ class TestValidationAndIngestion:
         with pytest.raises(ConfigError):
             map_from_json({"type": "mystery"})
 
-    def test_profile_document_loads_no_catalog(self):
-        # the JSON layer carries data only: a profile document builds its map,
-        # in a fresh interpreter, without the catalog of closed forms
-        probe = ("import sys\nfrom dilatox.mapping import map_from_json\n"
-                 "map_from_json({'type': 'radial_profile', 'samples': %r})\n"
-                 "print('dilatox.catalog' in sys.modules)" % ROWS)
-        env = dict(os.environ, PYTHONPATH=str(Path(dilatox.__file__).resolve().parents[1]))
-        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                              env=env, check=True)
-        assert proc.stdout == "False\n"
-
     def test_profile_model_structure(self):
         profile = RadialProfile(R=lambda r: np.asarray(r) ** 2,
                                 R_prime=lambda r: 2.0 * np.asarray(r))
@@ -338,7 +322,11 @@ ROWS = [[0.1, 0.2], [0.5, 0.6], [0.9, 0.95]]
      "prof needs a number for 'samples', got '0.95'"),
     (lambda: sample_table({"samples": ROWS[:2] + [[0.95, True]]}, "prof", ("r", "R")),
      "prof needs a number for 'samples', got True"),
-    (lambda: sample_table({"samples": [[0.1, 0.2], [0.5]]}, "prof", ("r", "R")),
+    (lambda: sample_table({"samples": ROWS[:2] + [[10 ** 400, 1.0]]}, "prof", ("r", "R")),
+     "prof needs a number for 'samples', got 1000"),
+    (lambda: sample_table({"samples": [[0.1, 0.2], [0.5], [0.9, 0.95]]}, "prof", ("r", "R")),
+     r"prof needs >= 3 sample rows \[r, R\]"),
+    (lambda: sample_table({"samples": [row + [0.3] for row in ROWS]}, "prof", ("r", "R")),
      r"prof needs >= 3 sample rows \[r, R\]"),
     (lambda: sample_table({"samples": ROWS[:2]}, "prof", ("r", "R")),
      r"prof needs >= 3 sample rows \[r, R\]"),
@@ -347,7 +335,8 @@ ROWS = [[0.1, 0.2], [0.5, 0.6], [0.9, 0.95]]
     (lambda: sample_table({"samples": [ROWS[0], ROWS[0], ROWS[2]]}, "prof", ("r", "R")),
      "prof radii must be strictly increasing"),
 ], ids=["string", "bool", "null", "list", "non-numeric-row", "numeric-string-cell",
-        "bool-cell", "ragged-rows", "two-rows", "radii-decrease", "radii-repeat"])
+        "bool-cell", "huge-int-cell", "ragged-rows", "wide-rows", "two-rows",
+        "radii-decrease", "radii-repeat"])
 def test_json_fields_rejected_as_config_errors(call, match):
     with pytest.raises(ConfigError, match=match):
         call()
